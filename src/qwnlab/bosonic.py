@@ -2,14 +2,23 @@
 
 The space is a direct sum of tensor powers of a finite *-algebra, cut off at
 a maximal grade.  The scalar product on grade k is not the plain tensor-power
-product: it is a sum over partitions of the k slot positions, where every
-block contributes the state applied to an alternating product of starred and
-unstarred slot entries.  Two equivalent assemblies are implemented, one
-summing ordered partitions with weight gamma0 / block_size per block and one
-summing plain set partitions with weight gamma0 * (block_size - 1)! per block.
-The set-partition route is only valid over a commutative base algebra; over
-matrix algebras the cyclic orientations of a block differ and the ordered sum
-is the definition.
+product: it is a sum over partitions of the k slot positions into lists,
+where every list contributes the state applied to an alternating product of
+starred and unstarred slot entries, with weight gamma0 / list_length.  Three
+assemblies of the Gram matrix are implemented:
+
+* "ordered" sums those lists literally, one einsum per partition (4051
+  terms at grade 6).  It is the definition and the oracle.
+* "setpartition" sums plain set partitions with weight
+  gamma0 * (block_size - 1)! per block.  It is only valid over a
+  commutative base algebra, where all orientations of a block agree.
+* "recursive", the default, uses that both base algebras carry a tracial
+  state.  The n rotations of a list then give the same term, so the sum
+  over lists collapses to a sum over permutations with weight gamma0 per
+  cycle.  Deleting the last slot from its cycle either removes a fixed
+  point or merges it into the slot before it, which gives a k-term
+  insertion recursion for the underlying multilinear functional and an
+  O(D**(2k+1)) assembly.
 
 Creation inserts its symbol into every gap of a tensor word, annihilation
 pairs its symbol against the first slot (a state term plus merge terms into
@@ -30,10 +39,11 @@ from .algebra import pair_product_state_tensors, random_element
 from .combinatorics import ordered_partitions, set_partitions
 from .graded import GradedVector, GradeOverflowError
 from .linalg import (
-    gram_operator_norm,
+    gram_whitening,
     hermitize,
     orthonormal_range,
     symmetrizer_matrix,
+    whitened_operator_norm,
 )
 from .report import reported_record, residual_record
 
@@ -42,6 +52,7 @@ ANNIHILATION = "b"
 NUMBER = "n"
 
 _KINDS = (CREATION, ANNIHILATION, NUMBER)
+_GRAM_METHODS = ("recursive", "ordered", "setpartition")
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 # Exact commutator cancellation needs gamma0 and the state weights to carry
@@ -76,11 +87,22 @@ class BosonicSpace:
         self.algebra = algebra
         self.max_grade = int(max_grade)
         self.gamma0 = float(gamma0)
-        self._chains = pair_product_state_tensors(algebra, self.max_grade)
+        basis = algebra.basis()
+        # structure constants e_a e_b = sum_c mult[a, b, c] e_c, the state
+        # on the basis, and pair[a, b, c], the coordinates of star(e_a) e_b
+        self._mult = algebra.coords(algebra.mul(basis[:, None], basis[None, :]))
+        self._tau = algebra.state(basis)
+        self._pair = algebra.coords(
+            algebra.mul(algebra.star(basis)[:, None], basis[None, :])
+        )
+        self._functionals = [np.ones((), dtype=complex)]
+        self._chains = []
         self._gram_raw = {}
         self._gram = {}
         self._symmetrizers = {}
         self._symmetric_bases = {}
+        self._symmetric_grams = {}
+        self._whitenings = {}
 
     # -- Gram matrices ----------------------------------------------------
 
@@ -93,14 +115,23 @@ class BosonicSpace:
     def gram_matrix(self, k, method=None):
         """Raw grade-k Gram matrix, assembled by the requested route.
 
-        method is one of "ordered" or "setpartition"; the default picks the
-        set-partition route for commutative algebras and the ordered route
-        otherwise.  The result is cached per route and not hermitized.
+        method is "recursive" (the default), "ordered" or "setpartition";
+        the module docstring compares them.  With a_p = star(e_ip) e_jp the
+        recursive route evaluates
+
+            G_k[i, j] = (2**k / k!) * Phi_k(a_1, ..., a_k),
+            Phi_k(a_1..a_k) = gamma0 * Phi_(k-1)(a_1..a_(k-1)) * state(a_k)
+                + sum_(j<k) Phi_(k-1)(a_1, .., a_j a_k, .., a_(k-1)),
+
+        which is exact because the state is tracial.  The ordered route is
+        the partition sum of the definition and the set-partition route
+        needs a commutative algebra.  The result is cached per route and
+        not hermitized.
         """
         self._check_grade(k)
         if method is None:
-            method = "setpartition" if self.algebra.commutative else "ordered"
-        if method not in ("ordered", "setpartition"):
+            method = "recursive"
+        if method not in _GRAM_METHODS:
             raise ValueError("unknown Gram assembly method %r" % (method,))
         if method == "setpartition" and not self.algebra.commutative:
             raise ValueError(
@@ -108,8 +139,39 @@ class BosonicSpace:
             )
         key = (k, method)
         if key not in self._gram_raw:
-            self._gram_raw[key] = self._assemble_gram(k, method)
+            if method == "recursive":
+                self._gram_raw[key] = self._recursive_gram(k)
+            else:
+                self._gram_raw[key] = self._assemble_gram(k, method)
         return self._gram_raw[key]
+
+    def _functional(self, k):
+        """Phi_k of gram_matrix on basis elements, as a (D,)*k tensor."""
+        while len(self._functionals) <= k:
+            prev = self._functionals[-1]
+            n = prev.ndim
+            out = np.multiply.outer(prev, self.gamma0 * self._tau)
+            for j in range(n):
+                # slot j absorbs the new slot: (.., e_a e_b, ..) with a at j
+                merged = np.tensordot(prev, self._mult, axes=([j], [2]))
+                out = out + np.moveaxis(merged, n - 1, j)
+            self._functionals.append(out)
+        return self._functionals[k]
+
+    def _recursive_gram(self, k):
+        tensor = (2.0**k / math.factorial(k)) * self._functional(k)
+        # Each step replaces the leading slot c by the pair (i, j) at the end.
+        for _ in range(k):
+            tensor = np.tensordot(tensor, self._pair, axes=([0], [2]))
+        order = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
+        size = self.algebra.dim**k
+        return tensor.transpose(order).reshape(size, size)
+
+    def _chain_tensors(self, k):
+        """Pair-product state tensors up to grade k, built on first need."""
+        if len(self._chains) < k:
+            self._chains = pair_product_state_tensors(self.algebra, k)
+        return self._chains
 
     def _assemble_gram(self, k, method):
         dim = self.algebra.dim
@@ -119,6 +181,7 @@ class BosonicSpace:
         out_sub = _LETTERS[: 2 * k]
         total = np.zeros((size, size), dtype=complex)
         base = 2.0**k / math.factorial(k)
+        chains = self._chain_tensors(k)
         if method == "ordered":
             partitions = ordered_partitions(k)
         else:
@@ -133,7 +196,7 @@ class BosonicSpace:
                     coeff *= self.gamma0 / n
                 else:
                     coeff *= self.gamma0 * math.factorial(n - 1)
-                operands.append(self._chains[n - 1])
+                operands.append(chains[n - 1])
                 subs.append(
                     "".join(_LETTERS[p - 1] for p in block)
                     + "".join(_LETTERS[k + p - 1] for p in block)
@@ -367,25 +430,43 @@ class BosonicSpace:
             ),
         ]
 
+    def _route_gap(self, method, oracle, kmax):
+        """Worst relative Frobenius gap between two Gram routes, grades 1..kmax."""
+        worst = 0.0
+        for k in range(1, kmax + 1):
+            a = self.gram_matrix(k, method=oracle)
+            b = self.gram_matrix(k, method=method)
+            scale = max(np.linalg.norm(a), 1.0)
+            worst = max(worst, np.linalg.norm(a - b) / scale)
+        return worst
+
     def check_gram_paths(self, kmax=None, tol=1e-10):
         """Ordered-partition versus set-partition Gram assembly."""
         if not self.algebra.commutative:
             raise ValueError("the dual-route comparison needs a commutative base")
         if kmax is None:
             kmax = self.max_grade
-        worst = 0.0
-        for k in range(1, kmax + 1):
-            a = self.gram_matrix(k, method="ordered")
-            b = self.gram_matrix(k, method="setpartition")
-            scale = max(np.linalg.norm(a), 1.0)
-            worst = max(worst, np.linalg.norm(a - b) / scale)
         return [
             residual_record(
                 "bosonic.gram.assembly_routes_agree",
                 "scalar product partition expansion",
-                worst,
+                self._route_gap("setpartition", "ordered", kmax),
                 tol,
                 notes="grades 1..%d" % kmax,
+            )
+        ]
+
+    def check_gram_recursion(self, kmax=None, tol=1e-10):
+        """Recursive (default) versus ordered-partition Gram assembly."""
+        if kmax is None:
+            kmax = self.max_grade
+        return [
+            residual_record(
+                "bosonic.gram.recursion_matches_ordered",
+                "scalar product partition expansion",
+                self._route_gap("recursive", "ordered", kmax),
+                tol,
+                notes="grades 1..%d, tracial state" % kmax,
             )
         ]
 
@@ -598,8 +679,19 @@ class BosonicSpace:
         return records
 
     def _symmetric_gram(self, k):
-        basis = self.symmetric_basis(k)
-        return hermitize(basis.conj().T @ self.gram(k) @ basis)
+        """Gram matrix compressed to the symmetric subspace (cached)."""
+        if k not in self._symmetric_grams:
+            basis = self.symmetric_basis(k)
+            self._symmetric_grams[k] = hermitize(
+                basis.conj().T @ self.gram(k) @ basis
+            )
+        return self._symmetric_grams[k]
+
+    def _whitening(self, k):
+        """Whitening of the symmetric Gram matrix of grade k (cached)."""
+        if k not in self._whitenings:
+            self._whitenings[k] = gram_whitening(self._symmetric_gram(k))
+        return self._whitenings[k]
 
     def check_norm_estimates(self, rng, trials=50, slack=1e-9):
         """Operator norms on symmetric parts against the stated bounds."""
@@ -619,24 +711,22 @@ class BosonicSpace:
                 create = self._compressed(
                     self.operator_matrix(CREATION, phi, k - 1), k, k - 1
                 )
-                norm_create = gram_operator_norm(
-                    create, self._symmetric_gram(k), self._symmetric_gram(k - 1)
+                norm_create = whitened_operator_norm(
+                    create, self._whitening(k), self._whitening(k - 1)
                 )
                 excess_create = max(excess_create, norm_create - bound)
                 annihilate = self._compressed(
                     self.operator_matrix(ANNIHILATION, phi, k), k - 1, k
                 )
-                norm_annihilate = gram_operator_norm(
-                    annihilate,
-                    self._symmetric_gram(k - 1),
-                    self._symmetric_gram(k),
+                norm_annihilate = whitened_operator_norm(
+                    annihilate, self._whitening(k - 1), self._whitening(k)
                 )
                 excess_annihilate = max(excess_annihilate, norm_annihilate - bound)
                 number = self._compressed(
                     self.operator_matrix(NUMBER, phi, k), k, k
                 )
-                norm_number = gram_operator_norm(
-                    number, self._symmetric_gram(k), self._symmetric_gram(k)
+                norm_number = whitened_operator_norm(
+                    number, self._whitening(k), self._whitening(k)
                 )
                 excess_number = max(excess_number, norm_number - k * linf)
         return [

@@ -137,8 +137,22 @@ def _load_config(args):
         raise UsageError(str(exc))
 
 
+def _check_output(path):
+    """Refuse a report path that cannot be written, before any suite runs."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise UsageError("output %s is a directory" % path)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError("output directory %s does not exist" % parent)
+    if not os.access(parent, os.W_OK):
+        raise UsageError("output directory %s is not writable" % parent)
+
+
 def _cmd_verify(args):
     config = _load_config(args)
+    _check_output(config.output)
     report = run_suite(config)
     emit_report(report, config.output)
     summary = report.summary
@@ -164,6 +178,7 @@ def _cmd_combinatorics(args):
         else int(os.environ.get("QWN_SEED", DEFAULT_SEED)),
         output=args.output or "-",
     )
+    _check_output(config.output)
     report = run_suite(config)
     emit_report(report, config.output)
     return report.exit_code

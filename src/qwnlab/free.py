@@ -35,7 +35,7 @@ from .combinatorics import (
     noncrossing_partitions,
 )
 from .graded import GradedVector, GradeOverflowError
-from .linalg import gram_operator_norm, hermitize
+from .linalg import gram_whitening, hermitize, whitened_operator_norm
 from .report import residual_record
 
 CREATION = "b*"
@@ -57,6 +57,7 @@ class FreeSpace:
         self._words = basis_word_products(algebra, self.max_grade)
         self._factors = {}
         self._gram = {}
+        self._whitenings = {}
 
     def _check_grade(self, k):
         if not 0 <= k <= self.max_grade:
@@ -91,6 +92,12 @@ class FreeSpace:
                 mat += term
         self._gram[k] = hermitize(mat)
         return self._gram[k]
+
+    def _whitening(self, k):
+        """Whitening of the grade-k Gram matrix (cached)."""
+        if k not in self._whitenings:
+            self._whitenings[k] = gram_whitening(self.gram(k))
+        return self._whitenings[k]
 
     def inner(self, left, right):
         total = 0.0 + 0.0j
@@ -429,18 +436,18 @@ class FreeSpace:
             bound = math.sqrt(self.gamma) * alg.norm_l2(phi) + alg.norm_linf(phi)
             for k in range(1, self.max_grade + 1):
                 create = self.operator_matrix(CREATION, phi, k - 1)
-                norm_create = gram_operator_norm(
-                    create, self.gram(k), self.gram(k - 1)
+                norm_create = whitened_operator_norm(
+                    create, self._whitening(k), self._whitening(k - 1)
                 )
                 excess_pair = max(excess_pair, norm_create - bound)
                 annihilate = self.operator_matrix(ANNIHILATION, phi, k)
-                norm_annihilate = gram_operator_norm(
-                    annihilate, self.gram(k - 1), self.gram(k)
+                norm_annihilate = whitened_operator_norm(
+                    annihilate, self._whitening(k - 1), self._whitening(k)
                 )
                 excess_pair = max(excess_pair, norm_annihilate - bound)
                 number = self.operator_matrix(NUMBER, phi, k)
-                norm_number = gram_operator_norm(
-                    number, self.gram(k), self.gram(k)
+                norm_number = whitened_operator_norm(
+                    number, self._whitening(k), self._whitening(k)
                 )
                 excess_number = max(
                     excess_number, norm_number - alg.norm_linf(phi)

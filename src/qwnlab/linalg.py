@@ -3,14 +3,15 @@
 Everything here acts on explicit matrices over the grade-k coordinate space
 of dimension D**k.  The recurring wrinkle is that inner products are given
 by Gram matrices that are frequently singular (symmetrization kills most of
-the tensor space), so adjoints and operator norms are computed against a
-whitened restriction to the Gram matrix's numerical range rather than
-against a matrix inverse.
+the tensor space), so operator norms are computed against a whitened
+restriction to the Gram matrix's numerical range rather than against a
+matrix inverse.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +45,15 @@ def symmetrizer_matrix(dim: int, k: int) -> np.ndarray:
     """Projection onto the symmetric subspace of (C^dim)**k."""
     if k == 0:
         return np.eye(1)
-    acc = np.zeros((dim**k, dim**k))
+    size = dim**k
+    acc = np.zeros((size, size))
+    flat = np.arange(size).reshape((dim,) * k)
+    columns = np.arange(size)
     count = 0
     for perm in itertools.permutations(range(k)):
-        acc += axis_permutation_matrix(dim, perm)
+        # the row of input basis tuple i is that of j with j[perm[s]] = i[s],
+        # as in axis_permutation_matrix; each permutation hits each cell once
+        acc[flat.transpose(perm).reshape(-1), columns] += 1.0
         count += 1
     return acc / count
 
@@ -77,6 +83,35 @@ def gram_whitener(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> np.ndarray:
     return vecs[:, keep] / np.sqrt(vals[keep])
 
 
+class Whitening(NamedTuple):
+    """A Gram matrix's whitener and the left factor W^H hermitize(G)."""
+
+    whitener: np.ndarray
+    left: np.ndarray
+
+
+def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
+    """Whitener of ``gram`` and its left factor, for repeated norms.
+
+    A space that norms many operators against one Gram matrix per grade
+    computes this once per grade and hands it to
+    :func:`whitened_operator_norm`.
+    """
+    w = gram_whitener(gram, cutoff)
+    return Whitening(w, w.conj().T @ hermitize(gram))
+
+
+def whitened_operator_norm(
+    op: np.ndarray, out: Whitening, into: Whitening
+) -> float:
+    """Operator norm of ``op`` from the range behind ``into`` to the range
+    behind ``out``, evaluated as ``(W_out^H G_out) @ (op @ W_in)``."""
+    if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
+        return 0.0
+    middle = out.left @ (op @ into.whitener)
+    return float(np.linalg.norm(middle, ord=2))
+
+
 def gram_operator_norm(
     op: np.ndarray,
     gram_out: np.ndarray,
@@ -89,35 +124,6 @@ def gram_operator_norm(
     their Gram matrices; vectors of zero length neither contribute norm
     nor blow it up.
     """
-    w_in = gram_whitener(gram_in, cutoff)
-    w_out = gram_whitener(gram_out, cutoff)
-    if w_in.shape[1] == 0 or w_out.shape[1] == 0:
-        return 0.0
-    middle = w_out.conj().T @ hermitize(gram_out) @ (op @ w_in)
-    return float(np.linalg.norm(middle, ord=2))
-
-
-def gram_adjoint_residual(
-    op: np.ndarray,
-    candidate_adjoint: np.ndarray,
-    gram_out: np.ndarray,
-    gram_in: np.ndarray,
-) -> float:
-    """Largest defect of <op x, y>_out = <x, adj y>_in over unit vectors.
-
-    The pairing identity is G_in @ adj = op^H @ G_out on the nose; the
-    residual is that matrix gap measured in spectral norm and normalized
-    by the participating Gram and operator norms.
-    """
-    lhs = np.asarray(gram_in, dtype=complex) @ candidate_adjoint
-    rhs = op.conj().T @ np.asarray(gram_out, dtype=complex)
-    scale = max(
-        float(np.linalg.norm(lhs, ord=2)), float(np.linalg.norm(rhs, ord=2)), 1.0
+    return whitened_operator_norm(
+        op, gram_whitening(gram_out, cutoff), gram_whitening(gram_in, cutoff)
     )
-    return float(np.linalg.norm(lhs - rhs, ord=2)) / scale
-
-
-def vector_norm(gram: np.ndarray, vec: np.ndarray) -> float:
-    """Length of ``vec`` in the (possibly degenerate) Gram inner product."""
-    val = np.vdot(vec, np.asarray(gram, dtype=complex) @ vec)
-    return float(np.sqrt(max(val.real, 0.0)))

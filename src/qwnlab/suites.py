@@ -176,6 +176,7 @@ def run_bosonic(config, rng):
     )
     records = []
     records += space.check_gram_closed_forms(rng, trials=config.trials)
+    records += space.check_gram_recursion(kmax=min(config.truncation, 4))
     if algebra.commutative:
         records += space.check_gram_paths(kmax=min(config.truncation, 4))
     records += space.check_adjointness(

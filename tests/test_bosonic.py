@@ -146,3 +146,59 @@ def test_grade_bounds_raise():
         space.operator_matrix(ANNIHILATION, np.ones(1), 0)
     with pytest.raises(Exception):
         space.operator_matrix(CREATION, np.ones(1), 2)
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), 1.0)
+
+
+def test_recursive_gram_matches_ordered_route():
+    # the default route relies on a tracial state, which both algebras have
+    cases = (
+        (MatrixAlgebra(2), 1.0, 4),
+        (FunctionAlgebra([0.5, 1.25, 0.75]), 0.75, 5),
+    )
+    for algebra, gamma0, kmax in cases:
+        space = BosonicSpace(algebra, kmax, gamma0=gamma0)
+        for k in range(kmax + 1):
+            ordered = space.gram_matrix(k, method="ordered")
+            recursive = space.gram_matrix(k, method="recursive")
+            assert recursive is space.gram_matrix(k)
+            assert _relative_gap(ordered, recursive) <= 1e-12
+    with pytest.raises(ValueError):
+        space.gram_matrix(1, method="cycles")
+
+
+def test_recursive_gram_builds_no_top_grade_chain_tensor(monkeypatch):
+    import qwnlab.bosonic
+
+    asked = []
+    original = qwnlab.bosonic.pair_product_state_tensors
+
+    def recording(algebra, kmax):
+        asked.append(kmax)
+        return original(algebra, kmax)
+
+    monkeypatch.setattr(qwnlab.bosonic, "pair_product_state_tensors", recording)
+    space = BosonicSpace(MatrixAlgebra(2), 5)
+    space.gram(5)
+    assert asked == []
+    space.gram_matrix(2, method="ordered")
+    assert asked == [2]
+
+
+def test_norm_estimates_whiten_each_grade_once(monkeypatch):
+    import qwnlab.linalg
+
+    calls = []
+    original = qwnlab.linalg.gram_whitener
+
+    def counting(gram, *args):
+        calls.append(gram.shape)
+        return original(gram, *args)
+
+    monkeypatch.setattr(qwnlab.linalg, "gram_whitener", counting)
+    space = BosonicSpace(FunctionAlgebra([0.5, 1.0]), max_grade=3)
+    records = space.check_norm_estimates(np.random.default_rng(3), trials=5)
+    assert all(r.status == "pass" for r in records)
+    assert len(calls) <= space.max_grade + 1

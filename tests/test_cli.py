@@ -61,6 +61,22 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert run_cli(["verify", "nogo", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_unwritable_output_exits_two_before_running(tmp_path, capsys, monkeypatch):
+    import qwnlab.cli
+
+    def no_run(config):
+        raise AssertionError("the suite ran before the output path was checked")
+
+    monkeypatch.setattr(qwnlab.cli, "run_suite", no_run)
+    missing = str(tmp_path / "absent" / "x.json")
+    capsys.readouterr()
+    assert run_cli(["verify", "nogo", "--output", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert run_cli(["verify", "nogo", "--output", str(tmp_path)]) == 2
+    assert run_cli(["combinatorics", "selftest", "--output", missing]) == 2
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"q": 0.25, "seed": 5, "trials": 10}))

@@ -124,3 +124,20 @@ def test_vacuum_expectation_word_order():
     assert measured == pytest.approx(expected)
     # creation alone has no vacuum component
     assert space.vacuum_expectation(((CREATION, phi),)) == 0.0
+
+
+def test_norm_estimates_whiten_each_grade_once(monkeypatch):
+    import qwnlab.linalg
+
+    calls = []
+    original = qwnlab.linalg.gram_whitener
+
+    def counting(gram, *args):
+        calls.append(gram.shape)
+        return original(gram, *args)
+
+    monkeypatch.setattr(qwnlab.linalg, "gram_whitener", counting)
+    space = FreeSpace(MatrixAlgebra(2), max_grade=3)
+    records = space.check_norm_estimates(np.random.default_rng(3), trials=5)
+    assert all(r.status == "pass" for r in records)
+    assert len(calls) <= space.max_grade + 1

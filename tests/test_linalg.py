@@ -1,17 +1,19 @@
 """Dense helpers: slot permutations, symmetrizers, Gram-aware norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qwnlab.linalg import (
     axis_permutation_matrix,
-    gram_adjoint_residual,
     gram_operator_norm,
     gram_whitener,
+    gram_whitening,
     hermitize,
     orthonormal_range,
     symmetrizer_matrix,
-    vector_norm,
+    whitened_operator_norm,
 )
 
 
@@ -84,21 +86,38 @@ def test_gram_operator_norm_weighted_case():
     assert gram_operator_norm(op, gram_out, np.eye(2)) == pytest.approx(0.0)
 
 
-def test_gram_adjoint_residual_detects_wrong_adjoint():
-    rng = np.random.default_rng(2)
-    gram_in = np.diag([1.0, 2.0]).astype(complex)
-    gram_out = np.diag([3.0, 1.0]).astype(complex)
-    op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    adj = np.linalg.inv(gram_in) @ op.conj().T @ gram_out
-    assert gram_adjoint_residual(op, adj, gram_out, gram_in) < 1e-14
-    assert gram_adjoint_residual(op, adj + 0.1, gram_out, gram_in) > 1e-3
+def test_cached_whitening_norm_equals_gram_operator_norm():
+    # degenerate Gram matrices on both sides: the cached path must give
+    # the very same float as the one-shot wrapper
+    rng = np.random.default_rng(5)
+    basis = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    gram_in = basis @ basis.conj().T
+    gram_out = np.diag([2.0, 0.5, 0.0]).astype(complex)
+    out, into = gram_whitening(gram_out), gram_whitening(gram_in)
+    assert into.whitener.shape == (4, 2)
+    for _ in range(5):
+        op = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        cached = whitened_operator_norm(op, out, into)
+        assert cached == gram_operator_norm(op, gram_out, gram_in)
+        assert cached > 0.0
+    zero = gram_whitening(np.zeros((3, 3)))
+    assert whitened_operator_norm(op, zero, into) == 0.0
 
 
-def test_vector_norm_clamps_roundoff():
-    gram = np.diag([2.0, 0.0])
-    assert vector_norm(gram, np.array([1.0, 0.0])) == pytest.approx(np.sqrt(2))
-    # tiny negative quadratic forms from roundoff clamp to zero
-    assert vector_norm(np.diag([-1e-18]), np.array([1.0])) == 0.0
+def _symmetrizer_by_dense_sum(dim, k):
+    acc = np.zeros((dim**k, dim**k))
+    perms = list(itertools.permutations(range(k)))
+    for perm in perms:
+        acc += axis_permutation_matrix(dim, perm)
+    return acc / len(perms)
+
+
+def test_symmetrizer_matches_dense_permutation_sum():
+    for dim in (2, 3, 4):
+        for k in range(1, 5):
+            assert np.array_equal(
+                symmetrizer_matrix(dim, k), _symmetrizer_by_dense_sum(dim, k)
+            )
 
 
 def test_hermitize():
