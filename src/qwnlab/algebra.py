@@ -30,7 +30,7 @@ class FunctionAlgebra:
     commutative = True
     tracial = True
 
-    def __init__(self, weights, points=None):
+    def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
@@ -38,9 +38,6 @@ class FunctionAlgebra:
             raise ValueError("point weights must be strictly positive")
         self.weights = w
         self.dim = int(w.size)
-        self.points = list(points) if points is not None else list(range(self.dim))
-        if len(self.points) != self.dim:
-            raise ValueError("points and weights must have equal length")
         self.total_mass = float(w.sum())
 
     def __repr__(self):
@@ -72,9 +69,6 @@ class FunctionAlgebra:
     def coords(self, x):
         return self._check(x)
 
-    def from_coords(self, c):
-        return self._check(c)
-
     def left_mult_matrix(self, x):
         return np.diag(self._check(x))
 
@@ -88,15 +82,6 @@ class FunctionAlgebra:
         independently of the weights.
         """
         return float(np.max(np.abs(self._check(x))))
-
-    def norm_linf_literal(self, x):
-        """sup over unit-L2 y of |state(x y)|.
-
-        Kept for inspection only: by Cauchy-Schwarz it collapses to the L2
-        norm of x*, so it cannot control products and is not used in any
-        operator-norm estimate.
-        """
-        return float(np.sqrt(np.real(self.state(self.mul(x, self.star(x))))))
 
 
 class MatrixAlgebra:
@@ -142,12 +127,6 @@ class MatrixAlgebra:
         x = self._check(x)
         return x.reshape(x.shape[:-2] + (self.dim,))
 
-    def from_coords(self, c):
-        c = np.asarray(c, dtype=complex)
-        if c.shape[-1:] != (self.dim,):
-            raise ValueError("coordinate vector has wrong length")
-        return c.reshape(c.shape[:-1] + (self.n, self.n))
-
     def left_mult_matrix(self, x):
         return np.kron(self._check(x), np.eye(self.n, dtype=complex))
 
@@ -157,9 +136,6 @@ class MatrixAlgebra:
     def norm_linf(self, x):
         # GNS multiplication norm for the trace = largest singular value.
         return float(np.linalg.norm(self._check(x), ord=2))
-
-    def norm_linf_literal(self, x):
-        return float(np.sqrt(np.real(self.state(self.mul(x, self.star(x))))))
 
 
 def random_element(alg, rng, real=False, dyadic=False, support=None):

@@ -37,21 +37,10 @@ import numpy as np
 
 from .algebra import pair_product_state_tensors, random_element
 from .combinatorics import ordered_partitions, set_partitions
-from .graded import GradedVector, GradeOverflowError
-from .linalg import (
-    gram_whitening,
-    hermitize,
-    orthonormal_range,
-    symmetrizer_matrix,
-    whitened_operator_norm,
-)
+from .graded import ANNIHILATION, CREATION, NUMBER, GradedFockSpace
+from .linalg import hermitize, orthonormal_range, symmetrizer_matrix
 from .report import reported_record, residual_record
 
-CREATION = "b*"
-ANNIHILATION = "b"
-NUMBER = "n"
-
-_KINDS = (CREATION, ANNIHILATION, NUMBER)
 _GRAM_METHODS = ("recursive", "ordered", "setpartition")
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -65,7 +54,7 @@ def _is_dyadic(value, bits=_DYADIC_BITS):
     return scaled == round(scaled)
 
 
-class BosonicSpace:
+class BosonicSpace(GradedFockSpace):
     """Graded coordinate model of the quadratic bosonic algebra.
 
     Parameters
@@ -79,13 +68,21 @@ class BosonicSpace:
         discrete picture.  Must be positive.
     """
 
+    _prefix = "bosonic"
+    _adjoint_claim = "adjointness theorem for the quadratic operators"
+    _adjoint_notes = "%d trials, symmetric compression"
+
+    # The benchmark's span tracer (perfbench/tracing.py) wraps methods it
+    # finds in the class __dict__, so the shared ones are bound here.
+    operator_matrix = GradedFockSpace.operator_matrix
+    apply = GradedFockSpace.apply
+    vacuum_expectation = GradedFockSpace.vacuum_expectation
+    check_adjointness = GradedFockSpace.check_adjointness
+
     def __init__(self, algebra, max_grade, gamma0=1.0):
-        if max_grade < 1:
-            raise ValueError("max_grade must be at least 1")
+        super().__init__(algebra, max_grade)
         if gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
-        self.algebra = algebra
-        self.max_grade = int(max_grade)
         self.gamma0 = float(gamma0)
         basis = algebra.basis()
         # structure constants e_a e_b = sum_c mult[a, b, c] e_c, the state
@@ -102,15 +99,8 @@ class BosonicSpace:
         self._symmetrizers = {}
         self._symmetric_bases = {}
         self._symmetric_grams = {}
-        self._whitenings = {}
 
     # -- Gram matrices ----------------------------------------------------
-
-    def _check_grade(self, k):
-        if not 0 <= k <= self.max_grade:
-            raise GradeOverflowError(
-                "grade %d outside [0, %d]" % (k, self.max_grade)
-            )
 
     def gram_matrix(self, k, method=None):
         """Raw grade-k Gram matrix, assembled by the requested route.
@@ -225,41 +215,7 @@ class BosonicSpace:
             self._symmetric_bases[k] = orthonormal_range(self.symmetrizer(k))
         return self._symmetric_bases[k]
 
-    def inner(self, left, right):
-        """Scalar product of two graded vectors, conjugate-linear on the left."""
-        total = 0.0 + 0.0j
-        for k in range(min(left.max_grade, right.max_grade) + 1):
-            lp, rp = left.parts[k], right.parts[k]
-            if lp.any() and rp.any():
-                total += np.vdot(lp, self.gram(k) @ rp)
-        return total
-
     # -- operators ---------------------------------------------------------
-
-    def _apply_creation(self, cvec, arr, k):
-        # Sum over the k + 1 gaps; the new slot axis is moved into place.
-        out = 0.0
-        for target in range(k + 1):
-            out = out + np.moveaxis(np.multiply.outer(cvec, arr), 0, target)
-        return out
-
-    def _apply_number(self, lmat, arr, k):
-        out = 0.0
-        for target in range(k):
-            out = out + np.moveaxis(
-                np.tensordot(lmat, arr, axes=(1, target)), 0, target
-            )
-        return out
-
-    def _apply_annihilation(self, dvec, wmat, arr, k):
-        # State term: pair the symbol against the first slot and drop it.
-        out = 2.0 * self.gamma0 * np.tensordot(dvec, arr, axes=(0, 0))
-        # Merge terms: slot i absorbs (slot_i symbol* slot_1) for i >= 2.
-        # wmat[b, a, c] are the coordinates of e_b symbol* e_a.
-        for i in range(2, k + 1):
-            merged = np.tensordot(wmat, arr, axes=([0, 1], [i - 1, 0]))
-            out = out + 2.0 * np.moveaxis(merged, 0, i - 2)
-        return out
 
     def _symbol_tensors(self, kind, symbol):
         alg = self.algebra
@@ -275,104 +231,31 @@ class BosonicSpace:
             return dvec, alg.coords(prod)
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def operator_matrix(self, kind, symbol, k):
-        """Dense matrix of the operator leaving grade k, in flat coordinates."""
-        self._check_grade(k)
-        dim = self.algebra.dim
-        size = dim**k
-        if kind == NUMBER and k == 0:
-            return np.zeros((1, 1), dtype=complex)
-        if kind == ANNIHILATION and k == 0:
-            raise ValueError("annihilation is undefined on the vacuum grade")
-        if kind == CREATION and k == self.max_grade:
-            raise GradeOverflowError("creation out of the top grade")
-        arr = np.eye(size, dtype=complex).reshape((dim,) * k + (size,))
-        data = self._symbol_tensors(kind, symbol)
+    def _kernel(self, kind, data, arr, k):
+        out = 0.0
         if kind == CREATION:
-            res = self._apply_creation(data[0], arr, k)
-        elif kind == NUMBER:
-            res = self._apply_number(data[0], arr, k)
-        else:
-            res = self._apply_annihilation(data[0], data[1], arr, k)
-        return np.asarray(res).reshape(-1, size)
-
-    def apply(self, kind, symbol, vec):
-        """Apply one operator to a graded vector, returning a new vector."""
-        dim = self.algebra.dim
-        out = GradedVector.zero(dim, vec.max_grade)
-        data = self._symbol_tensors(kind, symbol)
-        for k, part in enumerate(vec.parts):
-            if not part.any():
-                continue
-            arr = part.reshape((dim,) * k)
-            if kind == CREATION:
-                if k == self.max_grade or k == vec.max_grade:
-                    raise GradeOverflowError(
-                        "creation pushes grade %d past the cutoff" % k
-                    )
-                res = self._apply_creation(data[0], arr, k)
-                out.parts[k + 1] = out.parts[k + 1] + res.reshape(-1)
-            elif kind == NUMBER:
-                if k == 0:
-                    continue
-                res = self._apply_number(data[0], arr, k)
-                out.parts[k] = out.parts[k] + res.reshape(-1)
-            elif kind == ANNIHILATION:
-                if k == 0:
-                    continue
-                res = self._apply_annihilation(data[0], data[1], arr, k)
-                out.parts[k - 1] = out.parts[k - 1] + np.asarray(res).reshape(-1)
-            else:
-                raise ValueError("unknown operator kind %r" % (kind,))
-        return out
-
-    def symmetrize(self, vec):
-        """Project every grade of a graded vector onto its symmetric part."""
-        out = vec.copy()
-        for k in range(2, vec.max_grade + 1):
-            if out.parts[k].any():
-                out.parts[k] = self.symmetrizer(k) @ out.parts[k]
-        return out
-
-    def vacuum_expectation(self, word):
-        """Vacuum state of a product of operators.
-
-        word is a sequence of (kind, symbol) pairs, applied so that the last
-        pair acts first.  Grades that can no longer return to the vacuum
-        within the remaining factors are pruned, which keeps words of length
-        up to twice the grade cutoff inside the truncation exactly.
-        """
-        word = list(word)
-        if len(word) > 2 * self.max_grade:
-            raise GradeOverflowError(
-                "word of length %d needs more than %d grades"
-                % (len(word), self.max_grade)
-            )
-        vec = GradedVector.vacuum(self.algebra.dim, self.max_grade)
-        for pos, (kind, symbol) in enumerate(reversed(word)):
-            remaining = len(word) - pos
-            vec = self._prune(vec, kind, remaining)
-            vec = self.apply(kind, symbol, vec)
-        return vec.vacuum_component()
-
-    def _prune(self, vec, kind, remaining):
-        # Keep only grades that some suffix of length `remaining` (the
-        # current operator included) can still map back down to grade 0.
-        if kind == CREATION:
-            cap = remaining - 2
-        elif kind == NUMBER:
-            cap = remaining - 1
-        else:
-            cap = remaining
-        out = vec.copy()
-        for k in range(vec.max_grade + 1):
-            if k > cap:
-                out.parts[k] = np.zeros_like(out.parts[k])
+            # Sum over the k + 1 gaps; the new slot axis is moved into place.
+            for target in range(k + 1):
+                out = out + np.moveaxis(np.multiply.outer(data[0], arr), 0, target)
+            return out
+        if kind == NUMBER:
+            for target in range(k):
+                out = out + np.moveaxis(
+                    np.tensordot(data[0], arr, axes=(1, target)), 0, target
+                )
+            return out
+        # State term: pair the symbol against the first slot and drop it.
+        out = 2.0 * self.gamma0 * np.tensordot(data[0], arr, axes=(0, 0))
+        # Merge terms: slot i absorbs (slot_i symbol* slot_1) for i >= 2.
+        # data[1][b, a, c] are the coordinates of e_b symbol* e_a.
+        for i in range(2, k + 1):
+            merged = np.tensordot(data[1], arr, axes=([0, 1], [i - 1, 0]))
+            out = out + 2.0 * np.moveaxis(merged, 0, i - 2)
         return out
 
     # -- verification checks ----------------------------------------------
 
-    def _compressed(self, mat, k_out, k_in):
+    def _compress(self, mat, k_out, k_in):
         left = self.symmetric_basis(k_out)
         right = self.symmetric_basis(k_in)
         return left.conj().T @ mat @ right
@@ -468,52 +351,6 @@ class BosonicSpace:
                 tol,
                 notes="grades 1..%d, tracial state" % kmax,
             )
-        ]
-
-    def check_adjointness(self, rng, trials=50, tol=1e-9):
-        """Creation/annihilation and number adjointness on symmetric parts."""
-        alg = self.algebra
-        worst_pair = 0.0
-        worst_number = 0.0
-        for _ in range(trials):
-            zeta = random_element(alg, rng)
-            for k in range(self.max_grade):
-                create = self.operator_matrix(CREATION, zeta, k)
-                annihilate = self.operator_matrix(ANNIHILATION, zeta, k + 1)
-                lhs = self._compressed(
-                    annihilate.conj().T @ self.gram(k), k + 1, k
-                )
-                rhs = self._compressed(
-                    self.gram(k + 1) @ create, k + 1, k
-                )
-                scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-                worst_pair = max(
-                    worst_pair, np.linalg.norm(lhs - rhs) / scale
-                )
-            for k in range(1, self.max_grade + 1):
-                num = self.operator_matrix(NUMBER, zeta, k)
-                num_star = self.operator_matrix(NUMBER, alg.star(zeta), k)
-                lhs = self._compressed(num.conj().T @ self.gram(k), k, k)
-                rhs = self._compressed(self.gram(k) @ num_star, k, k)
-                scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-                worst_number = max(
-                    worst_number, np.linalg.norm(lhs - rhs) / scale
-                )
-        return [
-            residual_record(
-                "bosonic.adjoint.creation_annihilation",
-                "adjointness theorem for the quadratic operators",
-                worst_pair,
-                tol,
-                notes="%d trials, symmetric compression" % trials,
-            ),
-            residual_record(
-                "bosonic.adjoint.number",
-                "adjointness theorem for the quadratic operators",
-                worst_number,
-                tol,
-                notes="%d trials, symmetric compression" % trials,
-            ),
         ]
 
     def check_commutators(self, rng, trials=50, tol_affine=1e-10):
@@ -687,11 +524,7 @@ class BosonicSpace:
             )
         return self._symmetric_grams[k]
 
-    def _whitening(self, k):
-        """Whitening of the symmetric Gram matrix of grade k (cached)."""
-        if k not in self._whitenings:
-            self._whitenings[k] = gram_whitening(self._symmetric_gram(k))
-        return self._whitenings[k]
+    _metric = _symmetric_gram
 
     def check_norm_estimates(self, rng, trials=50, slack=1e-9):
         """Operator norms on symmetric parts against the stated bounds."""
@@ -708,26 +541,11 @@ class BosonicSpace:
                 bound = math.sqrt(2.0 * k) * (
                     math.sqrt(g0) * l2 + (k - 1) * linf
                 )
-                create = self._compressed(
-                    self.operator_matrix(CREATION, phi, k - 1), k, k - 1
-                )
-                norm_create = whitened_operator_norm(
-                    create, self._whitening(k), self._whitening(k - 1)
-                )
+                norm_create = self._operator_norm(CREATION, phi, k - 1)
                 excess_create = max(excess_create, norm_create - bound)
-                annihilate = self._compressed(
-                    self.operator_matrix(ANNIHILATION, phi, k), k - 1, k
-                )
-                norm_annihilate = whitened_operator_norm(
-                    annihilate, self._whitening(k - 1), self._whitening(k)
-                )
+                norm_annihilate = self._operator_norm(ANNIHILATION, phi, k)
                 excess_annihilate = max(excess_annihilate, norm_annihilate - bound)
-                number = self._compressed(
-                    self.operator_matrix(NUMBER, phi, k), k, k
-                )
-                norm_number = whitened_operator_norm(
-                    number, self._whitening(k), self._whitening(k)
-                )
+                norm_number = self._operator_norm(NUMBER, phi, k)
                 excess_number = max(excess_number, norm_number - k * linf)
         return [
             residual_record(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -93,7 +94,22 @@ def _build_parser():
     selftest = comb_sub.add_parser("selftest", help="frozen-count self test")
     selftest.add_argument("--seed", type=int)
     selftest.add_argument("--output")
+    selftest.set_defaults(suite="combinatorics")
     return parser
+
+
+def _number(name, value, kind):
+    """Config value ``name`` as ``kind``: a JSON number, whole for an int."""
+    whole = not isinstance(value, float) or value.is_integer()
+    if type(value) in (int, float) and (whole or kind is float):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise UsageError(
+        "%s must be %s, got %s"
+        % (name, "an integer" if kind is int else "a finite number", json.dumps(value))
+    )
 
 
 def _load_config(args):
@@ -125,12 +141,11 @@ def _load_config(args):
         else:
             values["seed"] = DEFAULT_SEED
     values.setdefault("output", "-")
-    for name in _CONFIG_FLOATS:
+    for name in _CONFIG_FLOATS + _CONFIG_INTS:
         if name in values:
-            values[name] = float(values[name])
-    for name in _CONFIG_INTS:
-        if name in values:
-            values[name] = int(values[name])
+            values[name] = _number(
+                name, values[name], int if name in _CONFIG_INTS else float
+            )
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -171,13 +186,7 @@ def _cmd_verify(args):
 
 
 def _cmd_combinatorics(args):
-    config = RunConfig(
-        suite="combinatorics",
-        seed=args.seed
-        if args.seed is not None
-        else int(os.environ.get("QWN_SEED", DEFAULT_SEED)),
-        output=args.output or "-",
-    )
+    config = _load_config(args)
     _check_output(config.output)
     report = run_suite(config)
     emit_report(report, config.output)
@@ -197,8 +206,8 @@ def _palette(engine, dim):
 def _cmd_rewrite(args):
     if not 1 <= args.dim <= 4:
         raise UsageError("dimension must be between 1 and 4")
-    if args.gamma0 <= 0:
-        raise UsageError("gamma0 must be positive")
+    if not 0 < args.gamma0 < math.inf:
+        raise UsageError("gamma0 must be positive and finite")
     table = (
         RelationTable.from_measured(args.gamma0)
         if args.measured

@@ -81,9 +81,6 @@ class OrderedPartition:
     def n(self):
         return sum(len(b) for b in self.blocks)
 
-    def underlying(self) -> SetPartition:
-        return SetPartition(tuple(tuple(sorted(b)) for b in self.blocks))
-
 
 @dataclass(frozen=True)
 class IntervalComposition:

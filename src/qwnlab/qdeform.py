@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import FunctionAlgebra, random_element
 from .bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
 from .combinatorics import inversions
-from .graded import GradedVector, GradeOverflowError
+from .graded import GradeOverflowError, check_grade
 from .linalg import (
     axis_permutation_matrix,
     hermitize,
@@ -58,10 +58,7 @@ class QFockSpace:
         self._grams = {}
 
     def _check_grade(self, n):
-        if not 0 <= n <= self.max_grade:
-            raise GradeOverflowError(
-                "grade %d outside [0, %d]" % (n, self.max_grade)
-            )
+        check_grade(n, self.max_grade)
 
     def q_gram(self, n):
         """P_q(n) = sum over permutations of q**inversions times the slot
@@ -69,18 +66,8 @@ class QFockSpace:
         self._check_grade(n)
         if n > MAX_QGRAM_GRADE:
             raise ValueError("permutation sum capped at grade %d" % MAX_QGRAM_GRADE)
-        if n in self._grams:
-            return self._grams[n]
-        if n == 0:
-            mat = np.ones((1, 1), dtype=complex)
-        else:
-            size = self.dim**n
-            mat = np.zeros((size, size), dtype=complex)
-            for perm in itertools.permutations(range(n)):
-                mat += self.q ** inversions(perm) * axis_permutation_matrix(
-                    self.dim, perm
-                )
-        self._grams[n] = hermitize(mat)
+        if n not in self._grams:
+            self._grams[n] = hermitize(self._raw_gram(n))
         return self._grams[n]
 
     def create_matrix(self, phi, n):
@@ -120,30 +107,6 @@ class QFockSpace:
             # annihilator: the two are adjoint for the q-Gram only
             out += coeffs[i] * (
                 self.create_matrix(eye[i], n - 1) @ self.annihilate_matrix(eye[i], n)
-            )
-        return out
-
-    def apply_create(self, phi, vec):
-        """Prepend the mode vector to every grade of a graded vector."""
-        out = GradedVector.zero(self.dim, vec.max_grade)
-        for n, part in enumerate(vec.parts):
-            if not part.any():
-                continue
-            if n == self.max_grade or n == vec.max_grade:
-                raise GradeOverflowError("creation pushes grade %d past the cutoff" % n)
-            out.parts[n + 1] = out.parts[n + 1] + (
-                self.create_matrix(phi, n) @ part
-            )
-        return out
-
-    def apply_annihilate(self, phi, vec):
-        """q-weighted slot contraction on every grade of a graded vector."""
-        out = GradedVector.zero(self.dim, vec.max_grade)
-        for n, part in enumerate(vec.parts):
-            if n == 0 or not part.any():
-                continue
-            out.parts[n - 1] = out.parts[n - 1] + (
-                self.annihilate_matrix(phi, n) @ part
             )
         return out
 

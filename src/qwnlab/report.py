@@ -61,26 +61,6 @@ def residual_record(name, claim, residual, tolerance, notes=""):
     )
 
 
-def value_record(name, claim, measured, expected, tolerance, notes="", relative=False):
-    """Pass/fail record comparing a measured value to an expected one."""
-    measured = float(measured)
-    expected = float(expected)
-    residual = abs(measured - expected)
-    if relative:
-        residual /= max(abs(expected), 1.0)
-    status = STATUS_PASS if residual <= tolerance else STATUS_FAIL
-    return CheckRecord(
-        name=name,
-        claim=claim,
-        measured=measured,
-        expected=expected,
-        residual=residual,
-        tolerance=float(tolerance),
-        status=status,
-        notes=notes,
-    )
-
-
 def reported_record(name, claim, measured, expected=None, residual=None, notes=""):
     """Record for a measured-but-unasserted quantity."""
     return CheckRecord(

@@ -180,19 +180,6 @@ class RewriteEngine:
 
     # -- rules ----------------------------------------------------------------
 
-    def _reducible_at(self, word, position):
-        kind_a, sym_a = word[position]
-        kind_b, sym_b = word[position + 1]
-        rank_a = _RANK[kind_a]
-        rank_b = _RANK[kind_b]
-        if rank_a > rank_b:
-            return True
-        if kind_a == kind_b and self.symbols.sort_key(sym_a) > self.symbols.sort_key(
-            sym_b
-        ):
-            return True
-        return False
-
     def _replacements(self, left, right):
         """Terms replacing the out-of-order adjacent pair (left, right).
 

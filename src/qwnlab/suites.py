@@ -8,8 +8,9 @@ given configuration and seed.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -62,6 +63,10 @@ class RunConfig:
     output: str = "-"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("%s must be finite" % f.name)
         if self.suite != "all" and self.suite not in SUITE_IDS:
             raise ValueError("unknown suite %r" % (self.suite,))
         if self.kind not in ALGEBRA_KINDS:
@@ -80,6 +85,8 @@ class RunConfig:
             raise ValueError("trials must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def suite_rng(config, suite):

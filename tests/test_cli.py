@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, config merging, report determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,7 +48,23 @@ def test_unreachable_tolerance_fails_the_suite(tmp_path):
     assert payload["summary"]["failed"] > 0
 
 
-def test_bad_inputs_exit_two(tmp_path, capsys):
+def _refuse_to_run(monkeypatch):
+    import qwnlab.cli
+
+    def no_run(config):
+        raise AssertionError("a suite ran for a rejected configuration")
+
+    monkeypatch.setattr(qwnlab.cli, "run_suite", no_run)
+
+
+def _exits_two_with_one_error_line(capsys, argv):
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bad_inputs_exit_two(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "nonsense"])
     assert err.value.code == 2
@@ -59,20 +76,32 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     config.write_text("[1, 2]")
     assert run_cli(["verify", "nogo", "--config", str(config)]) == 2
     assert run_cli(["verify", "nogo", "--config", str(tmp_path / "absent.json")]) == 2
+    _refuse_to_run(monkeypatch)
+    for flags in (
+        ["--tolerance", "nan"],
+        ["--tolerance", "inf"],
+        ["--gamma0", "nan"],
+        ["--seed", "-1"],
+    ):
+        _exits_two_with_one_error_line(capsys, ["verify", "nogo", *flags])
+    for text in (
+        '{"dim": "abc"}',
+        '{"dim": 2.7, "trials": true}',
+        '{"trials": true}',
+        '{"gamma0": true}',
+        '{"seed": [1]}',
+        '{"tolerance": 1e400}',
+    ):
+        config.write_text(text)
+        _exits_two_with_one_error_line(
+            capsys, ["verify", "nogo", "--config", str(config)]
+        )
 
 
 def test_unwritable_output_exits_two_before_running(tmp_path, capsys, monkeypatch):
-    import qwnlab.cli
-
-    def no_run(config):
-        raise AssertionError("the suite ran before the output path was checked")
-
-    monkeypatch.setattr(qwnlab.cli, "run_suite", no_run)
+    _refuse_to_run(monkeypatch)
     missing = str(tmp_path / "absent" / "x.json")
-    capsys.readouterr()
-    assert run_cli(["verify", "nogo", "--output", missing]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    _exits_two_with_one_error_line(capsys, ["verify", "nogo", "--output", missing])
     assert run_cli(["verify", "nogo", "--output", str(tmp_path)]) == 2
     assert run_cli(["combinatorics", "selftest", "--output", missing]) == 2
 
@@ -100,7 +129,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert echo["trials"] == 10
 
 
-def test_seed_environment_fallback(tmp_path, monkeypatch):
+def test_seed_environment_fallback(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     monkeypatch.setenv("QWN_SEED", "99")
     assert run_cli(["verify", "nogo", "--output", str(out)]) == 0
@@ -110,6 +139,14 @@ def test_seed_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv("QWN_SEED")
     assert run_cli(["verify", "nogo", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 2026
+    monkeypatch.setenv("QWN_SEED", "7")
+    assert run_cli(["combinatorics", "selftest", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 7
+    _refuse_to_run(monkeypatch)
+    for seed in ("-1", "abc"):
+        monkeypatch.setenv("QWN_SEED", seed)
+        for argv in (["verify", "nogo"], ["combinatorics", "selftest"]):
+            _exits_two_with_one_error_line(capsys, argv)
 
 
 def test_rewrite_subcommand_payload(tmp_path):
@@ -151,7 +188,8 @@ def test_rewrite_subcommand_rejects_bad_words(capsys):
     assert "no relation for the pair (a, n)" in capsys.readouterr().err
     word = json.dumps([{"kind": "b", "symbol": "one"}])
     assert run_cli(["rewrite", "--word", word, "--dim", "5"]) == 2
-    assert run_cli(["rewrite", "--word", word, "--gamma0", "-1"]) == 2
+    for gamma0 in ("-1", "nan", "inf"):
+        assert run_cli(["rewrite", "--word", word, "--gamma0", gamma0]) == 2
 
 
 def test_combinatorics_selftest(tmp_path):
@@ -181,6 +219,9 @@ def test_run_config_validation():
         RunConfig(trials=0)
     with pytest.raises(ValueError):
         RunConfig(tolerance=0.0)
+    for bad in ({"tolerance": math.nan}, {"gamma0": math.inf}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
 
 
 def test_suite_rng_streams_are_independent_and_reproducible():

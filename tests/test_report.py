@@ -11,7 +11,6 @@ from qwnlab.report import (
     emit_report,
     reported_record,
     residual_record,
-    value_record,
 )
 
 
@@ -20,13 +19,6 @@ def test_residual_record_boundary():
     assert ok.status == "pass"
     bad = residual_record("x", "loc", 1.0000001e-10, 1e-10)
     assert bad.status == "fail"
-
-
-def test_value_record_relative_scaling():
-    rec = value_record("x", "loc", 100.0, 100.0 + 5e-9, 1e-10, relative=True)
-    assert rec.status == "pass"
-    rec = value_record("x", "loc", 100.0, 100.0 + 5e-9, 1e-10, relative=False)
-    assert rec.status == "fail"
 
 
 def test_reported_record_never_pass_or_fail():
