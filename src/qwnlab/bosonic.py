@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import pair_product_state_tensors, random_element
 from .combinatorics import ordered_partitions, set_partitions
 from .graded import ANNIHILATION, CREATION, NUMBER, GradedFockSpace
-from .linalg import hermitize, orthonormal_range, symmetrizer_matrix
+from .linalg import hermitize, scaled_gap
 from .report import reported_record, residual_record
 
 _GRAM_METHODS = ("recursive", "ordered", "setpartition")
@@ -78,6 +78,8 @@ class BosonicSpace(GradedFockSpace):
     apply = GradedFockSpace.apply
     vacuum_expectation = GradedFockSpace.vacuum_expectation
     check_adjointness = GradedFockSpace.check_adjointness
+    symmetrizer = GradedFockSpace.symmetrizer
+    symmetric_basis = GradedFockSpace.symmetric_basis
 
     def __init__(self, algebra, max_grade, gamma0=1.0):
         super().__init__(algebra, max_grade)
@@ -96,8 +98,6 @@ class BosonicSpace(GradedFockSpace):
         self._chains = []
         self._gram_raw = {}
         self._gram = {}
-        self._symmetrizers = {}
-        self._symmetric_bases = {}
         self._symmetric_grams = {}
 
     # -- Gram matrices ----------------------------------------------------
@@ -202,19 +202,6 @@ class BosonicSpace(GradedFockSpace):
             self._gram[k] = hermitize(self.gram_matrix(k))
         return self._gram[k]
 
-    def symmetrizer(self, k):
-        """Projection onto the symmetric part of grade k, as a matrix."""
-        self._check_grade(k)
-        if k not in self._symmetrizers:
-            self._symmetrizers[k] = symmetrizer_matrix(self.algebra.dim, k)
-        return self._symmetrizers[k]
-
-    def symmetric_basis(self, k):
-        """Orthonormal (coordinate-wise) basis of the symmetric subspace."""
-        if k not in self._symmetric_bases:
-            self._symmetric_bases[k] = orthonormal_range(self.symmetrizer(k))
-        return self._symmetric_bases[k]
-
     # -- operators ---------------------------------------------------------
 
     def _symbol_tensors(self, kind, symbol):
@@ -254,11 +241,6 @@ class BosonicSpace(GradedFockSpace):
         return out
 
     # -- verification checks ----------------------------------------------
-
-    def _compress(self, mat, k_out, k_in):
-        left = self.symmetric_basis(k_out)
-        right = self.symmetric_basis(k_in)
-        return left.conj().T @ mat @ right
 
     def _right_symmetrized(self, mat, k):
         """Exact column symmetrization: average of slot-permuted columns."""
@@ -573,47 +555,33 @@ class BosonicSpace(GradedFockSpace):
 
     def check_positivity(self, tol=1e-10):
         """Gram positivity on symmetric parts, plus hermiticity defects."""
-        records = []
-        worst_eig = math.inf
         worst_herm = 0.0
-        details = []
         for k in range(self.max_grade + 1):
             raw = self.gram_matrix(k)
-            scale = max(np.abs(raw).max(), 1.0)
-            worst_herm = max(
-                worst_herm, np.abs(raw - raw.conj().T).max() / scale
-            )
-            eigs = np.linalg.eigvalsh(self._symmetric_gram(k))
-            low = float(eigs.min()) if eigs.size else 0.0
-            worst_eig = min(worst_eig, low)
-            details.append("k=%d min_eig=%.3e" % (k, low))
-        note = "; ".join(details)
+            worst_herm = max(worst_herm, scaled_gap(raw, raw.conj().T))
+        worst_eig, note = self._positivity_sweep(self.max_grade)
         if self.algebra.commutative:
-            records.append(
-                residual_record(
-                    "bosonic.gram.positive_symmetric",
-                    "positivity of the quadratic scalar product",
-                    max(0.0, -worst_eig),
-                    tol,
-                    notes=note,
-                )
+            positive = residual_record(
+                "bosonic.gram.positive_symmetric",
+                "positivity of the quadratic scalar product",
+                max(0.0, -worst_eig),
+                tol,
+                notes=note,
             )
         else:
-            records.append(
-                reported_record(
-                    "bosonic.gram.positive_symmetric",
-                    "positivity question for noncommutative base algebras",
-                    measured=worst_eig,
-                    notes=note + "; recorded without assertion",
-                )
+            positive = reported_record(
+                "bosonic.gram.positive_symmetric",
+                "positivity question for noncommutative base algebras",
+                measured=worst_eig,
+                notes=note + "; recorded without assertion",
             )
-        records.append(
+        return [
+            positive,
             residual_record(
                 "bosonic.gram.hermitian",
                 "scalar product definition",
                 worst_herm,
                 1e-12,
                 notes="max entry of G minus its adjoint, scaled",
-            )
-        )
-        return records
+            ),
+        ]

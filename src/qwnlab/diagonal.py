@@ -25,6 +25,7 @@ import numpy as np
 
 from .bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
 from .combinatorics import ordered_partitions
+from .graded import check_grade
 from .report import residual_record
 
 _MAX_TUPLES = 10**6
@@ -46,8 +47,7 @@ class DiagonalRepresentation:
         self._measures = {}
 
     def _check_grade(self, k):
-        if not 0 <= k <= self.max_grade:
-            raise ValueError("grade %d outside [0, %d]" % (k, self.max_grade))
+        check_grade(k, self.max_grade)
         if self.algebra.dim**k > _MAX_TUPLES:
             raise ValueError("tuple space too large at grade %d" % k)
 

@@ -42,7 +42,7 @@ from .graded import (
     GradedVector,
     GradeOverflowError,
 )
-from .linalg import hermitize
+from .linalg import hermitize, scaled_gap
 from .report import residual_record
 
 
@@ -132,35 +132,20 @@ class FreeSpace(GradedFockSpace):
 
     # -- field combinations and moments -------------------------------------
 
-    def q_apply(self, s, symbol, vec, remaining):
-        """One field factor creation + annihilation(star) + s * number,
-        with per-branch grade pruning for `remaining` factors left."""
-        alg = self.algebra
-        out = self.apply(
-            CREATION, symbol, self._prune(vec, CREATION, remaining)
-        )
-        down = self.apply(
-            ANNIHILATION, alg.star(symbol), self._prune(vec, ANNIHILATION, remaining)
-        )
-        out = out.add(down)
+    def _field(self, s, symbol):
+        """The walk letter of one field factor: creation + annihilation of
+        the starred symbol + s * number."""
+        letter = [
+            (1.0, CREATION, symbol),
+            (1.0, ANNIHILATION, self.algebra.star(symbol)),
+        ]
         if s != 0.0:
-            mid = self.apply(
-                NUMBER, symbol, self._prune(vec, NUMBER, remaining)
-            )
-            out = out.add(mid.scaled(s))
-        return out
+            letter.append((s, NUMBER, symbol))
+        return letter
 
     def moment_operator(self, s, symbols):
         """Vacuum moment of a product of field factors, operator route."""
-        symbols = list(symbols)
-        if len(symbols) > 2 * self.max_grade:
-            raise GradeOverflowError(
-                "moment of length %d exceeds the grade budget" % len(symbols)
-            )
-        vec = GradedVector.vacuum(self.algebra.dim, self.max_grade)
-        for pos, symbol in enumerate(reversed(symbols)):
-            vec = self.q_apply(s, symbol, vec, len(symbols) - pos)
-        return vec.vacuum_component()
+        return self._vacuum_walk([self._field(s, symbol) for symbol in symbols])
 
     def moment_formula(self, s, symbols):
         """Same moment through the noncrossing-partition expansion."""
@@ -211,9 +196,9 @@ class FreeSpace(GradedFockSpace):
         remaining = total_len
         for g, center in zip(reversed(groups), reversed(centers)):
             skipped = vec.scaled(center)
-            for symbol in reversed(g):
-                vec = self.q_apply(s, symbol, vec, remaining)
-                remaining -= 1
+            letters = [self._field(s, symbol) for symbol in g]
+            vec = self._walk(letters, vec, remaining)
+            remaining -= len(g)
             vec = vec.add(skipped.scaled(-1.0))
         return vec.vacuum_component()
 
@@ -223,7 +208,12 @@ class FreeSpace(GradedFockSpace):
         """The four exact relations of the free quadratic operators."""
         alg = self.algebra
         worst = dict.fromkeys(
-            ("contract", "number_creation", "annihilation_number", "number_number"),
+            (
+                "contract_creation",
+                "number_creation",
+                "annihilation_number",
+                "number_multiplicative",
+            ),
             0.0,
         )
         for _ in range(trials):
@@ -239,17 +229,15 @@ class FreeSpace(GradedFockSpace):
                 rhs = pairing * np.eye(size) + self.operator_matrix(
                     NUMBER, alg.mul(alg.star(psi), phi), k
                 )
-                scale = max(np.abs(rhs).max(), 1.0)
-                worst["contract"] = max(
-                    worst["contract"], np.abs(lhs - rhs).max() / scale
+                worst["contract_creation"] = max(
+                    worst["contract_creation"], scaled_gap(lhs, rhs)
                 )
                 lhs = self.operator_matrix(
                     NUMBER, zeta, k + 1
                 ) @ self.operator_matrix(CREATION, phi, k)
                 rhs = self.operator_matrix(CREATION, alg.mul(zeta, phi), k)
-                scale = max(np.abs(rhs).max(), 1.0)
                 worst["number_creation"] = max(
-                    worst["number_creation"], np.abs(lhs - rhs).max() / scale
+                    worst["number_creation"], scaled_gap(lhs, rhs)
                 )
             for k in range(1, self.max_grade + 1):
                 lhs = self.operator_matrix(
@@ -258,66 +246,37 @@ class FreeSpace(GradedFockSpace):
                 rhs = self.operator_matrix(
                     ANNIHILATION, alg.mul(alg.star(zeta), psi), k
                 )
-                scale = max(np.abs(rhs).max(), 1.0)
                 worst["annihilation_number"] = max(
-                    worst["annihilation_number"], np.abs(lhs - rhs).max() / scale
+                    worst["annihilation_number"], scaled_gap(lhs, rhs)
                 )
                 lhs = self.operator_matrix(
                     NUMBER, zeta, k
                 ) @ self.operator_matrix(NUMBER, phi, k)
                 rhs = self.operator_matrix(NUMBER, alg.mul(zeta, phi), k)
-                scale = max(np.abs(rhs).max(), 1.0)
-                worst["number_number"] = max(
-                    worst["number_number"], np.abs(lhs - rhs).max() / scale
+                worst["number_multiplicative"] = max(
+                    worst["number_multiplicative"], scaled_gap(lhs, rhs)
                 )
-        location = "free operator relations"
         return [
             residual_record(
-                "free.relation.contract_creation",
-                location,
-                worst["contract"],
+                "free.relation." + name,
+                "free operator relations",
+                value,
                 tol,
                 notes="scaled max entry, %d trials" % trials,
-            ),
-            residual_record(
-                "free.relation.number_creation",
-                location,
-                worst["number_creation"],
-                tol,
-                notes="scaled max entry, %d trials" % trials,
-            ),
-            residual_record(
-                "free.relation.annihilation_number",
-                location,
-                worst["annihilation_number"],
-                tol,
-                notes="scaled max entry, %d trials" % trials,
-            ),
-            residual_record(
-                "free.relation.number_multiplicative",
-                location,
-                worst["number_number"],
-                tol,
-                notes="scaled max entry, %d trials" % trials,
-            ),
+            )
+            for name, value in worst.items()
         ]
 
     def check_positivity(self, tol=1e-10):
         """The free Gram is positive semidefinite for every base algebra."""
-        worst = math.inf
-        details = []
-        for k in range(self.max_grade + 1):
-            eigs = np.linalg.eigvalsh(self.gram(k))
-            low = float(eigs.min())
-            worst = min(worst, low)
-            details.append("k=%d min_eig=%.3e" % (k, low))
+        worst, note = self._positivity_sweep(self.max_grade)
         return [
             residual_record(
                 "free.gram.positive",
                 "positivity of the free scalar product",
                 max(0.0, -worst),
                 tol,
-                notes="; ".join(details),
+                notes=note,
             )
         ]
 

@@ -6,20 +6,26 @@ coordinates; grade 0 is the scalar multiple of the vacuum).  The truncation
 is a hard wall: any operation that would populate a grade beyond the cap
 raises :class:`GradeOverflowError` instead of silently dropping weight.
 
-:class:`GradedFockSpace` is the operator scaffolding the quadratic bosonic
-and free spaces share: both live on the same graded tensor powers of a base
-algebra and differ only in the scalar product and in how each operator acts
-on one grade.
+:class:`GradedFockSpace` is the operator scaffolding the quadratic bosonic,
+free and q-deformed spaces share: all three live on the same graded tensor
+powers of a base algebra and differ only in the scalar product and in how
+each operator acts on one grade.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import random_element
-from .linalg import gram_whitening, whitened_operator_norm
+from .linalg import (
+    gram_whitening,
+    orthonormal_range,
+    symmetrizer_matrix,
+    whitened_operator_norm,
+)
 from .report import residual_record
 
 CREATION = "b*"
@@ -96,21 +102,22 @@ class GradedFockSpace:
     """Quadratic creation, annihilation and number operators on the grades
     0..max_grade of a truncated Fock space over ``algebra``.
 
-    A subclass supplies ``gram(k)`` and four hooks:
+    A subclass supplies three hooks:
 
     * ``_symbol_tensors(kind, symbol)``: what the operator of that kind
       needs of its symbol, computed once per operator;
     * ``_kernel(kind, data, arr, k)``: its action on a grade-k array of
       shape (dim,)*k, with any trailing axes carried along;
-    * ``_compress(mat, k_out, k_in)``: the restriction of a map from grade
-      k_in to grade k_out that adjointness and operator norms are checked
-      on;
     * ``_metric(k)``: the Gram matrix in the compressed coordinates of
-      grade k, which operator norms are whitened against;
+      grade k, which positivity is checked and operator norms are
+      whitened against;
 
-    and the class attributes of its adjointness records: ``_prefix`` of
-    the record names, ``_adjoint_claim``, and ``_adjoint_notes``, a
-    %-format of the trial count.
+    and, for the shared adjointness check, ``gram(k)`` and the class
+    attributes of its records: ``_prefix`` of the record names,
+    ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the trial
+    count.  ``_compress(mat, k_out, k_in)``, the restriction of a map from
+    grade k_in to grade k_out that relations, adjointness and operator
+    norms are checked on, defaults to the symmetric subspaces.
     """
 
     def __init__(self, algebra, max_grade):
@@ -119,9 +126,29 @@ class GradedFockSpace:
         self.algebra = algebra
         self.max_grade = int(max_grade)
         self._whitenings = {}
+        self._symmetrizers = {}
+        self._symmetric_bases = {}
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
+
+    def symmetrizer(self, k):
+        """Projection onto the symmetric part of grade k, as a matrix."""
+        self._check_grade(k)
+        if k not in self._symmetrizers:
+            self._symmetrizers[k] = symmetrizer_matrix(self.algebra.dim, k)
+        return self._symmetrizers[k]
+
+    def symmetric_basis(self, k):
+        """Orthonormal (coordinate-wise) basis of the symmetric subspace."""
+        if k not in self._symmetric_bases:
+            self._symmetric_bases[k] = orthonormal_range(self.symmetrizer(k))
+        return self._symmetric_bases[k]
+
+    def _compress(self, mat, k_out, k_in):
+        left = self.symmetric_basis(k_out)
+        right = self.symmetric_basis(k_in)
+        return left.conj().T @ mat @ right
 
     def operator_matrix(self, kind, symbol, k):
         """Dense matrix of the operator leaving grade k, in flat coordinates."""
@@ -161,32 +188,48 @@ class GradedFockSpace:
         """Vacuum state of a product of operators.
 
         word is a sequence of (kind, symbol) pairs, applied so that the last
-        pair acts first.  Grades that can no longer return to the vacuum
-        within the remaining factors are pruned, which keeps words of length
-        up to twice the grade cutoff inside the truncation exactly.
+        pair acts first.
         """
-        word = list(word)
-        if len(word) > 2 * self.max_grade:
+        return self._vacuum_walk([[(1.0, kind, symbol)] for kind, symbol in word])
+
+    def _vacuum_walk(self, letters):
+        """Vacuum state of a product of letters, the last acting first.
+
+        A letter is a sequence of (coeff, kind, symbol) terms and stands for
+        the sum of the operators scaled by their coefficients.  Grades that
+        can no longer return to the vacuum within the remaining letters are
+        pruned, which keeps words of length up to twice the grade cutoff
+        inside the truncation exactly.
+        """
+        letters = list(letters)
+        if len(letters) > 2 * self.max_grade:
             raise GradeOverflowError(
                 "word of length %d needs more than %d grades"
-                % (len(word), self.max_grade)
+                % (len(letters), self.max_grade)
             )
         vec = GradedVector.vacuum(self.algebra.dim, self.max_grade)
-        for pos, (kind, symbol) in enumerate(reversed(word)):
-            remaining = len(word) - pos
-            vec = self._prune(vec, kind, remaining)
-            vec = self.apply(kind, symbol, vec)
-        return vec.vacuum_component()
+        return self._walk(letters, vec, len(letters)).vacuum_component()
+
+    def _walk(self, letters, vec, remaining):
+        """Apply letters to vec, the last first; `remaining` counts the
+        letters, these included, still to act before the vacuum is read."""
+        for letter in reversed(letters):
+            out = None
+            for coeff, kind, symbol in letter:
+                term = self.apply(kind, symbol, self._prune(vec, kind, remaining))
+                if coeff != 1.0:
+                    term = term.scaled(coeff)
+                out = term if out is None else out.add(term)
+            vec = out
+            remaining -= 1
+        return vec
 
     def _prune(self, vec, kind, remaining):
         # Keep only grades that some suffix of length `remaining` (the
-        # current operator included) can still map back down to grade 0.
-        if kind == CREATION:
-            cap = remaining - 2
-        elif kind == NUMBER:
-            cap = remaining - 1
-        else:
-            cap = remaining
+        # current operator included) can still map back down to grade 0:
+        # after this operator's shift, each later one lowers the grade by
+        # at most one.
+        cap = remaining - 1 - _SHIFTS[kind]
         out = vec.copy()
         for k in range(vec.max_grade + 1):
             if k > cap:
@@ -198,6 +241,18 @@ class GradedFockSpace:
         if k not in self._whitenings:
             self._whitenings[k] = gram_whitening(self._metric(k))
         return self._whitenings[k]
+
+    def _positivity_sweep(self, top, label="k"):
+        """Lowest eigenvalue of ``_metric`` over grades 0..top, and the
+        per-grade note."""
+        worst = math.inf
+        details = []
+        for k in range(top + 1):
+            eigs = np.linalg.eigvalsh(self._metric(k))
+            low = float(eigs.min())
+            worst = min(worst, low)
+            details.append("%s=%d min_eig=%.3e" % (label, k, low))
+        return worst, "; ".join(details)
 
     def _operator_norm(self, kind, symbol, k):
         """Norm of the compressed operator leaving grade k, measured

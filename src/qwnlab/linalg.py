@@ -23,6 +23,12 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest entry of ``|lhs - rhs|``, relative to the largest entry of
+    ``|rhs|`` once that exceeds 1."""
+    return np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
+
+
 def axis_permutation_matrix(dim: int, perm) -> np.ndarray:
     """Matrix of the map permuting tensor slots of (C^dim)**k.
 

@@ -22,27 +22,26 @@ operators measure 1 there, and mixed words feel that difference.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .algebra import FunctionAlgebra, random_element
-from .bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
+from .bosonic import BosonicSpace
 from .combinatorics import inversions
-from .graded import GradeOverflowError, check_grade
-from .linalg import (
-    axis_permutation_matrix,
-    hermitize,
-    orthonormal_range,
-    symmetrizer_matrix,
-)
+from .graded import ANNIHILATION, CREATION, NUMBER, GradedFockSpace
+from .linalg import axis_permutation_matrix, hermitize, scaled_gap
 from .report import reported_record, residual_record
 
 MAX_QGRAM_GRADE = 6
 
 
-class QFockSpace:
-    """Tensor-power space with the inversion-weighted permutation Gram."""
+class QFockSpace(GradedFockSpace):
+    """Tensor-power space with the inversion-weighted permutation Gram.
+
+    The modes are the points of a unit-weight function algebra, so a mode
+    vector is its own coordinate vector and the pairing <phi, psi> is
+    state(star(phi) psi).
+    """
 
     def __init__(self, dim, q, max_grade):
         dim = int(dim)
@@ -50,46 +49,49 @@ class QFockSpace:
             raise ValueError("mode dimension must be >= 1")
         if not -1.0 < q <= 1.0:
             raise ValueError("q must lie in (-1, 1]")
-        if not 1 <= max_grade:
-            raise ValueError("max_grade must be at least 1")
+        super().__init__(FunctionAlgebra(np.ones(dim)), max_grade)
         self.dim = dim
         self.q = float(q)
-        self.max_grade = int(max_grade)
+        self._raw_grams = {}
         self._grams = {}
-
-    def _check_grade(self, n):
-        check_grade(n, self.max_grade)
 
     def q_gram(self, n):
         """P_q(n) = sum over permutations of q**inversions times the slot
-        permutation matrix; cached and hermitized."""
+        permutation matrix; cached and hermitized, with the raw sum kept
+        beside it."""
         self._check_grade(n)
         if n > MAX_QGRAM_GRADE:
             raise ValueError("permutation sum capped at grade %d" % MAX_QGRAM_GRADE)
         if n not in self._grams:
-            self._grams[n] = hermitize(self._raw_gram(n))
+            self._raw_grams[n] = self._raw_gram(n)
+            self._grams[n] = hermitize(self._raw_grams[n])
         return self._grams[n]
+
+    def _metric(self, k):
+        return self.q_gram(k)
+
+    def _symbol_tensors(self, kind, symbol):
+        if kind == CREATION:
+            return (self.algebra.coords(symbol),)
+        if kind == ANNIHILATION:
+            return (self.algebra.star(symbol),)
+        raise ValueError("unknown operator kind %r" % (kind,))
+
+    def _kernel(self, kind, data, arr, k):
+        if kind == CREATION:
+            return np.multiply.outer(data[0], arr)
+        out = 0.0
+        for i in range(k):
+            out = out + self.q**i * np.tensordot(data[0], arr, axes=(0, i))
+        return out
 
     def create_matrix(self, phi, n):
         """Matrix of creation out of grade n (prepend the mode vector)."""
-        self._check_grade(n)
-        if n == self.max_grade:
-            raise GradeOverflowError("creation out of the top grade")
-        phi = np.asarray(phi, dtype=complex).reshape(self.dim, 1)
-        return np.kron(phi, np.eye(self.dim**n, dtype=complex))
+        return self.operator_matrix(CREATION, phi, n)
 
     def annihilate_matrix(self, phi, n):
         """Matrix of annihilation out of grade n (q-weighted contractions)."""
-        self._check_grade(n)
-        if n == 0:
-            raise ValueError("annihilation is undefined on the vacuum grade")
-        phi = np.asarray(phi, dtype=complex)
-        size = self.dim**n
-        arr = np.eye(size, dtype=complex).reshape((self.dim,) * n + (size,))
-        out = 0.0
-        for i in range(n):
-            out = out + self.q**i * np.tensordot(np.conj(phi), arr, axes=(0, i))
-        return np.asarray(out).reshape(-1, size)
+        return self.operator_matrix(ANNIHILATION, phi, n)
 
     def number_matrix(self, phi, psi, n):
         """Sum over modes of phi_i * conj(psi_i) * a*_i a_i on grade n."""
@@ -110,21 +112,17 @@ class QFockSpace:
             )
         return out
 
-    def _symmetric_pair(self, n_out, n_in):
-        return (
-            orthonormal_range(symmetrizer_matrix(self.dim, n_out)),
-            orthonormal_range(symmetrizer_matrix(self.dim, n_in)),
-        )
+    def _compress(self, mat, k_out, k_in):
+        if self.q == 1.0:
+            return super()._compress(mat, k_out, k_in)
+        return mat
 
     def _relation_residual(self, lhs, rhs, n_out, n_in):
         """Scaled residual; at q = 1 the comparison is compressed to the
         symmetric subspaces, everywhere else it is on the full space."""
-        if self.q == 1.0:
-            left, right = self._symmetric_pair(n_out, n_in)
-            lhs = left.conj().T @ lhs @ right
-            rhs = left.conj().T @ rhs @ right
-        scale = max(np.abs(rhs).max(), 1.0)
-        return np.abs(lhs - rhs).max() / scale
+        return scaled_gap(
+            self._compress(lhs, n_out, n_in), self._compress(rhs, n_out, n_in)
+        )
 
     # -- checks ---------------------------------------------------------------
 
@@ -237,16 +235,12 @@ class QFockSpace:
     def check_positivity(self, max_level=4, tol=1e-10):
         """P_q(n) is positive definite for |q| < 1, positive semidefinite
         (with a large kernel) at q = 1."""
-        worst = math.inf
+        top = min(self.max_grade, max_level)
+        worst, note = self._positivity_sweep(top, label="n")
         worst_herm = 0.0
-        details = []
-        for n in range(min(self.max_grade, max_level) + 1):
-            mat = self.q_gram(n)
-            eigs = np.linalg.eigvalsh(mat)
-            low = float(eigs.min())
-            worst = min(worst, low)
-            details.append("n=%d min_eig=%.3e" % (n, low))
-            raw = self._raw_gram(n)
+        for n in range(top + 1):
+            # the sweep built each q-Gram and kept its raw sum
+            raw = self._raw_grams[n]
             worst_herm = max(worst_herm, float(np.abs(raw - raw.conj().T).max()))
         herm_record = residual_record(
             "qdeform.gram_hermitian",
@@ -262,7 +256,7 @@ class QFockSpace:
                 "positivity of the deformed scalar product",
                 -worst,
                 -1e-12,
-                notes="; ".join(details) + "; q=%g" % self.q,
+                notes=note + "; q=%g" % self.q,
             )
         else:
             record = residual_record(
@@ -270,7 +264,7 @@ class QFockSpace:
                 "positivity of the deformed scalar product",
                 max(0.0, -worst),
                 tol,
-                notes="; ".join(details) + "; q=%g" % self.q,
+                notes=note + "; q=%g" % self.q,
             )
         return [record, herm_record]
 

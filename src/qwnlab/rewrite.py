@@ -127,24 +127,28 @@ class SymbolTable:
         return out
 
 
+# Coefficients of the commutation rules that every table shares.
+# PAIR_SCALAR and PAIR_NUMBER are the scalar and number coefficients in the
+# annihilation/creation rule (the scalar one is also multiplied by the
+# table's gamma0); LINEAR_PAIR is the scalar in the linear-sector rule;
+# MIXED_SHIFT is the coefficient in both mixed linear/quadratic rules.
+PAIR_SCALAR = 2.0
+PAIR_NUMBER = 4.0
+LINEAR_PAIR = 1.0
+MIXED_SHIFT = 2.0
+
+
 @dataclass(frozen=True)
 class RelationTable:
-    """Coefficients of the commutation rules.
+    """The coefficients of the commutation rules that vary between tables.
 
-    pair_scalar and pair_number are the scalar and number coefficients in
-    the annihilation/creation rule (the scalar one is also multiplied by
-    gamma0); number_shift is the coefficient kappa in the number/creation
-    rule and its adjoint; linear_pair is the scalar in the linear-sector
-    rule; mixed_shift is the coefficient in both mixed linear/quadratic
-    rules.
+    gamma0 multiplies the scalar of the annihilation/creation rule;
+    number_shift is the coefficient kappa in the number/creation rule and
+    its adjoint.
     """
 
     gamma0: float = 1.0
-    pair_scalar: float = 2.0
-    pair_number: float = 4.0
     number_shift: float = 2.0
-    linear_pair: float = 1.0
-    mixed_shift: float = 2.0
 
     @classmethod
     def from_measured(cls, gamma0=1.0):
@@ -207,14 +211,12 @@ class RewriteEngine:
             return [(1.0 + 0j, swap)]
         pair = (kind_a, kind_b)
         if pair == (ANNIHILATION, CREATION):
-            scalar = (
-                table.pair_scalar * table.gamma0 * syms.pairing(sym_a, sym_b)
-            )
+            scalar = PAIR_SCALAR * table.gamma0 * syms.pairing(sym_a, sym_b)
             product = syms.mul(syms.star(sym_a), sym_b)
             return [
                 (1.0 + 0j, swap),
                 (scalar, ()),
-                (table.pair_number + 0j, ((NUMBER, product),)),
+                (PAIR_NUMBER + 0j, ((NUMBER, product),)),
             ]
         if pair == (NUMBER, CREATION):
             product = syms.mul(sym_a, sym_b)
@@ -231,19 +233,19 @@ class RewriteEngine:
         if pair == (LINEAR_ANNIHILATION, LINEAR_CREATION):
             return [
                 (1.0 + 0j, swap),
-                (table.linear_pair * syms.pairing(sym_a, sym_b), ()),
+                (LINEAR_PAIR * syms.pairing(sym_a, sym_b), ()),
             ]
         if pair == (LINEAR_ANNIHILATION, CREATION):
             product = syms.mul(syms.star(sym_a), sym_b)
             return [
                 (1.0 + 0j, swap),
-                (table.mixed_shift + 0j, ((LINEAR_CREATION, product),)),
+                (MIXED_SHIFT + 0j, ((LINEAR_CREATION, product),)),
             ]
         if pair == (ANNIHILATION, LINEAR_CREATION):
             product = syms.mul(sym_a, syms.star(sym_b))
             return [
                 (1.0 + 0j, swap),
-                (table.mixed_shift + 0j, ((LINEAR_ANNIHILATION, product),)),
+                (MIXED_SHIFT + 0j, ((LINEAR_ANNIHILATION, product),)),
             ]
         if pair in (
             (LINEAR_CREATION, CREATION),

@@ -84,6 +84,11 @@ def test_bad_inputs_exit_two(tmp_path, capsys, monkeypatch):
         ["--seed", "-1"],
     ):
         _exits_two_with_one_error_line(capsys, ["verify", "nogo", *flags])
+    for argv in (
+        ["verify", "bosonic", "--gamma0", "1e308"],
+        ["verify", "free", "--gamma", "1e308"],
+    ):
+        _exits_two_with_one_error_line(capsys, argv)
     for text in (
         '{"dim": "abc"}',
         '{"dim": 2.7, "trials": true}',

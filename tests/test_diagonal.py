@@ -5,6 +5,7 @@ import pytest
 
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra
 from qwnlab.diagonal import DiagonalRepresentation
+from qwnlab.graded import GradeOverflowError
 
 
 def test_level_one_measure_is_twice_gamma0_weights():
@@ -58,7 +59,7 @@ def test_rejects_wrong_inputs():
     rep = DiagonalRepresentation(FunctionAlgebra([1.0]), max_grade=2)
     with pytest.raises(ValueError):
         rep.apply_annihilation(np.ones(1), np.ones(()))
-    with pytest.raises(ValueError):
+    with pytest.raises(GradeOverflowError):
         rep.measure(5)
     with pytest.raises(ValueError):
         rep.inner_product(np.ones((1, 1)), np.ones(1))

@@ -1,0 +1,51 @@
+"""No module of the package binds an import it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qwnlab"
+
+
+def _module_imports(tree):
+    """Names bound by the module-level import statements of a module."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported(tree):
+    """Names listed in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_module_uses_its_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = sorted(
+        "%s (line %d)" % (name, line)
+        for name, line in _module_imports(tree).items()
+        if name not in used and name not in _exported(tree)
+    )
+    assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))

@@ -1,5 +1,7 @@
 """Deformed one-particle modes and the squared-mode discretization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,23 @@ def test_relation_checks_pass():
             assert record.status == "pass", record
         for record in space.check_positivity():
             assert record.status == "pass", record
+
+
+def test_positivity_builds_each_raw_gram_once(monkeypatch):
+    calls = Counter()
+    original = QFockSpace._raw_gram
+
+    def counted(self, n):
+        calls[n] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(QFockSpace, "_raw_gram", counted)
+    space = QFockSpace(2, 0.5, 4)
+    for n in range(5):
+        space.q_gram(n)
+    space.check_positivity()
+    assert sorted(calls) == list(range(5))
+    assert max(calls.values()) == 1
 
 
 def test_inversion_statistic_feeds_the_gram():
