@@ -15,6 +15,7 @@ Exit codes: 0 when every asserted check passes, 1 when any check fails,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -236,9 +237,17 @@ def _cmd_rewrite(args):
         word.append((kind, palette[symbol]))
     try:
         form = engine.normal_order(tuple(word))
-        moment = engine.vacuum_moment(tuple(word))
     except UnsupportedRelationError as exc:
         raise UsageError(str(exc))
+    moment = form.coefficient(())
+    # The vacuum moment is one of the terms, or zero.
+    if not all(cmath.isfinite(coeff) for coeff in form.terms.values()):
+        print(
+            "error: the normal form has a non-finite coefficient at gamma0=%g"
+            % args.gamma0,
+            file=sys.stderr,
+        )
+        return 1
     symbols = engine.symbols
 
     def term_payload(w, coeff):

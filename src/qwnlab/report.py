@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -47,28 +48,52 @@ class CheckRecord:
             raise ValueError(f"unknown status {self.status!r}")
 
 
+def _finite(name, value, notes):
+    """``value`` as a float, and the notes.
+
+    The canonical report holds finite floats only, so a non-finite value
+    becomes None and is named in the notes instead.
+    """
+    if value is None:
+        return None, notes
+    value = float(value)
+    if math.isfinite(value):
+        return value, notes
+    return None, "%s%snon-finite %s %r" % (notes, "; " if notes else "", name, value)
+
+
 def residual_record(name, claim, residual, tolerance, notes=""):
-    """Pass/fail record for a residual measured against a tolerance."""
+    """Pass/fail record for a residual measured against a tolerance.
+
+    A non-finite residual fails, and is stored as None with a note.
+    """
     residual = float(residual)
-    status = STATUS_PASS if residual <= tolerance else STATUS_FAIL
+    passed = math.isfinite(residual) and residual <= tolerance
+    residual, notes = _finite("residual", residual, notes)
     return CheckRecord(
         name=name,
         claim=claim,
         residual=residual,
         tolerance=float(tolerance),
-        status=status,
+        status=STATUS_PASS if passed else STATUS_FAIL,
         notes=notes,
     )
 
 
 def reported_record(name, claim, measured, expected=None, residual=None, notes=""):
-    """Record for a measured-but-unasserted quantity."""
+    """Record for a measured-but-unasserted quantity.
+
+    Non-finite values are stored as None, each with a note.
+    """
+    measured, notes = _finite("measured", measured, notes)
+    expected, notes = _finite("expected", expected, notes)
+    residual, notes = _finite("residual", residual, notes)
     return CheckRecord(
         name=name,
         claim=claim,
-        measured=None if measured is None else float(measured),
-        expected=None if expected is None else float(expected),
-        residual=None if residual is None else float(residual),
+        measured=measured,
+        expected=expected,
+        residual=residual,
         status=STATUS_REPORTED,
         notes=notes,
     )

@@ -23,6 +23,7 @@ function algebras anyway.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -651,8 +652,76 @@ def _random_dyadic_weights(rng, dim):
     return (1.0 + rng.integers(0, 4, size=dim)) / 4.0
 
 
+# Words per task of the termination sweep, and the most worker processes
+# one sweep starts.  Word costs vary by orders of magnitude with length, so
+# many small chunks, handed out as workers come free, keep the load even.
+_SWEEP_CHUNK = 50
+_MAX_SWEEP_WORKERS = 8
+
+# (engine, words) of the sweep, installed in each worker process only.
+_worker_sweep = None
+
+
+def _worst_ratio(engine, words):
+    """Largest steps/4**length over the normal forms of ``words``."""
+    return max(
+        (engine.normal_order(word).steps / 4.0 ** len(word) for word in words),
+        default=0.0,
+    )
+
+
+def _install_sweep(engine, words):
+    global _worker_sweep
+    _worker_sweep = (engine, words)
+
+
+def _worst_ratio_of_chunk(start):
+    engine, words = _worker_sweep
+    return _worst_ratio(engine, words[start : start + _SWEEP_CHUNK])
+
+
+def _sweep_workers(chunks):
+    """Worker processes for a sweep of ``chunks`` chunks: one per usable
+    CPU, at most one per chunk and at most ``_MAX_SWEEP_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, chunks, _MAX_SWEEP_WORKERS))
+
+
+def _sweep(engine, words):
+    """Worst steps/4**length over ``words``, fanned out over worker processes.
+
+    Step counts depend on the word alone, and ``max`` is exact in any order,
+    so the result does not depend on the worker count.  Workers are forked:
+    they inherit the engine and the word list, run only the pure-Python
+    rewrite loop, and send back one float per chunk.
+    """
+    starts = range(0, len(words), _SWEEP_CHUNK)
+    workers = _sweep_workers(len(starts))
+    if workers > 1:
+        # Imported here: the CLI's start-up time should not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_install_sweep,
+                initargs=(engine, words),
+            ) as pool:
+                return max(pool.map(_worst_ratio_of_chunk, starts), default=0.0)
+    return _worst_ratio(engine, words)
+
+
 def check_termination(rng, words=10000, max_len=10, dim=2):
-    """Step counts stay within the 4**length budget on random words."""
+    """Step counts stay within the 4**length budget on random words.
+
+    Every word is drawn before any is rewritten, so the draws taken from
+    ``rng`` do not depend on how the sweep runs.
+    """
     weights = _random_dyadic_weights(rng, dim)
     engine = make_function_engine(weights)
     algebra = engine.symbols.algebra
@@ -661,20 +730,20 @@ def check_termination(rng, words=10000, max_len=10, dim=2):
         for _ in range(4)
     ]
     kinds = (CREATION, NUMBER, ANNIHILATION)
-    worst_ratio = 0.0
+    drawn = []
     for _ in range(words):
         length = 1 + int(rng.integers(max_len))
-        word = tuple(
-            (kinds[int(rng.integers(3))], pool[int(rng.integers(len(pool)))])
-            for _ in range(length)
+        drawn.append(
+            tuple(
+                (kinds[int(rng.integers(3))], pool[int(rng.integers(len(pool)))])
+                for _ in range(length)
+            )
         )
-        form = engine.normal_order(word)
-        worst_ratio = max(worst_ratio, form.steps / 4.0**length)
     return [
         residual_record(
             "classical.rewrite_termination",
             "terminating normal-order rewriting",
-            worst_ratio,
+            _sweep(engine, drawn),
             1.0,
             notes="worst steps/4**length over %d words of length <= %d"
             % (words, max_len),

@@ -197,6 +197,25 @@ def test_rewrite_subcommand_rejects_bad_words(capsys):
         assert run_cli(["rewrite", "--word", word, "--gamma0", gamma0]) == 2
 
 
+def test_rewrite_subcommand_refuses_nonfinite_coefficients(tmp_path, capsys):
+    word = json.dumps(
+        [
+            {"kind": "b", "symbol": "e0"},
+            {"kind": "b", "symbol": "e0"},
+            {"kind": "b*", "symbol": "one"},
+            {"kind": "b*", "symbol": "e1"},
+        ]
+    )
+    out = tmp_path / "rewrite.json"
+    assert run_cli(["rewrite", "--word", word, "--gamma0", "1e200"]) == 0
+    capsys.readouterr()
+    argv = ["rewrite", "--word", word, "--gamma0", "1e308", "--output", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_combinatorics_selftest(tmp_path):
     out = tmp_path / "comb.json"
     assert run_cli(["combinatorics", "selftest", "--output", str(out)]) == 0

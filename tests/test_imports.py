@@ -1,6 +1,10 @@
-"""No module of the package binds an import it never uses."""
+"""No module of the package binds an import it never uses, and the CLI
+starts without the modules only some runs need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,20 @@ def test_module_uses_its_imports(path):
         if name not in used and name not in _exported(tree)
     )
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_cli_import_leaves_out_process_pools():
+    # The termination sweep imports these when it forks workers; the CLI's
+    # start-up should not pay for them.
+    env = dict(os.environ)
+    paths = [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    probe = (
+        "import sys, qwnlab.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

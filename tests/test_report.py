@@ -17,14 +17,45 @@ from qwnlab.report import (
 def test_residual_record_boundary():
     ok = residual_record("x", "loc", 1e-10, 1e-10)
     assert ok.status == "pass"
-    bad = residual_record("x", "loc", 1.0000001e-10, 1e-10)
+    bad = residual_record("x", "loc", 1.0000001e-10, 1e-10, notes="n")
     assert bad.status == "fail"
+    assert (bad.residual, bad.notes) == (1.0000001e-10, "n")
 
 
 def test_reported_record_never_pass_or_fail():
-    rec = reported_record("x", "loc", measured=3.5, expected=2.0)
+    rec = reported_record("x", "loc", measured=3.5, expected=2, residual=0.5)
     assert rec.status == "reported"
     assert rec.tolerance is None
+    assert (rec.measured, rec.expected, rec.residual, rec.notes) == (3.5, 2.0, 0.5, "")
+
+
+def test_nonfinite_residual_fails_without_breaking_the_report():
+    for value, name in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        rec = residual_record("x", "loc", value, 1e-9, notes="trial 3")
+        assert rec.status == "fail"
+        assert rec.residual is None
+        assert rec.notes == "trial 3; non-finite residual " + name
+        report = VerificationReport(config={})
+        report.extend([rec])
+        assert '"residual":null' in report.to_canonical_json()
+    assert residual_record("x", "loc", math.nan, 1e-9).notes == (
+        "non-finite residual nan"
+    )
+
+
+def test_nonfinite_reported_values_become_null_with_notes():
+    rec = reported_record(
+        "x", "loc", measured=math.inf, expected=2.0, residual=math.nan, notes="n"
+    )
+    assert rec.status == "reported"
+    assert (rec.measured, rec.expected, rec.residual) == (None, 2.0, None)
+    assert rec.notes == "n; non-finite measured inf; non-finite residual nan"
+    rec = reported_record("x", "loc", measured=1.5, expected=-math.inf)
+    assert rec.expected is None
+    assert rec.notes == "non-finite expected -inf"
+    report = VerificationReport(config={})
+    report.extend([rec])
+    report.to_canonical_json()
 
 
 def test_record_validation():

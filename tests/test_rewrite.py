@@ -15,9 +15,14 @@ number shift 2):
   to -1 with minimizer -2 and minimum -1.
 """
 
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+import qwnlab.rewrite as rewrite
 from qwnlab.rewrite import (
     ANNIHILATION,
     CREATION,
@@ -40,7 +45,7 @@ from qwnlab.rewrite import (
     make_function_engine,
     nogo_certificate,
 )
-from qwnlab.algebra import FunctionAlgebra
+from qwnlab.algebra import FunctionAlgebra, random_element
 
 
 WEIGHTS = [0.5, 0.25]
@@ -268,3 +273,113 @@ def test_vacuum_moment_of_quadratic_square():
     )
     assert engine.vacuum_moment(word) == pytest.approx(2.0)
     assert engine.vacuum_moment(((CREATION, sid), (ANNIHILATION, sid))) == 0j
+
+
+def _serial_worst_ratio(rng, words, max_len, dim=2):
+    """The draw-and-rewrite loop that the termination sweep replaced: the
+    reference for its worst step ratio and for the draws it takes."""
+    engine = make_function_engine((1.0 + rng.integers(0, 4, size=dim)) / 4.0)
+    pool = [
+        engine.symbols.intern(
+            random_element(engine.symbols.algebra, rng, dyadic=True)
+        )
+        for _ in range(4)
+    ]
+    kinds = (CREATION, NUMBER, ANNIHILATION)
+    worst = 0.0
+    for _ in range(words):
+        length = 1 + int(rng.integers(max_len))
+        word = tuple(
+            (kinds[int(rng.integers(3))], pool[int(rng.integers(len(pool)))])
+            for _ in range(length)
+        )
+        worst = max(worst, engine.normal_order(word).steps / 4.0**length)
+    return worst
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(
+        rewrite, "_sweep_workers", lambda chunks: min(workers, chunks)
+    )
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the sweep runs in-process without fork",
+)
+
+
+def test_termination_sweep_matches_the_serial_loop(monkeypatch):
+    reference = np.random.default_rng(21)
+    worst = _serial_worst_ratio(reference, words=300, max_len=8)
+    next_draw = reference.integers(1 << 62)
+    records = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        rng = np.random.default_rng(21)
+        records.append(check_termination(rng, words=300, max_len=8))
+        assert rng.integers(1 << 62) == next_draw
+    assert records[0] == records[1]
+    assert records[0][0].residual == worst
+
+
+def test_sweep_takes_the_maximum_over_every_chunk(monkeypatch):
+    class FirstLetterSteps:
+        def normal_order(self, word):
+            return NormalForm(steps=word[0])
+
+    size = 3 * rewrite._SWEEP_CHUNK + 7
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        for peak in (0, rewrite._SWEEP_CHUNK - 1, rewrite._SWEEP_CHUNK, size - 1):
+            words = [(1,)] * size
+            words[peak] = (2,)
+            assert rewrite._sweep(FirstLetterSteps(), words) == 0.5
+        assert rewrite._sweep(FirstLetterSteps(), []) == 0.0
+
+
+@needs_fork
+def test_termination_sweep_raises_worker_errors_as_their_type(monkeypatch):
+    parent = os.getpid()
+
+    def normal_order(self, word, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("a word was rewritten in the parent process")
+        raise RewriteBudgetError("raised in a worker")
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(RewriteEngine, "normal_order", normal_order)
+    with pytest.raises(RewriteBudgetError, match="raised in a worker"):
+        check_termination(np.random.default_rng(4), words=120, max_len=4)
+
+
+@needs_fork
+def test_sweep_workers_bounded_by_cpus_chunks_and_ceiling(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    for chunks in range(0, 20):
+        workers = rewrite._sweep_workers(chunks)
+        assert 1 <= workers <= max(1, min(cpus, chunks))
+        assert workers <= rewrite._MAX_SWEEP_WORKERS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert rewrite._sweep_workers(1000) == 1
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
+    )
+    assert rewrite._sweep_workers(1000) == rewrite._MAX_SWEEP_WORKERS
+
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    chunks = 3
+    check_termination(
+        np.random.default_rng(5), words=chunks * rewrite._SWEEP_CHUNK, max_len=4
+    )
+    assert started == [chunks]
