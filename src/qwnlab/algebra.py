@@ -15,7 +15,7 @@ Fock-space builders rely on for vectorized Gram assembly.
 Besides the carriers, this module holds the batched structure tensors the
 graded spaces consume: interleaved pair-product state tensors (for the
 partition-weighted Gram forms) and plain word-product tensors (for the
-interval-composition Gram form).
+interval factors of the free Gram).
 """
 
 from __future__ import annotations

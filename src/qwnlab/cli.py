@@ -186,14 +186,6 @@ def _cmd_verify(args):
     return report.exit_code
 
 
-def _cmd_combinatorics(args):
-    config = _load_config(args)
-    _check_output(config.output)
-    report = run_suite(config)
-    emit_report(report, config.output)
-    return report.exit_code
-
-
 def _palette(engine, dim):
     names = {}
     for i in range(dim):
@@ -292,11 +284,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
         if args.command == "rewrite":
             return _cmd_rewrite(args)
-        return _cmd_combinatorics(args)
+        # verify and combinatorics selftest differ only in their parsers
+        return _cmd_verify(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

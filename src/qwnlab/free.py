@@ -2,11 +2,15 @@
 
 Grade k is the full k-fold tensor power of the base algebra; nothing is
 symmetrized.  The scalar product sums over interval decompositions of the
-slot range: each interval of length m contributes a factor built from the
-state of star-reversed word products, and the factors combine as Kronecker
-products.  Every summand is a pullback of a GNS form, so the assembled Gram
-matrices are positive semidefinite for every base algebra, commutative or
-not.
+slot range, and splitting off the first interval gives the one-step
+recursion
+
+    G_k = sum_(m=1..k) F_m (x) G_(k-m),    G_0 = 1,
+
+where the interval factor F_m is gamma times the state of the star-reversed
+left word of length m times the right word.  Every summand is a pullback of
+a GNS form, so the assembled Gram matrices are positive semidefinite for
+every base algebra, commutative or not.
 
 The operators act on the first slot only: creation prepends its symbol,
 annihilation pairs against the first slot (state term) and merges the first
@@ -30,7 +34,6 @@ import numpy as np
 from .algebra import basis_word_products, random_element
 from .combinatorics import (
     cumulant_weight,
-    interval_compositions,
     moments_to_free_cumulants,
     noncrossing_partitions,
 )
@@ -66,35 +69,29 @@ class FreeSpace(GradedFockSpace):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self._words = basis_word_products(algebra, self.max_grade)
-        self._factors = {}
+        basis = algebra.basis()
+        # pairing[a, b] = state(star(e_a) e_b)
+        self._pairing = algebra.state(
+            algebra.mul(algebra.star(basis)[:, None], basis)
+        )
         self._gram = {}
 
     def _factor(self, m):
         """Gram factor of one interval of length m: gamma * state of the
-        star-reversed left word times the right word."""
-        if m not in self._factors:
-            words = self._words[m - 1]
-            left = self.algebra.star(words)
-            prod = self.algebra.mul(left[:, None], words[None, :])
-            self._factors[m] = self.gamma * self.algebra.state(prod)
-        return self._factors[m]
+        star-reversed left word times the right word, from the words'
+        coordinates."""
+        coords = self.algebra.coords(self._words[m - 1])
+        return self.gamma * (np.conj(coords) @ self._pairing @ coords.T)
 
     def gram(self, k):
-        """Grade-k Gram matrix: sum over interval decompositions."""
+        """Grade-k Gram matrix G_k = sum_(m=1..k) F_m (x) G_(k-m), summed
+        over the length m of the first interval; cached and hermitized."""
         self._check_grade(k)
-        if k in self._gram:
-            return self._gram[k]
-        if k == 0:
-            mat = np.ones((1, 1), dtype=complex)
-        else:
-            size = self.algebra.dim**k
-            mat = np.zeros((size, size), dtype=complex)
-            for composition in interval_compositions(k):
-                term = np.ones((1, 1), dtype=complex)
-                for length in composition.blocks:
-                    term = np.kron(term, self._factor(len(length)))
-                mat += term
-        self._gram[k] = hermitize(mat)
+        if k not in self._gram:
+            mat = self._factor(k) if k else np.ones((1, 1), dtype=complex)
+            for m in range(1, k):
+                mat += np.kron(self._factor(m), self.gram(k - m))
+            self._gram[k] = hermitize(mat)
         return self._gram[k]
 
     def _metric(self, k):

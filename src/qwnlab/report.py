@@ -105,7 +105,6 @@ class VerificationReport:
 
     config: dict
     checks: list[CheckRecord] = field(default_factory=list)
-    wall_clock_seconds: float = 0.0
 
     def extend(self, records):
         self.checks.extend(records)

@@ -168,11 +168,6 @@ class NormalForm:
     def coefficient(self, word=()):
         return self.terms.get(tuple(word), 0j)
 
-    def max_abs_coefficient(self):
-        if not self.terms:
-            return 0.0
-        return max(abs(value) for value in self.terms.values())
-
 
 class RewriteEngine:
     """Normal-ordering engine over an interning symbol table."""

@@ -9,7 +9,6 @@ given configuration and seed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -312,13 +311,10 @@ def run_suite(config):
         selected = sorted(VERIFY_SUITES)
     else:
         selected = [config.suite]
-    started = time.perf_counter()
     echo = asdict(config)
     echo.pop("output")
     report = VerificationReport(config=echo)
     for name in selected:
         rng = suite_rng(config, name)
         report.extend(_RUNNERS[name](config, rng))
-    report.finalize()
-    report.wall_clock_seconds = time.perf_counter() - started
-    return report
+    return report.finalize()

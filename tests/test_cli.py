@@ -216,12 +216,18 @@ def test_rewrite_subcommand_refuses_nonfinite_coefficients(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_combinatorics_selftest(tmp_path):
+def test_combinatorics_selftest(tmp_path, capsys):
     out = tmp_path / "comb.json"
     assert run_cli(["combinatorics", "selftest", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["suite"] == "combinatorics"
     assert payload["summary"]["failed"] == 0
+    # the same stderr summary line as verify
+    summary = payload["summary"]
+    assert capsys.readouterr().err == (
+        "suite combinatorics: %d checks, %d passed, 0 failed, %d reported\n"
+        % (summary["checks"], summary["passed"], summary["reported"])
+    )
 
 
 def test_run_config_validation():

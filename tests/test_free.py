@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
-from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
+import qwnlab.combinatorics
+import qwnlab.free
+from qwnlab.algebra import (
+    FunctionAlgebra,
+    MatrixAlgebra,
+    basis_word_products,
+    random_element,
+)
 from qwnlab.bosonic import ANNIHILATION, CREATION, NUMBER
-from qwnlab.combinatorics import cumulant_weight
+from qwnlab.combinatorics import cumulant_weight, interval_compositions
 from qwnlab.free import FreeSpace
 from qwnlab.graded import GradedVector
+from qwnlab.linalg import hermitize
 
 
 def one_point_space(gamma=1.0, max_grade=4):
@@ -141,3 +149,54 @@ def test_norm_estimates_whiten_each_grade_once(monkeypatch):
     records = space.check_norm_estimates(np.random.default_rng(3), trials=5)
     assert all(r.status == "pass" for r in records)
     assert len(calls) <= space.max_grade + 1
+
+
+def interval_composition_gram(alg, gamma, k):
+    """The free Gram as the sum over interval compositions of Kronecker
+    chains of interval factors, each factor from D**(2m) algebra products."""
+    if k == 0:
+        return np.ones((1, 1), dtype=complex)
+    words = basis_word_products(alg, k)
+    factors = {}
+    for m in range(1, k + 1):
+        prod = alg.mul(alg.star(words[m - 1])[:, None], words[m - 1][None, :])
+        factors[m] = gamma * alg.state(prod)
+    mat = np.zeros((alg.dim**k, alg.dim**k), dtype=complex)
+    for composition in interval_compositions(k):
+        term = np.ones((1, 1), dtype=complex)
+        for block in composition.blocks:
+            term = np.kron(term, factors[len(block)])
+        mat += term
+    return hermitize(mat)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        FunctionAlgebra([0.5, 0.75]),
+        FunctionAlgebra([0.25, 1.25, 0.5]),
+        MatrixAlgebra(2),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+def test_gram_recursion_matches_interval_composition_sum(alg, gamma):
+    space = FreeSpace(alg, max_grade=5, gamma=gamma)
+    for k in range(6):
+        expected = interval_composition_gram(alg, gamma, k)
+        if gamma == 1.0:
+            # dyadic weights and entries: both routes are exact
+            assert np.array_equal(space.gram(k), expected), k
+        else:
+            gap = np.abs(space.gram(k) - expected).max()
+            assert gap <= 1e-15 * np.abs(expected).max(), k
+
+
+def test_gram_does_not_enumerate_interval_compositions(monkeypatch):
+    def refuse(k):
+        raise AssertionError("interval compositions enumerated")
+
+    monkeypatch.setattr(qwnlab.combinatorics, "interval_compositions", refuse)
+    monkeypatch.setattr(qwnlab.free, "interval_compositions", refuse, raising=False)
+    space = FreeSpace(MatrixAlgebra(2), max_grade=4)
+    assert space.gram(4).shape == (256, 256)

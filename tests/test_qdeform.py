@@ -1,11 +1,14 @@
 """Deformed one-particle modes and the squared-mode discretization."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qwnlab.combinatorics import inversions
 from qwnlab.graded import GradeOverflowError
+from qwnlab.linalg import axis_permutation_matrix
 from qwnlab.qdeform import (
     DiscretizedQuadratic,
     QFockSpace,
@@ -110,6 +113,32 @@ def test_relation_checks_pass():
             assert record.status == "pass", record
         for record in space.check_positivity():
             assert record.status == "pass", record
+
+
+def permutation_sum(dim, q, n):
+    """P_q(n) as the sum over all n! slot permutations."""
+    mat = np.zeros((dim**n, dim**n), dtype=complex)
+    for perm in itertools.permutations(range(n)):
+        mat += q ** inversions(perm) * axis_permutation_matrix(dim, perm)
+    return mat
+
+
+@pytest.mark.parametrize("q", [0.5, 0.0, 1.0, -0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_q_gram_recursion_matches_permutation_sum(q, dim):
+    space = QFockSpace(dim, q, 5)
+    for n in range(6):
+        expected = permutation_sum(dim, q, n)
+        space.q_gram(n)
+        raw = space._raw_grams[n]
+        if q != -0.3:
+            # dyadic q: both routes are exact
+            assert np.array_equal(raw, expected), n
+        else:
+            # The permutation sum cancels terms of both signs, so its own
+            # rounding is bounded relative to the sum of their magnitudes.
+            scale = np.abs(permutation_sum(dim, abs(q), n)).max()
+            assert np.abs(raw - expected).max() <= 1e-15 * scale, n
 
 
 def test_positivity_builds_each_raw_gram_once(monkeypatch):

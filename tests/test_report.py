@@ -1,6 +1,8 @@
 """Record construction, canonical serialization, exit codes."""
 
+import json
 import math
+import random
 
 import pytest
 
@@ -91,7 +93,6 @@ def test_report_sorts_and_excludes_wall_clock():
             residual_record("a.first", "loc", 2.0, 1.0),
         ]
     )
-    report.wall_clock_seconds = 123.0
     report.finalize()
     assert [r.name for r in report.checks] == ["a.first", "z.second"]
     assert "123" not in report.to_canonical_json()
@@ -114,3 +115,36 @@ def test_emit_report_writes_file_and_stdout(tmp_path, capsys):
     assert text.endswith("\n")
     emit_report(report, "-")
     assert capsys.readouterr().out == text
+
+
+_ALPHABET = 'ab "\\/\n\t\x00\x7fé ☃\U0001f600'
+
+
+def _random_string(rnd):
+    return "".join(rnd.choice(_ALPHABET) for _ in range(rnd.randrange(6)))
+
+
+def _random_json_value(rnd, depth):
+    """A random nested value of dicts, lists, strings and finite floats."""
+    choice = rnd.randrange(5 if depth else 3)
+    if choice == 0:
+        exponent = rnd.choice((-300, -20, -1, 0, 3, 15, 300))
+        return rnd.uniform(-1.0, 1.0) * 10.0**exponent
+    if choice == 1:
+        return rnd.choice((0.0, -0.0, 1.0, 0.1, 5e-324, 1.7976931348623157e308))
+    if choice == 2:
+        return _random_string(rnd)
+    if choice == 3:
+        return [_random_json_value(rnd, depth - 1) for _ in range(rnd.randrange(4))]
+    return {
+        _random_string(rnd): _random_json_value(rnd, depth - 1)
+        for _ in range(rnd.randrange(4))
+    }
+
+
+def test_canonical_json_round_trips_random_values():
+    rnd = random.Random(2026)
+    for _ in range(500):
+        value = _random_json_value(rnd, depth=3)
+        text = canonical_json(value)
+        assert json.loads(text) == value, text

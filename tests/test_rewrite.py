@@ -258,10 +258,8 @@ def test_nogo_checks_pass():
 def test_normal_form_helpers():
     form = NormalForm()
     assert form.coefficient() == 0j
-    assert form.max_abs_coefficient() == 0.0
     form = NormalForm(terms={(): 2.0 + 0j, (("n", 0),): -3.0 + 0j})
     assert form.coefficient() == 2.0 + 0j
-    assert form.max_abs_coefficient() == 3.0
 
 
 def test_vacuum_moment_of_quadratic_square():
