@@ -169,6 +169,11 @@ def random_element(alg, rng, real=False, dyadic=False, support=None):
     return x
 
 
+def random_weights(rng, size=None):
+    """Dyadic point weights, each one of 1/4, 1/2, 3/4 or 1."""
+    return (1.0 + rng.integers(0, 4, size)) / 4.0
+
+
 def pair_product_state_tensors(alg, kmax):
     """State tensors of interleaved pair products, for the graded Gram forms.
 

@@ -363,31 +363,18 @@ class BosonicSpace(GradedFockSpace):
             phi = random_element(alg, rng, dyadic=True)
             psi = random_element(alg, rng, dyadic=True)
             for k in range(self.max_grade - 1):
-                left = self.operator_matrix(CREATION, phi, k + 1) @ (
-                    self.operator_matrix(CREATION, psi, k)
-                )
-                right = self.operator_matrix(CREATION, psi, k + 1) @ (
-                    self.operator_matrix(CREATION, phi, k)
-                )
-                worst_cc = max(worst_cc, np.abs(left - right).max())
+                diff = self.commutator([(CREATION, phi)], [(CREATION, psi)], k)
+                worst_cc = max(worst_cc, np.abs(diff).max())
             for k in range(2, self.max_grade + 1):
-                left = self.operator_matrix(ANNIHILATION, phi, k - 1) @ (
-                    self.operator_matrix(ANNIHILATION, psi, k)
+                diff = self.commutator(
+                    [(ANNIHILATION, phi)], [(ANNIHILATION, psi)], k
                 )
-                right = self.operator_matrix(ANNIHILATION, psi, k - 1) @ (
-                    self.operator_matrix(ANNIHILATION, phi, k)
-                )
-                diff = self._right_symmetrized(left - right, k)
+                diff = self._right_symmetrized(diff, k)
                 worst_aa = max(worst_aa, np.abs(diff).max())
             if alg.commutative:
                 for k in range(1, self.max_grade + 1):
-                    left = self.operator_matrix(NUMBER, phi, k) @ (
-                        self.operator_matrix(NUMBER, psi, k)
-                    )
-                    right = self.operator_matrix(NUMBER, psi, k) @ (
-                        self.operator_matrix(NUMBER, phi, k)
-                    )
-                    worst_nn = max(worst_nn, np.abs(left - right).max())
+                    diff = self.commutator([(NUMBER, phi)], [(NUMBER, psi)], k)
+                    worst_nn = max(worst_nn, np.abs(diff).max())
             # Mixed commutator, continuous symbols.
             phi_c = random_element(alg, rng)
             psi_c = random_element(alg, rng)
@@ -395,30 +382,21 @@ class BosonicSpace(GradedFockSpace):
             product = alg.mul(alg.star(phi_c), psi_c)
             for k in range(self.max_grade):
                 size = self.algebra.dim**k
-                commutator = self.operator_matrix(
-                    ANNIHILATION, phi_c, k + 1
-                ) @ self.operator_matrix(CREATION, psi_c, k)
-                if k >= 1:
-                    commutator = commutator - self.operator_matrix(
-                        CREATION, psi_c, k - 1
-                    ) @ self.operator_matrix(ANNIHILATION, phi_c, k)
                 expected = 2.0 * self.gamma0 * pairing * np.eye(size)
                 expected = expected + 4.0 * self.operator_matrix(
                     NUMBER, product, k
                 )
-                diff = self._right_symmetrized(commutator - expected, k)
+                diff = self.commutator(
+                    [(ANNIHILATION, phi_c)], [(CREATION, psi_c)], k
+                )
+                diff = self._right_symmetrized(diff - expected, k)
                 scale = max(np.abs(expected).max(), 1.0)
                 worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
             # Number against creation: measure the coefficient.
             zeta = random_element(alg, rng)
             xi = random_element(alg, rng)
             for k in range(self.max_grade):
-                measured = self.operator_matrix(
-                    NUMBER, zeta, k + 1
-                ) @ self.operator_matrix(CREATION, xi, k)
-                measured = measured - self.operator_matrix(
-                    CREATION, xi, k
-                ) @ self.operator_matrix(NUMBER, zeta, k)
+                measured = self.commutator([(NUMBER, zeta)], [(CREATION, xi)], k)
                 template = self.operator_matrix(
                     CREATION, alg.mul(zeta, xi), k
                 )

@@ -142,6 +142,10 @@ def _load_config(args):
         else:
             values["seed"] = DEFAULT_SEED
     values.setdefault("output", "-")
+    for name in ("kind", "output", "suite"):
+        if not isinstance(values.get(name, ""), str):
+            value = json.dumps(values[name])
+            raise UsageError("%s must be a string, got %s" % (name, value))
     for name in _CONFIG_FLOATS + _CONFIG_INTS:
         if name in values:
             values[name] = _number(
@@ -157,9 +161,14 @@ def _check_output(path):
     """Refuse a report path that cannot be written, before any suite runs."""
     if path == "-":
         return
+    parent, name = os.path.split(path)
+    if "\0" in path or name in ("", os.curdir, os.pardir):
+        raise UsageError("output %r is not a file name" % path)
     if os.path.isdir(path):
         raise UsageError("output %s is a directory" % path)
-    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise UsageError("output %s is not writable" % path)
+    parent = parent or os.curdir
     if not os.path.isdir(parent):
         raise UsageError("output directory %s does not exist" % parent)
     if not os.access(parent, os.W_OK):

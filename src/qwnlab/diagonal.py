@@ -26,6 +26,7 @@ import numpy as np
 from .bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
 from .combinatorics import ordered_partitions
 from .graded import check_grade
+from .linalg import scaled_gap
 from .report import residual_record
 
 _MAX_TUPLES = 10**6
@@ -151,8 +152,7 @@ class DiagonalRepresentation:
         for k in range(self.max_grade + 1):
             gram = space.gram_matrix(k)
             expected = np.diag(self.measure(k).reshape(-1).astype(complex))
-            scale = max(np.abs(expected).max(), 1.0)
-            worst = max(worst, np.abs(gram - expected).max() / scale)
+            worst = max(worst, scaled_gap(gram, expected))
         return [
             residual_record(
                 "diagonal.gram_is_measure_diagonal",
@@ -206,28 +206,18 @@ class DiagonalRepresentation:
                 f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 lit = self.apply_creation(symbol, f)
                 ein = space.operator_matrix(CREATION, symbol, k) @ f.reshape(-1)
-                scale = max(np.abs(ein).max(), 1.0)
-                worst_create = max(
-                    worst_create,
-                    np.abs(lit.reshape(-1) - ein).max() / scale,
-                )
+                worst_create = max(worst_create, scaled_gap(lit.reshape(-1), ein))
             for k in range(1, self.max_grade + 1):
                 shape = (d,) * k
                 f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 lit = self.apply_number(symbol, f)
                 ein = space.operator_matrix(NUMBER, symbol, k) @ f.reshape(-1)
-                scale = max(np.abs(ein).max(), 1.0)
-                worst_number = max(
-                    worst_number,
-                    np.abs(lit.reshape(-1) - ein).max() / scale,
-                )
+                worst_number = max(worst_number, scaled_gap(lit.reshape(-1), ein))
                 sym_flat = space.symmetrizer(k) @ f.reshape(-1)
                 lit = self.apply_annihilation(symbol, sym_flat.reshape(shape))
                 ein = space.operator_matrix(ANNIHILATION, symbol, k) @ sym_flat
-                scale = max(np.abs(ein).max(), 1.0)
                 worst_annihilate = max(
-                    worst_annihilate,
-                    np.abs(lit.reshape(-1) - ein).max() / scale,
+                    worst_annihilate, scaled_gap(lit.reshape(-1), ein)
                 )
         return [
             residual_record(

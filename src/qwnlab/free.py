@@ -220,35 +220,27 @@ class FreeSpace(GradedFockSpace):
             pairing = self.gamma * alg.state(alg.mul(alg.star(psi), phi))
             for k in range(self.max_grade):
                 size = alg.dim**k
-                lhs = self.operator_matrix(
-                    ANNIHILATION, psi, k + 1
-                ) @ self.operator_matrix(CREATION, phi, k)
+                lhs = self.word_matrix([(ANNIHILATION, psi), (CREATION, phi)], k)
                 rhs = pairing * np.eye(size) + self.operator_matrix(
                     NUMBER, alg.mul(alg.star(psi), phi), k
                 )
                 worst["contract_creation"] = max(
                     worst["contract_creation"], scaled_gap(lhs, rhs)
                 )
-                lhs = self.operator_matrix(
-                    NUMBER, zeta, k + 1
-                ) @ self.operator_matrix(CREATION, phi, k)
+                lhs = self.word_matrix([(NUMBER, zeta), (CREATION, phi)], k)
                 rhs = self.operator_matrix(CREATION, alg.mul(zeta, phi), k)
                 worst["number_creation"] = max(
                     worst["number_creation"], scaled_gap(lhs, rhs)
                 )
             for k in range(1, self.max_grade + 1):
-                lhs = self.operator_matrix(
-                    ANNIHILATION, psi, k
-                ) @ self.operator_matrix(NUMBER, zeta, k)
+                lhs = self.word_matrix([(ANNIHILATION, psi), (NUMBER, zeta)], k)
                 rhs = self.operator_matrix(
                     ANNIHILATION, alg.mul(alg.star(zeta), psi), k
                 )
                 worst["annihilation_number"] = max(
                     worst["annihilation_number"], scaled_gap(lhs, rhs)
                 )
-                lhs = self.operator_matrix(
-                    NUMBER, zeta, k
-                ) @ self.operator_matrix(NUMBER, phi, k)
+                lhs = self.word_matrix([(NUMBER, zeta), (NUMBER, phi)], k)
                 rhs = self.operator_matrix(NUMBER, alg.mul(zeta, phi), k)
                 worst["number_multiplicative"] = max(
                     worst["number_multiplicative"], scaled_gap(lhs, rhs)

@@ -9,13 +9,16 @@ raises :class:`GradeOverflowError` instead of silently dropping weight.
 :class:`GradedFockSpace` is the operator scaffolding the quadratic bosonic,
 free and q-deformed spaces share: all three live on the same graded tensor
 powers of a base algebra and differ only in the scalar product and in how
-each operator acts on one grade.
+each operator acts on one grade.  It also composes operator words, so the
+grade each factor acts on is worked out once for every relation check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,7 +103,8 @@ class GradedVector:
 
 class GradedFockSpace:
     """Quadratic creation, annihilation and number operators on the grades
-    0..max_grade of a truncated Fock space over ``algebra``.
+    0..max_grade of a truncated Fock space over ``algebra``, and the dense
+    matrices of their products (``word_matrix``).
 
     A subclass supplies three hooks:
 
@@ -164,6 +168,33 @@ class GradedFockSpace:
         arr = np.eye(size, dtype=complex).reshape((dim,) * k + (size,))
         res = self._kernel(kind, self._symbol_tensors(kind, symbol), arr, k)
         return np.asarray(res).reshape(-1, size)
+
+    def word_matrix(self, word, k):
+        """Dense matrix of an operator product leaving grade k.
+
+        word is a sequence of (kind, symbol) pairs, the last acting first.
+        Each factor is built at the grade the pairs to its right reach, and
+        the factors multiply left to right, as a chained ``@`` does.  A word
+        that annihilates the vacuum on the way is the zero matrix, and then
+        no factor is built.
+        """
+        grades = list(accumulate([_SHIFTS[kind] for kind, _ in word[::-1]], initial=k))
+        for grade in (k, grades[-1], max(grades)):
+            self._check_grade(grade)
+        if min(grades) < 0:
+            dim = self.algebra.dim
+            return np.zeros((dim ** grades[-1], dim**k), dtype=complex)
+        factors = [
+            self.operator_matrix(kind, symbol, grade)
+            for (kind, symbol), grade in zip(word, reversed(grades[:-1]))
+        ]
+        return reduce(np.matmul, factors)
+
+    def commutator(self, left, right, k, q=1.0):
+        """Matrix of left right - q right left leaving grade k, for two words."""
+        forward = self.word_matrix([*left, *right], k)
+        backward = self.word_matrix([*right, *left], k)
+        return forward - (backward if q == 1.0 else q * backward)
 
     def apply(self, kind, symbol, vec):
         """Apply one operator to a graded vector, returning a new vector."""

@@ -92,11 +92,7 @@ class QFockSpace(GradedFockSpace):
 
     def number_matrix(self, phi, psi, n):
         """Sum over modes of phi_i * conj(psi_i) * a*_i a_i on grade n."""
-        self._check_grade(n)
-        size = self.dim**n
-        if n == 0:
-            return np.zeros((1, 1), dtype=complex)
-        out = np.zeros((size, size), dtype=complex)
+        out = 0.0
         coeffs = np.asarray(phi, dtype=complex) * np.conj(
             np.asarray(psi, dtype=complex)
         )
@@ -104,8 +100,8 @@ class QFockSpace(GradedFockSpace):
         for i in range(self.dim):
             # the creator, not the matrix conjugate transpose of the
             # annihilator: the two are adjoint for the q-Gram only
-            out += coeffs[i] * (
-                self.create_matrix(eye[i], n - 1) @ self.annihilate_matrix(eye[i], n)
+            out += coeffs[i] * self.word_matrix(
+                [(CREATION, eye[i]), (ANNIHILATION, eye[i])], n
             )
         return out
 
@@ -131,14 +127,10 @@ class QFockSpace(GradedFockSpace):
             psi = random_element(self.algebra, rng)
             pairing = np.vdot(phi, psi)
             for n in range(self.max_grade):
-                size = self.dim**n
-                lhs = self.annihilate_matrix(phi, n + 1) @ self.create_matrix(psi, n)
-                if n >= 1:
-                    lhs = lhs - self.q * (
-                        self.create_matrix(psi, n - 1)
-                        @ self.annihilate_matrix(phi, n)
-                    )
-                rhs = pairing * np.eye(size)
+                lhs = self.commutator(
+                    [(ANNIHILATION, phi)], [(CREATION, psi)], n, self.q
+                )
+                rhs = pairing * np.eye(self.dim**n)
                 worst = max(worst, self._relation_residual(lhs, rhs, n, n))
         return [
             residual_record(
@@ -167,26 +159,13 @@ class QFockSpace(GradedFockSpace):
             xi = random_element(self.algebra, rng)
             c = np.vdot(zeta, xi)
             for n in range(self.max_grade - 1):
-                size = self.dim**n
-                lhs = (
-                    self.annihilate_matrix(zeta, n + 1)
-                    @ self.annihilate_matrix(zeta, n + 2)
-                    @ self.create_matrix(xi, n + 1)
-                    @ self.create_matrix(xi, n)
+                lhs = self.commutator(
+                    [(ANNIHILATION, zeta)] * 2, [(CREATION, xi)] * 2, n, q**4
                 )
-                if n >= 2:
-                    lhs = lhs - q**4 * (
-                        self.create_matrix(xi, n - 1)
-                        @ self.create_matrix(xi, n - 2)
-                        @ self.annihilate_matrix(zeta, n - 1)
-                        @ self.annihilate_matrix(zeta, n)
-                    )
-                rhs = (1.0 + q) * c**2 * np.eye(size)
-                if n >= 1:
-                    rhs = rhs + q * (1.0 + q) ** 2 * c * (
-                        self.create_matrix(xi, n - 1)
-                        @ self.annihilate_matrix(zeta, n)
-                    )
+                rhs = (1.0 + q) * c**2 * np.eye(self.dim**n)
+                rhs = rhs + q * (1.0 + q) ** 2 * c * self.word_matrix(
+                    [(CREATION, xi), (ANNIHILATION, zeta)], n
+                )
                 worst = max(worst, self._relation_residual(lhs, rhs, n, n))
         return [
             residual_record(
@@ -350,29 +329,33 @@ class DiscretizedQuadratic:
         fine = np.asarray(fine, dtype=complex)
         return fine @ self.fine_weights.astype(complex)
 
+    def _squared_mode_sum(self, kind, coeffs, n):
+        """Sum over blocks of coeffs[i] times the squared operator of mode i."""
+        out = 0.0
+        for coeff, mode in zip(coeffs, np.eye(self.space.dim, dtype=complex)):
+            out = out + coeff * self.space.word_matrix([(kind, mode)] * 2, n)
+        return out
+
     def quad_create_matrix(self, psi_fine, n):
         """Sum over blocks of psi_i times the squared mode creator."""
-        values = self.block_values(psi_fine)
-        sp = self.space
-        out = 0.0
-        eye = np.eye(sp.dim, dtype=complex)
-        for i in range(sp.dim):
-            out = out + values[i] * (
-                sp.create_matrix(eye[i], n + 1) @ sp.create_matrix(eye[i], n)
-            )
-        return out
+        return self._squared_mode_sum(CREATION, self.block_values(psi_fine), n)
 
     def quad_annihilate_matrix(self, phi_fine, n):
         """Sum over blocks of conj(phi_i) times the squared mode annihilator."""
-        values = self.block_values(phi_fine)
-        sp = self.space
-        out = 0.0
-        eye = np.eye(sp.dim, dtype=complex)
-        for i in range(sp.dim):
-            out = out + np.conj(values[i]) * (
-                sp.annihilate_matrix(eye[i], n - 1) @ sp.annihilate_matrix(eye[i], n)
+        values = np.conj(self.block_values(phi_fine))
+        return self._squared_mode_sum(ANNIHILATION, values, n)
+
+    def squared_commutator(self, phi_fine, psi_fine, n):
+        """A_phi A*_psi - q**4 A*_psi A_phi on grade n."""
+        lhs = self.quad_annihilate_matrix(phi_fine, n + 2) @ (
+            self.quad_create_matrix(psi_fine, n)
+        )
+        if n >= 2:
+            lhs = lhs - self.q**4 * (
+                self.quad_create_matrix(psi_fine, n - 2)
+                @ self.quad_annihilate_matrix(phi_fine, n)
             )
-        return out
+        return lhs
 
     def generated_vector(self, symbols_fine):
         """Apply squared-mode creators for the given fine symbols to the
@@ -411,14 +394,7 @@ class DiscretizedQuadratic:
             ]
             n, u = self.generated_vector(left_syms)
             _, v = self.generated_vector(right_syms)
-            lhs = self.quad_annihilate_matrix(phi_fine, n + 2) @ (
-                self.quad_create_matrix(psi_fine, n)
-            )
-            if n >= 2:
-                lhs = lhs - q**4 * (
-                    self.quad_create_matrix(psi_fine, n - 2)
-                    @ self.quad_annihilate_matrix(phi_fine, n)
-                )
+            lhs = self.squared_commutator(phi_fine, psi_fine, n)
             rhs = scalar * np.eye(sp.dim**n) + q * (1.0 + q) ** 2 * (
                 sp.number_matrix(psi_vals, phi_vals, n)
             )
@@ -470,9 +446,9 @@ def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9
     the relation table with number/creation coefficient 2 while the literal
     quadratic operators measure 1.
     """
-    qspace = QFockSpace(dim, 1.0, max_grade)
     blocks = [(i,) for i in range(dim)]
     disc = DiscretizedQuadratic(1.0, np.ones(dim), blocks, max_grade)
+    qspace = disc.space
     rows = []
     targets = []
     for _ in range(trials):
@@ -480,13 +456,7 @@ def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9
         psi = random_element(qspace.algebra, rng)
         pairing = np.vdot(phi, psi)
         for n in range(max_grade - 1):
-            lhs = disc.quad_annihilate_matrix(phi, n + 2) @ (
-                disc.quad_create_matrix(psi, n)
-            )
-            if n >= 2:
-                lhs = lhs - disc.quad_create_matrix(psi, n - 2) @ (
-                    disc.quad_annihilate_matrix(phi, n)
-                )
+            lhs = disc.squared_commutator(phi, psi, n)
             ident = pairing * np.eye(dim**n)
             number = qspace.number_matrix(psi, phi, n)
             rows.append(
@@ -497,7 +467,7 @@ def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9
     target = np.concatenate(targets)
     coeff_q, *_ = np.linalg.lstsq(design, target, rcond=None)
 
-    algebra = FunctionAlgebra(np.ones(dim))
+    algebra = qspace.algebra
     bspace = BosonicSpace(algebra, max_grade, gamma0=1.0)
     rows = []
     targets = []
@@ -507,15 +477,10 @@ def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9
         pairing = algebra.state(algebra.mul(algebra.star(phi), psi))
         product = algebra.mul(algebra.star(phi), psi)
         for k in range(max_grade - 1):
-            commutator = bspace.operator_matrix(
-                ANNIHILATION, phi, k + 1
-            ) @ bspace.operator_matrix(CREATION, psi, k)
-            if k >= 1:
-                commutator = commutator - bspace.operator_matrix(
-                    CREATION, psi, k - 1
-                ) @ bspace.operator_matrix(ANNIHILATION, phi, k)
             sym = bspace.symmetrizer(k)
-            commutator = commutator @ sym
+            commutator = bspace.commutator(
+                [(ANNIHILATION, phi)], [(CREATION, psi)], k
+            ) @ sym
             ident = pairing * sym
             number = bspace.operator_matrix(NUMBER, product, k) @ sym
             rows.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,23 +132,7 @@ class VerificationReport:
 
     def to_dict(self):
         """Canonical content: excludes wall-clock timing by design."""
-        return {
-            "config": self.config,
-            "checks": [
-                {
-                    "name": r.name,
-                    "claim": r.claim,
-                    "measured": r.measured,
-                    "expected": r.expected,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "status": r.status,
-                    "notes": r.notes,
-                }
-                for r in self.checks
-            ],
-            "summary": self.summary,
-        }
+        return dict(asdict(self), summary=self.summary)
 
     def to_canonical_json(self):
         return canonical_json(self.to_dict())

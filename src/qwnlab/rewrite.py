@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FunctionAlgebra, random_element
+from .algebra import FunctionAlgebra, random_element, random_weights
 from .bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
 from .report import reported_record, residual_record
 
@@ -643,10 +643,6 @@ def check_nogo_grid(rng, pairs=20, tol=1e-12):
     return records
 
 
-def _random_dyadic_weights(rng, dim):
-    return (1.0 + rng.integers(0, 4, size=dim)) / 4.0
-
-
 # Words per task of the termination sweep, and the most worker processes
 # one sweep starts.  Word costs vary by orders of magnitude with length, so
 # many small chunks, handed out as workers come free, keep the load even.
@@ -717,7 +713,7 @@ def check_termination(rng, words=10000, max_len=10, dim=2):
     Every word is drawn before any is rewritten, so the draws taken from
     ``rng`` do not depend on how the sweep runs.
     """
-    weights = _random_dyadic_weights(rng, dim)
+    weights = random_weights(rng, dim)
     engine = make_function_engine(weights)
     algebra = engine.symbols.algebra
     pool = [
@@ -748,7 +744,7 @@ def check_termination(rng, words=10000, max_len=10, dim=2):
 
 def check_strategy_independence(rng, trials=10, max_len=6, dim=2, tol=1e-12):
     """Twenty rule-application orders produce one normal form."""
-    weights = _random_dyadic_weights(rng, dim)
+    weights = random_weights(rng, dim)
     engine = make_function_engine(weights)
     algebra = engine.symbols.algebra
     pool = [
@@ -792,7 +788,7 @@ def check_engine_vs_operators(rng, trials=30, max_len=6, dim=2, tol=1e-9):
     The table uses the measured number/creation coefficient 1, because
     that is what the concrete operators satisfy.
     """
-    weights = _random_dyadic_weights(rng, dim)
+    weights = random_weights(rng, dim)
     gamma0 = 0.5 + 0.5 * float(rng.integers(1, 4))
     algebra = FunctionAlgebra(weights)
     space = BosonicSpace(algebra, max_grade=4, gamma0=gamma0)

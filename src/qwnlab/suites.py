@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import bosonic, diagonal, free, qdeform, rewrite
-from .algebra import FunctionAlgebra, MatrixAlgebra, random_element
+from .algebra import FunctionAlgebra, MatrixAlgebra, random_element, random_weights
 from .combinatorics import (
     bell_number,
     catalan,
@@ -100,8 +100,7 @@ def suite_rng(config, suite):
 def _make_algebra(config, rng):
     if config.kind == "matrices":
         return MatrixAlgebra(config.dim)
-    weights = (1.0 + rng.integers(0, 4, size=config.dim)) / 4.0
-    return FunctionAlgebra(weights)
+    return FunctionAlgebra(random_weights(rng, config.dim))
 
 
 def run_combinatorics(config, rng):
@@ -186,8 +185,7 @@ def run_bosonic(config, rng):
 
 
 def run_diagonal(config, rng):
-    weights = (1.0 + rng.integers(0, 4, size=min(config.dim, 2))) / 4.0
-    algebra = FunctionAlgebra(weights)
+    algebra = FunctionAlgebra(random_weights(rng, min(config.dim, 2)))
     rep = diagonal.DiagonalRepresentation(
         algebra, max_grade=min(config.truncation, 3), gamma0=config.gamma0
     )
@@ -219,9 +217,7 @@ def run_free(config, rng):
     records += space.check_traciality(
         rng, trials=config.trials, tol=config.tolerance
     )
-    free_algebra = FunctionAlgebra(
-        (1.0 + rng.integers(0, 4, size=4)) / 4.0
-    )
+    free_algebra = FunctionAlgebra(random_weights(rng, 4))
     free_space = free.FreeSpace(free_algebra, max_grade=6, gamma=config.gamma)
     records += free_space.check_freeness(
         rng, trials=min(config.trials, 15), tol=config.tolerance
@@ -244,7 +240,7 @@ def run_qdeform(config, rng):
     records += space.check_adjointness(rng, trials=min(config.trials, 25))
     records += space.check_positivity()
     records += qdeform.check_inversion_count(rng)
-    mass = (1.0 + rng.integers(0, 4)) / 4.0
+    mass = random_weights(rng)
     ratios = (1.0 + rng.integers(0, 3, size=dim)) / 4.0
     fine_weights = np.stack([mass * ratios, mass * (1.0 - ratios)], axis=1).ravel()
     blocks = [(2 * i, 2 * i + 1) for i in range(dim)]
@@ -262,7 +258,7 @@ def run_qdeform(config, rng):
 
 def run_classical(config, rng):
     engine = rewrite.make_function_engine(
-        (1.0 + rng.integers(0, 4, size=3)) / 4.0,
+        random_weights(rng, 3),
         RelationTable(gamma0=config.gamma0),
     )
     algebra = engine.symbols.algebra

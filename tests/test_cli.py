@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, config merging, report determinism."""
 
+import argparse
 import json
 import math
+import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from qwnlab.cli import main
+from qwnlab.cli import UsageError, _check_output, _load_config, main
 from qwnlab.suites import SUITE_IDS, VERIFY_SUITES, RunConfig, run_suite, suite_rng
 
 
@@ -96,11 +99,88 @@ def test_bad_inputs_exit_two(tmp_path, capsys, monkeypatch):
         '{"gamma0": true}',
         '{"seed": [1]}',
         '{"tolerance": 1e400}',
+        '{"output": 5}',
+        '{"output": null}',
+        '{"output": ["a"]}',
+        '{"output": true}',
     ):
         config.write_text(text)
         _exits_two_with_one_error_line(
             capsys, ["verify", "nogo", "--config", str(config)]
         )
+
+
+def _random_json(rng, keys, depth=0):
+    """A random JSON value: strings, bools, null, nested containers,
+    negative, huge and non-finite numbers."""
+    pick = rng.random()
+    if depth < 2 and pick < 0.1:
+        return [_random_json(rng, keys, depth + 1) for _ in range(2)]
+    if depth < 2 and pick < 0.2:
+        return {rng.choice(keys): _random_json(rng, keys, depth + 1)}
+    return rng.choice(
+        [
+            "",
+            "functions",
+            "nan",
+            "2",
+            True,
+            False,
+            None,
+            0,
+            1,
+            2,
+            0.5,
+            -rng.randrange(1, 10**6),
+            -rng.uniform(0.0, 1e3),
+            10**400,
+            math.nan,
+            math.inf,
+        ]
+        + sorted(SUITE_IDS)
+    )
+
+
+def test_random_config_files_give_a_config_or_a_usage_error(tmp_path, monkeypatch):
+    """500 random JSON objects through the config loader and the output
+    check: each is a RunConfig with an openable report path, or a
+    UsageError; no suite runs.  Half the values are well typed for their
+    key, so the later checks are reached too."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QWN_SEED", raising=False)
+    rng = random.Random(20260)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    keys = sorted(defaults) + ["mystery", "Seed", ""]
+    outputs = [
+        "-",
+        "",
+        "report.json",
+        "absent/report.json",
+        str(tmp_path),
+        "nul\u0000byte.json",
+    ]
+    path = tmp_path / "config.json"
+    accepted = 0
+    for _ in range(500):
+        obj = {}
+        for key in rng.sample(keys, rng.randrange(4)):
+            if rng.random() < 0.5:
+                obj[key] = _random_json(rng, keys)
+            elif key == "output":
+                obj[key] = rng.choice(outputs)
+            else:
+                obj[key] = defaults.get(key, 1)
+        path.write_text(json.dumps(obj))
+        try:
+            config = _load_config(argparse.Namespace(config=str(path)))
+            _check_output(config.output)
+        except UsageError:
+            continue
+        assert isinstance(config, RunConfig)
+        if config.output != "-":
+            open(config.output, "a").close()
+        accepted += 1
+    assert 0 < accepted < 500
 
 
 def test_unwritable_output_exits_two_before_running(tmp_path, capsys, monkeypatch):
@@ -109,6 +189,8 @@ def test_unwritable_output_exits_two_before_running(tmp_path, capsys, monkeypatc
     _exits_two_with_one_error_line(capsys, ["verify", "nogo", "--output", missing])
     assert run_cli(["verify", "nogo", "--output", str(tmp_path)]) == 2
     assert run_cli(["combinatorics", "selftest", "--output", missing]) == 2
+    for name in ("", "report.json/", "report.json/."):
+        _exits_two_with_one_error_line(capsys, ["verify", "nogo", "--output", name])
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -24,6 +24,11 @@ GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = {
     "verify_all_default": ["--trials", "3"],
     "verify_all_matrices": ["--kind", "matrices", "--trials", "3"],
+    # Non-dyadic parameters: the free relations and the mixed bosonic
+    # commutator leave rounding-level residuals, so reordered products show.
+    "verify_all_nondyadic": [
+        "--gamma0", "0.7", "--gamma", "0.7", "--q", "-0.3", "--trials", "3"
+    ],
     "verify_all_q1": ["--q", "1", "--truncation", "3", "--trials", "3"],
 }
 
