@@ -507,27 +507,28 @@ class BosonicSpace(GradedFockSpace):
                 excess_annihilate = max(excess_annihilate, norm_annihilate - bound)
                 norm_number = self._operator_norm(NUMBER, phi, k)
                 excess_number = max(excess_number, norm_number - k * linf)
+        notes = self._norm_notes(trials)
         return [
             residual_record(
                 "bosonic.norm.creation_bound",
                 "operator norm estimates",
                 excess_create,
                 slack,
-                notes="worst norm minus bound, %d trials" % trials,
+                notes=notes,
             ),
             residual_record(
                 "bosonic.norm.annihilation_bound",
                 "operator norm estimates",
                 excess_annihilate,
                 slack,
-                notes="worst norm minus bound, %d trials" % trials,
+                notes=notes,
             ),
             residual_record(
                 "bosonic.norm.number_bound",
                 "operator norm estimates",
                 excess_number,
                 slack,
-                notes="worst norm minus bound, %d trials" % trials,
+                notes=notes,
             ),
         ]
 

@@ -165,14 +165,14 @@ def _check_output(path):
     if "\0" in path or name in ("", os.curdir, os.pardir):
         raise UsageError("output %r is not a file name" % path)
     if os.path.isdir(path):
-        raise UsageError("output %s is a directory" % path)
+        raise UsageError("output %r is a directory" % path)
     if os.path.exists(path) and not os.access(path, os.W_OK):
-        raise UsageError("output %s is not writable" % path)
+        raise UsageError("output %r is not writable" % path)
     parent = parent or os.curdir
     if not os.path.isdir(parent):
-        raise UsageError("output directory %s does not exist" % parent)
+        raise UsageError("output directory %r does not exist" % parent)
     if not os.access(parent, os.W_OK):
-        raise UsageError("output directory %s is not writable" % parent)
+        raise UsageError("output directory %r is not writable" % parent)
 
 
 def _cmd_verify(args):

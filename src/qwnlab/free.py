@@ -97,8 +97,8 @@ class FreeSpace(GradedFockSpace):
     def _metric(self, k):
         return self.gram(k)
 
-    def _compress(self, mat, k_out, k_in):
-        return mat
+    def _compression(self, k):
+        return None
 
     # -- operators ----------------------------------------------------------
 
@@ -284,20 +284,21 @@ class FreeSpace(GradedFockSpace):
                 excess_pair = max(excess_pair, norm_annihilate - bound)
                 norm_number = self._operator_norm(NUMBER, phi, k)
                 excess_number = max(excess_number, norm_number - alg.norm_linf(phi))
+        notes = self._norm_notes(trials)
         return [
             residual_record(
                 "free.norm.ladder_bound",
                 "free operator norm estimates",
                 excess_pair,
                 slack,
-                notes="worst norm minus bound, %d trials" % trials,
+                notes=notes,
             ),
             residual_record(
                 "free.norm.number_bound",
                 "free operator norm estimates",
                 excess_number,
                 slack,
-                notes="worst norm minus bound, %d trials" % trials,
+                notes=notes,
             ),
         ]
 

@@ -9,7 +9,11 @@ raises :class:`GradeOverflowError` instead of silently dropping weight.
 :class:`GradedFockSpace` is the operator scaffolding the quadratic bosonic,
 free and q-deformed spaces share: all three live on the same graded tensor
 powers of a base algebra and differ only in the scalar product and in how
-each operator acts on one grade.  It also composes operator words, so the
+each operator acts on one grade.  An operator matrix is linear in the
+coordinates of its symbol (annihilation conjugate-linear, through the
+starred symbol), so each space builds the operators at the basis elements
+of the algebra once per kind and grade, and every other operator matrix is
+their weighted sum.  The scaffold also composes operator words, so the
 grade each factor acts on is worked out once for every relation check.
 """
 
@@ -109,7 +113,8 @@ class GradedFockSpace:
     A subclass supplies three hooks:
 
     * ``_symbol_tensors(kind, symbol)``: what the operator of that kind
-      needs of its symbol, computed once per operator;
+      needs of its symbol, linear in the symbol for creation and number
+      and in its star for annihilation;
     * ``_kernel(kind, data, arr, k)``: its action on a grade-k array of
       shape (dim,)*k, with any trailing axes carried along;
     * ``_metric(k)``: the Gram matrix in the compressed coordinates of
@@ -119,9 +124,14 @@ class GradedFockSpace:
     and, for the shared adjointness check, ``gram(k)`` and the class
     attributes of its records: ``_prefix`` of the record names,
     ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the trial
-    count.  ``_compress(mat, k_out, k_in)``, the restriction of a map from
-    grade k_in to grade k_out that relations, adjointness and operator
-    norms are checked on, defaults to the symmetric subspaces.
+    count.  ``_compression(k)`` gives the columns of the grade-k subspace
+    that relations, adjointness and operator norms are checked on, or None
+    for the whole grade; it defaults to the symmetric subspace, and
+    ``_compress(mat, k_out, k_in)`` restricts a map between grades to it.
+
+    These two hooks are the only definition of each operator: ``apply``
+    runs ``_kernel`` on the grades of a vector, and ``operator_matrix``
+    sums the basis operators ``_kernel`` gives on the identity.
     """
 
     def __init__(self, algebra, max_grade):
@@ -132,6 +142,7 @@ class GradedFockSpace:
         self._whitenings = {}
         self._symmetrizers = {}
         self._symmetric_bases = {}
+        self._basis_ops = {}
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
@@ -149,13 +160,52 @@ class GradedFockSpace:
             self._symmetric_bases[k] = orthonormal_range(self.symmetrizer(k))
         return self._symmetric_bases[k]
 
+    def _compression(self, k):
+        """Columns spanning the grade-k subspace that relations, adjointness
+        and operator norms are checked on, or None for the whole grade;
+        the symmetric subspace by default."""
+        return self.symmetric_basis(k)
+
+    def _right_compressed(self, mat, k):
+        """mat restricted on the right to the ``_compression`` of grade k."""
+        basis = self._compression(k)
+        return mat if basis is None else mat @ basis
+
     def _compress(self, mat, k_out, k_in):
-        left = self.symmetric_basis(k_out)
-        right = self.symmetric_basis(k_in)
-        return left.conj().T @ mat @ right
+        """Restriction of a map from grade k_in to grade k_out to the
+        subspaces of ``_compression``."""
+        left = self._compression(k_out)
+        if left is not None:
+            mat = left.conj().T @ mat
+        return self._right_compressed(mat, k_in)
+
+    def _basis_operators(self, kind, k):
+        """The operators of ``kind`` leaving grade k at the basis elements
+        of the algebra, each as the (flat index, value) pairs of its
+        nonzero entries; built once per (kind, k) by ``_kernel`` on the
+        identity."""
+        key = (kind, k)
+        if key not in self._basis_ops:
+            dim = self.algebra.dim
+            size = dim**k
+            eye = np.eye(size, dtype=complex).reshape((dim,) * k + (size,))
+            ops = []
+            for element in self.algebra.basis():
+                data = self._symbol_tensors(kind, element)
+                mat = np.asarray(self._kernel(kind, data, eye, k)).reshape(-1)
+                (index,) = np.nonzero(mat)
+                ops.append((index, mat[index]))
+            self._basis_ops[key] = ops
+        return self._basis_ops[key]
 
     def operator_matrix(self, kind, symbol, k):
-        """Dense matrix of the operator leaving grade k, in flat coordinates."""
+        """Dense matrix of the operator leaving grade k, in flat coordinates.
+
+        The matrix is linear in the coordinates of the symbol, so it is
+        summed from the cached basis operators.  Annihilation is
+        conjugate-linear: it depends on the symbol only through its star,
+        so its coefficients are the conjugated coordinates.
+        """
         self._check_grade(k)
         dim = self.algebra.dim
         size = dim**k
@@ -165,9 +215,14 @@ class GradedFockSpace:
             raise ValueError("annihilation is undefined on the vacuum grade")
         if kind == CREATION and k == self.max_grade:
             raise GradeOverflowError("creation out of the top grade")
-        arr = np.eye(size, dtype=complex).reshape((dim,) * k + (size,))
-        res = self._kernel(kind, self._symbol_tensors(kind, symbol), arr, k)
-        return np.asarray(res).reshape(-1, size)
+        basis_ops = self._basis_operators(kind, k)
+        coeffs = self.algebra.coords(symbol)
+        if kind == ANNIHILATION:
+            coeffs = coeffs.conj()
+        out = np.zeros(dim ** (k + _SHIFTS[kind]) * size, dtype=complex)
+        for c, (index, vals) in zip(coeffs, basis_ops):
+            out[index] += c * vals
+        return out.reshape(-1, size)
 
     def word_matrix(self, word, k):
         """Dense matrix of an operator product leaving grade k.
@@ -292,11 +347,37 @@ class GradedFockSpace:
         mat = self._compress(self.operator_matrix(kind, symbol, k), k_out, k)
         return whitened_operator_norm(mat, self._whitening(k_out), self._whitening(k))
 
+    def _norm_notes(self, trials):
+        """Notes of a norm-bound record: the trials, and the negative
+        metric directions the whitenings of grades 0..max_grade drop."""
+        negative = sum(self._whitening(k).negative for k in range(self.max_grade + 1))
+        return (
+            "worst norm minus bound, %d trials; negative metric directions dropped: %d"
+            % (trials, negative)
+        )
+
     def check_adjointness(self, rng, trials=50, tol=1e-9):
         """Creation against annihilation and number against the number of
         the starred symbol, as adjoints for the Gram, compared after
-        ``_compress``."""
+        ``_compress``.
+
+        With S_k the ``_compression`` of grade k and the Gram hermitized,
+        S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and
+        S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k), so G_k S_k
+        is formed once per grade and each trial multiplies compressed
+        factors only.
+        """
         alg = self.algebra
+        compressed_gram = [
+            self._right_compressed(self.gram(k), k) for k in range(self.max_grade + 1)
+        ]
+
+        def gap(left, right, k_out, k_in):
+            lhs = self._right_compressed(left, k_out).conj().T @ compressed_gram[k_in]
+            rhs = compressed_gram[k_out].conj().T @ self._right_compressed(right, k_in)
+            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
+            return np.linalg.norm(lhs - rhs) / scale
+
         worst_pair = 0.0
         worst_number = 0.0
         for _ in range(trials):
@@ -304,17 +385,11 @@ class GradedFockSpace:
             for k in range(self.max_grade):
                 create = self.operator_matrix(CREATION, zeta, k)
                 annihilate = self.operator_matrix(ANNIHILATION, zeta, k + 1)
-                lhs = self._compress(annihilate.conj().T @ self.gram(k), k + 1, k)
-                rhs = self._compress(self.gram(k + 1) @ create, k + 1, k)
-                scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-                worst_pair = max(worst_pair, np.linalg.norm(lhs - rhs) / scale)
+                worst_pair = max(worst_pair, gap(annihilate, create, k + 1, k))
             for k in range(1, self.max_grade + 1):
                 num = self.operator_matrix(NUMBER, zeta, k)
                 num_star = self.operator_matrix(NUMBER, alg.star(zeta), k)
-                lhs = self._compress(num.conj().T @ self.gram(k), k, k)
-                rhs = self._compress(self.gram(k) @ num_star, k, k)
-                scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-                worst_number = max(worst_number, np.linalg.norm(lhs - rhs) / scale)
+                worst_number = max(worst_number, gap(num, num_star, k, k))
         notes = self._adjoint_notes % trials
         return [
             residual_record(

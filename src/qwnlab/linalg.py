@@ -90,21 +90,29 @@ def gram_whitener(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> np.ndarray:
 
 
 class Whitening(NamedTuple):
-    """A Gram matrix's whitener and the left factor W^H hermitize(G)."""
+    """A Gram matrix's whitener, the left factor W^H hermitize(G), and the
+    count of eigenvalues below ``-cutoff`` times the largest one, which
+    the whitener drops with the null directions."""
 
     whitener: np.ndarray
     left: np.ndarray
+    negative: int
 
 
 def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
-    """Whitener of ``gram`` and its left factor, for repeated norms.
+    """Whitener of ``gram``, its left factor and its negative inertia, for
+    repeated norms.
 
     A space that norms many operators against one Gram matrix per grade
     computes this once per grade and hands it to
     :func:`whitened_operator_norm`.
     """
     w = gram_whitener(gram, cutoff)
-    return Whitening(w, w.conj().T @ hermitize(gram))
+    herm = hermitize(gram)
+    vals = np.linalg.eigvalsh(herm)
+    top = max(float(vals[-1]), 0.0) if vals.size else 0.0
+    negative = int(np.count_nonzero(vals < -cutoff * top))
+    return Whitening(w, w.conj().T @ herm, negative)
 
 
 def whitened_operator_norm(

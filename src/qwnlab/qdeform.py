@@ -105,10 +105,8 @@ class QFockSpace(GradedFockSpace):
             )
         return out
 
-    def _compress(self, mat, k_out, k_in):
-        if self.q == 1.0:
-            return super()._compress(mat, k_out, k_in)
-        return mat
+    def _compression(self, k):
+        return self.symmetric_basis(k) if self.q == 1.0 else None
 
     def _relation_residual(self, lhs, rhs, n_out, n_in):
         """Scaled residual; at q = 1 the comparison is compressed to the
@@ -229,7 +227,7 @@ class QFockSpace(GradedFockSpace):
             "positivity of the deformed scalar product",
             worst_herm,
             1e-12,
-            notes="defect of the raw permutation sum before hermitization",
+            notes="defect of the raw recursion product before hermitization",
         )
         if abs(self.q) < 1.0:
             # strict positivity, with a little room above the float floor

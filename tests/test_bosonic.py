@@ -202,3 +202,34 @@ def test_norm_estimates_whiten_each_grade_once(monkeypatch):
     records = space.check_norm_estimates(np.random.default_rng(3), trials=5)
     assert all(r.status == "pass" for r in records)
     assert len(calls) <= space.max_grade + 1
+
+
+def _negative_directions(record):
+    # notes end "...; negative metric directions dropped: <count>"
+    return int(record.notes.rsplit(": ", 1)[1])
+
+
+def test_norm_records_count_the_negative_directions_dropped():
+    rng = np.random.default_rng(8)
+    matrices = BosonicSpace(MatrixAlgebra(2), 3, gamma0=1.0)
+    records = matrices.check_norm_estimates(rng, trials=2)
+    assert all(_negative_directions(r) > 0 for r in records)
+    assert len({r.notes for r in records}) == 1
+    functions = BosonicSpace(FunctionAlgebra([0.5, 1.0]), 3, gamma0=1.0)
+    records = functions.check_norm_estimates(rng, trials=2)
+    assert all(_negative_directions(r) == 0 for r in records)
+
+
+def test_ladder_bounds_fail_over_m2_at_small_gamma0():
+    # Over M_2 the symmetric Gram is indefinite from grade 2 up, and at
+    # gamma0 1e-3 the norms against its positive part exceed both ladder
+    # bounds; the number bound holds.
+    space = BosonicSpace(MatrixAlgebra(2), 4, gamma0=1e-3)
+    records = space.check_norm_estimates(np.random.default_rng(9), trials=3)
+    status = {r.name: r.status for r in records}
+    assert status == {
+        "bosonic.norm.creation_bound": "fail",
+        "bosonic.norm.annihilation_bound": "fail",
+        "bosonic.norm.number_bound": "pass",
+    }
+    assert _negative_directions(records[0]) > 0

@@ -183,6 +183,93 @@ def test_random_config_files_give_a_config_or_a_usage_error(tmp_path, monkeypatc
     assert 0 < accepted < 500
 
 
+class _Accepted(Exception):
+    """Raised in place of running a suite, carrying the accepted config."""
+
+
+def test_random_verify_flags_give_a_config_or_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    """500 random `verify` argument lists through the parser, the config
+    loader and the output check: each reaches the suite runner with a
+    RunConfig, or exits 2 with one `error:` line and no traceback.  No
+    suite runs.  Every flag draws good and bad values, some flags lose
+    their value, and unknown or ambiguous flags are mixed in."""
+    import qwnlab.cli
+
+    def accept(config):
+        raise _Accepted(config)
+
+    monkeypatch.setattr(qwnlab.cli, "run_suite", accept)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QWN_SEED", raising=False)
+    (tmp_path / "good.json").write_text(json.dumps({"trials": 3, "q": 0.25}))
+    (tmp_path / "bad.json").write_text('{"truncation": 9}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "broken.json").write_text("{")
+    ints = ["1", "2", "3", "4", "6", "25", "0", "-3", "7", "x", "1.5", "", "1e3"]
+    floats = ["0.5", "1", "-0.3", "1e-3", "1e30", "0", "-1", "2", "1e31"]
+    floats += ["nan", "inf", "-inf", "abc", "", "1e400", "0x1p-2"]
+    values = {
+        "--config": [
+            "good.json",
+            "bad.json",
+            "list.json",
+            "broken.json",
+            "absent.json",
+        ],
+        "--kind": ["functions", "matrices", "tensor", "", "Functions"],
+        "--output": [
+            "-",
+            "report.json",
+            "absent/report.json",
+            str(tmp_path),
+            "",
+            "report.json/",
+            "nul\u0000byte.json",
+            "new\nline/report.json",
+        ],
+        **{
+            flag: ints + [str(10**400)]
+            for flag in ("--dim", "--truncation", "--trials", "--seed")
+        },
+        **{
+            flag: floats
+            for flag in ("--gamma0", "--gamma", "--q", "--s", "--l", "--tolerance")
+        },
+    }
+    unknown = ["--mystery", "--Seed", "-x", "--gamma00", "--tr", "--gam", "--"]
+    suites = sorted(SUITE_IDS) + ["all", "nonsense", "", "ALL"]
+    rng = random.Random(20261)
+    accepted = 0
+    for _ in range(500):
+        argv = ["verify", rng.choice(suites)]
+        for flag in rng.sample(sorted(values), rng.randrange(5)):
+            argv.append(flag)
+            if rng.random() < 0.95:
+                argv.append(rng.choice(values[flag]))
+        if rng.random() < 0.15:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(unknown))
+        capsys.readouterr()
+        try:
+            code = run_cli(argv)
+        except _Accepted as done:
+            assert isinstance(done.args[0], RunConfig), argv
+            accepted += 1
+            continue
+        except SystemExit as exc:
+            # argparse: usage lines, then one "prog: error: ..." line
+            code = exc.code
+            err = capsys.readouterr().err
+            assert sum("error:" in line for line in err.splitlines()) == 1, argv
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert code == 2, argv
+        assert "Traceback" not in err, argv
+    assert 0 < accepted < 500
+
+
 def test_unwritable_output_exits_two_before_running(tmp_path, capsys, monkeypatch):
     _refuse_to_run(monkeypatch)
     missing = str(tmp_path / "absent" / "x.json")

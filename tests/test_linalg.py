@@ -74,6 +74,16 @@ def test_gram_whitener_handles_degenerate_gram():
     assert gram_whitener(np.zeros((2, 2))).shape == (2, 0)
 
 
+def test_whitening_counts_the_negative_eigenvalues_it_drops():
+    # -1 and -2 lie below -cutoff * top; -1e-20 is a numerical zero
+    gram = np.diag([4.0, 1.0, 0.0, -1.0, -2.0, -1e-20])
+    whitening = gram_whitening(gram)
+    assert whitening.whitener.shape == (6, 2)
+    assert whitening.negative == 2
+    assert gram_whitening(np.eye(3)).negative == 0
+    assert gram_whitening(np.zeros((2, 2))).negative == 0
+
+
 def test_gram_operator_norm_weighted_case():
     # multiplication by diag(3, 1) between identical weighted spaces: the
     # Gram weights cancel and the norm is the largest absolute entry.
