@@ -30,7 +30,6 @@ algebra against the grade Gram matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -98,7 +97,6 @@ class BosonicSpace(GradedFockSpace):
         self._chains = []
         self._gram_raw = {}
         self._gram = {}
-        self._symmetric_grams = {}
 
     # -- Gram matrices ----------------------------------------------------
 
@@ -243,17 +241,10 @@ class BosonicSpace(GradedFockSpace):
     # -- verification checks ----------------------------------------------
 
     def _right_symmetrized(self, mat, k):
-        """Exact column symmetrization: average of slot-permuted columns."""
-        dim = self.algebra.dim
-        rows = mat.shape[0]
-        arr = mat.reshape((rows,) + (dim,) * k)
-        total = np.zeros_like(arr)
-        count = 0
-        for perm in itertools.permutations(range(k)):
-            axes = (0,) + tuple(1 + p for p in perm)
-            total = total + arr.transpose(axes)
-            count += 1
-        return (total / count).reshape(mat.shape)
+        """Exact column symmetrization: the mean of the columns over each
+        index orbit, one column per orbit."""
+        indicator, sizes, _ = self._orbits(k)
+        return (mat @ indicator) / sizes
 
     def check_gram_closed_forms(self, rng, trials=25, tol=1e-10):
         """Level 1 and level 2 scalar products against their closed forms."""
@@ -474,17 +465,6 @@ class BosonicSpace(GradedFockSpace):
                 ),
             )
         return records
-
-    def _symmetric_gram(self, k):
-        """Gram matrix compressed to the symmetric subspace (cached)."""
-        if k not in self._symmetric_grams:
-            basis = self.symmetric_basis(k)
-            self._symmetric_grams[k] = hermitize(
-                basis.conj().T @ self.gram(k) @ basis
-            )
-        return self._symmetric_grams[k]
-
-    _metric = _symmetric_gram
 
     def check_norm_estimates(self, rng, trials=50, slack=1e-9):
         """Operator norms on symmetric parts against the stated bounds."""

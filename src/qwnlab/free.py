@@ -94,9 +94,6 @@ class FreeSpace(GradedFockSpace):
             self._gram[k] = hermitize(mat)
         return self._gram[k]
 
-    def _metric(self, k):
-        return self.gram(k)
-
     def _compression(self, k):
         return None
 

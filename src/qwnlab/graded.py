@@ -15,6 +15,10 @@ starred symbol), so each space builds the operators at the basis elements
 of the algebra once per kind and grade, and every other operator matrix is
 their weighted sum.  The scaffold also composes operator words, so the
 grade each factor acts on is worked out once for every relation check.
+
+The symmetric subspace of each grade is spanned by the indicators of its
+index orbits under slot permutations, with no eigendecomposition and no
+loop over the k! permutations.
 """
 
 from __future__ import annotations
@@ -27,12 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import random_element
-from .linalg import (
-    gram_whitening,
-    orthonormal_range,
-    symmetrizer_matrix,
-    whitened_operator_norm,
-)
+from .linalg import gram_whitening, hermitize, whitened_operator_norm
 from .report import residual_record
 
 CREATION = "b*"
@@ -110,24 +109,23 @@ class GradedFockSpace:
     0..max_grade of a truncated Fock space over ``algebra``, and the dense
     matrices of their products (``word_matrix``).
 
-    A subclass supplies three hooks:
+    A subclass supplies two hooks:
 
     * ``_symbol_tensors(kind, symbol)``: what the operator of that kind
       needs of its symbol, linear in the symbol for creation and number
       and in its star for annihilation;
     * ``_kernel(kind, data, arr, k)``: its action on a grade-k array of
       shape (dim,)*k, with any trailing axes carried along;
-    * ``_metric(k)``: the Gram matrix in the compressed coordinates of
-      grade k, which positivity is checked and operator norms are
-      whitened against;
 
-    and, for the shared adjointness check, ``gram(k)`` and the class
-    attributes of its records: ``_prefix`` of the record names,
+    and, for the metric and the shared adjointness check, ``gram(k)`` and
+    the class attributes of its records: ``_prefix`` of the record names,
     ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the trial
     count.  ``_compression(k)`` gives the columns of the grade-k subspace
     that relations, adjointness and operator norms are checked on, or None
     for the whole grade; it defaults to the symmetric subspace, and
     ``_compress(mat, k_out, k_in)`` restricts a map between grades to it.
+    ``_metric(k)``, the compressed Gram that positivity is checked and
+    operator norms are whitened against, follows from the two.
 
     These two hooks are the only definition of each operator: ``apply``
     runs ``_kernel`` on the grades of a vector, and ``operator_matrix``
@@ -140,25 +138,39 @@ class GradedFockSpace:
         self.algebra = algebra
         self.max_grade = int(max_grade)
         self._whitenings = {}
-        self._symmetrizers = {}
-        self._symmetric_bases = {}
+        self._orbit_cache = {}
+        self._metrics = {}
         self._basis_ops = {}
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
 
-    def symmetrizer(self, k):
-        """Projection onto the symmetric part of grade k, as a matrix."""
+    def _orbits(self, k):
+        """The index orbits of grade k under slot permutations (cached):
+        the 0/1 matrix (dim**k by orbits) of the orbit of each flat index,
+        the orbit sizes, and the normalized indicators, an exact orthonormal
+        basis of the symmetric subspace.  The orbit of an index tuple is its
+        sorted tuple, one per multiset of indices."""
         self._check_grade(k)
-        if k not in self._symmetrizers:
-            self._symmetrizers[k] = symmetrizer_matrix(self.algebra.dim, k)
-        return self._symmetrizers[k]
+        if k not in self._orbit_cache:
+            dim = self.algebra.dim
+            tuples = np.indices((dim,) * k).reshape(k, dim**k)
+            _, orbit, sizes = np.unique(
+                np.sort(tuples, axis=0), axis=1, return_inverse=True, return_counts=True
+            )
+            indicator = np.eye(sizes.size)[orbit.reshape(-1)]
+            self._orbit_cache[k] = indicator, sizes, indicator / np.sqrt(sizes)
+        return self._orbit_cache[k]
+
+    def symmetrizer(self, k):
+        """Projection onto the symmetric part of grade k, as a matrix: each
+        coordinate goes to the mean over its orbit."""
+        indicator, sizes, _ = self._orbits(k)
+        return (indicator / sizes) @ indicator.T
 
     def symmetric_basis(self, k):
         """Orthonormal (coordinate-wise) basis of the symmetric subspace."""
-        if k not in self._symmetric_bases:
-            self._symmetric_bases[k] = orthonormal_range(self.symmetrizer(k))
-        return self._symmetric_bases[k]
+        return self._orbits(k)[2]
 
     def _compression(self, k):
         """Columns spanning the grade-k subspace that relations, adjointness
@@ -321,6 +333,14 @@ class GradedFockSpace:
             if k > cap:
                 out.parts[k] = np.zeros_like(out.parts[k])
         return out
+
+    def _metric(self, k):
+        """Gram matrix of grade k in the coordinates of ``_compression``,
+        hermitized (cached); positivity is checked and operator norms are
+        whitened against it."""
+        if k not in self._metrics:
+            self._metrics[k] = hermitize(self._compress(self.gram(k), k, k))
+        return self._metrics[k]
 
     def _whitening(self, k):
         """Whitening of the grade-k metric (cached)."""

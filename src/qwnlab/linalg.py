@@ -48,7 +48,8 @@ def axis_permutation_matrix(dim: int, perm) -> np.ndarray:
 
 
 def symmetrizer_matrix(dim: int, k: int) -> np.ndarray:
-    """Projection onto the symmetric subspace of (C^dim)**k."""
+    """Projection onto the symmetric subspace of (C^dim)**k, summed over the
+    k! slot permutations: the oracle of ``GradedFockSpace.symmetrizer``."""
     if k == 0:
         return np.eye(1)
     size = dim**k

@@ -65,6 +65,7 @@ class QFockSpace(GradedFockSpace):
         return self._grams[n]
 
     def _metric(self, k):
+        # positivity is checked on the full q-Gram, even at q = 1
         return self.q_gram(k)
 
     def _symbol_tensors(self, kind, symbol):
@@ -358,7 +359,6 @@ class DiscretizedQuadratic:
     def generated_vector(self, symbols_fine):
         """Apply squared-mode creators for the given fine symbols to the
         vacuum, returning the resulting top-grade coordinate vector."""
-        sp = self.space
         vec = np.ones(1, dtype=complex)
         grade = 0
         for fine in reversed(list(symbols_fine)):

@@ -1,6 +1,9 @@
 """The graded scaffold (GradedFockSpace): operator matrices summed from
 cached basis operators, the adjointness check on right-compressed Grams,
-and operator words (word_matrix)."""
+operator words (word_matrix), and the symmetric subspace built from index
+orbits."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
 from qwnlab.graded import ANNIHILATION, CREATION, NUMBER, GradeOverflowError
+from qwnlab.linalg import symmetrizer_matrix
 from qwnlab.qdeform import QFockSpace
 
 SPACES = {
@@ -210,3 +214,108 @@ def test_compression_hook_per_space():
         q_one._compress(mat, 2, 3), basis.conj().T @ mat @ q_one.symmetric_basis(3)
     )
     assert QFockSpace(2, 0.5, 3)._compress(mat, 2, 3) is mat
+
+
+# Base dimensions for the orbit tests: 4 is M_2 and 9 is M_3.
+ORBIT_DIMS = (1, 2, 3, 4, 9)
+
+
+def _orbit_grades(dim):
+    """Grades up to 7 with at most 4096 flat coordinates.  The oracle loops
+    over the k! permutations, and past grade 7 a diagonal entry of S^T S
+    sums enough rounded squares to drift beyond 1e-15."""
+    return [k for k in range(8) if dim**k <= 4096]
+
+
+def _orbit_space(dim, top):
+    return BosonicSpace(FunctionAlgebra(np.full(dim, 1.0 / dim)), max(top, 1))
+
+
+@pytest.mark.parametrize("dim", ORBIT_DIMS)
+def test_orbit_symmetrizer_is_bit_identical_to_the_permutation_sum(dim):
+    grades = _orbit_grades(dim)
+    space = _orbit_space(dim, grades[-1])
+    for k in grades:
+        assert np.array_equal(space.symmetrizer(k), symmetrizer_matrix(dim, k)), k
+
+
+@pytest.mark.parametrize("dim", ORBIT_DIMS)
+def test_orbit_basis_is_orthonormal_and_spans_the_symmetrizer(dim):
+    grades = _orbit_grades(dim)
+    space = _orbit_space(dim, grades[-1])
+    for k in grades:
+        basis = space.symmetric_basis(k)
+        assert basis.dtype == np.float64
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-15
+        assert np.abs(basis @ basis.T - space.symmetrizer(k)).max() <= 1e-15
+
+
+def test_symmetric_basis_needs_no_eigendecomposition(monkeypatch):
+    space = BosonicSpace(MatrixAlgebra(2), 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    basis = space.symmetric_basis(5)
+    # one column per multiset of 5 indices out of 4: C(8, 5)
+    assert basis.shape == (4**5, 56)
+
+
+def _symmetrized_by_permutations(mat, dim, k):
+    """Column symmetrization as the average of the k! slot-permuted copies
+    of mat: the route before index orbits, kept as the reference."""
+    arr = mat.reshape((mat.shape[0],) + (dim,) * k)
+    total = np.zeros_like(arr)
+    count = 0
+    for perm in itertools.permutations(range(k)):
+        total = total + arr.transpose((0,) + tuple(1 + p for p in perm))
+        count += 1
+    return (total / count).reshape(mat.shape)
+
+
+def _orbit_representatives(dim, k):
+    """Flat index of the sorted tuple of each orbit, in the orbit order."""
+    tuples = itertools.product(range(dim), repeat=k)
+    return [i for i, t in enumerate(tuples) if list(t) == sorted(t)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_right_symmetrized_matches_the_permutation_average(dim):
+    space = _orbit_space(dim, 5)
+    rng = np.random.default_rng(12)
+    for k in range(space.max_grade + 1):
+        if dim**k > 1024:
+            continue
+        shape = (7, dim**k)
+        keep = _orbit_representatives(dim, k)
+        # Real dyadic entries: both sums are exact and both routes divide
+        # them once, so the means round alike.  (A complex array divides
+        # by multiplying with the rounded reciprocal, of k! in the oracle
+        # and of the orbit size here, so complex means may differ in the
+        # last bit.)
+        dyadic = rng.integers(-64, 65, shape) / 32
+        expected = _symmetrized_by_permutations(dyadic, dim, k)[:, keep]
+        assert np.array_equal(space._right_symmetrized(dyadic, k), expected)
+        if k == 5:
+            # the oracle's running sum of 120 copies drifts past 1e-15
+            continue
+        cplx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = _symmetrized_by_permutations(cplx, dim, k)[:, keep]
+        built = space._right_symmetrized(cplx, k)
+        assert built.shape == expected.shape
+        assert np.abs(built - expected).max() <= 1e-15 * np.abs(cplx).max()
+
+
+def test_right_symmetrized_keeps_exact_cancellation():
+    # Complex dyadic columns minus their copies with the first two slots
+    # swapped: every orbit sum cancels exactly, so the result is exactly 0.
+    space = _orbit_space(4, 4)
+    rng = np.random.default_rng(13)
+    for k in range(2, 5):
+        shape = (5,) + (4,) * k
+        arr = (rng.integers(-64, 65, shape) + 1j * rng.integers(-64, 65, shape)) / 32
+        swapped = np.swapaxes(arr, 1, 2)
+        mat = (arr - swapped).reshape(5, -1)
+        assert mat.any()
+        assert not space._right_symmetrized(mat, k).any()

@@ -1,5 +1,5 @@
-"""No module of the package binds an import it never uses, and the CLI
-starts without the modules only some runs need."""
+"""No module of the package binds an import or a local name it never uses,
+and the CLI starts without the modules only some runs need."""
 
 import ast
 import os
@@ -53,6 +53,43 @@ def test_module_uses_its_imports(path):
         if name not in used and name not in _exported(tree)
     )
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def _unused_locals(tree):
+    """(function, name, line) of each name a function stores and never
+    loads.  Loads in nested functions count for the enclosing one; ``_``
+    and names declared ``global`` are exempt."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        loaded = {"_"}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                loaded.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                loaded.add(node.id)
+        found.update(
+            (func.name, name, line)
+            for name, line in stored.items()
+            if name not in loaded
+        )
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_module_uses_its_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(
+        "%s in %s (line %d)" % (name, func, line)
+        for func, name, line in _unused_locals(tree)
+    )
+    assert not unused, "unused locals in %s: %s" % (path.name, ", ".join(unused))
 
 
 def test_cli_import_leaves_out_process_pools():
