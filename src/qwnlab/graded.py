@@ -13,7 +13,12 @@ each operator acts on one grade.  An operator matrix is linear in the
 coordinates of its symbol (annihilation conjugate-linear, through the
 starred symbol), so each space builds the operators at the basis elements
 of the algebra once per kind and grade, and every other operator matrix is
-their weighted sum.  The scaffold also composes operator words, so the
+their weighted sum.  Operator norms and the adjointness check go one step
+further: what they compute of an operator (its whitened compression, or
+one side of the adjoint identity) is linear in it too, so a check applies
+that fixed map to the dim basis operators of a grade once, and each trial
+is a dim-term sum of this per-grade basis stack.  The stacks live for one
+check and grade only.  The scaffold also composes operator words, so the
 grade each factor acts on is worked out once for every relation check.
 
 The symmetric subspace of each grade is spanned by the indicators of its
@@ -31,7 +36,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import random_element
-from .linalg import gram_whitening, hermitize, whitened_operator_norm
+from .linalg import gram_whitening, hermitize
 from .report import residual_record
 
 CREATION = "b*"
@@ -129,7 +134,10 @@ class GradedFockSpace:
 
     These two hooks are the only definition of each operator: ``apply``
     runs ``_kernel`` on the grades of a vector, and ``operator_matrix``
-    sums the basis operators ``_kernel`` gives on the identity.
+    sums the basis operators ``_kernel`` gives on the identity.  Operator
+    norms (``_operator_norms``) and ``check_adjointness`` never build an
+    operator matrix: each sums its trials from a ``_basis_stack`` of one
+    grade, the basis operators under the fixed map the check applies.
     """
 
     def __init__(self, algebra, max_grade):
@@ -210,14 +218,16 @@ class GradedFockSpace:
             self._basis_ops[key] = ops
         return self._basis_ops[key]
 
-    def operator_matrix(self, kind, symbol, k):
-        """Dense matrix of the operator leaving grade k, in flat coordinates.
+    def _coefficients(self, kind, symbol):
+        """Coordinates of the symbol that weigh the basis operators of
+        ``kind``: annihilation is conjugate-linear, since it depends on the
+        symbol only through its star, so its coefficients are conjugated."""
+        coeffs = self.algebra.coords(symbol)
+        return coeffs.conj() if kind == ANNIHILATION else coeffs
 
-        The matrix is linear in the coordinates of the symbol, so it is
-        summed from the cached basis operators.  Annihilation is
-        conjugate-linear: it depends on the symbol only through its star,
-        so its coefficients are the conjugated coordinates.
-        """
+    def operator_matrix(self, kind, symbol, k):
+        """Dense matrix of the operator leaving grade k, in flat coordinates,
+        summed from the cached basis operators with ``_coefficients``."""
         self._check_grade(k)
         dim = self.algebra.dim
         size = dim**k
@@ -228,13 +238,31 @@ class GradedFockSpace:
         if kind == CREATION and k == self.max_grade:
             raise GradeOverflowError("creation out of the top grade")
         basis_ops = self._basis_operators(kind, k)
-        coeffs = self.algebra.coords(symbol)
-        if kind == ANNIHILATION:
-            coeffs = coeffs.conj()
         out = np.zeros(dim ** (k + _SHIFTS[kind]) * size, dtype=complex)
-        for c, (index, vals) in zip(coeffs, basis_ops):
+        for c, (index, vals) in zip(self._coefficients(kind, symbol), basis_ops):
             out[index] += c * vals
         return out.reshape(-1, size)
+
+    def _basis_stack(self, kind, k, transform):
+        """``transform`` of each dense basis operator of ``kind`` leaving
+        grade k, stacked along a new first axis, so that the transformed
+        operator of a symbol is ``np.tensordot(coefficients, stack, axes=1)``.
+
+        A check builds the stack of one grade, sums its trials from it and
+        drops it before the next grade: it holds dim transformed operators,
+        too many to keep for every grade.
+        """
+        dim = self.algebra.dim
+        size = dim**k
+        stack = None
+        for b, (index, vals) in enumerate(self._basis_operators(kind, k)):
+            dense = np.zeros(dim ** (k + _SHIFTS[kind]) * size, dtype=complex)
+            dense[index] = vals
+            mapped = transform(dense.reshape(-1, size))
+            if stack is None:
+                stack = np.empty((dim,) + mapped.shape, dtype=complex)
+            stack[b] = mapped
+        return stack
 
     def word_matrix(self, word, k):
         """Dense matrix of an operator product leaving grade k.
@@ -360,12 +388,27 @@ class GradedFockSpace:
             details.append("%s=%d min_eig=%.3e" % (label, k, low))
         return worst, "; ".join(details)
 
-    def _operator_norm(self, kind, symbol, k):
-        """Norm of the compressed operator leaving grade k, measured
-        against the metrics of both grades."""
+    def _operator_norms(self, kind, symbols, k):
+        """Norms of the compressed operators of ``kind`` leaving grade k at
+        each of ``symbols``, measured against the metrics of both grades.
+
+        With W the whitener of a grade and G its metric, the whitened
+        operator W_out^H G_out B W_in is linear in B, so it is summed per
+        symbol from the stack of whitened basis operators.
+        """
         k_out = k + _SHIFTS[kind]
-        mat = self._compress(self.operator_matrix(kind, symbol, k), k_out, k)
-        return whitened_operator_norm(mat, self._whitening(k_out), self._whitening(k))
+        out, into = self._whitening(k_out), self._whitening(k)
+        if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
+            return np.zeros(len(symbols))
+        stack = self._basis_stack(
+            kind,
+            k,
+            lambda mat: out.left @ (self._compress(mat, k_out, k) @ into.whitener),
+        )
+        coeffs = [self._coefficients(kind, s) for s in symbols]
+        return np.array(
+            [np.linalg.norm(np.tensordot(c, stack, axes=1), 2) for c in coeffs]
+        )
 
     def _norm_notes(self, trials):
         """Notes of a norm-bound record: the trials, and the negative
@@ -383,33 +426,58 @@ class GradedFockSpace:
 
         With S_k the ``_compression`` of grade k and the Gram hermitized,
         S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and
-        S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k), so G_k S_k
-        is formed once per grade and each trial multiplies compressed
-        factors only.
+        S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k).  Both sides
+        are linear in the symbol, so each is summed per trial from a stack
+        of its basis sides, built once per grade.  The number pair needs
+        one stack: with G_k hermitian, the right side at a basis element,
+        S_k^H G_k N S_k, is the adjoint of the left one.
         """
         alg = self.algebra
+        zetas = [random_element(alg, rng) for _ in range(trials)]
         compressed_gram = [
             self._right_compressed(self.gram(k), k) for k in range(self.max_grade + 1)
         ]
 
-        def gap(left, right, k_out, k_in):
-            lhs = self._right_compressed(left, k_out).conj().T @ compressed_gram[k_in]
-            rhs = compressed_gram[k_out].conj().T @ self._right_compressed(right, k_in)
+        def sides(kind, k):
+            """The stack of (B S_k)^H (G S) over the basis operators B of
+            ``kind`` leaving grade k, with G S at the grade B reaches."""
+            k_out = k + _SHIFTS[kind]
+            return self._basis_stack(
+                kind,
+                k,
+                lambda mat: self._right_compressed(mat, k).conj().T
+                @ compressed_gram[k_out],
+            )
+
+        def gap(lhs, rhs):
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
             return np.linalg.norm(lhs - rhs) / scale
 
+        def total(coefficients, stack):
+            return np.tensordot(coefficients, stack, axes=1)
+
         worst_pair = 0.0
+        for k in range(self.max_grade):
+            left = sides(ANNIHILATION, k + 1)
+            right = self._basis_stack(
+                CREATION,
+                k,
+                lambda mat: compressed_gram[k + 1].conj().T
+                @ self._right_compressed(mat, k),
+            )
+            for zeta in zetas:
+                lhs = total(self._coefficients(ANNIHILATION, zeta).conj(), left)
+                rhs = total(self._coefficients(CREATION, zeta), right)
+                worst_pair = max(worst_pair, gap(lhs, rhs))
+            del left, right
         worst_number = 0.0
-        for _ in range(trials):
-            zeta = random_element(alg, rng)
-            for k in range(self.max_grade):
-                create = self.operator_matrix(CREATION, zeta, k)
-                annihilate = self.operator_matrix(ANNIHILATION, zeta, k + 1)
-                worst_pair = max(worst_pair, gap(annihilate, create, k + 1, k))
-            for k in range(1, self.max_grade + 1):
-                num = self.operator_matrix(NUMBER, zeta, k)
-                num_star = self.operator_matrix(NUMBER, alg.star(zeta), k)
-                worst_number = max(worst_number, gap(num, num_star, k, k))
+        for k in range(1, self.max_grade + 1):
+            left = sides(NUMBER, k)
+            for zeta in zetas:
+                lhs = total(self._coefficients(NUMBER, zeta).conj(), left)
+                rhs = total(self._coefficients(NUMBER, alg.star(zeta)).conj(), left)
+                worst_number = max(worst_number, gap(lhs, rhs.conj().T))
+            del left
         notes = self._adjoint_notes % trials
         return [
             residual_record(

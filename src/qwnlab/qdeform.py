@@ -178,14 +178,32 @@ class QFockSpace(GradedFockSpace):
         ]
 
     def check_adjointness(self, rng, trials=25, tol=1e-10):
-        """Creation and annihilation are mutually adjoint for the q-Gram."""
+        """Creation and annihilation are mutually adjoint for the q-Gram.
+
+        Both sides are linear in the symbol, so each trial's compressed
+        A^H P_n and P_(n+1) C are summed from the stacks of their basis
+        sides, built once per grade.
+        """
+        phis = [random_element(self.algebra, rng) for _ in range(trials)]
         worst = 0.0
-        for _ in range(trials):
-            phi = random_element(self.algebra, rng)
-            for n in range(self.max_grade):
-                lhs = self.annihilate_matrix(phi, n + 1).conj().T @ self.q_gram(n)
-                rhs = self.q_gram(n + 1) @ self.create_matrix(phi, n)
-                worst = max(worst, self._relation_residual(lhs, rhs, n + 1, n))
+        for n in range(self.max_grade):
+            left = self._basis_stack(
+                ANNIHILATION,
+                n + 1,
+                lambda mat: self._compress(mat.conj().T @ self.q_gram(n), n + 1, n),
+            )
+            right = self._basis_stack(
+                CREATION,
+                n,
+                lambda mat: self._compress(self.q_gram(n + 1) @ mat, n + 1, n),
+            )
+            for phi in phis:
+                lhs = np.tensordot(
+                    self._coefficients(ANNIHILATION, phi).conj(), left, axes=1
+                )
+                rhs = np.tensordot(self._coefficients(CREATION, phi), right, axes=1)
+                worst = max(worst, scaled_gap(lhs, rhs))
+            del left, right
         return [
             residual_record(
                 "qdeform.adjointness",

@@ -47,6 +47,26 @@ ALGEBRA_KINDS = ("functions", "matrices")
 # checks form inside the double range with room to spare.
 MAX_GAMMA = 1e30
 
+# Largest dense array, in bytes, a run may form (2 GiB).  A check holds a
+# few arrays of the largest size at once, so a run needs a few times this.
+MAX_DENSE_BYTES = 2 * 2**30
+
+
+def largest_dense_bytes(suite, kind, dim, truncation):
+    """Estimated bytes of the largest dense complex array a run forms.
+
+    The bosonic and free suites hold the top-grade matrix, D**T square for
+    an algebra of dimension D at truncation T.  The free space checks on
+    the whole grade, so its adjointness check also holds the stack of the
+    D top-grade basis sides of the number pair, D times that matrix.  The
+    other suites cap their own sizes, so only these two are modelled.
+    """
+    if suite not in ("all", "bosonic", "free"):
+        return 0
+    base = dim**2 if kind == "matrices" else dim
+    top = 16 * base ** (2 * truncation)
+    return top * base if suite in ("all", "free") else top
+
 
 @dataclass
 class RunConfig:
@@ -91,6 +111,14 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        size = largest_dense_bytes(self.suite, self.kind, self.dim, self.truncation)
+        if size > MAX_DENSE_BYTES:
+            limit = MAX_DENSE_BYTES / 1e9
+            raise ValueError(
+                "suite %s over %s of dimension %d at truncation %d would form a "
+                "dense array of %.1f GB, above the %.1f GB limit"
+                % (self.suite, self.kind, self.dim, self.truncation, size / 1e9, limit)
+            )
 
 
 def suite_rng(config, suite):

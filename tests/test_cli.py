@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from qwnlab.cli import UsageError, _check_output, _load_config, main
-from qwnlab.suites import SUITE_IDS, VERIFY_SUITES, RunConfig, run_suite, suite_rng
+from qwnlab.suites import (
+    MAX_DENSE_BYTES,
+    SUITE_IDS,
+    VERIFY_SUITES,
+    RunConfig,
+    largest_dense_bytes,
+    run_suite,
+    suite_rng,
+)
 
 
 def run_cli(argv):
@@ -440,3 +448,83 @@ def test_run_suite_all_covers_the_verify_suites():
     assert report.summary["failed"] == 0
     assert "combinatorics" not in prefixes
     assert set(SUITE_IDS) == set(VERIFY_SUITES) | {"combinatorics"}
+
+
+# Configurations the resource guard must accept: the defaults, the golden
+# reports', the benchmark workloads' (perfbench/run.py) and bosonic and
+# free over M_2 at truncation 6.
+GUARD_ACCEPTS = [
+    {},
+    {"kind": "matrices"},
+    {"q": 1.0, "truncation": 3},
+    {"suite": "bosonic", "kind": "matrices", "dim": 2, "truncation": 5},
+    {"suite": "bosonic", "kind": "matrices", "dim": 2, "truncation": 4},
+    {"suite": "free", "kind": "matrices", "dim": 2, "truncation": 4},
+    {"suite": "bosonic", "kind": "matrices", "dim": 2, "truncation": 6},
+    {"suite": "free", "kind": "matrices", "dim": 2, "truncation": 6},
+    {"suite": "all", "kind": "matrices", "dim": 2, "truncation": 6},
+    {"suite": "bosonic", "kind": "matrices", "dim": 3, "truncation": 4},
+]
+# Configurations it must refuse: over M_3 one top-grade matrix at
+# truncation 5 is 55.8 GB, and the free stack at truncation 4 is 6.2 GB.
+GUARD_REFUSES = [
+    {"suite": suite, "kind": "matrices", "dim": 3, "truncation": t}
+    for suite in ("bosonic", "free", "all")
+    for t in (5, 6)
+] + [
+    {"suite": suite, "kind": "matrices", "dim": 3, "truncation": 4}
+    for suite in ("free", "all")
+]
+
+
+def _argv(options):
+    argv = ["verify", options.get("suite", "all")]
+    for key, value in options.items():
+        if key != "suite":
+            argv += ["--" + key, str(value)]
+    return argv
+
+
+def test_dense_size_model():
+    # the free M_2 truncation-6 stack: 4 blocks of 4096^2 complex entries
+    assert largest_dense_bytes("free", "matrices", 2, 6) == 4 * 16 * 4096**2
+    assert largest_dense_bytes("bosonic", "matrices", 2, 6) == 16 * 4096**2
+    assert largest_dense_bytes("all", "functions", 3, 6) == 3 * 16 * 729**2
+    assert round(largest_dense_bytes("bosonic", "matrices", 3, 5) / 1e9, 1) == 55.8
+    assert round(largest_dense_bytes("free", "matrices", 3, 4) / 1e9, 1) == 6.2
+    for suite in ("qdeform", "diagonal", "classical", "nogo", "combinatorics"):
+        assert largest_dense_bytes(suite, "matrices", 3, 6) == 0
+
+
+def test_resource_guard_accepts_the_known_configurations():
+    functions = [
+        {"suite": suite, "dim": dim, "truncation": t}
+        for suite in sorted(SUITE_IDS) + ["all"]
+        for dim in (1, 2, 3)
+        for t in range(1, 7)
+    ]
+    for options in GUARD_ACCEPTS + functions:
+        c = RunConfig(**options)
+        size = largest_dense_bytes(c.suite, c.kind, c.dim, c.truncation)
+        assert size <= MAX_DENSE_BYTES, options
+
+
+def test_resource_guard_refuses_before_running(capsys, monkeypatch):
+    for options in GUARD_REFUSES:
+        with pytest.raises(ValueError, match="GB limit"):
+            RunConfig(**options)
+    _refuse_to_run(monkeypatch)
+    for options in GUARD_REFUSES:
+        _exits_two_with_one_error_line(capsys, _argv(options))
+
+
+def test_resource_guard_lets_the_cli_reach_the_suites(monkeypatch):
+    import qwnlab.cli
+
+    def accept(config):
+        raise _Accepted(config)
+
+    monkeypatch.setattr(qwnlab.cli, "run_suite", accept)
+    for options in GUARD_ACCEPTS:
+        with pytest.raises(_Accepted):
+            run_cli(_argv(options))

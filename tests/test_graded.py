@@ -1,9 +1,12 @@
 """The graded scaffold (GradedFockSpace): operator matrices summed from
-cached basis operators, the adjointness check on right-compressed Grams,
-operator words (word_matrix), and the symmetric subspace built from index
-orbits."""
+cached basis operators, operator norms and the adjointness check summed
+from per-grade basis stacks, operator words (word_matrix), and the
+symmetric subspace built from index orbits."""
 
+import gc
 import itertools
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ import pytest
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
-from qwnlab.graded import ANNIHILATION, CREATION, NUMBER, GradeOverflowError
-from qwnlab.linalg import symmetrizer_matrix
+from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
+from qwnlab.linalg import symmetrizer_matrix, whitened_operator_norm
 from qwnlab.qdeform import QFockSpace
 
 SPACES = {
@@ -199,6 +202,94 @@ def test_adjointness_on_right_compressed_grams_matches_compress(name):
     for record, expected in zip(records, oracle):
         assert record.status == "pass"
         assert abs(record.residual - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["bosonic_m2", "bosonic_f3", "free_m2", "free_f3"])
+def test_operator_norms_match_the_whitened_compressed_matrix(name):
+    # complex symbols at non-dyadic weights; each norm against the whitened
+    # norm of the compressed operator matrix, the route before the stacks
+    space = NONDYADIC_SPACES[name]()
+    symbols = _symbols(space, 3)
+    for kind, k in _cases(space):
+        if kind == NUMBER and k == 0:
+            continue
+        k_out = k + _SHIFTS[kind]
+        norms = space._operator_norms(kind, symbols, k)
+        assert norms.shape == (len(symbols),)
+        for symbol, norm in zip(symbols, norms):
+            mat = space._compress(space.operator_matrix(kind, symbol, k), k_out, k)
+            expected = whitened_operator_norm(
+                mat, space._whitening(k_out), space._whitening(k)
+            )
+            assert abs(norm - expected) <= 1e-13 * expected, (kind, k)
+
+
+# The stacks each check builds, per (kind, grade): norms at every grade
+# 1..top, adjointness of the pair below the top and of the number on 1..top.
+def _norm_stacks(top):
+    return [(CREATION, k - 1) for k in range(1, top + 1)] + [
+        (kind, k) for k in range(1, top + 1) for kind in (ANNIHILATION, NUMBER)
+    ]
+
+
+def _adjoint_stacks(top, number=True):
+    pairs = [(CREATION, k) for k in range(top)]
+    pairs += [(ANNIHILATION, k + 1) for k in range(top)]
+    return pairs + ([(NUMBER, k) for k in range(1, top + 1)] if number else [])
+
+
+STACK_CHECKS = {
+    "bosonic_norms": ("bosonic_m2", "check_norm_estimates", _norm_stacks),
+    "bosonic_adjointness": ("bosonic_f3", "check_adjointness", _adjoint_stacks),
+    "free_norms": ("free_f3", "check_norm_estimates", _norm_stacks),
+    "free_adjointness": ("free_m2", "check_adjointness", _adjoint_stacks),
+    "qdeform_adjointness": (
+        "qdeform_negative",
+        "check_adjointness",
+        lambda top: _adjoint_stacks(top, number=False),
+    ),
+}
+
+
+def _run_counting_stacks(space, check, trials, monkeypatch):
+    """Run one check with operator_matrix refused; return the (kind, grade)
+    count of the stacks it built and weak references to them."""
+    built = Counter()
+    stacks = []
+    basis_stack = space._basis_stack
+
+    def counting(kind, k, transform):
+        built[kind, k] += 1
+        stack = basis_stack(kind, k, transform)
+        stacks.append(weakref.ref(stack))
+        return stack
+
+    def refuse(kind, symbol, k):
+        raise AssertionError("operator_matrix called")
+
+    monkeypatch.setattr(space, "_basis_stack", counting)
+    monkeypatch.setattr(space, "operator_matrix", refuse)
+    records = getattr(space, check)(np.random.default_rng(8), trials=trials)
+    assert all(record.status == "pass" for record in records)
+    return built, stacks
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CHECKS))
+def test_checks_build_each_stack_once_whatever_the_trials(case, monkeypatch):
+    name, check, expected = STACK_CHECKS[case]
+    for trials in (1, 4):
+        space = NONDYADIC_SPACES[name]()
+        built, _ = _run_counting_stacks(space, check, trials, monkeypatch)
+        assert built == Counter(expected(space.max_grade)), trials
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CHECKS))
+def test_no_stack_outlives_its_check(case, monkeypatch):
+    name, check, _ = STACK_CHECKS[case]
+    space = NONDYADIC_SPACES[name]()
+    _, stacks = _run_counting_stacks(space, check, 2, monkeypatch)
+    gc.collect()
+    assert stacks and all(ref() is None for ref in stacks)
 
 
 def test_compression_hook_per_space():
