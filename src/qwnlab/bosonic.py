@@ -23,9 +23,10 @@ assemblies of the Gram matrix are implemented:
 Creation inserts its symbol into every gap of a tensor word, annihilation
 pairs its symbol against the first slot (a state term plus merge terms into
 each later slot), and the number operator multiplies every slot from the
-left.  All three are realized as dense matrices between flat grade
-coordinates, so commutators, adjointness and norm bounds reduce to linear
-algebra against the grade Gram matrices.
+left.  All three act on blocks of flat grade coordinates, so their words
+are dense matrices on the columns a check needs, and commutators,
+adjointness and norm bounds reduce to linear algebra against the grade
+Gram matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .algebra import pair_product_state_tensors, random_element
 from .combinatorics import ordered_partitions, set_partitions
-from .graded import ANNIHILATION, CREATION, NUMBER, GradedFockSpace
+from .graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradedFockSpace
 from .linalg import hermitize, scaled_gap
 from .report import reported_record, residual_record
 
@@ -209,42 +210,61 @@ class BosonicSpace(GradedFockSpace):
         if kind == NUMBER:
             return (alg.left_mult_matrix(symbol),)
         if kind == ANNIHILATION:
+            # The weights of the kernel's terms are folded in: 2 gamma0 of
+            # the state term and 2 of each merge term.
             starred = alg.star(symbol)
             basis = alg.basis()
-            dvec = alg.state(alg.mul(starred, basis))
+            state = 2.0 * self.gamma0 * alg.state(alg.mul(starred, basis))
+            # merge[b, a, c] are the coordinates of e_b symbol* e_a, and
+            # pairs[c, (a, b)] pairs the first slot a with a later slot b.
             prod = alg.mul(alg.mul(basis[:, None], starred), basis[None, :])
-            return dvec, alg.coords(prod)
+            merge = alg.coords(prod)
+            return state, 2.0 * merge.transpose(2, 1, 0).reshape(alg.dim, -1)
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def _kernel(self, kind, data, arr, k):
-        out = 0.0
+    def _kernel(self, kind, data, block, k):
+        # Each slot's term is added through a view of the output that
+        # splits the slots before it from the slot and those after.
+        dim = self.algebra.dim
+        width = block.shape[1]
         if kind == CREATION:
-            # Sum over the k + 1 gaps; the new slot axis is moved into place.
-            for target in range(k + 1):
-                out = out + np.moveaxis(np.multiply.outer(data[0], arr), 0, target)
+            # The symbol times the block, with the new slot first, moved
+            # into each of the k + 1 gaps.
+            (coords,) = data
+            inserted = coords[:, None] * block.reshape(1, -1)
+            if k == 0:
+                return inserted.reshape(-1, width)
+            first = inserted.reshape(dim, dim, -1)
+            out = (first + first.transpose(1, 0, 2)).reshape(-1, width)
+            for target in range(2, k + 1):
+                view = out.reshape(dim**target, dim, -1)
+                moved = inserted.reshape(dim, dim**target, -1).transpose(1, 0, 2)
+                np.add(view, moved, out=view)
             return out
         if kind == NUMBER:
-            for target in range(k):
-                out = out + np.moveaxis(
-                    np.tensordot(data[0], arr, axes=(1, target)), 0, target
-                )
+            # One buffer takes the product of every slot after the first.
+            (left,) = data
+            out = (left @ block.reshape(dim, -1)).reshape(-1, width)
+            term = np.empty_like(out)
+            for target in range(1, k):
+                view = out.reshape(dim**target, dim, -1)
+                product = term.reshape(view.shape)
+                np.matmul(left, block.reshape(view.shape), out=product)
+                np.add(view, product, out=view)
             return out
         # State term: pair the symbol against the first slot and drop it.
-        out = 2.0 * self.gamma0 * np.tensordot(data[0], arr, axes=(0, 0))
         # Merge terms: slot i absorbs (slot_i symbol* slot_1) for i >= 2.
-        # data[1][b, a, c] are the coordinates of e_b symbol* e_a.
+        state, pairs = data
+        out = (state @ block.reshape(dim, -1)).reshape(-1, width)
         for i in range(2, k + 1):
-            merged = np.tensordot(data[1], arr, axes=([0, 1], [i - 1, 0]))
-            out = out + 2.0 * np.moveaxis(merged, 0, i - 2)
+            before = dim ** (i - 2)
+            slots = block.reshape(dim, before, dim, -1).transpose(1, 0, 2, 3)
+            merged = pairs @ slots.reshape(before, dim * dim, -1)
+            view = out.reshape(before, dim, -1)
+            np.add(view, merged, out=view)
         return out
 
     # -- verification checks ----------------------------------------------
-
-    def _right_symmetrized(self, mat, k):
-        """Exact column symmetrization: the mean of the columns over each
-        index orbit, one column per orbit."""
-        indicator, sizes, _ = self._orbits(k)
-        return (mat @ indicator) / sizes
 
     def check_gram_closed_forms(self, rng, trials=25, tol=1e-10):
         """Level 1 and level 2 scalar products against their closed forms."""
@@ -332,8 +352,12 @@ class BosonicSpace(GradedFockSpace):
         Same-kind commutators are checked with dyadic symbols so that the
         floating-point sums cancel exactly; the mixed commutator is an
         affine identity checked to tol_affine after column symmetrization.
-        The number-creation commutator coefficient is not asserted: it is
-        measured by least squares and reported next to the tabulated 2.
+        Both symmetrized commutators run on the orbit indicators, whose
+        images are the orbit sums of the columns, and divide by the orbit
+        sizes.  The number-creation commutator coefficient is not asserted:
+        it is measured by least squares and reported next to the tabulated
+        2.  Its misfit is taken in a second pass that rebuilds each trial's
+        pair from the stored symbols, so no pair outlives its trial.
         """
         alg = self.algebra
         exact_tol = 0.0
@@ -349,57 +373,66 @@ class BosonicSpace(GradedFockSpace):
         worst_mixed = 0.0
         kappa_num = 0.0 + 0.0j
         kappa_den = 0.0
-        fit_pairs = []
+        fit_symbols = []
+
+        def fit_pairs(zeta, xi):
+            """The measured number-creation commutator and its template,
+            grade by grade."""
+            number, creation, template = self._letters(
+                [(NUMBER, zeta), (CREATION, xi), (CREATION, alg.mul(zeta, xi))]
+            )
+            for k in range(self.max_grade):
+                measured = self._commute([number], [creation], k)
+                yield measured, self._run([template], k, None)
+
         for _ in range(trials):
             phi = random_element(alg, rng, dyadic=True)
             psi = random_element(alg, rng, dyadic=True)
+            left, right = self._letters([(CREATION, phi), (CREATION, psi)])
             for k in range(self.max_grade - 1):
-                diff = self.commutator([(CREATION, phi)], [(CREATION, psi)], k)
+                diff = self._commute([left], [right], k)
                 worst_cc = max(worst_cc, np.abs(diff).max())
+            left, right = self._letters([(ANNIHILATION, phi), (ANNIHILATION, psi)])
             for k in range(2, self.max_grade + 1):
-                diff = self.commutator(
-                    [(ANNIHILATION, phi)], [(ANNIHILATION, psi)], k
-                )
-                diff = self._right_symmetrized(diff, k)
-                worst_aa = max(worst_aa, np.abs(diff).max())
+                indicator, sizes, _ = self._orbits(k)
+                diff = self._commute([left], [right], k, columns=indicator)
+                worst_aa = max(worst_aa, np.abs(diff / sizes).max())
             if alg.commutative:
+                left, right = self._letters([(NUMBER, phi), (NUMBER, psi)])
                 for k in range(1, self.max_grade + 1):
-                    diff = self.commutator([(NUMBER, phi)], [(NUMBER, psi)], k)
+                    diff = self._commute([left], [right], k)
                     worst_nn = max(worst_nn, np.abs(diff).max())
             # Mixed commutator, continuous symbols.
             phi_c = random_element(alg, rng)
             psi_c = random_element(alg, rng)
             pairing = alg.state(alg.mul(alg.star(phi_c), psi_c))
             product = alg.mul(alg.star(phi_c), psi_c)
+            left, right, number = self._letters(
+                [(ANNIHILATION, phi_c), (CREATION, psi_c), (NUMBER, product)]
+            )
             for k in range(self.max_grade):
+                indicator, sizes, _ = self._orbits(k)
                 size = self.algebra.dim**k
                 expected = 2.0 * self.gamma0 * pairing * np.eye(size)
-                expected = expected + 4.0 * self.operator_matrix(
-                    NUMBER, product, k
-                )
-                diff = self.commutator(
-                    [(ANNIHILATION, phi_c)], [(CREATION, psi_c)], k
-                )
-                diff = self._right_symmetrized(diff - expected, k)
+                expected = expected + 4.0 * self._run([number], k, None)
+                diff = self._commute([left], [right], k, columns=indicator)
+                diff = (diff - expected @ indicator) / sizes
                 scale = max(np.abs(expected).max(), 1.0)
                 worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
             # Number against creation: measure the coefficient.
             zeta = random_element(alg, rng)
             xi = random_element(alg, rng)
-            for k in range(self.max_grade):
-                measured = self.commutator([(NUMBER, zeta)], [(CREATION, xi)], k)
-                template = self.operator_matrix(
-                    CREATION, alg.mul(zeta, xi), k
-                )
+            for measured, template in fit_pairs(zeta, xi):
                 kappa_num += np.vdot(template, measured)
                 kappa_den += np.vdot(template, template).real
-                fit_pairs.append((measured, template))
+            fit_symbols.append((zeta, xi))
         kappa = kappa_num / kappa_den
         fit_num = 0.0
         fit_den = 0.0
-        for measured, template in fit_pairs:
-            fit_num += np.linalg.norm(measured - kappa * template) ** 2
-            fit_den += np.linalg.norm(template) ** 2
+        for zeta, xi in fit_symbols:
+            for measured, template in fit_pairs(zeta, xi):
+                fit_num += np.linalg.norm(measured - kappa * template) ** 2
+                fit_den += np.linalg.norm(template) ** 2
         fit = math.sqrt(fit_num / fit_den)
         records = [
             residual_record(
@@ -465,6 +498,39 @@ class BosonicSpace(GradedFockSpace):
                 ),
             )
         return records
+
+    def check_symmetric_invariance(self, tol=1e-12):
+        """The three operator families map symmetric vectors to symmetric
+        vectors, which the symmetric compression of every other check
+        relies on.
+
+        Over each kind, grade and basis element, the image Y = B_b S_k of
+        the symmetric subspace is compared with its projection onto the
+        symmetric subspace of the grade it reaches, the orbit means
+        indicator ((indicator^T Y) / sizes); the residual is the worst
+        Frobenius distance, scaled by the norm of Y once that exceeds 1.
+        """
+        top = self.max_grade
+        cases = [(CREATION, k) for k in range(top)]
+        for kind in (ANNIHILATION, NUMBER):
+            cases += [(kind, k) for k in range(1, top + 1)]
+        worst = 0.0
+        for kind, k in cases:
+            indicator, sizes, _ = self._orbits(k + _SHIFTS[kind])
+            for image in self._basis_operators(kind, k):
+                means = (indicator.T @ image) / sizes[:, None]
+                gap = np.linalg.norm(image - indicator @ means)
+                worst = max(worst, gap / max(np.linalg.norm(image), 1.0))
+        return [
+            residual_record(
+                "bosonic.operators.preserve_symmetric",
+                "the quadratic operators act on the symmetric Fock space",
+                worst,
+                tol,
+                notes="scaled Frobenius distance from the symmetric subspace,"
+                " basis operators on grades 0..%d" % top,
+            )
+        ]
 
     def check_norm_estimates(self, rng, trials=50, slack=1e-9):
         """Operator norms on symmetric parts against the stated bounds."""

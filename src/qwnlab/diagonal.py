@@ -199,23 +199,29 @@ class DiagonalRepresentation:
         worst_create = 0.0
         worst_number = 0.0
         worst_annihilate = 0.0
+
+        def image(kind, vec, k):
+            """The operator of ``kind`` at ``symbol`` applied to one vector."""
+            column = vec.reshape(-1, 1)
+            return space.word_matrix([(kind, symbol)], k, column).reshape(-1)
+
         for _ in range(trials):
             symbol = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             for k in range(0, self.max_grade):
                 shape = (d,) * k
                 f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 lit = self.apply_creation(symbol, f)
-                ein = space.operator_matrix(CREATION, symbol, k) @ f.reshape(-1)
+                ein = image(CREATION, f, k)
                 worst_create = max(worst_create, scaled_gap(lit.reshape(-1), ein))
             for k in range(1, self.max_grade + 1):
                 shape = (d,) * k
                 f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 lit = self.apply_number(symbol, f)
-                ein = space.operator_matrix(NUMBER, symbol, k) @ f.reshape(-1)
+                ein = image(NUMBER, f, k)
                 worst_number = max(worst_number, scaled_gap(lit.reshape(-1), ein))
                 sym_flat = space.symmetrizer(k) @ f.reshape(-1)
                 lit = self.apply_annihilation(symbol, sym_flat.reshape(shape))
-                ein = space.operator_matrix(ANNIHILATION, symbol, k) @ sym_flat
+                ein = image(ANNIHILATION, sym_flat, k)
                 worst_annihilate = max(
                     worst_annihilate, scaled_gap(lit.reshape(-1), ein)
                 )

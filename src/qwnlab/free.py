@@ -114,14 +114,17 @@ class FreeSpace(GradedFockSpace):
             return dvec, alg.coords(prod)
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def _kernel(self, kind, data, arr, k):
+    def _kernel(self, kind, data, block, k):
+        dim = self.algebra.dim
+        width = block.shape[1]
         if kind == CREATION:
-            return np.multiply.outer(data[0], arr)
+            return (data[0][:, None, None] * block).reshape(-1, width)
         if kind == NUMBER:
-            return np.tensordot(data[0], arr, axes=(1, 0))
-        out = self.gamma * np.tensordot(data[0], arr, axes=(0, 0))
+            return (data[0] @ block.reshape(dim, -1)).reshape(-1, width)
+        out = (self.gamma * (data[0] @ block.reshape(dim, -1))).reshape(-1, width)
         if k >= 2:
-            out = out + np.tensordot(data[1], arr, axes=([0, 1], [0, 1]))
+            merged = data[1].reshape(dim * dim, dim).T @ block.reshape(dim * dim, -1)
+            out = out + merged.reshape(-1, width)
         return out
 
     # -- field combinations and moments -------------------------------------

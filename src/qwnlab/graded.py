@@ -9,17 +9,21 @@ raises :class:`GradeOverflowError` instead of silently dropping weight.
 :class:`GradedFockSpace` is the operator scaffolding the quadratic bosonic,
 free and q-deformed spaces share: all three live on the same graded tensor
 powers of a base algebra and differ only in the scalar product and in how
-each operator acts on one grade.  An operator matrix is linear in the
-coordinates of its symbol (annihilation conjugate-linear, through the
-starred symbol), so each space builds the operators at the basis elements
-of the algebra once per kind and grade, and every other operator matrix is
-their weighted sum.  Operator norms and the adjointness check go one step
-further: what they compute of an operator (its whitened compression, or
-one side of the adjoint identity) is linear in it too, so a check applies
-that fixed map to the dim basis operators of a grade once, and each trial
-is a dim-term sum of this per-grade basis stack.  The stacks live for one
-check and grade only.  The scaffold also composes operator words, so the
-grade each factor acts on is worked out once for every relation check.
+each operator acts on a block of columns of one grade (its kernel).  That
+kernel is the only way the scaffold acts with an operator: an operator word
+runs each letter's kernel on a column block, the identity or the columns a
+check needs, which costs O(n w k D) for a block of width w in a grade of
+size n = D**k where a dense product of operator matrices costs O(n**2 w).
+An operator is linear in the coordinates of its symbol (annihilation
+conjugate-linear, through the starred symbol), so the kernel's symbol
+tensors are built at the basis elements of the algebra once per kind, and
+each letter's are their weighted sum.  Operator norms and the adjointness
+check go one step further: what they compute of an operator (its whitened
+compression, or one side of the adjoint identity) is linear in it too, so
+a check runs the kernels of the dim basis operators of a grade on the
+compressed columns, applies the left factor of that fixed map to each, and
+each trial is a dim-term sum of this per-grade basis stack.  The stacks
+live for one check and grade only.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -30,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -53,6 +55,12 @@ class GradeOverflowError(RuntimeError):
 def check_grade(k, max_grade):
     if not 0 <= k <= max_grade:
         raise GradeOverflowError("grade %d outside [0, %d]" % (k, max_grade))
+
+
+def _weighted(coeffs, stack):
+    """The slices of ``stack`` along its first axis summed with weights
+    ``coeffs``, as one matrix product."""
+    return (coeffs @ stack.reshape(len(coeffs), -1)).reshape(stack.shape[1:])
 
 
 @dataclass
@@ -119,8 +127,9 @@ class GradedFockSpace:
     * ``_symbol_tensors(kind, symbol)``: what the operator of that kind
       needs of its symbol, linear in the symbol for creation and number
       and in its star for annihilation;
-    * ``_kernel(kind, data, arr, k)``: its action on a grade-k array of
-      shape (dim,)*k, with any trailing axes carried along;
+    * ``_kernel(kind, data, block, k)``: its action on a block of columns
+      in grade-k coordinates, an array of shape (dim**k, width), giving
+      the block of its images in the coordinates of the grade it reaches;
 
     and, for the metric and the shared adjointness check, ``gram(k)`` and
     the class attributes of its records: ``_prefix`` of the record names,
@@ -132,12 +141,18 @@ class GradedFockSpace:
     ``_metric(k)``, the compressed Gram that positivity is checked and
     operator norms are whitened against, follows from the two.
 
-    These two hooks are the only definition of each operator: ``apply``
-    runs ``_kernel`` on the grades of a vector, and ``operator_matrix``
-    sums the basis operators ``_kernel`` gives on the identity.  Operator
-    norms (``_operator_norms``) and ``check_adjointness`` never build an
+    These two hooks are the only definition of each operator, and
+    ``_kernel`` on a block of columns is the only way the scaffold acts
+    with one: ``word_matrix`` runs each letter's kernel on a block that
+    starts as the requested columns (the identity by default),
+    ``operator_matrix`` is the one-letter word, and ``apply`` runs the
+    kernel on one column per grade.  ``_symbol_tensors`` runs only at the
+    basis elements of the algebra, once per kind; a letter's tensors are
+    their sum weighed by ``_coefficients``.  Operator norms
+    (``_operator_norms``) and ``check_adjointness`` never build an
     operator matrix: each sums its trials from a ``_basis_stack`` of one
-    grade, the basis operators under the fixed map the check applies.
+    grade, the basis operators on the compressed columns under the fixed
+    map the check applies.
     """
 
     def __init__(self, algebra, max_grade):
@@ -148,7 +163,7 @@ class GradedFockSpace:
         self._whitenings = {}
         self._orbit_cache = {}
         self._metrics = {}
-        self._basis_ops = {}
+        self._basis_tensors = {}
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
@@ -186,6 +201,11 @@ class GradedFockSpace:
         the symmetric subspace by default."""
         return self.symmetric_basis(k)
 
+    def _left_compressed(self, mat, k):
+        """mat restricted on the left to the ``_compression`` of grade k."""
+        basis = self._compression(k)
+        return mat if basis is None else basis.conj().T @ mat
+
     def _right_compressed(self, mat, k):
         """mat restricted on the right to the ``_compression`` of grade k."""
         basis = self._compression(k)
@@ -194,29 +214,7 @@ class GradedFockSpace:
     def _compress(self, mat, k_out, k_in):
         """Restriction of a map from grade k_in to grade k_out to the
         subspaces of ``_compression``."""
-        left = self._compression(k_out)
-        if left is not None:
-            mat = left.conj().T @ mat
-        return self._right_compressed(mat, k_in)
-
-    def _basis_operators(self, kind, k):
-        """The operators of ``kind`` leaving grade k at the basis elements
-        of the algebra, each as the (flat index, value) pairs of its
-        nonzero entries; built once per (kind, k) by ``_kernel`` on the
-        identity."""
-        key = (kind, k)
-        if key not in self._basis_ops:
-            dim = self.algebra.dim
-            size = dim**k
-            eye = np.eye(size, dtype=complex).reshape((dim,) * k + (size,))
-            ops = []
-            for element in self.algebra.basis():
-                data = self._symbol_tensors(kind, element)
-                mat = np.asarray(self._kernel(kind, data, eye, k)).reshape(-1)
-                (index,) = np.nonzero(mat)
-                ops.append((index, mat[index]))
-            self._basis_ops[key] = ops
-        return self._basis_ops[key]
+        return self._right_compressed(self._left_compressed(mat, k_out), k_in)
 
     def _coefficients(self, kind, symbol):
         """Coordinates of the symbol that weigh the basis operators of
@@ -225,77 +223,118 @@ class GradedFockSpace:
         coeffs = self.algebra.coords(symbol)
         return coeffs.conj() if kind == ANNIHILATION else coeffs
 
-    def operator_matrix(self, kind, symbol, k):
-        """Dense matrix of the operator leaving grade k, in flat coordinates,
-        summed from the cached basis operators with ``_coefficients``."""
-        self._check_grade(k)
+    def _letter(self, kind, coeffs):
+        """The ``_symbol_tensors`` of the operator of ``kind`` whose basis
+        operators are weighed by ``coeffs``: the tensors of the basis
+        elements, built once per kind and flattened side by side into one
+        row per element, summed with these weights."""
+        if kind not in self._basis_tensors:
+            per_element = [
+                self._symbol_tensors(kind, element) for element in self.algebra.basis()
+            ]
+            rows = [np.concatenate([t.reshape(-1) for t in ts]) for ts in per_element]
+            pieces, start = [], 0
+            for tensor in per_element[0]:
+                pieces.append((start, start + tensor.size, tensor.shape))
+                start += tensor.size
+            self._basis_tensors[kind] = np.array(rows), pieces
+        rows, pieces = self._basis_tensors[kind]
+        flat = coeffs @ rows
+        return [flat[start:stop].reshape(shape) for start, stop, shape in pieces]
+
+    def _basis_operators(self, kind, k):
+        """The operators of ``kind`` leaving grade k at the basis elements
+        of the algebra, one at a time, each restricted on the right to the
+        ``_compression`` of grade k: ``_kernel`` on those columns."""
         dim = self.algebra.dim
-        size = dim**k
-        if kind == NUMBER and k == 0:
-            return np.zeros((1, 1), dtype=complex)
+        columns = self._compression(k)
+        block = np.eye(dim**k) if columns is None else columns
+        for unit in np.eye(dim):
+            yield self._kernel(kind, self._letter(kind, unit), block, k)
+
+    def operator_matrix(self, kind, symbol, k):
+        """Dense matrix of the operator leaving grade k, in flat
+        coordinates: the word of one letter."""
+        self._check_grade(k)
         if kind == ANNIHILATION and k == 0:
             raise ValueError("annihilation is undefined on the vacuum grade")
         if kind == CREATION and k == self.max_grade:
             raise GradeOverflowError("creation out of the top grade")
-        basis_ops = self._basis_operators(kind, k)
-        out = np.zeros(dim ** (k + _SHIFTS[kind]) * size, dtype=complex)
-        for c, (index, vals) in zip(self._coefficients(kind, symbol), basis_ops):
-            out[index] += c * vals
-        return out.reshape(-1, size)
+        return self.word_matrix([(kind, symbol)], k)
 
     def _basis_stack(self, kind, k, transform):
-        """``transform`` of each dense basis operator of ``kind`` leaving
-        grade k, stacked along a new first axis, so that the transformed
-        operator of a symbol is ``np.tensordot(coefficients, stack, axes=1)``.
+        """``transform`` of each basis operator of ``kind`` leaving grade k,
+        restricted on the right to the ``_compression`` of grade k, stacked
+        along a new first axis, so that the transformed operator of a
+        symbol is ``_weighted(coefficients, stack)``.
 
         A check builds the stack of one grade, sums its trials from it and
         drops it before the next grade: it holds dim transformed operators,
         too many to keep for every grade.
         """
-        dim = self.algebra.dim
-        size = dim**k
         stack = None
-        for b, (index, vals) in enumerate(self._basis_operators(kind, k)):
-            dense = np.zeros(dim ** (k + _SHIFTS[kind]) * size, dtype=complex)
-            dense[index] = vals
-            mapped = transform(dense.reshape(-1, size))
+        for b, op in enumerate(self._basis_operators(kind, k)):
+            mapped = transform(op)
             if stack is None:
-                stack = np.empty((dim,) + mapped.shape, dtype=complex)
+                stack = np.empty((self.algebra.dim,) + mapped.shape, dtype=complex)
             stack[b] = mapped
         return stack
 
-    def word_matrix(self, word, k):
-        """Dense matrix of an operator product leaving grade k.
+    def word_matrix(self, word, k, columns=None):
+        """Dense matrix of an operator product leaving grade k, applied to
+        ``columns`` (a dim**k by width block; the identity when None).
 
-        word is a sequence of (kind, symbol) pairs, the last acting first.
-        Each factor is built at the grade the pairs to its right reach, and
-        the factors multiply left to right, as a chained ``@`` does.  A word
-        that annihilates the vacuum on the way is the zero matrix, and then
-        no factor is built.
+        word is a sequence of (kind, symbol) pairs, the last acting first:
+        each letter's ``_kernel`` runs on the block the letters to its right
+        produced, at the grade they reach.  A word that annihilates the
+        vacuum on the way is the zero matrix, and then no kernel runs.
         """
-        grades = list(accumulate([_SHIFTS[kind] for kind, _ in word[::-1]], initial=k))
-        for grade in (k, grades[-1], max(grades)):
-            self._check_grade(grade)
-        if min(grades) < 0:
-            dim = self.algebra.dim
-            return np.zeros((dim ** grades[-1], dim**k), dtype=complex)
-        factors = [
-            self.operator_matrix(kind, symbol, grade)
-            for (kind, symbol), grade in zip(word, reversed(grades[:-1]))
-        ]
-        return reduce(np.matmul, factors)
+        return self._run(self._letters(word), k, columns)
 
-    def commutator(self, left, right, k, q=1.0):
-        """Matrix of left right - q right left leaving grade k, for two words."""
-        forward = self.word_matrix([*left, *right], k)
-        backward = self.word_matrix([*right, *left], k)
+    def _letters(self, word):
+        """The (kind, ``_letter``) pairs of a word of (kind, symbol) pairs."""
+        return [
+            (kind, self._letter(kind, self._coefficients(kind, symbol)))
+            for kind, symbol in word
+        ]
+
+    def _run(self, letters, k, columns):
+        """``word_matrix`` of (kind, ``_letter``) pairs."""
+        steps, grade, top, vanishes = [], k, k, False
+        for kind, data in reversed(letters):
+            steps.append((kind, data, grade))
+            vanishes = vanishes or (grade == 0 and kind != CREATION)
+            grade += _SHIFTS[kind]
+            top = max(top, grade)
+        for reached in (k, grade, top):
+            self._check_grade(reached)
+        dim = self.algebra.dim
+        block = np.eye(dim**k) if columns is None else columns
+        if block.ndim != 2 or block.shape[0] != dim**k:
+            raise ValueError("columns must have %d rows" % dim**k)
+        if vanishes:
+            return np.zeros((dim**grade, block.shape[1]), dtype=complex)
+        for kind, data, grade in steps:
+            block = self._kernel(kind, data, block, grade)
+        return block
+
+    def commutator(self, left, right, k, q=1.0, columns=None):
+        """Matrix of left right - q right left leaving grade k, for two
+        words, applied to ``columns`` as in ``word_matrix``."""
+        return self._commute(self._letters(left), self._letters(right), k, q, columns)
+
+    def _commute(self, left, right, k, q=1.0, columns=None):
+        """``commutator`` of two words of (kind, ``_letter``) pairs, so that
+        a check builds the letters of its symbols once for every grade."""
+        forward = self._run([*left, *right], k, columns)
+        backward = self._run([*right, *left], k, columns)
         return forward - (backward if q == 1.0 else q * backward)
 
     def apply(self, kind, symbol, vec):
         """Apply one operator to a graded vector, returning a new vector."""
         dim = self.algebra.dim
         out = GradedVector.zero(dim, vec.max_grade)
-        data = self._symbol_tensors(kind, symbol)
+        data = self._letter(kind, self._coefficients(kind, symbol))
         shift = _SHIFTS[kind]
         for k, part in enumerate(vec.parts):
             if not part.any():
@@ -306,8 +345,8 @@ class GradedFockSpace:
                 )
             if k == 0 and kind != CREATION:
                 continue
-            res = self._kernel(kind, data, part.reshape((dim,) * k), k)
-            out.parts[k + shift] = out.parts[k + shift] + np.asarray(res).reshape(-1)
+            res = self._kernel(kind, data, part.reshape(-1, 1), k)
+            out.parts[k + shift] = out.parts[k + shift] + res.reshape(-1)
         return out
 
     def vacuum_expectation(self, word):
@@ -392,9 +431,10 @@ class GradedFockSpace:
         """Norms of the compressed operators of ``kind`` leaving grade k at
         each of ``symbols``, measured against the metrics of both grades.
 
-        With W the whitener of a grade and G its metric, the whitened
-        operator W_out^H G_out B W_in is linear in B, so it is summed per
-        symbol from the stack of whitened basis operators.
+        With W the whitener of a grade, G its metric and S its compression,
+        the whitened operator W_out^H G_out S_out^H B S_in W_in is linear in
+        B, so it is summed per symbol from the stack of whitened basis
+        operators, each of which arrives as B S_in.
         """
         k_out = k + _SHIFTS[kind]
         out, into = self._whitening(k_out), self._whitening(k)
@@ -403,12 +443,11 @@ class GradedFockSpace:
         stack = self._basis_stack(
             kind,
             k,
-            lambda mat: out.left @ (self._compress(mat, k_out, k) @ into.whitener),
+            lambda mat: out.left @ (self._left_compressed(mat, k_out) @ into.whitener),
         )
-        coeffs = [self._coefficients(kind, s) for s in symbols]
-        return np.array(
-            [np.linalg.norm(np.tensordot(c, stack, axes=1), 2) for c in coeffs]
-        )
+        # the largest singular value, which np.linalg.norm(., 2) takes too
+        weighted = (_weighted(self._coefficients(kind, s), stack) for s in symbols)
+        return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in weighted])
 
     def _norm_notes(self, trials):
         """Notes of a norm-bound record: the trials, and the negative
@@ -419,18 +458,37 @@ class GradedFockSpace:
             % (trials, negative)
         )
 
+    def _adjoint_pair_gap(self, symbols, grams, gap):
+        """Worst ``gap`` over the grades below the top and over ``symbols``
+        between the two sides of creation against annihilation as adjoints
+        for ``grams``, the Grams of every grade restricted on the right to
+        ``_compression``: S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and,
+        with G hermitian, S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k).
+        Both sides are linear in the symbol, so each is summed per symbol
+        from a stack of its basis sides, built once per grade."""
+        worst = 0.0
+        for k in range(self.max_grade):
+            left = self._basis_stack(
+                ANNIHILATION, k + 1, lambda mat: mat.conj().T @ grams[k]
+            )
+            right = self._basis_stack(
+                CREATION, k, lambda mat: grams[k + 1].conj().T @ mat
+            )
+            for symbol in symbols:
+                lhs = _weighted(self._coefficients(ANNIHILATION, symbol).conj(), left)
+                rhs = _weighted(self._coefficients(CREATION, symbol), right)
+                worst = max(worst, gap(lhs, rhs))
+            del left, right
+        return worst
+
     def check_adjointness(self, rng, trials=50, tol=1e-9):
         """Creation against annihilation and number against the number of
         the starred symbol, as adjoints for the Gram, compared after
-        ``_compress``.
+        ``_compress`` (see ``_adjoint_pair_gap`` for the pair).
 
-        With S_k the ``_compression`` of grade k and the Gram hermitized,
-        S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and
-        S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k).  Both sides
-        are linear in the symbol, so each is summed per trial from a stack
-        of its basis sides, built once per grade.  The number pair needs
-        one stack: with G_k hermitian, the right side at a basis element,
-        S_k^H G_k N S_k, is the adjoint of the left one.
+        The number pair needs one stack: with G_k hermitian, the right side
+        at a basis element, S_k^H G_k N S_k, is the adjoint of the left one,
+        (N S_k)^H (G_k S_k).
         """
         alg = self.algebra
         zetas = [random_element(alg, rng) for _ in range(trials)]
@@ -438,44 +496,19 @@ class GradedFockSpace:
             self._right_compressed(self.gram(k), k) for k in range(self.max_grade + 1)
         ]
 
-        def sides(kind, k):
-            """The stack of (B S_k)^H (G S) over the basis operators B of
-            ``kind`` leaving grade k, with G S at the grade B reaches."""
-            k_out = k + _SHIFTS[kind]
-            return self._basis_stack(
-                kind,
-                k,
-                lambda mat: self._right_compressed(mat, k).conj().T
-                @ compressed_gram[k_out],
-            )
-
         def gap(lhs, rhs):
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
             return np.linalg.norm(lhs - rhs) / scale
 
-        def total(coefficients, stack):
-            return np.tensordot(coefficients, stack, axes=1)
-
-        worst_pair = 0.0
-        for k in range(self.max_grade):
-            left = sides(ANNIHILATION, k + 1)
-            right = self._basis_stack(
-                CREATION,
-                k,
-                lambda mat: compressed_gram[k + 1].conj().T
-                @ self._right_compressed(mat, k),
-            )
-            for zeta in zetas:
-                lhs = total(self._coefficients(ANNIHILATION, zeta).conj(), left)
-                rhs = total(self._coefficients(CREATION, zeta), right)
-                worst_pair = max(worst_pair, gap(lhs, rhs))
-            del left, right
+        worst_pair = self._adjoint_pair_gap(zetas, compressed_gram, gap)
         worst_number = 0.0
         for k in range(1, self.max_grade + 1):
-            left = sides(NUMBER, k)
+            left = self._basis_stack(
+                NUMBER, k, lambda mat: mat.conj().T @ compressed_gram[k]
+            )
             for zeta in zetas:
-                lhs = total(self._coefficients(NUMBER, zeta).conj(), left)
-                rhs = total(self._coefficients(NUMBER, alg.star(zeta)).conj(), left)
+                lhs = _weighted(self._coefficients(NUMBER, zeta).conj(), left)
+                rhs = _weighted(self._coefficients(NUMBER, alg.star(zeta)).conj(), left)
                 worst_number = max(worst_number, gap(lhs, rhs.conj().T))
             del left
         notes = self._adjoint_notes % trials

@@ -75,12 +75,17 @@ class QFockSpace(GradedFockSpace):
             return (self.algebra.star(symbol),)
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def _kernel(self, kind, data, arr, k):
+    def _kernel(self, kind, data, block, k):
+        dim = self.dim
+        width = block.shape[1]
         if kind == CREATION:
-            return np.multiply.outer(data[0], arr)
-        out = 0.0
-        for i in range(k):
-            out = out + self.q**i * np.tensordot(data[0], arr, axes=(0, i))
+            return (data[0][:, None, None] * block).reshape(-1, width)
+        # the contraction against slot i carries the weight q**i
+        out = (data[0] @ block.reshape(dim, -1)).reshape(-1, width)
+        for i in range(1, k):
+            term = self.q**i * (data[0] @ block.reshape(dim**i, dim, -1))
+            view = out.reshape(dim**i, -1)
+            np.add(view, term, out=view)
         return out
 
     def create_matrix(self, phi, n):
@@ -178,32 +183,13 @@ class QFockSpace(GradedFockSpace):
         ]
 
     def check_adjointness(self, rng, trials=25, tol=1e-10):
-        """Creation and annihilation are mutually adjoint for the q-Gram.
-
-        Both sides are linear in the symbol, so each trial's compressed
-        A^H P_n and P_(n+1) C are summed from the stacks of their basis
-        sides, built once per grade.
-        """
+        """Creation and annihilation are mutually adjoint for the q-Gram,
+        compared after ``_compress`` as the shared pair check does."""
         phis = [random_element(self.algebra, rng) for _ in range(trials)]
-        worst = 0.0
-        for n in range(self.max_grade):
-            left = self._basis_stack(
-                ANNIHILATION,
-                n + 1,
-                lambda mat: self._compress(mat.conj().T @ self.q_gram(n), n + 1, n),
-            )
-            right = self._basis_stack(
-                CREATION,
-                n,
-                lambda mat: self._compress(self.q_gram(n + 1) @ mat, n + 1, n),
-            )
-            for phi in phis:
-                lhs = np.tensordot(
-                    self._coefficients(ANNIHILATION, phi).conj(), left, axes=1
-                )
-                rhs = np.tensordot(self._coefficients(CREATION, phi), right, axes=1)
-                worst = max(worst, scaled_gap(lhs, rhs))
-            del left, right
+        grams = [
+            self._right_compressed(self.q_gram(n), n) for n in range(self.max_grade + 1)
+        ]
+        worst = self._adjoint_pair_gap(phis, grams, scaled_gap)
         return [
             residual_record(
                 "qdeform.adjointness",
@@ -495,10 +481,10 @@ def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9
         for k in range(max_grade - 1):
             sym = bspace.symmetrizer(k)
             commutator = bspace.commutator(
-                [(ANNIHILATION, phi)], [(CREATION, psi)], k
-            ) @ sym
+                [(ANNIHILATION, phi)], [(CREATION, psi)], k, columns=sym
+            )
             ident = pairing * sym
-            number = bspace.operator_matrix(NUMBER, product, k) @ sym
+            number = bspace.word_matrix([(NUMBER, product)], k, sym)
             rows.append(
                 np.column_stack([ident.reshape(-1), number.reshape(-1)])
             )

@@ -205,6 +205,7 @@ def run_bosonic(config, rng):
         rng, trials=config.trials, tol=config.tolerance
     )
     records += space.check_commutators(rng, trials=config.trials)
+    records += space.check_symmetric_invariance()
     records += space.check_norm_estimates(
         rng, trials=config.trials, slack=config.tolerance
     )

@@ -7,6 +7,8 @@ annihilation sends the indicator pair tensor to 4 times the indicator,
 and the vacuum expectation of (annihilate twice, create twice) is 16.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,21 @@ def test_ladder_bounds_fail_over_m2_at_small_gamma0():
         "bosonic.norm.number_bound": "pass",
     }
     assert _negative_directions(records[0]) > 0
+
+
+def _commutator_check_peak(trials):
+    """Peak traced bytes of the commutator check over M_2 at truncation 4."""
+    space = BosonicSpace(MatrixAlgebra(2), 4)
+    tracemalloc.start()
+    try:
+        space.check_commutators(np.random.default_rng(21), trials=trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutator_check_peak_does_not_grow_with_the_trials():
+    # the number-creation fit keeps the symbols of its trials, not their
+    # matrices, and rebuilds each pair for the misfit
+    peaks = [_commutator_check_peak(trials) for trials in (1, 10, 50)]
+    assert max(peaks) <= 1.2 * peaks[0], peaks

@@ -1,12 +1,15 @@
-"""The graded scaffold (GradedFockSpace): operator matrices summed from
-cached basis operators, operator norms and the adjointness check summed
-from per-grade basis stacks, operator words (word_matrix), and the
-symmetric subspace built from index orbits."""
+"""The graded scaffold (GradedFockSpace): operator words run as kernels on
+column blocks and checked against the dense chained product of operator
+matrices, letters summed from per-basis symbol tensors, operator norms and
+the adjointness check summed from per-grade basis stacks on the compressed
+columns, and the symmetric subspace built from index orbits."""
 
 import gc
 import itertools
+import math
 import weakref
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +20,30 @@ from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
 from qwnlab.linalg import symmetrizer_matrix, whitened_operator_norm
 from qwnlab.qdeform import QFockSpace
+
+
+class RotatedMatrixAlgebra(MatrixAlgebra):
+    """M_n in the basis of matrix units rotated by a fixed complex unitary
+    U: basis element j is sum_i U[i, j] E_i.  Its structure constants,
+    state vectors and Grams are complex, unlike those of every carrier in
+    the package, so a dropped conjugation changes operators and norms."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        rng = np.random.default_rng(2003)
+        raw = rng.standard_normal((self.dim, self.dim))
+        self.rotation, _ = np.linalg.qr(raw + 1j * rng.standard_normal(raw.shape))
+
+    def basis(self):
+        return np.tensordot(self.rotation.T, super().basis(), axes=1)
+
+    def coords(self, x):
+        return super().coords(x) @ self.rotation.conj()
+
+    def left_mult_matrix(self, x):
+        u = self.rotation
+        return u.conj().T @ super().left_mult_matrix(x) @ u
+
 
 SPACES = {
     "bosonic": lambda: BosonicSpace(MatrixAlgebra(2), 4, 0.7),
@@ -35,7 +62,23 @@ def _symbols(space, count):
     return [random_element(space.algebra, rng) for _ in range(count)]
 
 
+def _dense_chain(space, word, k):
+    """The operator word as the chained product of its dense operator
+    matrices, each built at the grade the letters to its right reach: the
+    route before kernels on column blocks, kept as the reference."""
+    grades = [k]
+    for kind, _ in reversed(word):
+        grades.append(grades[-1] + _SHIFTS[kind])
+    factors = [
+        space.operator_matrix(kind, symbol, grade)
+        for (kind, symbol), grade in zip(word, reversed(grades[:-1]))
+    ]
+    return reduce(np.matmul, factors)
+
+
 def test_word_matches_the_hand_written_product(space):
+    # complex symbols: the kernels and the chained product sum in another
+    # order, so they agree to rounding
     a, b, c, d = _symbols(space, 4)
     word = [(ANNIHILATION, a), (ANNIHILATION, b), (CREATION, c), (CREATION, d)]
     om = space.operator_matrix
@@ -45,7 +88,9 @@ def test_word_matches_the_hand_written_product(space):
         @ om(CREATION, c, 2)
         @ om(CREATION, d, 1)
     )
-    assert np.array_equal(space.word_matrix(word, 1), expected)
+    built = space.word_matrix(word, 1)
+    assert built.shape == expected.shape
+    assert np.abs(built - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_annihilating_the_vacuum_gives_zero(space):
@@ -57,12 +102,13 @@ def test_annihilating_the_vacuum_gives_zero(space):
 def test_a_vanishing_word_builds_no_factor(space, monkeypatch):
     x, y = _symbols(space, 2)
     built = []
+    kernel = space._kernel
 
-    def counting(kind, symbol, k):
+    def counting(kind, data, block, k):
         built.append((kind, k))
-        return type(space).operator_matrix(space, kind, symbol, k)
+        return kernel(kind, data, block, k)
 
-    monkeypatch.setattr(space, "operator_matrix", counting)
+    monkeypatch.setattr(space, "_kernel", counting)
     word = [(CREATION, x), (CREATION, y), (ANNIHILATION, x), (ANNIHILATION, y)]
     mat = space.word_matrix(word, 1)
     dim = space.algebra.dim
@@ -89,22 +135,22 @@ DYADIC_SPACES = {
 NONDYADIC_SPACES = {
     "bosonic_m2": lambda: BosonicSpace(MatrixAlgebra(2), 4, 0.7),
     "bosonic_f3": lambda: BosonicSpace(FunctionAlgebra([0.3, 0.7, 1.1]), 4, 0.7),
+    "bosonic_rotated": lambda: BosonicSpace(RotatedMatrixAlgebra(2), 4, 0.7),
     "free_m2": lambda: FreeSpace(MatrixAlgebra(2), 4, 0.7),
     "free_f3": lambda: FreeSpace(FunctionAlgebra([0.3, 0.7, 1.1]), 4, 0.7),
+    "free_rotated": lambda: FreeSpace(RotatedMatrixAlgebra(2), 4, 0.7),
     "qdeform_negative": lambda: QFockSpace(3, -0.3, 4),
 }
 
 
 def _kernel_on_identity(space, kind, symbol, k):
-    """The operator matrix as the kernel applied to the grade-k identity:
-    the direct builder, kept as the reference."""
-    dim = space.algebra.dim
-    size = dim**k
+    """The operator matrix as the kernel applied to the grade-k identity
+    with the symbol tensors of the symbol itself, not summed over the
+    basis: the direct builder, kept as the reference."""
     if kind == NUMBER and k == 0:
         return np.zeros((1, 1), dtype=complex)
-    arr = np.eye(size, dtype=complex).reshape((dim,) * k + (size,))
-    res = space._kernel(kind, space._symbol_tensors(kind, symbol), arr, k)
-    return np.asarray(res).reshape(-1, size)
+    data = space._symbol_tensors(kind, symbol)
+    return space._kernel(kind, data, np.eye(space.algebra.dim**k), k)
 
 
 def _cases(space):
@@ -147,24 +193,88 @@ def test_basis_sum_matches_the_kernel_at_complex_symbols(name):
 
 @pytest.mark.parametrize("name", sorted(NONDYADIC_SPACES))
 def test_kernel_runs_once_per_basis_element(name, monkeypatch):
+    # The symbol tensors are built at the basis elements only, once per
+    # kind; a basis stack runs the kernel once per basis element, and an
+    # operator matrix once.
     space = NONDYADIC_SPACES[name]()
-    calls = {}
+    calls = Counter()
+    tensors = Counter()
     kernel = space._kernel
+    symbol_tensors = space._symbol_tensors
 
-    def counting(kind, data, arr, k):
-        calls[kind, k] = calls.get((kind, k), 0) + 1
-        return kernel(kind, data, arr, k)
+    def counting(kind, data, block, k):
+        calls[kind, k] += 1
+        return kernel(kind, data, block, k)
+
+    def counting_tensors(kind, symbol):
+        tensors[kind] += 1
+        return symbol_tensors(kind, symbol)
 
     monkeypatch.setattr(space, "_kernel", counting)
+    monkeypatch.setattr(space, "_symbol_tensors", counting_tensors)
     rng = np.random.default_rng(6)
-    cases = list(_cases(space))
-    for _ in range(space.algebra.dim + 2):
+    cases = [case for case in _cases(space) if case != (NUMBER, 0)]
+    dim = space.algebra.dim
+    for kind, k in cases:
+        space._basis_stack(kind, k, lambda mat: mat)
+    for _ in range(dim + 2):
         symbol = random_element(space.algebra, rng)
         for kind, k in cases:
             space.operator_matrix(kind, symbol, k)
-    built = {case for case in cases if not (case[0] == NUMBER and case[1] == 0)}
-    assert set(calls) == built
-    assert max(calls.values()) <= space.algebra.dim
+    assert calls == Counter({case: 2 * dim + 2 for case in cases})
+    assert tensors == Counter({kind: dim for kind, _ in cases})
+
+
+def _words(space):
+    """Every word of one, two or three letters whose kinds the space has,
+    at each grade it never leaves the truncation from (the vanishing words
+    are tested on their own)."""
+    kinds = [CREATION, ANNIHILATION]
+    if not isinstance(space, QFockSpace):
+        kinds.append(NUMBER)
+    for length in (1, 2, 3):
+        for word_kinds in itertools.product(kinds, repeat=length):
+            for k in range(space.max_grade + 1):
+                grades = [k]
+                for kind in reversed(word_kinds):
+                    grades.append(grades[-1] + _SHIFTS[kind])
+                if 0 <= min(grades) and max(grades) <= space.max_grade:
+                    yield word_kinds, k
+
+
+def _check_words_against_the_chain(space, rng, dyadic):
+    for word_kinds, k in _words(space):
+        word = [
+            (kind, random_element(space.algebra, rng, dyadic=dyadic))
+            for kind in word_kinds
+        ]
+        expected = _dense_chain(space, word, k)
+        columns = rng.standard_normal((expected.shape[1], 3))
+        if dyadic:
+            columns = np.round(4 * columns) / 4
+        for built, oracle in (
+            (space.word_matrix(word, k), expected),
+            (space.word_matrix(word, k, columns), expected @ columns),
+        ):
+            assert built.shape == oracle.shape, (word_kinds, k)
+            if dyadic:
+                assert np.array_equal(built, oracle), (word_kinds, k)
+            else:
+                scale = np.abs(oracle).max()
+                assert np.abs(built - oracle).max() <= 1e-15 * scale, (word_kinds, k)
+
+
+@pytest.mark.parametrize("name", sorted(DYADIC_SPACES))
+def test_words_are_exact_at_dyadic_symbols(name):
+    # dyadic weights, gamma and q: both routes sum exact products
+    space = DYADIC_SPACES[name]()
+    _check_words_against_the_chain(space, np.random.default_rng(14), True)
+
+
+@pytest.mark.parametrize("name", sorted(NONDYADIC_SPACES))
+def test_words_match_the_dense_chain_at_complex_symbols(name):
+    space = NONDYADIC_SPACES[name]()
+    _check_words_against_the_chain(space, np.random.default_rng(15), False)
 
 
 def _adjoint_residuals_by_compress(space, rng, trials):
@@ -194,7 +304,18 @@ def _adjoint_residuals_by_compress(space, rng, trials):
     return worst_pair, worst_number
 
 
-@pytest.mark.parametrize("name", ["bosonic_m2", "bosonic_f3", "free_m2", "free_f3"])
+# the scaffold's norm and adjointness oracles, over a complex base algebra too
+ORACLE_CASES = [
+    "bosonic_m2",
+    "bosonic_f3",
+    "bosonic_rotated",
+    "free_m2",
+    "free_f3",
+    "free_rotated",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_adjointness_on_right_compressed_grams_matches_compress(name):
     space = NONDYADIC_SPACES[name]()
     records = space.check_adjointness(np.random.default_rng(7), trials=3)
@@ -204,7 +325,7 @@ def test_adjointness_on_right_compressed_grams_matches_compress(name):
         assert abs(record.residual - expected) <= 1e-15
 
 
-@pytest.mark.parametrize("name", ["bosonic_m2", "bosonic_f3", "free_m2", "free_f3"])
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_operator_norms_match_the_whitened_compressed_matrix(name):
     # complex symbols at non-dyadic weights; each norm against the whitened
     # norm of the compressed operator matrix, the route before the stacks
@@ -353,16 +474,15 @@ def test_symmetric_basis_needs_no_eigendecomposition(monkeypatch):
     assert basis.shape == (4**5, 56)
 
 
-def _symmetrized_by_permutations(mat, dim, k):
-    """Column symmetrization as the average of the k! slot-permuted copies
-    of mat: the route before index orbits, kept as the reference."""
+def _permutation_sum(mat, dim, k):
+    """Sum of the k! slot-permuted copies of the columns of mat: k! times
+    the column symmetrization, the route before index orbits, kept as the
+    reference."""
     arr = mat.reshape((mat.shape[0],) + (dim,) * k)
     total = np.zeros_like(arr)
-    count = 0
     for perm in itertools.permutations(range(k)):
         total = total + arr.transpose((0,) + tuple(1 + p for p in perm))
-        count += 1
-    return (total / count).reshape(mat.shape)
+    return total.reshape(mat.shape)
 
 
 def _orbit_representatives(dim, k):
@@ -373,40 +493,52 @@ def _orbit_representatives(dim, k):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_right_symmetrized_matches_the_permutation_average(dim):
+    # The symmetrized commutators run their words on the orbit indicators
+    # and divide by the orbit sizes.  Against the dense chained product
+    # averaged over the k! slot permutations: at real dyadic symbols over
+    # the dyadic weights 1/2 and 1/4, the orbit sums are exact, so k!/size
+    # times each is the permutation sum bit for bit; the means, divided by
+    # different rounded reciprocals, agree to rounding.
     space = _orbit_space(dim, 5)
     rng = np.random.default_rng(12)
+    dyadic = dim != 3
     for k in range(space.max_grade + 1):
         if dim**k > 1024:
             continue
-        shape = (7, dim**k)
+        indicator, sizes, _ = space._orbits(k)
         keep = _orbit_representatives(dim, k)
-        # Real dyadic entries: both sums are exact and both routes divide
-        # them once, so the means round alike.  (A complex array divides
-        # by multiplying with the rounded reciprocal, of k! in the oracle
-        # and of the orbit size here, so complex means may differ in the
-        # last bit.)
-        dyadic = rng.integers(-64, 65, shape) / 32
-        expected = _symmetrized_by_permutations(dyadic, dim, k)[:, keep]
-        assert np.array_equal(space._right_symmetrized(dyadic, k), expected)
-        if k == 5:
-            # the oracle's running sum of 120 copies drifts past 1e-15
-            continue
-        cplx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expected = _symmetrized_by_permutations(cplx, dim, k)[:, keep]
-        built = space._right_symmetrized(cplx, k)
-        assert built.shape == expected.shape
-        assert np.abs(built - expected).max() <= 1e-15 * np.abs(cplx).max()
+        words = [[ANNIHILATION, CREATION]] if k < space.max_grade else []
+        words += [[ANNIHILATION, ANNIHILATION]] if k >= 2 else []
+        for word_kinds in words:
+            word = [
+                (kind, random_element(space.algebra, rng, real=True, dyadic=True))
+                for kind in word_kinds
+            ]
+            sums = space.word_matrix(word, k, indicator)
+            total = _permutation_sum(_dense_chain(space, word, k), dim, k)[:, keep]
+            if dyadic:
+                assert np.array_equal(sums * (math.factorial(k) // sizes), total)
+            if k == 5:
+                # the oracle's running sum of 120 rounded copies drifts
+                # past 1e-15
+                continue
+            means = total / math.factorial(k)
+            assert np.abs(sums / sizes - means).max() <= 1e-15 * np.abs(means).max()
 
 
 def test_right_symmetrized_keeps_exact_cancellation():
-    # Complex dyadic columns minus their copies with the first two slots
-    # swapped: every orbit sum cancels exactly, so the result is exactly 0.
-    space = _orbit_space(4, 4)
+    # At dyadic symbols the annihilation-annihilation commutator is exactly
+    # 0 on the orbit columns, although it is not on the whole grade.
     rng = np.random.default_rng(13)
-    for k in range(2, 5):
-        shape = (5,) + (4,) * k
-        arr = (rng.integers(-64, 65, shape) + 1j * rng.integers(-64, 65, shape)) / 32
-        swapped = np.swapaxes(arr, 1, 2)
-        mat = (arr - swapped).reshape(5, -1)
-        assert mat.any()
-        assert not space._right_symmetrized(mat, k).any()
+    for algebra in (FunctionAlgebra([0.5, 0.75]), MatrixAlgebra(2)):
+        space = BosonicSpace(algebra, 4, 0.5)
+        for k in range(2, 5):
+            indicator, sizes, _ = space._orbits(k)
+            for _ in range(3):
+                left, right = (
+                    [(ANNIHILATION, random_element(algebra, rng, dyadic=True))]
+                    for _ in range(2)
+                )
+                assert space.commutator(left, right, k).any()
+                sums = space.commutator(left, right, k, columns=indicator)
+                assert not (sums / sizes).any()
