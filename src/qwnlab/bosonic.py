@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import pair_product_state_tensors, random_element
 from .combinatorics import ordered_partitions, set_partitions
 from .graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradedFockSpace
-from .linalg import hermitize, scaled_gap
+from .linalg import hermiticity_gap, hermitize
 from .report import reported_record, residual_record
 
 _GRAM_METHODS = ("recursive", "ordered", "setpartition")
@@ -539,50 +539,23 @@ class BosonicSpace(GradedFockSpace):
         phis = [random_element(alg, rng) for _ in range(trials)]
         l2 = np.array([alg.norm_l2(phi) for phi in phis])
         linf = np.array([alg.norm_linf(phi) for phi in phis])
-        excess_create = -math.inf
-        excess_annihilate = -math.inf
-        excess_number = -math.inf
+        cases = []
         for k in range(1, self.max_grade + 1):
             bound = math.sqrt(2.0 * k) * (math.sqrt(g0) * l2 + (k - 1) * linf)
-            norm_create = self._operator_norms(CREATION, phis, k - 1)
-            excess_create = max(excess_create, float((norm_create - bound).max()))
-            norm_annihilate = self._operator_norms(ANNIHILATION, phis, k)
-            excess_annihilate = max(
-                excess_annihilate, float((norm_annihilate - bound).max())
-            )
-            norm_number = self._operator_norms(NUMBER, phis, k)
-            excess_number = max(excess_number, float((norm_number - k * linf).max()))
-        notes = self._norm_notes(trials)
-        return [
-            residual_record(
-                "bosonic.norm.creation_bound",
-                "operator norm estimates",
-                excess_create,
-                slack,
-                notes=notes,
-            ),
-            residual_record(
-                "bosonic.norm.annihilation_bound",
-                "operator norm estimates",
-                excess_annihilate,
-                slack,
-                notes=notes,
-            ),
-            residual_record(
-                "bosonic.norm.number_bound",
-                "operator norm estimates",
-                excess_number,
-                slack,
-                notes=notes,
-            ),
-        ]
+            cases += [
+                ("creation", CREATION, k - 1, bound),
+                ("annihilation", ANNIHILATION, k, bound),
+                ("number", NUMBER, k, k * linf),
+            ]
+        return self._norm_records(
+            "bosonic.norm", "operator norm estimates", cases, phis, slack
+        )
 
     def check_positivity(self, tol=1e-10):
         """Gram positivity on symmetric parts, plus hermiticity defects."""
         worst_herm = 0.0
         for k in range(self.max_grade + 1):
-            raw = self.gram_matrix(k)
-            worst_herm = max(worst_herm, scaled_gap(raw, raw.conj().T))
+            worst_herm = max(worst_herm, hermiticity_gap(self.gram_matrix(k)))
         worst_eig, note = self._positivity_sweep(self.max_grade)
         if self.algebra.commutative:
             positive = residual_record(

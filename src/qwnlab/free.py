@@ -276,32 +276,16 @@ class FreeSpace(GradedFockSpace):
         l2 = np.array([alg.norm_l2(phi) for phi in phis])
         linf = np.array([alg.norm_linf(phi) for phi in phis])
         bound = math.sqrt(self.gamma) * l2 + linf
-        excess_pair = -math.inf
-        excess_number = -math.inf
+        cases = []
         for k in range(1, self.max_grade + 1):
-            norm_create = self._operator_norms(CREATION, phis, k - 1)
-            excess_pair = max(excess_pair, float((norm_create - bound).max()))
-            norm_annihilate = self._operator_norms(ANNIHILATION, phis, k)
-            excess_pair = max(excess_pair, float((norm_annihilate - bound).max()))
-            norm_number = self._operator_norms(NUMBER, phis, k)
-            excess_number = max(excess_number, float((norm_number - linf).max()))
-        notes = self._norm_notes(trials)
-        return [
-            residual_record(
-                "free.norm.ladder_bound",
-                "free operator norm estimates",
-                excess_pair,
-                slack,
-                notes=notes,
-            ),
-            residual_record(
-                "free.norm.number_bound",
-                "free operator norm estimates",
-                excess_number,
-                slack,
-                notes=notes,
-            ),
-        ]
+            cases += [
+                ("ladder", CREATION, k - 1, bound),
+                ("ladder", ANNIHILATION, k, bound),
+                ("number", NUMBER, k, linf),
+            ]
+        return self._norm_records(
+            "free.norm", "free operator norm estimates", cases, phis, slack
+        )
 
     def check_moments(self, rng, trials=20, max_length=6, tol=1e-9):
         """Operator moments against the noncrossing expansion."""

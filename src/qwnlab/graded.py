@@ -21,9 +21,10 @@ each letter's are their weighted sum.  Operator norms and the adjointness
 check go one step further: what they compute of an operator (its whitened
 compression, or one side of the adjoint identity) is linear in it too, so
 a check runs the kernels of the dim basis operators of a grade on the
-compressed columns, applies the left factor of that fixed map to each, and
-each trial is a dim-term sum of this per-grade basis stack.  The stacks
-live for one check and grade only.
+compressed columns and applies the left factor of that fixed map to each.
+An adjointness trial is a dim-term sum of this per-grade basis stack; the
+norms of all trials come from one batched Lanczos run on the stack, which
+forms no trial's operator.  The stacks live for one check and grade only.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -33,13 +34,13 @@ loop over the k! permutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import random_element
-from .linalg import gram_whitening, hermitize
-from .report import residual_record
+from .linalg import gram_whitening, hermitize, krylov_operator_norms
+from .report import STATUS_FAIL, residual_record
 
 CREATION = "b*"
 ANNIHILATION = "b"
@@ -150,9 +151,10 @@ class GradedFockSpace:
     basis elements of the algebra, once per kind; a letter's tensors are
     their sum weighed by ``_coefficients``.  Operator norms
     (``_operator_norms``) and ``check_adjointness`` never build an
-    operator matrix: each sums its trials from a ``_basis_stack`` of one
-    grade, the basis operators on the compressed columns under the fixed
-    map the check applies.
+    operator matrix: each works from a ``_basis_stack`` of one grade, the
+    basis operators on the compressed columns under the fixed map the
+    check applies; the adjointness check sums its trials from it, and the
+    norms run one Lanczos iteration on it for all trials at once.
     """
 
     def __init__(self, algebra, max_grade):
@@ -429,34 +431,60 @@ class GradedFockSpace:
 
     def _operator_norms(self, kind, symbols, k):
         """Norms of the compressed operators of ``kind`` leaving grade k at
-        each of ``symbols``, measured against the metrics of both grades.
+        each of ``symbols``, measured against the metrics of both grades,
+        and the relative residual of the Ritz pair each was read from.
 
         With W the whitener of a grade, G its metric and S its compression,
         the whitened operator W_out^H G_out S_out^H B S_in W_in is linear in
-        B, so it is summed per symbol from the stack of whitened basis
-        operators, each of which arrives as B S_in.
+        B, so the stack of whitened basis operators, each of which arrives
+        as B S_in, and the symbols' coefficients define it; one batched
+        Lanczos run (``krylov_operator_norms``) takes every symbol's norm
+        from them without forming the operator.
         """
         k_out = k + _SHIFTS[kind]
         out, into = self._whitening(k_out), self._whitening(k)
         if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
-            return np.zeros(len(symbols))
+            return np.zeros(len(symbols)), np.zeros(len(symbols))
         stack = self._basis_stack(
             kind,
             k,
             lambda mat: out.left @ (self._left_compressed(mat, k_out) @ into.whitener),
         )
-        # the largest singular value, which np.linalg.norm(., 2) takes too
-        weighted = (_weighted(self._coefficients(kind, s), stack) for s in symbols)
-        return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in weighted])
+        coeffs = np.array([self._coefficients(kind, s) for s in symbols])
+        return krylov_operator_norms(stack, coeffs)
 
-    def _norm_notes(self, trials):
-        """Notes of a norm-bound record: the trials, and the negative
-        metric directions the whitenings of grades 0..max_grade drop."""
+    def _norm_records(self, prefix, claim, cases, symbols, slack):
+        """Norm-bound records: ``cases`` are (name, kind, grade, bound)
+        tuples, bound an array over ``symbols``, and the record
+        ``<prefix>.<name>_bound`` holds the worst norm minus bound over the
+        cases of that name and the symbols, against ``slack``.
+
+        A Ritz value is a lower bound on the norm it estimates, so every
+        record fails, and does not pass, when the worst relative Ritz
+        residual of the norms is above the slack.  The notes name the
+        trials, that residual, and the negative metric directions the
+        whitenings of grades 0..max_grade drop.
+        """
+        excess, ritz = {}, 0.0
+        for name, kind, k, bound in cases:
+            norms, residuals = self._operator_norms(kind, symbols, k)
+            worst = float((norms - bound).max())
+            excess[name] = max(excess.get(name, -math.inf), worst)
+            ritz = max(ritz, float(residuals.max()))
         negative = sum(self._whitening(k).negative for k in range(self.max_grade + 1))
-        return (
-            "worst norm minus bound, %d trials; negative metric directions dropped: %d"
-            % (trials, negative)
+        notes = (
+            "worst norm minus bound, %d trials; worst relative Ritz residual: %.2e;"
+            " negative metric directions dropped: %d" % (len(symbols), ritz, negative)
         )
+        records = []
+        for name, value in excess.items():
+            record = residual_record(
+                "%s.%s_bound" % (prefix, name), claim, value, slack, notes=notes
+            )
+            if not ritz <= slack:
+                record = replace(record, status=STATUS_FAIL)
+            records.append(record)
+        return records
 
     def _adjoint_pair_gap(self, symbols, grams, gap):
         """Worst ``gap`` over the grades below the top and over ``symbols``

@@ -5,7 +5,11 @@ of dimension D**k.  The recurring wrinkle is that inner products are given
 by Gram matrices that are frequently singular (symmetrization kills most of
 the tensor space), so operator norms are computed against a whitened
 restriction to the Gram matrix's numerical range rather than against a
-matrix inverse.
+matrix inverse.  The spaces take many such norms at once, of operators
+that are weighted sums of one stack of whitened basis operators: one
+batched Lanczos run on the stack gives them all, without forming any of
+the operators; the norm of one matrix by one SVD is the oracle of the
+tests.
 """
 
 from __future__ import annotations
@@ -16,6 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 RANGE_CUTOFF = 1e-12
+# A Krylov norm stops once its top Ritz residual is at most this fraction
+# of its Ritz value.  The whitened operators have clusters of singular
+# values spread by rounding (1.8e-13 relative over 128 values for the free
+# number operator over a rotated M_2 at grade 4); a Ritz value with a
+# residual at the spread's level can sit anywhere inside its cluster, so
+# the threshold is an order below it.
+KRYLOV_TOL = 1e-14
+_KRYLOV_SEED = 2003
+_HERMITICITY_BLOCK = 16
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -27,6 +40,19 @@ def scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Largest entry of ``|lhs - rhs|``, relative to the largest entry of
     ``|rhs|`` once that exceeds 1."""
     return np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
+
+
+def hermiticity_gap(mat: np.ndarray) -> float:
+    """``scaled_gap(mat, mat.conj().T)``, taken over blocks of
+    ``_HERMITICITY_BLOCK`` columns, so that no temporary grows with the
+    whole matrix; the maxima are exact, so the value is the same."""
+    gap = top = 0.0
+    width = _HERMITICITY_BLOCK
+    for start in range(0, mat.shape[1], width):
+        block = mat[:, start : start + width]
+        gap = max(gap, np.abs(block - mat[start : start + width].conj().T).max())
+        top = max(top, np.abs(block).max())
+    return gap / max(top, 1.0)
 
 
 def axis_permutation_matrix(dim: int, perm) -> np.ndarray:
@@ -105,8 +131,10 @@ def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
     repeated norms.
 
     A space that norms many operators against one Gram matrix per grade
-    computes this once per grade and hands it to
-    :func:`whitened_operator_norm`.
+    computes this once per grade and applies its whitener and left factor
+    to a stack of basis operators, whose norms
+    :func:`krylov_operator_norms` takes; :func:`whitened_operator_norm`
+    takes the norm of one matrix the same way, by one SVD.
     """
     w = gram_whitener(gram, cutoff)
     herm = hermitize(gram)
@@ -116,11 +144,91 @@ def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
     return Whitening(w, w.conj().T @ herm, negative)
 
 
+def krylov_operator_norms(stack: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """Largest singular value of each ``M_t = sum_b coeffs[t, b] stack[b]``,
+    and the relative residual of the Ritz pair it was read from.
+
+    One Lanczos run, batched over the rows of ``coeffs``, on ``H = M^H M``
+    or ``M M^H``, whichever is smaller; no ``M_t`` is formed.  Each step
+    applies the stack to every trial's Lanczos vector as one matrix
+    product and contracts the result with the trials' coefficients, once
+    for ``M`` and once, conjugated, for ``M^H``.  The basis is fully
+    reorthogonalized (twice, which is enough).  A trial stops once its top
+    Ritz residual ``|beta_j y_j|`` is at most ``KRYLOV_TOL`` times its top
+    Ritz value, or once its Krylov space fills the side, where the Ritz
+    values are exact.  The start vector, shared by all trials, comes from
+    a generator of its own with a fixed seed, so no caller's random stream
+    is drawn from.
+
+    A Ritz value is a lower bound on the norm; the residual bounds the
+    distance to an eigenvalue of H, so a caller trusts a norm only as far
+    as its residual.
+    """
+    dim, rows, cols = stack.shape
+    coeffs = np.asarray(coeffs)
+    trials = coeffs.shape[0]
+    norms, residuals = np.zeros(trials), np.zeros(trials)
+    if trials == 0 or rows == 0 or cols == 0:
+        return norms, residuals
+    flat = stack.reshape(dim * rows, cols)
+
+    def forward(x, c):
+        return np.einsum("tb,bmt->mt", c, (flat @ x).reshape(dim, rows, -1))
+
+    def backward(y, c):
+        return np.einsum("tb,btn->nt", c, np.matmul(y.conj().T, stack)).conj()
+
+    side = min(rows, cols)
+    first, second = (forward, backward) if cols <= rows else (backward, forward)
+    start = np.random.default_rng(_KRYLOV_SEED).standard_normal(side)
+    dtype = np.result_type(stack, coeffs)
+    vec = np.repeat((start / np.linalg.norm(start))[:, None], trials, axis=1)
+    vec = vec.astype(dtype)
+    active = np.arange(trials)
+    basis, alphas, betas = [], [], []
+    for size in range(1, side + 1):
+        basis.append(vec)
+        c = coeffs[active]
+        w = second(first(vec, c), c)
+        q = np.stack(basis)
+        alpha = np.zeros(len(active))
+        for _ in range(2):
+            h = np.einsum("jst,st->jt", q.conj(), w)
+            w = w - np.einsum("jst,jt->st", q, h)
+            alpha += h[-1].real
+        beta = np.linalg.norm(w, axis=0)
+        alphas.append(alpha)
+        tri = np.zeros((len(active), size, size))
+        steps = np.arange(size)
+        tri[:, steps, steps] = np.transpose(alphas)
+        if size > 1:
+            tri[:, steps[1:], steps[:-1]] = np.transpose(betas)
+        vals, vecs = np.linalg.eigh(tri)
+        top = np.maximum(vals[:, -1], 0.0)
+        residual = beta * np.abs(vecs[:, -1, -1])
+        relative = np.divide(residual, top, out=np.zeros_like(top), where=top > 0)
+        done = residual <= KRYLOV_TOL * top
+        if size == side:
+            done[:] = True
+        norms[active[done]] = np.sqrt(top[done])
+        residuals[active[done]] = relative[done]
+        keep = ~done
+        if not keep.any():
+            break
+        active = active[keep]
+        basis = [b[:, keep] for b in basis]
+        alphas = [a[keep] for a in alphas]
+        betas = [b[keep] for b in betas] + [beta[keep]]
+        vec = w[:, keep] / beta[keep]
+    return norms, residuals
+
+
 def whitened_operator_norm(
     op: np.ndarray, out: Whitening, into: Whitening
 ) -> float:
     """Operator norm of ``op`` from the range behind ``into`` to the range
-    behind ``out``, evaluated as ``(W_out^H G_out) @ (op @ W_in)``."""
+    behind ``out``, evaluated as ``(W_out^H G_out) @ (op @ W_in)``: one
+    SVD, the oracle of :func:`krylov_operator_norms` in the tests."""
     if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
         return 0.0
     middle = out.left @ (op @ into.whitener)

@@ -253,3 +253,18 @@ def test_commutator_check_peak_does_not_grow_with_the_trials():
     # matrices, and rebuilds each pair for the misfit
     peaks = [_commutator_check_peak(trials) for trials in (1, 10, 50)]
     assert max(peaks) <= 1.2 * peaks[0], peaks
+
+
+def test_positivity_check_peak_stays_under_one_top_grade_gram():
+    # the hermiticity defect is taken in column blocks, so with the Grams
+    # and metrics cached the check holds no copy of a whole raw Gram
+    space = BosonicSpace(MatrixAlgebra(2), 4)
+    space.check_positivity()
+    tracemalloc.start()
+    try:
+        records = space.check_positivity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.status != "fail" for r in records)
+    assert peak <= 0.5 * space.gram_matrix(4).nbytes, peak

@@ -1,8 +1,9 @@
 """The graded scaffold (GradedFockSpace): operator words run as kernels on
 column blocks and checked against the dense chained product of operator
-matrices, letters summed from per-basis symbol tensors, operator norms and
-the adjointness check summed from per-grade basis stacks on the compressed
-columns, and the symmetric subspace built from index orbits."""
+matrices, letters summed from per-basis symbol tensors, operator norms by
+Krylov runs on per-grade basis stacks on the compressed columns (against
+the SVD) and the adjointness check summed from them, and the symmetric
+subspace built from index orbits."""
 
 import gc
 import itertools
@@ -14,11 +15,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import qwnlab.graded
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
-from qwnlab.linalg import symmetrizer_matrix, whitened_operator_norm
+from qwnlab.linalg import KRYLOV_TOL, symmetrizer_matrix, whitened_operator_norm
 from qwnlab.qdeform import QFockSpace
 
 
@@ -327,22 +329,56 @@ def test_adjointness_on_right_compressed_grams_matches_compress(name):
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_operator_norms_match_the_whitened_compressed_matrix(name):
-    # complex symbols at non-dyadic weights; each norm against the whitened
-    # norm of the compressed operator matrix, the route before the stacks
+    # complex symbols at non-dyadic weights; each Krylov norm against the
+    # whitened norm of the compressed operator matrix, one SVD, the route
+    # before the stacks
     space = NONDYADIC_SPACES[name]()
     symbols = _symbols(space, 3)
     for kind, k in _cases(space):
         if kind == NUMBER and k == 0:
             continue
         k_out = k + _SHIFTS[kind]
-        norms = space._operator_norms(kind, symbols, k)
-        assert norms.shape == (len(symbols),)
+        out, into = space._whitening(k_out), space._whitening(k)
+        norms, residuals = space._operator_norms(kind, symbols, k)
+        assert norms.shape == residuals.shape == (len(symbols),)
+        assert (residuals <= KRYLOV_TOL).all(), (kind, k)
         for symbol, norm in zip(symbols, norms):
             mat = space._compress(space.operator_matrix(kind, symbol, k), k_out, k)
-            expected = whitened_operator_norm(
-                mat, space._whitening(k_out), space._whitening(k)
-            )
+            expected = whitened_operator_norm(mat, out, into)
             assert abs(norm - expected) <= 1e-13 * expected, (kind, k)
+
+
+@pytest.mark.parametrize("name", ["bosonic_m2", "free_rotated"])
+def test_norm_check_draws_only_the_trial_symbols(name):
+    # the Krylov start vector has a generator of its own: after the check,
+    # the suite's generator is where drawing the symbols alone leaves it
+    space = NONDYADIC_SPACES[name]()
+    rng = np.random.default_rng(13)
+    space.check_norm_estimates(rng, trials=4)
+    alone = np.random.default_rng(13)
+    for _ in range(4):
+        random_element(space.algebra, alone)
+    assert rng.bit_generator.state == alone.bit_generator.state
+
+
+def test_norm_records_fail_when_the_ritz_residual_is_above_the_slack(monkeypatch):
+    # a Ritz value is a lower bound on the norm, so a norm whose residual
+    # is not small enough must not let a bound pass
+    krylov = qwnlab.graded.krylov_operator_norms
+
+    def loose(stack, coeffs):
+        norms, residuals = krylov(stack, coeffs)
+        return norms, residuals + 1e-6
+
+    for name in ("bosonic_f3", "free_f3"):
+        space = NONDYADIC_SPACES[name]()
+        rng = np.random.default_rng(3)
+        assert all(r.status == "pass" for r in space.check_norm_estimates(rng, trials=2))
+        monkeypatch.setattr(qwnlab.graded, "krylov_operator_norms", loose)
+        records = space.check_norm_estimates(rng, trials=2)
+        monkeypatch.undo()
+        assert [r.status for r in records] == ["fail"] * len(records), name
+        assert all("Ritz residual: 1.00e-06" in r.notes for r in records)
 
 
 # The stacks each check builds, per (kind, grade): norms at every grade

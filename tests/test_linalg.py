@@ -1,17 +1,23 @@
-"""Dense helpers: slot permutations, symmetrizers, Gram-aware norms."""
+"""Dense helpers: slot permutations, symmetrizers, Gram-aware norms, and
+the batched Krylov norms against the SVD."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from qwnlab.linalg import (
+    KRYLOV_TOL,
     axis_permutation_matrix,
     gram_operator_norm,
     gram_whitener,
     gram_whitening,
+    hermiticity_gap,
     hermitize,
+    krylov_operator_norms,
     orthonormal_range,
+    scaled_gap,
     symmetrizer_matrix,
     whitened_operator_norm,
 )
@@ -135,3 +141,86 @@ def test_hermitize():
     h = hermitize(m)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(h, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_hermiticity_gap_in_column_blocks_is_the_scaled_gap():
+    # the maxima over column blocks are exact, so the value is the same
+    # float, for sizes the block width does and does not divide
+    rng = np.random.default_rng(4)
+    for size in (1, 5, 16, 70):
+        mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        for scale in (1e-13, 1e3):
+            near = hermitize(mat) + scale * mat
+            assert hermiticity_gap(near) == scaled_gap(near, near.conj().T)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _svd_norms(stack, coeffs):
+    return np.array(
+        [
+            np.linalg.svd(np.tensordot(c, stack, axes=1), compute_uv=False)[0]
+            for c in coeffs
+        ]
+    )
+
+
+def _check_against_svd(stack, coeffs):
+    """The Krylov norms within 1e-13 relative of the SVD, each with its
+    residual at most the threshold; no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms, residuals = krylov_operator_norms(stack, coeffs)
+    expected = _svd_norms(stack, coeffs)
+    assert norms.shape == residuals.shape == (len(coeffs),)
+    assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (norms, expected)
+    assert (residuals <= KRYLOV_TOL).all(), residuals
+    return norms, residuals
+
+
+def test_krylov_norm_of_an_all_zero_coefficient_row_is_exactly_zero():
+    rng = np.random.default_rng(1)
+    stack = _complex(rng, (3, 6, 5))
+    coeffs = _complex(rng, (3, 3))
+    coeffs[1] = 0.0
+    norms, residuals = _check_against_svd(stack, coeffs)
+    assert norms[1] == 0.0 and residuals[1] == 0.0
+    assert (norms[[0, 2]] > 0).all()
+
+
+def test_krylov_norms_on_a_one_column_side():
+    # creation out of grade 0: one column, so the Ritz value is exact
+    rng = np.random.default_rng(2)
+    _check_against_svd(_complex(rng, (4, 9, 1)), _complex(rng, (5, 4)))
+    _check_against_svd(_complex(rng, (4, 1, 9)), _complex(rng, (5, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3, 11, 4), (3, 4, 11), (2, 40, 17), (2, 17, 40)])
+def test_krylov_norms_on_rectangular_stacks(shape):
+    rng = np.random.default_rng(3)
+    _check_against_svd(_complex(rng, shape), _complex(rng, (6, shape[0])))
+    real = rng.standard_normal(shape)
+    _check_against_svd(real, rng.standard_normal((6, shape[0])))
+
+
+def test_krylov_norm_of_a_non_normal_matrix():
+    # upper triangular with all eigenvalues 0.5 and a large complex strict
+    # upper part: far from normal, its norm is not an eigenvalue's modulus
+    rng = np.random.default_rng(4)
+    size = 12
+    mat = 0.5 * np.eye(size) + np.triu(3.0 * _complex(rng, (size, size)), 1)
+    norms, _ = _check_against_svd(mat[None], np.ones((1, 1)))
+    assert norms[0] > 10.0
+
+
+def test_krylov_norm_with_the_top_pair_split_by_1e_9():
+    rng = np.random.default_rng(5)
+    rows, cols = 30, 20
+    left, _ = np.linalg.qr(_complex(rng, (rows, cols)))
+    right, _ = np.linalg.qr(_complex(rng, (cols, cols)))
+    values = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.9, 0.1, cols - 2)])
+    mat = (left * values) @ right.conj().T
+    norms, _ = _check_against_svd(mat[None], np.ones((1, 1)))
+    assert abs(norms[0] - 1.0) <= 1e-13
