@@ -22,7 +22,6 @@ from .combinatorics import (
 )
 from .diagonal import DiagonalRepresentation
 from .free import FreeSpace
-from .graded import GradedVector
 from .qdeform import DiscretizedQuadratic, QFockSpace
 from .report import CheckRecord, VerificationReport, canonical_json, emit_report
 from .rewrite import (
@@ -46,7 +45,6 @@ __all__ = [
     "DiscretizedQuadratic",
     "FreeSpace",
     "FunctionAlgebra",
-    "GradedVector",
     "MatrixAlgebra",
     "NormalForm",
     "QFockSpace",

@@ -42,7 +42,6 @@ from .graded import (
     CREATION,
     NUMBER,
     GradedFockSpace,
-    GradedVector,
     GradeOverflowError,
 )
 from .linalg import hermitize, scaled_gap
@@ -189,15 +188,17 @@ class FreeSpace(GradedFockSpace):
         if total_len > 2 * self.max_grade:
             raise GradeOverflowError("centered product exceeds the grade budget")
         centers = [self.moment_operator(s, g) for g in groups]
-        vec = GradedVector.vacuum(self.algebra.dim, self.max_grade)
+        vec = [np.ones(1, dtype=complex)] + [None] * self.max_grade
         remaining = total_len
         for g, center in zip(reversed(groups), reversed(centers)):
-            skipped = vec.scaled(center)
             letters = [self._field(s, symbol) for symbol in g]
-            vec = self._walk(letters, vec, remaining)
+            walked = self._walk(letters, vec, remaining)
             remaining -= len(g)
-            vec = vec.add(skipped.scaled(-1.0))
-        return vec.vacuum_component()
+            vec = [
+                a if b is None else -center * b if a is None else a - center * b
+                for a, b in zip(walked, vec)
+            ]
+        return 0j if vec[0] is None else complex(vec[0][0])
 
     # -- verification checks -------------------------------------------------
 

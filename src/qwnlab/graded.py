@@ -1,10 +1,4 @@
-"""Graded state vectors and the shared scaffold of the Fock-space models.
-
-A :class:`GradedVector` stores one flat complex coordinate block per grade
-0..max_grade over a base space of dimension ``dim`` (grade k holds dim**k
-coordinates; grade 0 is the scalar multiple of the vacuum).  The truncation
-is a hard wall: any operation that would populate a grade beyond the cap
-raises :class:`GradeOverflowError` instead of silently dropping weight.
+"""The shared scaffold of the Fock-space models.
 
 :class:`GradedFockSpace` is the operator scaffolding the quadratic bosonic,
 free and q-deformed spaces share: all three live on the same graded tensor
@@ -29,12 +23,18 @@ forms no trial's operator.  The stacks live for one check and grade only.
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
 loop over the k! permutations.
+
+A graded vector, as ``apply`` and the vacuum walks take it, is a plain
+list whose entry k holds the dim**k coordinates of grade k, or None for an
+empty grade.  The truncation is a hard wall: an operator that would
+populate a grade beyond the cap raises :class:`GradeOverflowError` instead
+of silently dropping weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,60 +62,6 @@ def _weighted(coeffs, stack):
     """The slices of ``stack`` along its first axis summed with weights
     ``coeffs``, as one matrix product."""
     return (coeffs @ stack.reshape(len(coeffs), -1)).reshape(stack.shape[1:])
-
-
-@dataclass
-class GradedVector:
-    dim: int
-    parts: list  # parts[k] is a 1-d complex array of length dim**k
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not self.parts:
-            raise ValueError("need at least the vacuum grade")
-        fixed = []
-        for k, p in enumerate(self.parts):
-            arr = np.asarray(p, dtype=complex).reshape(-1)
-            if arr.size != self.dim**k:
-                raise ValueError(
-                    f"grade {k} must have {self.dim**k} coordinates, got {arr.size}"
-                )
-            fixed.append(arr)
-        self.parts = fixed
-
-    @property
-    def max_grade(self) -> int:
-        return len(self.parts) - 1
-
-    @classmethod
-    def vacuum(cls, dim: int, max_grade: int) -> "GradedVector":
-        parts = [np.zeros(dim**k, dtype=complex) for k in range(max_grade + 1)]
-        parts[0][0] = 1.0
-        return cls(dim, parts)
-
-    @classmethod
-    def zero(cls, dim: int, max_grade: int) -> "GradedVector":
-        return cls(dim, [np.zeros(dim**k, dtype=complex) for k in range(max_grade + 1)])
-
-    def copy(self) -> "GradedVector":
-        return GradedVector(self.dim, [p.copy() for p in self.parts])
-
-    def scaled(self, c) -> "GradedVector":
-        return GradedVector(self.dim, [c * p for p in self.parts])
-
-    def add(self, other: "GradedVector") -> "GradedVector":
-        self._compatible(other)
-        return GradedVector(
-            self.dim, [a + b for a, b in zip(self.parts, other.parts)]
-        )
-
-    def vacuum_component(self) -> complex:
-        return complex(self.parts[0][0])
-
-    def _compatible(self, other: "GradedVector"):
-        if self.dim != other.dim or self.max_grade != other.max_grade:
-            raise ValueError("graded vectors live on different spaces")
 
 
 class GradedFockSpace:
@@ -146,8 +92,9 @@ class GradedFockSpace:
     ``_kernel`` on a block of columns is the only way the scaffold acts
     with one: ``word_matrix`` runs each letter's kernel on a block that
     starts as the requested columns (the identity by default),
-    ``operator_matrix`` is the one-letter word, and ``apply`` runs the
-    kernel on one column per grade.  ``_symbol_tensors`` runs only at the
+    ``operator_matrix`` is the one-letter word, and ``apply``, the step a
+    vacuum walk is made of, runs the kernel on the one column of each grade
+    present in a graded vector (a list, see the module docstring).  ``_symbol_tensors`` runs only at the
     basis elements of the algebra, once per kind; a letter's tensors are
     their sum weighed by ``_coefficients``.  Operator norms
     (``_operator_norms``) and ``check_adjointness`` never build an
@@ -333,22 +280,27 @@ class GradedFockSpace:
         return forward - (backward if q == 1.0 else q * backward)
 
     def apply(self, kind, symbol, vec):
-        """Apply one operator to a graded vector, returning a new vector."""
-        dim = self.algebra.dim
-        out = GradedVector.zero(dim, vec.max_grade)
+        """Apply one operator to a graded vector: a list of at most
+        max_grade + 1 entries, entry k the dim**k coordinates of grade k or
+        None when that grade is empty, and missing entries empty.  Returns
+        a new list of max_grade + 1 entries."""
+        dim, top = self.algebra.dim, self.max_grade
+        if len(vec) > top + 1:
+            raise ValueError("graded vector has more than %d grades" % (top + 1))
         data = self._letter(kind, self._coefficients(kind, symbol))
         shift = _SHIFTS[kind]
-        for k, part in enumerate(vec.parts):
-            if not part.any():
+        out = [None] * (top + 1)
+        for k, part in enumerate(vec):
+            if part is None:
                 continue
-            if kind == CREATION and (k == self.max_grade or k == vec.max_grade):
-                raise GradeOverflowError(
-                    "creation pushes grade %d past the cutoff" % k
-                )
+            if np.size(part) != dim**k:
+                raise ValueError("grade %d must have %d coordinates" % (k, dim**k))
+            if kind == CREATION and k == top:
+                raise GradeOverflowError("creation pushes grade %d past the cutoff" % k)
             if k == 0 and kind != CREATION:
                 continue
-            res = self._kernel(kind, data, part.reshape(-1, 1), k)
-            out.parts[k + shift] = out.parts[k + shift] + res.reshape(-1)
+            block = np.asarray(part, dtype=complex).reshape(-1, 1)
+            out[k + shift] = self._kernel(kind, data, block, k).reshape(-1)
         return out
 
     def vacuum_expectation(self, word):
@@ -374,34 +326,31 @@ class GradedFockSpace:
                 "word of length %d needs more than %d grades"
                 % (len(letters), self.max_grade)
             )
-        vec = GradedVector.vacuum(self.algebra.dim, self.max_grade)
-        return self._walk(letters, vec, len(letters)).vacuum_component()
+        vacuum = self._walk(letters, [np.ones(1, dtype=complex)], len(letters))[0]
+        return 0j if vacuum is None else complex(vacuum[0])
 
     def _walk(self, letters, vec, remaining):
-        """Apply letters to vec, the last first; `remaining` counts the
-        letters, these included, still to act before the vacuum is read."""
+        """Apply letters to the graded vector vec, the last first, summing
+        the terms of each letter grade by grade; `remaining` counts the
+        letters, these included, still to act before the vacuum is read.
+
+        A term sees only the grades that some suffix of `remaining` letters,
+        its own included, can still map back down to grade 0: after its
+        shift, each later letter lowers the grade by at most one.
+        """
         for letter in reversed(letters):
-            out = None
+            out = [None] * (self.max_grade + 1)
             for coeff, kind, symbol in letter:
-                term = self.apply(kind, symbol, self._prune(vec, kind, remaining))
-                if coeff != 1.0:
-                    term = term.scaled(coeff)
-                out = term if out is None else out.add(term)
+                term = self.apply(kind, symbol, vec[: remaining - _SHIFTS[kind]])
+                for k, part in enumerate(term):
+                    if part is None:
+                        continue
+                    if coeff != 1.0:
+                        part = coeff * part
+                    out[k] = part if out[k] is None else out[k] + part
             vec = out
             remaining -= 1
         return vec
-
-    def _prune(self, vec, kind, remaining):
-        # Keep only grades that some suffix of length `remaining` (the
-        # current operator included) can still map back down to grade 0:
-        # after this operator's shift, each later one lowers the grade by
-        # at most one.
-        cap = remaining - 1 - _SHIFTS[kind]
-        out = vec.copy()
-        for k in range(vec.max_grade + 1):
-            if k > cap:
-                out.parts[k] = np.zeros_like(out.parts[k])
-        return out
 
     def _metric(self, k):
         """Gram matrix of grade k in the coordinates of ``_compression``,

@@ -30,7 +30,7 @@ from .algebra import FunctionAlgebra, random_element
 from .bosonic import BosonicSpace
 from .combinatorics import inversions
 from .graded import ANNIHILATION, CREATION, NUMBER, GradedFockSpace
-from .linalg import axis_permutation_matrix, hermitize, scaled_gap
+from .linalg import hermitize, scaled_gap
 from .report import reported_record, residual_record
 
 
@@ -206,13 +206,13 @@ class QFockSpace(GradedFockSpace):
             return np.ones((1, 1), dtype=complex)
         self.q_gram(n - 1)
         size = self.dim**n
-        chain = np.eye(size, dtype=complex)
-        r_n = chain.copy()
+        r_n = np.eye(size, dtype=complex)
+        # T_1 ... T_j swaps column slots j-1 and j of T_1 ... T_(j-1):
+        # axes j and j+1 once the columns are unfolded into n slots
+        chain = np.eye(size).reshape((size,) + (self.dim,) * n)
         for j in range(1, n):
-            swap = list(range(n))
-            swap[j - 1], swap[j] = j, j - 1
-            chain = chain @ axis_permutation_matrix(self.dim, swap)
-            r_n += self.q**j * chain
+            chain = chain.swapaxes(j, j + 1)
+            r_n += self.q**j * chain.reshape(size, size)
         # I (x) P_q(n-1) is block diagonal: apply P_q(n-1) to each block row
         blocks = r_n.reshape(self.dim, self.dim ** (n - 1), size)
         return (self._raw_grams[n - 1] @ blocks).reshape(size, size)

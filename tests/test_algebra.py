@@ -10,7 +10,7 @@ from qwnlab.algebra import (
     pair_product_state_tensors,
     random_element,
 )
-from qwnlab.graded import GradedVector, GradeOverflowError
+from qwnlab.graded import GradeOverflowError
 
 
 def test_function_algebra_operations():
@@ -106,24 +106,28 @@ def test_basis_word_products_matrix_case():
 
 
 def test_graded_vector_shapes_and_vacuum():
-    vac = GradedVector.vacuum(2, 3)
-    assert vac.max_grade == 3
-    assert vac.vacuum_component() == 1.0
-    assert all(p.size == 2**k for k, p in enumerate(vac.parts))
-    zero = GradedVector.zero(2, 3)
-    combo = vac.scaled(2.0).add(zero)
-    assert combo.vacuum_component() == 2.0
+    from qwnlab.bosonic import CREATION, NUMBER, BosonicSpace
+
+    # a graded vector is a list: entry k holds grade k, None an empty grade
+    space = BosonicSpace(FunctionAlgebra([1.0, 0.5]), max_grade=3)
+    chi = np.ones(2)
+    vacuum = [np.ones(1)]
+    out = space.apply(CREATION, chi, vacuum)
+    assert len(out) == 4 and out[1].shape == (2,)
+    assert out[0] is None and out[2] is None and out[3] is None
+    assert space.apply(NUMBER, chi, vacuum) == [None] * 4
+    assert space.vacuum_expectation(()) == 1.0
     with pytest.raises(ValueError):
-        GradedVector(2, [np.ones(3)])
+        space.apply(CREATION, chi, [np.ones(1), np.ones(3)])
     with pytest.raises(ValueError):
-        vac.add(GradedVector.zero(2, 2))
+        space.apply(CREATION, chi, [np.ones(1)] + [None] * 4)
 
 
 def test_grade_overflow_error_is_raised_not_silenced():
     from qwnlab.bosonic import CREATION, BosonicSpace
 
     space = BosonicSpace(FunctionAlgebra([1.0]), max_grade=2)
-    vec = GradedVector.vacuum(1, 2)
+    vec = [np.ones(1)]
     top = space.apply(CREATION, np.ones(1), space.apply(CREATION, np.ones(1), vec))
     with pytest.raises(GradeOverflowError):
         space.apply(CREATION, np.ones(1), top)

@@ -14,7 +14,6 @@ import pytest
 
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
-from qwnlab.graded import GradedVector
 
 
 def one_point_space(weight=1.0, gamma0=1.0, max_grade=4):
@@ -123,12 +122,12 @@ def test_apply_matches_operator_matrix():
     space = BosonicSpace(alg, max_grade=3)
     rng = np.random.default_rng(12)
     phi = random_element(alg, rng)
-    vec = GradedVector.zero(2, 3)
-    vec.parts[2] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    vec = [None, None, rng.standard_normal(4) + 1j * rng.standard_normal(4)]
     for kind, shift in ((CREATION, 1), (ANNIHILATION, -1), (NUMBER, 0)):
         out = space.apply(kind, phi, vec)
-        direct = space.operator_matrix(kind, phi, 2) @ vec.parts[2]
-        assert np.allclose(out.parts[2 + shift], direct)
+        direct = space.operator_matrix(kind, phi, 2) @ vec[2]
+        assert np.allclose(out[2 + shift], direct)
+        assert all(part is None for k, part in enumerate(out) if k != 2 + shift)
 
 
 def test_vacuum_expectation_guards():

@@ -1,5 +1,7 @@
 """Free quadratic space: anchors, exact relations, moment formulas."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from qwnlab.algebra import (
 from qwnlab.bosonic import ANNIHILATION, CREATION, NUMBER
 from qwnlab.combinatorics import cumulant_weight, interval_compositions
 from qwnlab.free import FreeSpace
-from qwnlab.graded import GradedVector
+from qwnlab.graded import GradeOverflowError
 from qwnlab.linalg import hermitize
 
 
@@ -111,6 +113,49 @@ def test_centered_products_of_disjoint_symbols_vanish():
     b = random_element(alg, rng, support=[1, 2])
     value = space.centered_product_expectation(1.0, [[a], [b], [a]])
     assert abs(value) < 1e-12
+
+
+def _centered_by_inclusion_exclusion(space, s, groups):
+    """The vacuum moment of the product of (X_g - c_g) over the groups,
+    c_g the moment of X_g, expanded over the subsets of groups that keep
+    their X_g: each subset contributes the moment of its groups' symbols in
+    order, times -c_g for every group left out."""
+    centers = [space.moment_operator(s, g) for g in groups]
+    total = 0j
+    for keep in itertools.product((False, True), repeat=len(groups)):
+        symbols = [x for g, kept in zip(groups, keep) if kept for x in g]
+        term = space.moment_operator(s, symbols)
+        for c, kept in zip(centers, keep):
+            if not kept:
+                term *= -c
+        total += term
+    return total, max(1.0, max(abs(c) for c in centers) ** len(groups))
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_centered_product_matches_inclusion_exclusion(count):
+    alg = FunctionAlgebra([0.5, 1.0, 0.75, 0.25])
+    space = FreeSpace(alg, max_grade=6, gamma=0.75)
+    rng = np.random.default_rng(40 + count)
+    for s in (0.0, 1.0, -0.5):
+        sizes = [1 + int(rng.integers(3)) for _ in range(count)]
+        groups = [[random_element(alg, rng) for _ in range(n)] for n in sizes]
+        expected, scale = _centered_by_inclusion_exclusion(space, s, groups)
+        value = space.centered_product_expectation(s, groups)
+        assert abs(value - expected) <= 1e-12 * max(scale, abs(expected))
+
+
+def test_moments_at_twice_the_top_grade_stay_exact():
+    # the longest word the walk accepts: grades that cannot return to the
+    # vacuum are pruned, never truncated, so the moment is the formula's
+    space = FreeSpace(MatrixAlgebra(2), max_grade=4, gamma=0.5)
+    rng = np.random.default_rng(19)
+    symbols = [random_element(space.algebra, rng) for _ in range(8)]
+    for s in (0.0, 1.5):
+        op = space.moment_operator(s, symbols)
+        assert op == pytest.approx(space.moment_formula(s, symbols), rel=1e-12)
+    with pytest.raises(GradeOverflowError):
+        space.moment_operator(1.0, symbols + symbols[:1])
 
 
 def test_gram_positive_for_matrix_algebra():

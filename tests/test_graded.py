@@ -124,6 +124,17 @@ def test_creation_past_the_top_grade_raises(space):
         space.word_matrix([(CREATION, x), (CREATION, x)], 3)
 
 
+def test_a_walk_to_the_top_grade_and_back_matches_the_word(space):
+    # b^4 b*^4 from the vacuum climbs to the top grade and back, the
+    # longest pure word a vacuum walk accepts at grade 4; the unpruned word
+    # on the vacuum column is the reference
+    symbols = _symbols(space, 2 * space.max_grade)
+    kinds = [ANNIHILATION] * space.max_grade + [CREATION] * space.max_grade
+    word = list(zip(kinds, symbols))
+    expected = space.word_matrix(word, 0)[0, 0]
+    assert space.vacuum_expectation(word) == pytest.approx(expected, rel=1e-14)
+
+
 # Spaces up to grade 4 for the operator-matrix oracle.  The dyadic ones
 # have dyadic weights, gamma and q, so at dyadic symbols both builders sum
 # exact products and must agree bit for bit.
