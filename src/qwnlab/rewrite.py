@@ -38,6 +38,7 @@ LINEAR_ANNIHILATION = "a"
 
 KINDS = (CREATION, LINEAR_CREATION, NUMBER, LINEAR_ANNIHILATION, ANNIHILATION)
 _RANK = {kind: index for index, kind in enumerate(KINDS)}
+_STRATEGIES = ("leftmost", "rightmost", "random")
 
 MAX_WORD_LENGTH = 14
 
@@ -176,81 +177,77 @@ class RewriteEngine:
         self.symbols = symbols
         self.table = table if table is not None else RelationTable()
         self._moment_cache = {}
-        self._rule_cache = {}
+        # normal_order rewrites words of int codes, one per letter (kind, sid).
+        # Per code: the letter, its order key (rank, symbol key), so a pair
+        # (a, b) is out of order iff _order[a] > _order[b], and the rules
+        # _rules[a][b] with it on the left.
+        self._codes = {}
+        self._letters = []
+        self._order = []
+        self._rules = []
 
     # -- rules ----------------------------------------------------------------
 
-    def _replacements(self, left, right):
-        """Terms replacing the out-of-order adjacent pair (left, right).
+    def _code(self, letter):
+        code = self._codes.get(letter)
+        if code is None:
+            code = self._codes[letter] = len(self._letters)
+            self._letters.append(letter)
+            self._order.append((_RANK[letter[0]], self.symbols.sort_key(letter[1])))
+            self._rules.append({})
+        return code
 
-        Cached, and already stripped of terms that are exactly zero
-        (vanishing scalar factors or operators with zero symbols).
+    def _rule(self, a, b):
+        """Coded terms replacing the out-of-order pair of codes (a, b).
+
+        Cached in ``_rules[a][b]``, and already stripped of terms that are
+        exactly zero (vanishing scalar factors or operators with zero
+        symbols).
         """
-        cached = self._rule_cache.get((left, right))
-        if cached is None:
-            cached = tuple(
-                (factor, middle)
-                for factor, middle in self._build_replacements(left, right)
-                if factor != 0
-                and not any(self.symbols.is_zero(sid) for _, sid in middle)
-            )
-            self._rule_cache[(left, right)] = cached
-        return cached
+        letters = self._letters
+        is_zero = self.symbols.is_zero
+        rule = tuple(
+            (factor, tuple(self._code(letter) for letter in middle))
+            for factor, middle in self._build_replacements(letters[a], letters[b])
+            if factor != 0 and not any(is_zero(sid) for _, sid in middle)
+        )
+        self._rules[a][b] = rule
+        return rule
 
     def _build_replacements(self, left, right):
+        """Terms replacing the out-of-order pair of letters (left, right):
+        the swapped pair with factor 1, then the shorter terms of its rule."""
         kind_a, sym_a = left
         kind_b, sym_b = right
         syms = self.symbols
-        table = self.table
-        swap = (right, left)
-        if kind_a == kind_b:
-            return [(1.0 + 0j, swap)]
+        shift = self.table.number_shift + 0j
         pair = (kind_a, kind_b)
-        if pair == (ANNIHILATION, CREATION):
-            scalar = PAIR_SCALAR * table.gamma0 * syms.pairing(sym_a, sym_b)
-            product = syms.mul(syms.star(sym_a), sym_b)
-            return [
-                (1.0 + 0j, swap),
-                (scalar, ()),
-                (PAIR_NUMBER + 0j, ((NUMBER, product),)),
-            ]
-        if pair == (NUMBER, CREATION):
-            product = syms.mul(sym_a, sym_b)
-            return [
-                (1.0 + 0j, swap),
-                (table.number_shift + 0j, ((CREATION, product),)),
-            ]
-        if pair == (ANNIHILATION, NUMBER):
-            product = syms.mul(sym_a, syms.star(sym_b))
-            return [
-                (1.0 + 0j, swap),
-                (table.number_shift + 0j, ((ANNIHILATION, product),)),
-            ]
-        if pair == (LINEAR_ANNIHILATION, LINEAR_CREATION):
-            return [
-                (1.0 + 0j, swap),
-                (LINEAR_PAIR * syms.pairing(sym_a, sym_b), ()),
-            ]
-        if pair == (LINEAR_ANNIHILATION, CREATION):
-            product = syms.mul(syms.star(sym_a), sym_b)
-            return [
-                (1.0 + 0j, swap),
-                (MIXED_SHIFT + 0j, ((LINEAR_CREATION, product),)),
-            ]
-        if pair == (ANNIHILATION, LINEAR_CREATION):
-            product = syms.mul(sym_a, syms.star(sym_b))
-            return [
-                (1.0 + 0j, swap),
-                (MIXED_SHIFT + 0j, ((LINEAR_ANNIHILATION, product),)),
-            ]
-        if pair in (
+        if kind_a == kind_b or pair in (
             (LINEAR_CREATION, CREATION),
             (ANNIHILATION, LINEAR_ANNIHILATION),
         ):
-            return [(1.0 + 0j, swap)]
-        raise UnsupportedRelationError(
-            "no relation for the pair (%s, %s)" % (kind_a, kind_b)
-        )
+            lower = []
+        elif pair == (ANNIHILATION, CREATION):
+            scalar = PAIR_SCALAR * self.table.gamma0 * syms.pairing(sym_a, sym_b)
+            product = syms.mul(syms.star(sym_a), sym_b)
+            lower = [(scalar, ()), (PAIR_NUMBER + 0j, ((NUMBER, product),))]
+        elif pair == (NUMBER, CREATION):
+            lower = [(shift, ((CREATION, syms.mul(sym_a, sym_b)),))]
+        elif pair == (ANNIHILATION, NUMBER):
+            lower = [(shift, ((ANNIHILATION, syms.mul(sym_a, syms.star(sym_b))),))]
+        elif pair == (LINEAR_ANNIHILATION, LINEAR_CREATION):
+            lower = [(LINEAR_PAIR * syms.pairing(sym_a, sym_b), ())]
+        elif pair == (LINEAR_ANNIHILATION, CREATION):
+            product = syms.mul(syms.star(sym_a), sym_b)
+            lower = [(MIXED_SHIFT + 0j, ((LINEAR_CREATION, product),))]
+        elif pair == (ANNIHILATION, LINEAR_CREATION):
+            product = syms.mul(sym_a, syms.star(sym_b))
+            lower = [(MIXED_SHIFT + 0j, ((LINEAR_ANNIHILATION, product),))]
+        else:
+            raise UnsupportedRelationError(
+                "no relation for the pair (%s, %s)" % (kind_a, kind_b)
+            )
+        return [(1.0 + 0j, (right, left))] + lower
 
     # -- normal ordering ------------------------------------------------------
 
@@ -263,31 +260,50 @@ class RewriteEngine:
         for kind, sid in word:
             if kind not in _RANK:
                 raise ValueError("unknown operator kind %r" % (kind,))
+        if strategy not in _STRATEGIES:
+            raise ValueError("unknown strategy %r" % (strategy,))
         if strategy == "random" and rng is None:
             raise ValueError("the random strategy needs an rng")
         if max_steps is None:
             max_steps = 4 ** max(len(word), 1)
         if coefficient == 0 or any(self.symbols.is_zero(s) for _, s in word):
             return NormalForm(terms={}, steps=0)
+        order = self._order
+        rules = self._rules
         terms = {}
         steps = 0
-        # pending maps word -> (accumulated coefficient, scan hint); words
-        # reachable along several reduction paths are processed once per
-        # visit with their merged coefficient, FIFO for determinism
-        pending = {word: (complex(coefficient), 0)}
-        queue = deque((word,))
+        # pending maps coded word -> (accumulated coefficient, scan hint);
+        # words reachable along several reduction paths are processed once
+        # per visit with their merged coefficient, FIFO for determinism
+        start = tuple(self._code(letter) for letter in word)
+        pending = {start: (complex(coefficient), 0)}
+        queue = deque((start,))
+        popleft, append = queue.popleft, queue.append
+        take, get = pending.pop, pending.get
         leftmost = strategy == "leftmost"
         while queue:
-            current = queue.popleft()
-            entry = pending.pop(current, None)
+            w = popleft()
+            entry = take(w, None)
             if entry is None:
                 continue
             coeff, hint = entry
             if coeff == 0:
                 continue
-            position = self._find_position(current, hint, strategy, rng)
-            if position is None:
-                terms[current] = terms.get(current, 0j) + coeff
+            last = len(w) - 1
+            position = hint
+            if leftmost:
+                while position < last and order[w[position]] <= order[w[position + 1]]:
+                    position += 1
+            else:
+                descents = [p for p in range(last) if order[w[p]] > order[w[p + 1]]]
+                if not descents:
+                    position = last
+                elif strategy == "rightmost":
+                    position = descents[-1]
+                else:
+                    position = descents[int(rng.integers(len(descents)))]
+            if position >= last:
+                terms[w] = terms.get(w, 0j) + coeff
                 continue
             steps += 1
             if steps > max_steps:
@@ -295,46 +311,28 @@ class RewriteEngine:
                     "exceeded %d rewrite steps on a word of length %d"
                     % (max_steps, len(word))
                 )
-            prefix = current[:position]
-            suffix = current[position + 2 :]
+            a = w[position]
+            b = w[position + 1]
+            rule = rules[a].get(b)
+            if rule is None:
+                rule = self._rule(a, b)
+            prefix = w[:position]
+            suffix = w[position + 2 :]
             new_hint = position - 1 if leftmost and position > 0 else 0
-            for factor, middle in self._replacements(
-                current[position], current[position + 1]
-            ):
+            for factor, middle in rule:
                 new_word = prefix + middle + suffix
-                previous = pending.get(new_word)
+                previous = get(new_word)
                 if previous is None:
                     pending[new_word] = (coeff * factor, new_hint)
-                    queue.append(new_word)
+                    append(new_word)
                 else:
                     pending[new_word] = (
                         previous[0] + coeff * factor,
                         new_hint if new_hint < previous[1] else previous[1],
                     )
-        return NormalForm(
-            terms={w: c for w, c in terms.items() if c != 0}, steps=steps
-        )
-
-    def _find_position(self, word, hint, strategy, rng):
-        rank = _RANK
-        keys = self.symbols._keys
-        candidates = []
-        for position in range(hint, len(word) - 1):
-            kind_a, sym_a = word[position]
-            kind_b, sym_b = word[position + 1]
-            if rank[kind_a] > rank[kind_b] or (
-                kind_a == kind_b and keys[sym_a] > keys[sym_b]
-            ):
-                if strategy == "leftmost":
-                    return position
-                candidates.append(position)
-        if not candidates:
-            return None
-        if strategy == "rightmost":
-            return candidates[-1]
-        if strategy == "random":
-            return candidates[int(rng.integers(len(candidates)))]
-        raise ValueError("unknown strategy %r" % (strategy,))
+        letters = self._letters
+        terms = {tuple(letters[c] for c in w): x for w, x in terms.items() if x != 0}
+        return NormalForm(terms=terms, steps=steps)
 
     def vacuum_moment(self, word, **kwargs):
         """Scalar term of the normal form: the vacuum state of the word."""

@@ -16,8 +16,11 @@ number shift 2):
 """
 
 import concurrent.futures
+import itertools
 import multiprocessing
 import os
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -110,6 +113,15 @@ def test_word_validation():
         engine.normal_order(long_word)
     with pytest.raises(ValueError):
         engine.normal_order(((NUMBER, sid), (NUMBER, sid)), strategy="random")
+
+
+def test_unknown_strategy_is_rejected_before_rewriting():
+    engine = make_engine()
+    sid = engine.symbols.intern(np.ones(2))
+    normal = ((CREATION, sid), (ANNIHILATION, sid))
+    for word in (normal, normal[::-1]):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            engine.normal_order(word, strategy="bogus")
 
 
 def test_budget_error():
@@ -381,3 +393,199 @@ def test_sweep_workers_bounded_by_cpus_chunks_and_ceiling(monkeypatch):
         np.random.default_rng(5), words=chunks * rewrite._SWEEP_CHUNK, max_len=4
     )
     assert started == [chunks]
+
+
+def _reference_normal_order(
+    engine, word, coefficient=1.0, strategy="leftmost", rng=None, max_steps=None
+):
+    """The breadth-first rewrite on (kind, sid) letters that the engine's
+    rewrite on integer letter codes replaced: the oracle for its step
+    counts, its term order and the bits of its coefficients.  The rules
+    come from the engine's relation table, rebuilt at every step."""
+    rank = {kind: index for index, kind in enumerate(rewrite.KINDS)}
+    syms = engine.symbols
+    word = tuple(word)
+    if max_steps is None:
+        max_steps = 4 ** max(len(word), 1)
+    if coefficient == 0 or any(syms.is_zero(s) for _, s in word):
+        return NormalForm(terms={}, steps=0)
+
+    def find_position(current, hint):
+        candidates = []
+        for position in range(hint, len(current) - 1):
+            kind_a, sym_a = current[position]
+            kind_b, sym_b = current[position + 1]
+            if rank[kind_a] > rank[kind_b] or (
+                kind_a == kind_b and syms.sort_key(sym_a) > syms.sort_key(sym_b)
+            ):
+                if strategy == "leftmost":
+                    return position
+                candidates.append(position)
+        if not candidates:
+            return None
+        if strategy == "rightmost":
+            return candidates[-1]
+        return candidates[int(rng.integers(len(candidates)))]
+
+    terms = {}
+    steps = 0
+    pending = {word: (complex(coefficient), 0)}
+    queue = deque((word,))
+    while queue:
+        current = queue.popleft()
+        entry = pending.pop(current, None)
+        if entry is None:
+            continue
+        coeff, hint = entry
+        if coeff == 0:
+            continue
+        position = find_position(current, hint)
+        if position is None:
+            terms[current] = terms.get(current, 0j) + coeff
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise RewriteBudgetError("exceeded %d rewrite steps" % max_steps)
+        prefix = current[:position]
+        suffix = current[position + 2 :]
+        new_hint = position - 1 if strategy == "leftmost" and position > 0 else 0
+        for factor, middle in engine._build_replacements(
+            current[position], current[position + 1]
+        ):
+            if factor == 0 or any(syms.is_zero(s) for _, s in middle):
+                continue
+            new_word = prefix + middle + suffix
+            previous = pending.get(new_word)
+            if previous is None:
+                pending[new_word] = (coeff * factor, new_hint)
+                queue.append(new_word)
+            else:
+                pending[new_word] = (
+                    previous[0] + coeff * factor,
+                    min(new_hint, previous[1]),
+                )
+    return NormalForm(terms={w: c for w, c in terms.items() if c != 0}, steps=steps)
+
+
+def _assert_same_form(engine, word, reference_rng=None, **kwargs):
+    form = engine.normal_order(word, **kwargs)
+    expected = _reference_normal_order(
+        engine, word, **dict(kwargs, rng=reference_rng)
+    )
+    assert form.steps == expected.steps, word
+    # repr keeps the term order and every bit of each coefficient,
+    # signed zeros included
+    assert repr(list(form.terms.items())) == repr(list(expected.terms.items())), word
+    return form
+
+
+def _random_words(seed, count, max_len, min_len=1):
+    """An engine over two weighted points, and ``count`` random words over
+    the quadratic kinds and a pool of four dyadic symbols."""
+    rng = np.random.default_rng(seed)
+    engine = make_engine()
+    pool = [
+        engine.symbols.intern(random_element(engine.symbols.algebra, rng, dyadic=True))
+        for _ in range(4)
+    ]
+    kinds = (CREATION, NUMBER, ANNIHILATION)
+    words = [
+        tuple(
+            (kinds[int(rng.integers(3))], pool[int(rng.integers(4))])
+            for _ in range(min_len + int(rng.integers(max_len - min_len + 1)))
+        )
+        for _ in range(count)
+    ]
+    return engine, words
+
+
+def test_coded_engine_matches_the_letter_engine_on_every_short_word():
+    engine = make_engine()
+    # disjoint supports: the pairing and the products of the two symbols
+    # vanish, so the rules of mixed pairs lose their shorter terms
+    pool = [
+        engine.symbols.intern(np.array([0.3 + 0.1j, 0.0])),
+        engine.symbols.intern(np.array([0.0, -1.7 + 0.2j])),
+    ]
+    letters = [(kind, sid) for kind in (CREATION, NUMBER, ANNIHILATION) for sid in pool]
+    words = 0
+    for length in range(6):
+        for word in itertools.product(letters, repeat=length):
+            _assert_same_form(engine, word)
+            words += 1
+    assert words == sum(6**length for length in range(6))
+
+
+def test_coded_engine_matches_the_letter_engine_on_random_words():
+    engine, words = _random_words(17, 300, 10)
+    for word in words:
+        _assert_same_form(engine, word, coefficient=0.75 - 0.5j)
+
+
+def test_coded_engine_matches_the_letter_engine_under_other_strategies():
+    engine, words = _random_words(19, 100, 7, min_len=2)
+    for seed, word in enumerate(words):
+        _assert_same_form(engine, word, strategy="rightmost")
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        _assert_same_form(
+            engine, word, strategy="random", rng=rng, reference_rng=reference_rng
+        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _five_kind_words(engine, max_len=3):
+    sid = engine.symbols.intern(np.array([1.0, -0.5]))
+    letters = [(kind, sid) for kind in rewrite.KINDS]
+    for length in range(max_len + 1):
+        yield from itertools.product(letters, repeat=length)
+
+
+def test_coded_engine_matches_the_letter_engine_on_linear_letters():
+    engine = make_engine()
+    unsupported = supported_mixed = 0
+    for word in _five_kind_words(engine):
+        try:
+            expected = _reference_normal_order(engine, word)
+        except UnsupportedRelationError as error:
+            with pytest.raises(UnsupportedRelationError, match=re.escape(str(error))):
+                engine.normal_order(word)
+            unsupported += 1
+            continue
+        _assert_same_form(engine, word)
+        kinds = {kind for kind, _ in word}
+        if kinds & {LINEAR_CREATION, LINEAR_ANNIHILATION} and kinds - {
+            LINEAR_CREATION,
+            LINEAR_ANNIHILATION,
+        }:
+            supported_mixed += bool(expected.steps)
+    assert unsupported and supported_mixed
+
+
+def test_every_cached_rule_lowers_length_or_inversions():
+    # Each rule either swaps the out-of-order pair, one inversion fewer at
+    # the same length, or yields a shorter word: (length, inversions) falls
+    # lexicographically at every step, so rewriting terminates on all words
+    engine, words = _random_words(23, 300, 10)
+    for word in words:
+        engine.normal_order(word)
+    for word in _five_kind_words(engine):
+        try:
+            engine.normal_order(word)
+        except UnsupportedRelationError:
+            pass
+    rules = 0
+    for a, row in enumerate(engine._rules):
+        for b, rule in row.items():
+            assert engine._order[a] > engine._order[b]
+            (factor, swap), *lower = rule
+            assert swap == (b, a) and factor == 1
+            assert all(len(middle) < 2 for _, middle in lower)
+            rules += 1
+    kinds = {
+        (engine._letters[a][0], engine._letters[b][0])
+        for a, row in enumerate(engine._rules)
+        for b in row
+    }
+    assert (ANNIHILATION, CREATION) in kinds and (LINEAR_ANNIHILATION, CREATION) in kinds
+    assert rules > 50
