@@ -133,8 +133,8 @@ def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
     A space that norms many operators against one Gram matrix per grade
     computes this once per grade and applies its whitener and left factor
     to a stack of basis operators, whose norms
-    :func:`krylov_operator_norms` takes; :func:`whitened_operator_norm`
-    takes the norm of one matrix the same way, by one SVD.
+    :func:`krylov_operator_norms` takes; :func:`gram_operator_norm`
+    whitens both sides afresh and takes the norm of one matrix by one SVD.
     """
     w = gram_whitener(gram, cutoff)
     herm = hermitize(gram)
@@ -223,18 +223,6 @@ def krylov_operator_norms(stack: np.ndarray, coeffs: np.ndarray) -> tuple:
     return norms, residuals
 
 
-def whitened_operator_norm(
-    op: np.ndarray, out: Whitening, into: Whitening
-) -> float:
-    """Operator norm of ``op`` from the range behind ``into`` to the range
-    behind ``out``, evaluated as ``(W_out^H G_out) @ (op @ W_in)``: one
-    SVD, the oracle of :func:`krylov_operator_norms` in the tests."""
-    if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
-        return 0.0
-    middle = out.left @ (op @ into.whitener)
-    return float(np.linalg.norm(middle, ord=2))
-
-
 def gram_operator_norm(
     op: np.ndarray,
     gram_out: np.ndarray,
@@ -245,8 +233,10 @@ def gram_operator_norm(
 
     Both domain and codomain are restricted to the numerical ranges of
     their Gram matrices; vectors of zero length neither contribute norm
-    nor blow it up.
+    nor blow it up.  The norm is that of ``(W_out^H G_out) @ (op @ W_in)``,
+    by one SVD.
     """
-    return whitened_operator_norm(
-        op, gram_whitening(gram_out, cutoff), gram_whitening(gram_in, cutoff)
-    )
+    out, into = gram_whitening(gram_out, cutoff), gram_whitening(gram_in, cutoff)
+    if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.norm(out.left @ (op @ into.whitener), ord=2))

@@ -254,47 +254,74 @@ class RewriteEngine:
     def normal_order(
         self, word, coefficient=1.0, strategy="leftmost", rng=None, max_steps=None
     ):
+        """Normal form of ``coefficient`` times ``word``, with its step count.
+
+        Breadth first: words are popped in FIFO order, and each one that is
+        not normal takes one step, replacing its chosen out-of-order pair by
+        the terms of its rule.  A word reached again while it waits merges
+        into one entry, coefficients summed; an entry summing to exactly 0
+        is dropped without a step.  More than ``max_steps`` steps (default
+        4**length) raise ``RewriteBudgetError``.  Under ``leftmost`` the
+        pair is the leftmost descent, a function of the word alone.
+        """
+        if strategy not in _STRATEGIES:
+            raise ValueError("unknown strategy %r" % (strategy,))
+        if strategy == "random" and rng is None:
+            raise ValueError("the random strategy needs an rng")
+        start = self._coded(word)
+        if coefficient == 0 or start is None:
+            return NormalForm(terms={}, steps=0)
+        if max_steps is None:
+            max_steps = 4 ** max(len(start), 1)
+        terms = {}
+        steps = self._rewrite(start, coefficient, strategy, rng, max_steps, terms)
+        letters = self._letters
+        terms = {tuple(letters[c] for c in w): x for w, x in terms.items() if x != 0}
+        return NormalForm(terms=terms, steps=steps)
+
+    def count_steps(self, word):
+        """``normal_order(word).steps``, without building the normal form."""
+        start = self._coded(word)
+        if start is None:
+            return 0
+        budget = 4 ** max(len(start), 1)
+        return self._rewrite(start, 1.0, "leftmost", None, budget, None)
+
+    def _coded(self, word):
+        """Letter codes of a checked word, or None if a symbol is zero."""
         word = tuple((kind, sid) for kind, sid in word)
         if len(word) > MAX_WORD_LENGTH:
             raise ValueError("word length capped at %d" % MAX_WORD_LENGTH)
         for kind, sid in word:
             if kind not in _RANK:
                 raise ValueError("unknown operator kind %r" % (kind,))
-        if strategy not in _STRATEGIES:
-            raise ValueError("unknown strategy %r" % (strategy,))
-        if strategy == "random" and rng is None:
-            raise ValueError("the random strategy needs an rng")
-        if max_steps is None:
-            max_steps = 4 ** max(len(word), 1)
-        if coefficient == 0 or any(self.symbols.is_zero(s) for _, s in word):
-            return NormalForm(terms={}, steps=0)
-        order = self._order
-        rules = self._rules
-        terms = {}
-        steps = 0
-        # pending maps coded word -> (accumulated coefficient, scan hint);
-        # words reachable along several reduction paths are processed once
-        # per visit with their merged coefficient, FIFO for determinism
-        start = tuple(self._code(letter) for letter in word)
-        pending = {start: (complex(coefficient), 0)}
+        if any(self.symbols.is_zero(sid) for _, sid in word):
+            return None
+        return tuple(self._code(letter) for letter in word)
+
+    def _rewrite(self, start, coefficient, strategy, rng, max_steps, terms):
+        """Steps of the rewrite of the coded word ``start``, adding normal
+        words to ``terms``.  With ``terms`` None (leftmost only) a normal
+        word is never queued: it has no descendants and costs no step."""
+        order, rules = self._order, self._rules
+        leftmost = strategy == "leftmost"
+        counting = terms is None
+        # pending maps coded word -> (accumulated coefficient, leftmost
+        # descent or len - 1 if normal); other strategies choose at pop
+        steps, p, last = 0, 0, len(start) - 1
+        while leftmost and p < last and order[start[p]] <= order[start[p + 1]]:
+            p += 1
+        pending = {start: (complex(coefficient), p)}
         queue = deque((start,))
         popleft, append = queue.popleft, queue.append
         take, get = pending.pop, pending.get
-        leftmost = strategy == "leftmost"
         while queue:
             w = popleft()
-            entry = take(w, None)
-            if entry is None:
-                continue
-            coeff, hint = entry
+            coeff, position = take(w)
             if coeff == 0:
                 continue
             last = len(w) - 1
-            position = hint
-            if leftmost:
-                while position < last and order[w[position]] <= order[w[position + 1]]:
-                    position += 1
-            else:
+            if not leftmost:
                 descents = [p for p in range(last) if order[w[p]] > order[w[p + 1]]]
                 if not descents:
                     position = last
@@ -303,36 +330,37 @@ class RewriteEngine:
                 else:
                     position = descents[int(rng.integers(len(descents)))]
             if position >= last:
-                terms[w] = terms.get(w, 0j) + coeff
+                if not counting:
+                    terms[w] = terms.get(w, 0j) + coeff
                 continue
             steps += 1
             if steps > max_steps:
                 raise RewriteBudgetError(
                     "exceeded %d rewrite steps on a word of length %d"
-                    % (max_steps, len(word))
+                    % (max_steps, len(start))
                 )
-            a = w[position]
-            b = w[position + 1]
-            rule = rules[a].get(b)
-            if rule is None:
-                rule = self._rule(a, b)
-            prefix = w[:position]
-            suffix = w[position + 2 :]
-            new_hint = position - 1 if leftmost and position > 0 else 0
+            a, b = w[position], w[position + 1]
+            rule = rules[a].get(b) or self._rule(a, b)
+            prefix, suffix = w[:position], w[position + 2 :]
+            # the pairs of the prefix stay in order, so a new word's
+            # leftmost descent is at position - 1 or later
+            hint = position - 1 if position > 0 else 0
             for factor, middle in rule:
-                new_word = prefix + middle + suffix
-                previous = get(new_word)
-                if previous is None:
-                    pending[new_word] = (coeff * factor, new_hint)
-                    append(new_word)
-                else:
-                    pending[new_word] = (
-                        previous[0] + coeff * factor,
-                        new_hint if new_hint < previous[1] else previous[1],
-                    )
-        letters = self._letters
-        terms = {tuple(letters[c] for c in w): x for w, x in terms.items() if x != 0}
-        return NormalForm(terms=terms, steps=steps)
+                new = prefix + middle + suffix
+                previous = get(new)
+                if previous is not None:
+                    pending[new] = (previous[0] + coeff * factor, previous[1])
+                    continue
+                p = hint
+                if leftmost:
+                    end = len(new) - 1
+                    while p < end and order[new[p]] <= order[new[p + 1]]:
+                        p += 1
+                    if counting and p >= end:
+                        continue
+                pending[new] = (coeff * factor, p)
+                append(new)
+        return steps
 
     def vacuum_moment(self, word, **kwargs):
         """Scalar term of the normal form: the vacuum state of the word."""
@@ -652,11 +680,8 @@ _worker_sweep = None
 
 
 def _worst_ratio(engine, words):
-    """Largest steps/4**length over the normal forms of ``words``."""
-    return max(
-        (engine.normal_order(word).steps / 4.0 ** len(word) for word in words),
-        default=0.0,
-    )
+    """Largest steps/4**length over ``words``, counted by ``count_steps``."""
+    return max((engine.count_steps(w) / 4.0 ** len(w) for w in words), default=0.0)
 
 
 def _install_sweep(engine, words):

@@ -20,8 +20,9 @@ from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
-from qwnlab.linalg import KRYLOV_TOL, symmetrizer_matrix, whitened_operator_norm
+from qwnlab.linalg import KRYLOV_TOL, symmetrizer_matrix
 from qwnlab.qdeform import QFockSpace
+from test_linalg import whitened_operator_norm
 
 
 class RotatedMatrixAlgebra(MatrixAlgebra):

@@ -19,8 +19,17 @@ from qwnlab.linalg import (
     orthonormal_range,
     scaled_gap,
     symmetrizer_matrix,
-    whitened_operator_norm,
 )
+
+
+def whitened_operator_norm(op, out, into):
+    """Operator norm of ``op`` from the range behind the whitening ``into``
+    to the range behind ``out``, as ``(W_out^H G_out) @ (op @ W_in)`` by
+    one SVD: ``gram_operator_norm`` on cached whitenings, and the oracle of
+    the Krylov norms."""
+    if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.norm(out.left @ (op @ into.whitener), ord=2))
 
 
 def _basis_tensor(dim, indices):

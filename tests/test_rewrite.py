@@ -16,10 +16,12 @@ number shift 2):
 """
 
 import concurrent.futures
+import inspect
 import itertools
 import multiprocessing
 import os
 import re
+import sys
 from collections import deque
 
 import numpy as np
@@ -335,8 +337,8 @@ def test_termination_sweep_matches_the_serial_loop(monkeypatch):
 
 def test_sweep_takes_the_maximum_over_every_chunk(monkeypatch):
     class FirstLetterSteps:
-        def normal_order(self, word):
-            return NormalForm(steps=word[0])
+        def count_steps(self, word):
+            return word[0]
 
     size = 3 * rewrite._SWEEP_CHUNK + 7
     for workers in (1, 2):
@@ -352,13 +354,13 @@ def test_sweep_takes_the_maximum_over_every_chunk(monkeypatch):
 def test_termination_sweep_raises_worker_errors_as_their_type(monkeypatch):
     parent = os.getpid()
 
-    def normal_order(self, word, **kwargs):
+    def count_steps(self, word):
         if os.getpid() == parent:
             raise AssertionError("a word was rewritten in the parent process")
         raise RewriteBudgetError("raised in a worker")
 
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(RewriteEngine, "normal_order", normal_order)
+    monkeypatch.setattr(RewriteEngine, "count_steps", count_steps)
     with pytest.raises(RewriteBudgetError, match="raised in a worker"):
         check_termination(np.random.default_rng(4), words=120, max_len=4)
 
@@ -589,3 +591,119 @@ def test_every_cached_rule_lowers_length_or_inversions():
     }
     assert (ANNIHILATION, CREATION) in kinds and (LINEAR_ANNIHILATION, CREATION) in kinds
     assert rules > 50
+
+
+def _count_matches_normal_order(engine, word):
+    steps = engine.count_steps(word)
+    assert steps == engine.normal_order(word).steps, word
+    return steps
+
+
+def test_counted_steps_match_the_normal_form_on_every_short_word():
+    engine = make_engine()
+    pool = [
+        engine.symbols.intern(np.array([0.3 + 0.1j, 0.0])),
+        engine.symbols.intern(np.array([0.5, -1.7 + 0.2j])),
+    ]
+    letters = [(kind, sid) for kind in (CREATION, NUMBER, ANNIHILATION) for sid in pool]
+    total = 0
+    for length in range(6):
+        for word in itertools.product(letters, repeat=length):
+            total += _count_matches_normal_order(engine, word)
+    assert total > 0
+
+
+def test_counted_steps_match_the_normal_form_on_random_words():
+    engine, words = _random_words(29, 300, 10)
+    assert sum(_count_matches_normal_order(engine, word) for word in words) > 0
+
+
+def test_counted_steps_of_the_empty_word_and_a_zero_symbol():
+    engine = make_engine()
+    live = engine.symbols.intern(np.ones(2))
+    zero = engine.symbols.intern(np.zeros(2))
+    assert _count_matches_normal_order(engine, ()) == 0
+    word = ((ANNIHILATION, live), (ANNIHILATION, zero), (CREATION, live))
+    assert _count_matches_normal_order(engine, word) == 0
+    with pytest.raises(ValueError):
+        engine.count_steps((("q", live),))
+    with pytest.raises(ValueError):
+        engine.count_steps(((NUMBER, live),) * (MAX_WORD_LENGTH + 1))
+
+
+def test_counted_steps_skip_words_whose_coefficients_cancel():
+    # Signed symbols: two paths reach one intermediate word with opposite
+    # coefficients, and the skipped zero entry saves steps (107 and 413
+    # steps without the skip)
+    engine = make_engine()
+    x = [
+        engine.symbols.intern(np.array(v, dtype=float))
+        for v in ([0, 1], [2, 1], [1, -2], [-1, 2], [2, -1])
+    ]
+    words = [
+        ((ANNIHILATION, x[0]), (ANNIHILATION, x[1]), (CREATION, x[2]))
+        + ((NUMBER, x[0]),) * 2
+        + ((CREATION, x[1]),),
+        ((NUMBER, x[1]), (ANNIHILATION, x[4]), (NUMBER, x[3]), (ANNIHILATION, x[2]))
+        + ((NUMBER, x[0]),)
+        + ((CREATION, x[4]),) * 2,
+    ]
+    assert [_count_matches_normal_order(engine, word) for word in words] == [103, 410]
+
+
+def test_both_rewrite_modes_hit_the_budget_at_the_same_step():
+    engine, words = _random_words(31, 40, 8, min_len=4)
+    budgets = 0
+    for word in words:
+        steps = engine.normal_order(word).steps
+        if steps == 0:
+            continue
+        budgets += 1
+        start = tuple(engine._code(letter) for letter in word)
+        for terms in ({}, None):
+            assert engine._rewrite(start, 1.0, "leftmost", None, steps, terms) == steps
+            with pytest.raises(RewriteBudgetError):
+                engine._rewrite(start, 1.0, "leftmost", None, steps - 1, terms)
+    assert budgets > 30
+
+
+def test_every_popped_word_carries_its_leftmost_descent():
+    # Watch the rewrite loop right after each pop: under leftmost, the
+    # position stored when the word first entered the queue (and kept
+    # through merges) equals a fresh scan of the word from its start;
+    # when counting, no normal word but the start is ever queued
+    engine, words = _random_words(37, 60, 9)
+    code = RewriteEngine._rewrite.__code__
+    source, first = inspect.getsourcelines(RewriteEngine._rewrite)
+    (after_pop,) = [
+        first + index + 1
+        for index, line in enumerate(source)
+        if "= take(w)" in line
+    ]
+    seen = {"words": 0, "normal": 0}
+
+    def check(frame, event, arg):
+        if event == "line" and frame.f_lineno == after_pop:
+            w, position = frame.f_locals["w"], frame.f_locals["position"]
+            order = engine._order
+            fresh = 0
+            while fresh < len(w) - 1 and order[w[fresh]] <= order[w[fresh + 1]]:
+                fresh += 1
+            assert position == fresh, w
+            seen["words"] += 1
+            if frame.f_locals["counting"] and fresh >= len(w) - 1:
+                assert w == frame.f_locals["start"]
+                seen["normal"] += 1
+        return check
+
+    def trace(frame, event, arg):
+        return check if frame.f_code is code else None
+
+    sys.settrace(trace)
+    try:
+        for word in words:
+            engine.normal_order(word)
+            engine.count_steps(word)
+    finally:
+        sys.settrace(None)
+    assert seen["words"] > 1000 and seen["normal"] > 0
