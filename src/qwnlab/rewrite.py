@@ -307,7 +307,7 @@ class RewriteEngine:
         leftmost = strategy == "leftmost"
         counting = terms is None
         # pending maps coded word -> (accumulated coefficient, leftmost
-        # descent or len - 1 if normal); other strategies choose at pop
+        # descent, >= len - 1 if normal); other strategies choose at pop
         steps, p, last = 0, 0, len(start) - 1
         while leftmost and p < last and order[start[p]] <= order[start[p + 1]]:
             p += 1
