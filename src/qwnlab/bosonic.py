@@ -70,7 +70,7 @@ class BosonicSpace(GradedFockSpace):
 
     _prefix = "bosonic"
     _adjoint_claim = "adjointness theorem for the quadratic operators"
-    _adjoint_notes = "%d trials, symmetric compression"
+    _adjoint_notes = "%d basis elements, symmetric compression"
 
     # The benchmark's span tracer (perfbench/tracing.py) wraps methods it
     # finds in the class __dict__, so the shared ones are bound here.
@@ -346,18 +346,57 @@ class BosonicSpace(GradedFockSpace):
             )
         ]
 
+    def _basis_commutators(self, left, right, k, columns=None):
+        """The commutators [L_a, R_b] of the basis operators of kinds
+        ``left`` and ``right`` on ``columns`` of grade k (the identity when
+        None), one matrix per ordered basis pair (a, b); ``right`` must act
+        on grade k.
+
+        The dim images R_b Y are built once per grade and every L_a runs on
+        them.  For one kind they are also the images L_a Y of the reverse
+        order, and swapping a and b negates the commutator exactly, so only
+        the pairs a < b are yielded: the diagonal ones vanish.  For two
+        kinds L_a Y is built once per a, so at most dim + 1 images are held
+        at a time, and never the dim**2 commutators.
+        """
+        rights = self._basis_letters(right)
+        ahead = self._basis_images(right, k, columns)
+        for a, letter in enumerate(self._basis_letters(left)):
+            pairs = range(len(rights))
+            if left == right:
+                behind, pairs = ahead[a], pairs[a + 1 :]
+            elif k == 0 and left != CREATION:
+                behind = None
+            else:
+                behind = self._run([(left, letter)], k, columns)
+            for b in pairs:
+                forward = self._run([(left, letter)], k + _SHIFTS[right], ahead[b])
+                if behind is not None:
+                    forward = forward - self._run(
+                        [(right, rights[b])], k + _SHIFTS[left], behind
+                    )
+                yield forward
+
     def check_commutators(self, rng, trials=50, tol_affine=1e-10):
         """Commutation relations among the three operator families.
 
-        Same-kind commutators are checked with dyadic symbols so that the
-        floating-point sums cancel exactly; the mixed commutator is an
-        affine identity checked to tol_affine after column symmetrization.
-        Both symmetrized commutators run on the orbit indicators, whose
-        images are the orbit sums of the columns, and divide by the orbit
-        sizes.  The number-creation commutator coefficient is not asserted:
-        it is measured by least squares and reported next to the tabulated
-        2.  Its misfit is taken in a second pass that rebuilds each trial's
-        pair from the stored symbols, so no pair outlives its trial.
+        Every relation but the fitted one is linear in each of its two
+        symbols, so the basis pairs (``_basis_commutators``) prove it for
+        all symbols.  Basis symbols are dyadic, so the same-kind
+        commutators cancel exactly when gamma0 and the state weights are
+        dyadic; the mixed commutator is an affine identity checked to
+        tol_affine after column symmetrization.  Both symmetrized
+        commutators, and the expected side of the mixed one, run on the
+        orbit indicators, whose images are the orbit sums of the columns,
+        and divide by the orbit sizes.
+
+        The number-creation commutator coefficient is not asserted: it is
+        measured by least squares over ``trials`` random symbol pairs and
+        reported next to the tabulated 2.  The misfit comes in the same
+        pass, shifted by kappa0, the coefficient of the first pair with a
+        nonzero template t: with r = m - kappa0 t, R = sum |r|**2,
+        P = sum <t, r> and T = sum |t|**2, the fit is kappa0 + P/T and the
+        squared misfit R - |P|**2/T.  No pair is built twice.
         """
         alg = self.algebra
         exact_tol = 0.0
@@ -367,94 +406,87 @@ class BosonicSpace(GradedFockSpace):
             and all(_is_dyadic(w) for w in np.atleast_1d(alg.weights))
         ):
             exact_tol = 1e-13
+
         worst_cc = 0.0
         worst_aa = 0.0
         worst_nn = 0.0
         worst_mixed = 0.0
-        kappa_num = 0.0 + 0.0j
-        kappa_den = 0.0
-        fit_symbols = []
-
-        def fit_pairs(zeta, xi):
-            """The measured number-creation commutator and its template,
-            grade by grade."""
-            number, creation, template = self._letters(
+        for k in range(self.max_grade - 1):
+            for diff in self._basis_commutators(CREATION, CREATION, k):
+                worst_cc = max(worst_cc, np.abs(diff).max())
+        for k in range(2, self.max_grade + 1):
+            indicator, sizes, _ = self._orbits(k)
+            diffs = self._basis_commutators(ANNIHILATION, ANNIHILATION, k, indicator)
+            for diff in diffs:
+                worst_aa = max(worst_aa, np.abs(diff / sizes).max())
+        if alg.commutative:
+            for k in range(1, self.max_grade + 1):
+                for diff in self._basis_commutators(NUMBER, NUMBER, k):
+                    worst_nn = max(worst_nn, np.abs(diff).max())
+        # Mixed commutator at (e_a, e_b), a the outer index of the pairs:
+        # the scalar 2 gamma0 state(e_a* e_b) plus 4 n(e_a* e_b).
+        basis = alg.basis()
+        products = alg.mul(alg.star(basis)[:, None], basis[None, :])
+        pairings = alg.state(products).reshape(-1)
+        numbers = [
+            self._letter(NUMBER, c) for c in alg.coords(products).reshape(-1, alg.dim)
+        ]
+        for k in range(self.max_grade):
+            indicator, sizes, _ = self._orbits(k)
+            diffs = self._basis_commutators(ANNIHILATION, CREATION, k, indicator)
+            for diff, pairing, number in zip(diffs, pairings, numbers):
+                expected = 2.0 * self.gamma0 * pairing * indicator
+                expected = expected + 4.0 * self._run([(NUMBER, number)], k, indicator)
+                diff = (diff - expected) / sizes
+                scale = max(np.abs(expected / sizes).max(), 1.0)
+                worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
+        # Number against creation: fit the coefficient in one pass.
+        kappa0 = None
+        shifted_dot = 0.0 + 0.0j
+        shifted_norm = 0.0
+        template_norm = 0.0
+        for _ in range(trials):
+            zeta = random_element(alg, rng)
+            xi = random_element(alg, rng)
+            number, creation, product = self._letters(
                 [(NUMBER, zeta), (CREATION, xi), (CREATION, alg.mul(zeta, xi))]
             )
             for k in range(self.max_grade):
                 measured = self._commute([number], [creation], k)
-                yield measured, self._run([template], k, None)
-
-        for _ in range(trials):
-            phi = random_element(alg, rng, dyadic=True)
-            psi = random_element(alg, rng, dyadic=True)
-            left, right = self._letters([(CREATION, phi), (CREATION, psi)])
-            for k in range(self.max_grade - 1):
-                diff = self._commute([left], [right], k)
-                worst_cc = max(worst_cc, np.abs(diff).max())
-            left, right = self._letters([(ANNIHILATION, phi), (ANNIHILATION, psi)])
-            for k in range(2, self.max_grade + 1):
-                indicator, sizes, _ = self._orbits(k)
-                diff = self._commute([left], [right], k, columns=indicator)
-                worst_aa = max(worst_aa, np.abs(diff / sizes).max())
-            if alg.commutative:
-                left, right = self._letters([(NUMBER, phi), (NUMBER, psi)])
-                for k in range(1, self.max_grade + 1):
-                    diff = self._commute([left], [right], k)
-                    worst_nn = max(worst_nn, np.abs(diff).max())
-            # Mixed commutator, continuous symbols.
-            phi_c = random_element(alg, rng)
-            psi_c = random_element(alg, rng)
-            pairing = alg.state(alg.mul(alg.star(phi_c), psi_c))
-            product = alg.mul(alg.star(phi_c), psi_c)
-            left, right, number = self._letters(
-                [(ANNIHILATION, phi_c), (CREATION, psi_c), (NUMBER, product)]
-            )
-            for k in range(self.max_grade):
-                indicator, sizes, _ = self._orbits(k)
-                size = self.algebra.dim**k
-                expected = 2.0 * self.gamma0 * pairing * np.eye(size)
-                expected = expected + 4.0 * self._run([number], k, None)
-                diff = self._commute([left], [right], k, columns=indicator)
-                diff = (diff - expected @ indicator) / sizes
-                scale = max(np.abs(expected).max(), 1.0)
-                worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
-            # Number against creation: measure the coefficient.
-            zeta = random_element(alg, rng)
-            xi = random_element(alg, rng)
-            for measured, template in fit_pairs(zeta, xi):
-                kappa_num += np.vdot(template, measured)
-                kappa_den += np.vdot(template, template).real
-            fit_symbols.append((zeta, xi))
-        kappa = kappa_num / kappa_den
-        fit_num = 0.0
-        fit_den = 0.0
-        for zeta, xi in fit_symbols:
-            for measured, template in fit_pairs(zeta, xi):
-                fit_num += np.linalg.norm(measured - kappa * template) ** 2
-                fit_den += np.linalg.norm(template) ** 2
-        fit = math.sqrt(fit_num / fit_den)
+                template = self._run([product], k, None)
+                norm = np.vdot(template, template).real
+                if kappa0 is None and norm > 0.0:
+                    kappa0 = np.vdot(template, measured) / norm
+                # a zero template leaves the pair unshifted whatever kappa0
+                shifted = measured - (kappa0 or 0.0) * template
+                shifted_dot += np.vdot(template, shifted)
+                shifted_norm += np.vdot(shifted, shifted).real
+                template_norm += norm
+        kappa = (kappa0 or 0.0) + shifted_dot / template_norm
+        misfit = shifted_norm - abs(shifted_dot) ** 2 / template_norm
+        fit = math.sqrt(max(misfit, 0.0) / template_norm)
         records = [
             residual_record(
                 "bosonic.commutator.creation_creation",
                 "quadratic commutation relations",
                 worst_cc,
                 exact_tol,
-                notes="max entry over %d dyadic trials" % trials,
+                notes="max entry over %d basis pairs" % alg.dim**2,
             ),
             residual_record(
                 "bosonic.commutator.annihilation_annihilation",
                 "quadratic commutation relations",
                 worst_aa,
                 exact_tol,
-                notes="symmetric columns, max entry, dyadic trials",
+                notes="symmetric columns, max entry, %d basis pairs" % alg.dim**2,
             ),
             residual_record(
                 "bosonic.commutator.mixed_affine",
                 "quadratic commutation relations",
                 worst_mixed,
                 tol_affine,
-                notes="scaled max entry after column symmetrization",
+                notes="scaled max entry after column symmetrization, %d basis pairs"
+                % alg.dim**2,
             )
             if alg.commutative
             else reported_record(
@@ -494,7 +526,8 @@ class BosonicSpace(GradedFockSpace):
                     "quadratic commutation relations",
                     worst_nn,
                     exact_tol,
-                    notes="commutative base algebra, max entry",
+                    notes="commutative base algebra, max entry, %d basis pairs"
+                    % alg.dim**2,
                 ),
             )
         return records

@@ -66,7 +66,16 @@ def _build_parser():
     verify.add_argument("--q", type=float)
     verify.add_argument("--s", type=float)
     verify.add_argument("--l", type=float)
-    verify.add_argument("--trials", type=int)
+    verify.add_argument(
+        "--trials",
+        type=int,
+        help=(
+            "random draws of the sampled checks (norm bounds, closed forms, the"
+            " number/creation fit, moments, traciality, the q-deformed checks);"
+            " adjointness, commutators and free relations run on the basis"
+            " (default 25)"
+        ),
+    )
     verify.add_argument("--seed", type=int)
     verify.add_argument("--tolerance", type=float)
     verify.add_argument("--output", help="report path, '-' for stdout (default)")

@@ -53,7 +53,7 @@ class FreeSpace(GradedFockSpace):
 
     _prefix = "free"
     _adjoint_claim = "adjointness of the free operators"
-    _adjoint_notes = "full space, %d trials"
+    _adjoint_notes = "full space, %d basis elements"
 
     # The benchmark's span tracer (perfbench/tracing.py) wraps methods it
     # finds in the class __dict__, so the shared ones are bound here.
@@ -202,9 +202,29 @@ class FreeSpace(GradedFockSpace):
 
     # -- verification checks -------------------------------------------------
 
-    def check_relations(self, rng, trials=25, tol=1e-12):
-        """The four exact relations of the free quadratic operators."""
+    def check_relations(self, tol=1e-12):
+        """The four exact relations of the free quadratic operators, on the
+        basis pairs (e_a, e_b) of the algebra, a the outer symbol:
+
+            b(e_a) b*(e_b) = gamma state(e_a* e_b) + n(e_a* e_b),
+            n(e_a) b*(e_b) = b*(e_a e_b),
+            b(e_a) n(e_b) = b(e_b* e_a),
+            n(e_a) n(e_b) = n(e_a e_b).
+
+        Each side is linear in both symbols (annihilation conjugate-linearly),
+        so the basis pairs prove the relations for all symbols.  On the full
+        grade k, the dim images of the inner creation operators serve the
+        first two relations and those of the inner number operators the
+        last two; each outer basis operator runs on them.
+        """
         alg = self.algebra
+        dim = alg.dim
+        basis = alg.basis()
+        pairs = alg.mul(alg.star(basis)[:, None], basis[None, :])
+        pairing = self.gamma * alg.state(pairs)
+        pair_coords = alg.coords(pairs)
+        product_coords = alg.coords(alg.mul(basis[:, None], basis[None, :]))
+        outer = {kind: self._basis_letters(kind) for kind in (ANNIHILATION, NUMBER)}
         worst = dict.fromkeys(
             (
                 "contract_creation",
@@ -214,45 +234,41 @@ class FreeSpace(GradedFockSpace):
             ),
             0.0,
         )
-        for _ in range(trials):
-            psi = random_element(alg, rng)
-            phi = random_element(alg, rng)
-            zeta = random_element(alg, rng)
-            pairing = self.gamma * alg.state(alg.mul(alg.star(psi), phi))
-            for k in range(self.max_grade):
-                size = alg.dim**k
-                lhs = self.word_matrix([(ANNIHILATION, psi), (CREATION, phi)], k)
-                rhs = pairing * np.eye(size) + self.operator_matrix(
-                    NUMBER, alg.mul(alg.star(psi), phi), k
-                )
-                worst["contract_creation"] = max(
-                    worst["contract_creation"], scaled_gap(lhs, rhs)
-                )
-                lhs = self.word_matrix([(NUMBER, zeta), (CREATION, phi)], k)
-                rhs = self.operator_matrix(CREATION, alg.mul(zeta, phi), k)
-                worst["number_creation"] = max(
-                    worst["number_creation"], scaled_gap(lhs, rhs)
-                )
-            for k in range(1, self.max_grade + 1):
-                lhs = self.word_matrix([(ANNIHILATION, psi), (NUMBER, zeta)], k)
-                rhs = self.operator_matrix(
-                    ANNIHILATION, alg.mul(alg.star(zeta), psi), k
-                )
-                worst["annihilation_number"] = max(
-                    worst["annihilation_number"], scaled_gap(lhs, rhs)
-                )
-                lhs = self.word_matrix([(NUMBER, zeta), (NUMBER, phi)], k)
-                rhs = self.operator_matrix(NUMBER, alg.mul(zeta, phi), k)
-                worst["number_multiplicative"] = max(
-                    worst["number_multiplicative"], scaled_gap(lhs, rhs)
-                )
+
+        def relation(name, left, k, a, inner, rhs):
+            """One basis pair: ``left`` outer at e_a on the inner image."""
+            lhs = self._run([(left, outer[left][a])], k, inner)
+            worst[name] = max(worst[name], scaled_gap(lhs, rhs))
+
+        for k in range(self.max_grade):
+            identity = np.eye(dim**k)
+            for b, image in enumerate(self._basis_images(CREATION, k, identity)):
+                for a in range(dim):
+                    number = self._letter(NUMBER, pair_coords[a, b])
+                    rhs = self._run([(NUMBER, number)], k, identity)
+                    rhs = pairing[a, b] * identity + rhs
+                    relation("contract_creation", ANNIHILATION, k + 1, a, image, rhs)
+                    creation = self._letter(CREATION, product_coords[a, b])
+                    rhs = self._run([(CREATION, creation)], k, identity)
+                    relation("number_creation", NUMBER, k + 1, a, image, rhs)
+        for k in range(1, self.max_grade + 1):
+            identity = np.eye(dim**k)
+            for b, image in enumerate(self._basis_images(NUMBER, k, identity)):
+                for a in range(dim):
+                    # b(z* psi) has the coefficients conj(coords(z* psi))
+                    annihilation = self._letter(ANNIHILATION, pair_coords[b, a].conj())
+                    rhs = self._run([(ANNIHILATION, annihilation)], k, identity)
+                    relation("annihilation_number", ANNIHILATION, k, a, image, rhs)
+                    number = self._letter(NUMBER, product_coords[a, b])
+                    rhs = self._run([(NUMBER, number)], k, identity)
+                    relation("number_multiplicative", NUMBER, k, a, image, rhs)
         return [
             residual_record(
                 "free.relation." + name,
                 "free operator relations",
                 value,
                 tol,
-                notes="scaled max entry, %d trials" % trials,
+                notes="scaled max entry, %d basis pairs" % dim**2,
             )
             for name, value in worst.items()
         ]

@@ -11,14 +11,25 @@ size n = D**k where a dense product of operator matrices costs O(n**2 w).
 An operator is linear in the coordinates of its symbol (annihilation
 conjugate-linear, through the starred symbol), so the kernel's symbol
 tensors are built at the basis elements of the algebra once per kind, and
-each letter's are their weighted sum.  Operator norms and the adjointness
-check go one step further: what they compute of an operator (its whitened
-compression, or one side of the adjoint identity) is linear in it too, so
-a check runs the kernels of the dim basis operators of a grade on the
-compressed columns and applies the left factor of that fixed map to each.
-An adjointness trial is a dim-term sum of this per-grade basis stack; the
-norms of all trials come from one batched Lanczos run on the stack, which
-forms no trial's operator.  The stacks live for one check and grade only.
+each letter's are their weighted sum.
+
+Linearity also lets the checks prove an identity on the basis instead of
+sampling it.  An identity linear in one symbol holds for every symbol once
+it holds at the dim basis elements, and one linear in each of two symbols
+once it holds at the dim**2 basis pairs, up to rounding: random symbols
+would re-sum the same basis operators and could detect nothing more.  So
+the adjointness check compares the sides of each basis element, and the
+relation checks of the spaces run on basis pairs, building the images of
+the dim inner basis operators of a grade once (``_basis_images``) and
+applying each outer basis operator to them.  Operator norms are not linear
+and keep their random symbols.  What the norms and the adjointness check
+compute of an operator (its whitened compression, or one side of the
+adjoint identity) is linear in it, so each runs the kernels of the dim
+basis operators of a grade on the compressed columns and applies the left
+factor of that fixed map to each: the adjointness check compares the
+slices of this per-grade basis stack, and the norms of all trials come
+from one batched Lanczos run on it, which forms no trial's operator.  The
+stacks live for one check and grade only.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -38,7 +49,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .algebra import random_element
 from .linalg import gram_whitening, hermitize, krylov_operator_norms
 from .report import STATUS_FAIL, residual_record
 
@@ -80,10 +90,10 @@ class GradedFockSpace:
 
     and, for the metric and the shared adjointness check, ``gram(k)`` and
     the class attributes of its records: ``_prefix`` of the record names,
-    ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the trial
-    count.  ``_compression(k)`` gives the columns of the grade-k subspace
-    that relations, adjointness and operator norms are checked on, or None
-    for the whole grade; it defaults to the symmetric subspace, and
+    ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the number of
+    basis elements.  ``_compression(k)`` gives the columns of the grade-k
+    subspace that relations, adjointness and operator norms are checked on,
+    or None for the whole grade; it defaults to the symmetric subspace, and
     ``_compress(mat, k_out, k_in)`` restricts a map between grades to it.
     ``_metric(k)``, the compressed Gram that positivity is checked and
     operator norms are whitened against, follows from the two.
@@ -94,14 +104,17 @@ class GradedFockSpace:
     starts as the requested columns (the identity by default),
     ``operator_matrix`` is the one-letter word, and ``apply``, the step a
     vacuum walk is made of, runs the kernel on the one column of each grade
-    present in a graded vector (a list, see the module docstring).  ``_symbol_tensors`` runs only at the
-    basis elements of the algebra, once per kind; a letter's tensors are
-    their sum weighed by ``_coefficients``.  Operator norms
-    (``_operator_norms``) and ``check_adjointness`` never build an
-    operator matrix: each works from a ``_basis_stack`` of one grade, the
-    basis operators on the compressed columns under the fixed map the
-    check applies; the adjointness check sums its trials from it, and the
-    norms run one Lanczos iteration on it for all trials at once.
+    present in a graded vector (a list, see the module docstring).
+    ``_symbol_tensors`` runs only at the basis elements of the algebra,
+    once per kind; a letter's tensors are their sum weighed by
+    ``_coefficients``.  The linear claims are checked on the basis of the
+    algebra (see the module docstring): the relation checks of the
+    subclasses on the basis pairs from ``_basis_images``, and
+    ``check_adjointness`` and the operator norms (``_operator_norms``) on
+    a ``_basis_stack`` of one grade, the basis operators on the compressed
+    columns under the fixed map the check applies.  Neither builds an
+    operator matrix: the adjointness check compares the stack's slices,
+    and the norms run one Lanczos iteration on it for all trials at once.
     """
 
     def __init__(self, algebra, max_grade):
@@ -191,15 +204,29 @@ class GradedFockSpace:
         flat = coeffs @ rows
         return [flat[start:stop].reshape(shape) for start, stop, shape in pieces]
 
+    def _basis_letters(self, kind):
+        """The letters of ``kind`` at the basis elements of the algebra."""
+        return [self._letter(kind, unit) for unit in np.eye(self.algebra.dim)]
+
     def _basis_operators(self, kind, k):
         """The operators of ``kind`` leaving grade k at the basis elements
         of the algebra, one at a time, each restricted on the right to the
         ``_compression`` of grade k: ``_kernel`` on those columns."""
-        dim = self.algebra.dim
         columns = self._compression(k)
-        block = np.eye(dim**k) if columns is None else columns
-        for unit in np.eye(dim):
-            yield self._kernel(kind, self._letter(kind, unit), block, k)
+        block = np.eye(self.algebra.dim**k) if columns is None else columns
+        for letter in self._basis_letters(kind):
+            yield self._kernel(kind, letter, block, k)
+
+    def _basis_images(self, kind, k, columns=None):
+        """The images of ``columns`` of grade k (the identity when None)
+        under the basis operators of ``kind``, one block per basis element.
+        A relation check on basis pairs builds these dim inner images of a
+        grade once and applies every outer basis operator to them, so it
+        never holds the dim**2 images of the pairs."""
+        return [
+            self._run([(kind, letter)], k, columns)
+            for letter in self._basis_letters(kind)
+        ]
 
     def operator_matrix(self, kind, symbol, k):
         """Dense matrix of the operator leaving grade k, in flat
@@ -435,14 +462,19 @@ class GradedFockSpace:
             records.append(record)
         return records
 
-    def _adjoint_pair_gap(self, symbols, grams, gap):
-        """Worst ``gap`` over the grades below the top and over ``symbols``
-        between the two sides of creation against annihilation as adjoints
-        for ``grams``, the Grams of every grade restricted on the right to
-        ``_compression``: S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and,
-        with G hermitian, S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k).
-        Both sides are linear in the symbol, so each is summed per symbol
-        from a stack of its basis sides, built once per grade."""
+    def _adjoint_pair_gap(self, grams, gap, symbols=None):
+        """Worst ``gap`` over the grades below the top between the two sides
+        of creation against annihilation as adjoints for ``grams``, the
+        Grams of every grade restricted on the right to ``_compression``:
+        S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and, with G
+        hermitian, S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k).
+
+        Both sides are linear in the symbol, so each is a stack of its basis
+        sides, built once per grade, and the identity holds for every symbol
+        once it holds for the slices of the two stacks at each basis
+        element, which are compared.  Given ``symbols``, the sides are
+        summed per symbol from the stacks and compared instead.
+        """
         worst = 0.0
         for k in range(self.max_grade):
             left = self._basis_stack(
@@ -451,24 +483,30 @@ class GradedFockSpace:
             right = self._basis_stack(
                 CREATION, k, lambda mat: grams[k + 1].conj().T @ mat
             )
-            for symbol in symbols:
-                lhs = _weighted(self._coefficients(ANNIHILATION, symbol).conj(), left)
-                rhs = _weighted(self._coefficients(CREATION, symbol), right)
+            if symbols is None:
+                sides = zip(left, right)
+            else:
+                coeffs = [self._coefficients(CREATION, s) for s in symbols]
+                sides = ((_weighted(c, left), _weighted(c, right)) for c in coeffs)
+            for lhs, rhs in sides:
                 worst = max(worst, gap(lhs, rhs))
-            del left, right
+            del left, right, sides
         return worst
 
-    def check_adjointness(self, rng, trials=50, tol=1e-9):
+    def check_adjointness(self, tol=1e-9):
         """Creation against annihilation and number against the number of
         the starred symbol, as adjoints for the Gram, compared after
-        ``_compress`` (see ``_adjoint_pair_gap`` for the pair).
+        ``_compress`` at each basis element of the algebra (see
+        ``_adjoint_pair_gap`` for the pair).  Both identities are linear in
+        the symbol, so the basis proves them for every symbol.
 
         The number pair needs one stack: with G_k hermitian, the right side
-        at a basis element, S_k^H G_k N S_k, is the adjoint of the left one,
-        (N S_k)^H (G_k S_k).
+        at a symbol z, S_k^H G_k N_z* S_k, is the adjoint of the left one at
+        z*, (N_z* S_k)^H (G_k S_k).  So at the basis element e_b the slice
+        ``left[b]`` is compared with the adjoint of the stack summed at
+        star(e_b).
         """
         alg = self.algebra
-        zetas = [random_element(alg, rng) for _ in range(trials)]
         compressed_gram = [
             self._right_compressed(self.gram(k), k) for k in range(self.max_grade + 1)
         ]
@@ -477,18 +515,21 @@ class GradedFockSpace:
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
             return np.linalg.norm(lhs - rhs) / scale
 
-        worst_pair = self._adjoint_pair_gap(zetas, compressed_gram, gap)
+        worst_pair = self._adjoint_pair_gap(compressed_gram, gap)
+        starred = [
+            self._coefficients(NUMBER, element).conj()
+            for element in alg.star(alg.basis())
+        ]
         worst_number = 0.0
         for k in range(1, self.max_grade + 1):
             left = self._basis_stack(
                 NUMBER, k, lambda mat: mat.conj().T @ compressed_gram[k]
             )
-            for zeta in zetas:
-                lhs = _weighted(self._coefficients(NUMBER, zeta).conj(), left)
-                rhs = _weighted(self._coefficients(NUMBER, alg.star(zeta)).conj(), left)
+            for lhs, coeffs in zip(left, starred):
+                rhs = _weighted(coeffs, left)
                 worst_number = max(worst_number, gap(lhs, rhs.conj().T))
             del left
-        notes = self._adjoint_notes % trials
+        notes = self._adjoint_notes % alg.dim
         return [
             residual_record(
                 self._prefix + ".adjoint.creation_annihilation",

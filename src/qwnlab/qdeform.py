@@ -189,7 +189,7 @@ class QFockSpace(GradedFockSpace):
         grams = [
             self._right_compressed(self.q_gram(n), n) for n in range(self.max_grade + 1)
         ]
-        worst = self._adjoint_pair_gap(phis, grams, scaled_gap)
+        worst = self._adjoint_pair_gap(grams, scaled_gap, phis)
         return [
             residual_record(
                 "qdeform.adjointness",

@@ -509,7 +509,8 @@ def gamma_moment_check(gamma0, t, m_max=6, table=None, tol=1e-9):
     chi-squared law when gamma0 = t = 1).  The variance-matched scaling
     1/gamma0 is asserted; the literal scaling gamma0*Q + t printed in the
     source derivation is evaluated too and reported, because the two only
-    agree at gamma0 = 1.
+    agree at gamma0 = 1.  Both record names end in ``[gamma0=..,t=..]``,
+    so each (gamma0, t) gets its own pair of records in a report.
     """
     if m_max > 6:
         raise ValueError("moment order capped at 6")
@@ -542,9 +543,10 @@ def gamma_moment_check(gamma0, t, m_max=6, table=None, tol=1e-9):
         worst_literal = max(worst_literal, abs(literal - target) / scale)
         if m == 3 and gamma0 == 1.0 and t == 1.0:
             anchor = matched
+    suffix = "[gamma0=%g,t=%g]" % (gamma0, t)
     records = [
         residual_record(
-            "classical.gamma_moments",
+            "classical.gamma_moments" + suffix,
             "gamma distribution of the quadratic field",
             worst_matched,
             tol,
@@ -552,7 +554,7 @@ def gamma_moment_check(gamma0, t, m_max=6, table=None, tol=1e-9):
             % (m_max, gamma0, t),
         ),
         reported_record(
-            "classical.gamma_literal_scaling",
+            "classical.gamma_literal_scaling" + suffix,
             "gamma distribution of the quadratic field",
             measured=worst_literal,
             expected=0.0 if gamma0 == 1.0 else None,

@@ -201,9 +201,7 @@ def run_bosonic(config, rng):
     records += space.check_gram_recursion(kmax=min(config.truncation, 4))
     if algebra.commutative:
         records += space.check_gram_paths(kmax=min(config.truncation, 4))
-    records += space.check_adjointness(
-        rng, trials=config.trials, tol=config.tolerance
-    )
+    records += space.check_adjointness(tol=config.tolerance)
     records += space.check_commutators(rng, trials=config.trials)
     records += space.check_symmetric_invariance()
     records += space.check_norm_estimates(
@@ -229,10 +227,8 @@ def run_free(config, rng):
     algebra = _make_algebra(config, rng)
     space = free.FreeSpace(algebra, max_grade=config.truncation, gamma=config.gamma)
     records = []
-    records += space.check_relations(rng, trials=config.trials)
-    records += space.check_adjointness(
-        rng, trials=config.trials, tol=config.tolerance
-    )
+    records += space.check_relations()
+    records += space.check_adjointness(tol=config.tolerance)
     records += space.check_positivity()
     records += space.check_norm_estimates(
         rng, trials=config.trials, slack=config.tolerance

@@ -248,8 +248,8 @@ def _commutator_check_peak(trials):
 
 
 def test_commutator_check_peak_does_not_grow_with_the_trials():
-    # the number-creation fit keeps the symbols of its trials, not their
-    # matrices, and rebuilds each pair for the misfit
+    # the number-creation fit takes its misfit in the same pass and keeps
+    # no trial's pair past its grade
     peaks = [_commutator_check_peak(trials) for trials in (1, 10, 50)]
     assert max(peaks) <= 1.2 * peaks[0], peaks
 

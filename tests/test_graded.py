@@ -2,7 +2,7 @@
 column blocks and checked against the dense chained product of operator
 matrices, letters summed from per-basis symbol tensors, operator norms by
 Krylov runs on per-grade basis stacks on the compressed columns (against
-the SVD) and the adjointness check summed from them, and the symmetric
+the SVD) and the adjointness check on their slices, and the symmetric
 subspace built from index orbits."""
 
 import gc
@@ -22,6 +22,7 @@ from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
 from qwnlab.linalg import KRYLOV_TOL, symmetrizer_matrix
 from qwnlab.qdeform import QFockSpace
+from test_basis_checks import adjoint_residuals
 from test_linalg import whitened_operator_norm
 
 
@@ -291,33 +292,6 @@ def test_words_match_the_dense_chain_at_complex_symbols(name):
     _check_words_against_the_chain(space, np.random.default_rng(15), False)
 
 
-def _adjoint_residuals_by_compress(space, rng, trials):
-    """The adjointness residuals with both sides formed in full and then
-    compressed: the form before the right-compressed Grams."""
-    alg = space.algebra
-    worst_pair = worst_number = 0.0
-
-    def gap(lhs, rhs):
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-        return np.linalg.norm(lhs - rhs) / scale
-
-    for _ in range(trials):
-        zeta = random_element(alg, rng)
-        for k in range(space.max_grade):
-            create = space.operator_matrix(CREATION, zeta, k)
-            annihilate = space.operator_matrix(ANNIHILATION, zeta, k + 1)
-            lhs = space._compress(annihilate.conj().T @ space.gram(k), k + 1, k)
-            rhs = space._compress(space.gram(k + 1) @ create, k + 1, k)
-            worst_pair = max(worst_pair, gap(lhs, rhs))
-        for k in range(1, space.max_grade + 1):
-            num = space.operator_matrix(NUMBER, zeta, k)
-            num_star = space.operator_matrix(NUMBER, alg.star(zeta), k)
-            lhs = space._compress(num.conj().T @ space.gram(k), k, k)
-            rhs = space._compress(space.gram(k) @ num_star, k, k)
-            worst_number = max(worst_number, gap(lhs, rhs))
-    return worst_pair, worst_number
-
-
 # the scaffold's norm and adjointness oracles, over a complex base algebra too
 ORACLE_CASES = [
     "bosonic_m2",
@@ -332,8 +306,8 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_adjointness_on_right_compressed_grams_matches_compress(name):
     space = NONDYADIC_SPACES[name]()
-    records = space.check_adjointness(np.random.default_rng(7), trials=3)
-    oracle = _adjoint_residuals_by_compress(space, np.random.default_rng(7), 3)
+    records = space.check_adjointness()
+    oracle = adjoint_residuals(space, space.algebra.basis())
     for record, expected in zip(records, oracle):
         assert record.status == "pass"
         assert abs(record.residual - expected) <= 1e-15
@@ -407,14 +381,27 @@ def _adjoint_stacks(top, number=True):
     return pairs + ([(NUMBER, k) for k in range(1, top + 1)] if number else [])
 
 
+def _norms(space, trials):
+    return space.check_norm_estimates(np.random.default_rng(8), trials=trials)
+
+
+def _adjointness(space, trials):
+    # the shared check runs on the basis elements and takes no trials
+    return space.check_adjointness()
+
+
+def _q_adjointness(space, trials):
+    return space.check_adjointness(np.random.default_rng(8), trials=trials)
+
+
 STACK_CHECKS = {
-    "bosonic_norms": ("bosonic_m2", "check_norm_estimates", _norm_stacks),
-    "bosonic_adjointness": ("bosonic_f3", "check_adjointness", _adjoint_stacks),
-    "free_norms": ("free_f3", "check_norm_estimates", _norm_stacks),
-    "free_adjointness": ("free_m2", "check_adjointness", _adjoint_stacks),
+    "bosonic_norms": ("bosonic_m2", _norms, _norm_stacks),
+    "bosonic_adjointness": ("bosonic_f3", _adjointness, _adjoint_stacks),
+    "free_norms": ("free_f3", _norms, _norm_stacks),
+    "free_adjointness": ("free_m2", _adjointness, _adjoint_stacks),
     "qdeform_adjointness": (
         "qdeform_negative",
-        "check_adjointness",
+        _q_adjointness,
         lambda top: _adjoint_stacks(top, number=False),
     ),
 }
@@ -438,7 +425,7 @@ def _run_counting_stacks(space, check, trials, monkeypatch):
 
     monkeypatch.setattr(space, "_basis_stack", counting)
     monkeypatch.setattr(space, "operator_matrix", refuse)
-    records = getattr(space, check)(np.random.default_rng(8), trials=trials)
+    records = check(space, trials)
     assert all(record.status == "pass" for record in records)
     return built, stacks
 

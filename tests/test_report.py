@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qwnlab.report import (
@@ -74,6 +75,26 @@ def test_canonical_json_is_sorted_and_stable():
     assert text == '{"a":[1.5,null,true],"b":1}'
     assert canonical_json(0.1) == "0.10000000000000001"
     assert canonical_json(0.0) == "0"
+
+
+def test_canonical_floats_are_shortest_17_significant_digits():
+    # The float format is contract: format(x, ".17g").  A whole float gets
+    # no decimal point, so 1.0 is written 1 and parses back as an int.
+    cases = [
+        (1.0, "1"),
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (0.1, "0.10000000000000001"),
+        (1e-300, "1e-300"),
+        (2.220446049250313e-16, "2.2204460492503131e-16"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+    ]
+    for value, text in cases:
+        assert canonical_json(value) == text
+        assert canonical_json(np.float64(value)) == text
+        assert json.loads(text) == value
+    assert type(json.loads(canonical_json(1.0))) is int
 
 
 def test_canonical_json_rejects_nonfinite():

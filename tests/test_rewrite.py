@@ -226,25 +226,25 @@ def test_engine_matches_operator_matrices():
 
 def test_gamma_moments_abstract_table():
     records = gamma_moment_check(1.0, 1.0)
-    by_name = {}
-    for record in records:
-        by_name.setdefault(record.name, record)
-    assert by_name["classical.gamma_moments"].status == "pass"
-    assert by_name["classical.gamma_literal_scaling"].status == "reported"
+    by_name = {record.name: record for record in records}
+    assert len(by_name) == len(records)
+    assert by_name["classical.gamma_moments[gamma0=1,t=1]"].status == "pass"
+    assert by_name["classical.gamma_literal_scaling[gamma0=1,t=1]"].status == "reported"
     anchor = by_name["classical.chi_squared_third_moment"]
     assert anchor.status == "pass"
     assert anchor.residual == 0.0
     # the unit chi-squared anchor only applies at gamma0 = t = 1
     names = [r.name for r in gamma_moment_check(2.0, 1.5)]
     assert "classical.chi_squared_third_moment" not in names
-    assert "classical.gamma_moments" in names
+    assert "classical.gamma_moments[gamma0=2,t=1.5]" in names
 
 
 def test_gamma_moments_at_other_parameters():
     for gamma0, t in ((2.0, 1.5), (1.0, 3.0)):
         records = gamma_moment_check(gamma0, t)
-        matched = [r for r in records if r.name == "classical.gamma_moments"]
-        assert matched and matched[0].status == "pass"
+        name = "classical.gamma_moments[gamma0=%g,t=%g]" % (gamma0, t)
+        matched = [r for r in records if r.name == name]
+        assert len(matched) == 1 and matched[0].status == "pass"
     with pytest.raises(ValueError):
         gamma_moment_check(1.0, 1.0, m_max=7)
 
