@@ -17,8 +17,15 @@ assemblies of the Gram matrix are implemented:
   over lists collapses to a sum over permutations with weight gamma0 per
   cycle.  Deleting the last slot from its cycle either removes a fixed
   point or merges it into the slot before it, which gives a k-term
-  insertion recursion for the underlying multilinear functional and an
-  O(D**(2k+1)) assembly.
+  insertion recursion for the underlying multilinear functional.  Any
+  set of columns or rows of G_k then follows from it by k batched
+  contractions against the pair tensor, at n D**k memory for n of them,
+  and ``gram_matrix`` takes all D**k columns, an O(D**(2k+1)) assembly.
+
+The checks read G_k only through its symmetric compression, which
+``_compressed_gram`` builds from the columns and rows at the orbit
+representatives; the hermiticity record compares those two.  No check
+forms a whole Gram above the grades the route comparisons take.
 
 Creation inserts its symbol into every gap of a tensor word, annihilation
 pairs its symbol against the first slot (a state term plus merge terms into
@@ -38,7 +45,7 @@ import numpy as np
 from .algebra import pair_product_state_tensors, random_element
 from .combinatorics import ordered_partitions, set_partitions
 from .graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradedFockSpace
-from .linalg import hermiticity_gap, hermitize
+from .linalg import hermitize, scaled_gap
 from .report import reported_record, residual_record
 
 _GRAM_METHODS = ("recursive", "ordered", "setpartition")
@@ -98,6 +105,7 @@ class BosonicSpace(GradedFockSpace):
         self._chains = []
         self._gram_raw = {}
         self._gram = {}
+        self._hermiticity = {}
 
     # -- Gram matrices ----------------------------------------------------
 
@@ -129,7 +137,8 @@ class BosonicSpace(GradedFockSpace):
         key = (k, method)
         if key not in self._gram_raw:
             if method == "recursive":
-                self._gram_raw[key] = self._recursive_gram(k)
+                every = np.arange(self.algebra.dim**k)
+                self._gram_raw[key] = self._gram_lines(k, every).T
             else:
                 self._gram_raw[key] = self._assemble_gram(k, method)
         return self._gram_raw[key]
@@ -147,14 +156,67 @@ class BosonicSpace(GradedFockSpace):
             self._functionals.append(out)
         return self._functionals[k]
 
-    def _recursive_gram(self, k):
-        tensor = (2.0**k / math.factorial(k)) * self._functional(k)
-        # Each step replaces the leading slot c by the pair (i, j) at the end.
-        for _ in range(k):
-            tensor = np.tensordot(tensor, self._pair, axes=([0], [2]))
-        order = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
-        size = self.algebra.dim**k
-        return tensor.transpose(order).reshape(size, size)
+    def _gram_lines(self, k, index, rows=False):
+        """Lines of the raw recursive grade-k Gram at the flat indices
+        ``index``, one per row of the result: the columns G[:, index], or
+        the rows G[index, :] when ``rows`` is set.
+
+        G[i, j] contracts Phi_k against pair[i_p, j_p, c_p] in every slot
+        p.  A line fixes one side's tuple, so each slot's factor is a D by
+        D slice of the pair tensor: its second axis sliced for a column,
+        its first for a row.  The k batched contractions replace the slots
+        c of every line by the free index one at a time, each at its own
+        position, so a block of n lines holds n D**k entries, never
+        D**(2k).
+        """
+        dim = self.algebra.dim
+        index = np.asarray(index)
+        # digits[p] is slot p of each index, the leading slot first
+        digits = index // dim ** np.arange(k - 1, -1, -1)[:, None] % dim
+        pair = self._pair if rows else self._pair.transpose(1, 0, 2)
+        block = (2.0**k / math.factorial(k)) * self._functional(k).reshape(1, -1)
+        for p, slot in enumerate(digits):
+            split = block.reshape(len(block), dim**p, dim, -1)
+            block = pair[slot][:, None] @ split
+        return block.reshape(len(block), -1)
+
+    def _compressed_gram(self, k):
+        """hermitize(G_k) S_k from the Gram at the orbit representatives R,
+        the sorted index tuples.
+
+        G_k commutes with simultaneous slot permutations, so the sum of its
+        columns over an orbit is the orbit size times the orbit mean (the
+        symmetrizer P) of the column at the representative.  With
+        H_R = (G[:, R] + G[R, :]^H) / 2 the columns of hermitize(G_k) at R,
+        hermitize(G_k) S_k = P H_R diag(sqrt(sizes)).  The hermiticity gap
+        scaled_gap(G[:, R], G[R, :]^H) of the two sides is recorded on the
+        way: every entry orbit of G_k meets a column at R, so in exact
+        arithmetic it is the gap of the whole Gram.
+        """
+        indicator, sizes, _ = self._orbits(k)
+        # an orbit's sorted tuple is its smallest flat index
+        reps = indicator.argmax(axis=0)
+        columns = self._gram_lines(k, reps)
+        adjoint = np.conj(self._gram_lines(k, reps, rows=True))
+        self._hermiticity[k] = scaled_gap(columns, adjoint)
+        herm = columns + adjoint
+        herm *= 0.5
+        # each line block is dropped once read: at most three are alive
+        del columns, adjoint
+        # orbit sums of each line of H_R, real and imaginary parts apart, so
+        # that the real indicator is not cast to a complex copy
+        sums = herm.real @ indicator + 1j * (herm.imag @ indicator)
+        del herm
+        scaled = sums.T * (np.sqrt(sizes) / sizes[:, None])
+        # row i of P H_R is the mean over the orbit of i
+        return scaled[indicator.argmax(axis=1)]
+
+    def _hermiticity_gap(self, k):
+        """The hermiticity gap of the raw grade-k Gram that
+        ``_compressed_gram`` records, computed through it when missing."""
+        if k not in self._hermiticity:
+            self._compressed_gram(k)
+        return self._hermiticity[k]
 
     def _chain_tensors(self, k):
         """Pair-product state tensors up to grade k, built on first need."""
@@ -586,10 +648,8 @@ class BosonicSpace(GradedFockSpace):
 
     def check_positivity(self, tol=1e-10):
         """Gram positivity on symmetric parts, plus hermiticity defects."""
-        worst_herm = 0.0
-        for k in range(self.max_grade + 1):
-            worst_herm = max(worst_herm, hermiticity_gap(self.gram_matrix(k)))
         worst_eig, note = self._positivity_sweep(self.max_grade)
+        worst_herm = max(self._hermiticity_gap(k) for k in range(self.max_grade + 1))
         if self.algebra.commutative:
             positive = residual_record(
                 "bosonic.gram.positive_symmetric",

@@ -33,7 +33,9 @@ stacks live for one check and grade only.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
-loop over the k! permutations.
+loop over the k! permutations.  The checks read a Gram only on those
+columns (``_compressed_gram``), which a space whose Gram commutes with
+slot permutations can build from one index per orbit.
 
 A graded vector, as ``apply`` and the vacuum walks take it, is a plain
 list whose entry k holds the dim**k coordinates of grade k, or None for an
@@ -95,8 +97,12 @@ class GradedFockSpace:
     subspace that relations, adjointness and operator norms are checked on,
     or None for the whole grade; it defaults to the symmetric subspace, and
     ``_compress(mat, k_out, k_in)`` restricts a map between grades to it.
-    ``_metric(k)``, the compressed Gram that positivity is checked and
-    operator norms are whitened against, follows from the two.
+    ``_compressed_gram(k)``, the hermitized Gram restricted on the right to
+    that subspace, is all the adjointness check and ``_metric(k)`` (the
+    compressed Gram that positivity is checked and operator norms are
+    whitened against) read of the Gram.  It defaults to
+    ``_right_compressed(gram(k), k)``; a space that can build those
+    columns without the whole Gram overrides it.
 
     These two hooks are the only definition of each operator, and
     ``_kernel`` on a block of columns is the only way the scaffold acts
@@ -379,12 +385,19 @@ class GradedFockSpace:
             remaining -= 1
         return vec
 
+    def _compressed_gram(self, k):
+        """The hermitized grade-k Gram restricted on the right to the
+        ``_compression`` of grade k (see the class docstring)."""
+        return self._right_compressed(self.gram(k), k)
+
     def _metric(self, k):
         """Gram matrix of grade k in the coordinates of ``_compression``,
         hermitized (cached); positivity is checked and operator norms are
         whitened against it."""
         if k not in self._metrics:
-            self._metrics[k] = hermitize(self._compress(self.gram(k), k, k))
+            self._metrics[k] = hermitize(
+                self._left_compressed(self._compressed_gram(k), k)
+            )
         return self._metrics[k]
 
     def _whitening(self, k):
@@ -507,9 +520,7 @@ class GradedFockSpace:
         star(e_b).
         """
         alg = self.algebra
-        compressed_gram = [
-            self._right_compressed(self.gram(k), k) for k in range(self.max_grade + 1)
-        ]
+        compressed_gram = [self._compressed_gram(k) for k in range(self.max_grade + 1)]
 
         def gap(lhs, rhs):
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)

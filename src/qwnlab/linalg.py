@@ -28,7 +28,6 @@ RANGE_CUTOFF = 1e-12
 # the threshold is an order below it.
 KRYLOV_TOL = 1e-14
 _KRYLOV_SEED = 2003
-_HERMITICITY_BLOCK = 16
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -40,19 +39,6 @@ def scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Largest entry of ``|lhs - rhs|``, relative to the largest entry of
     ``|rhs|`` once that exceeds 1."""
     return np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
-
-
-def hermiticity_gap(mat: np.ndarray) -> float:
-    """``scaled_gap(mat, mat.conj().T)``, taken over blocks of
-    ``_HERMITICITY_BLOCK`` columns, so that no temporary grows with the
-    whole matrix; the maxima are exact, so the value is the same."""
-    gap = top = 0.0
-    width = _HERMITICITY_BLOCK
-    for start in range(0, mat.shape[1], width):
-        block = mat[:, start : start + width]
-        gap = max(gap, np.abs(block - mat[start : start + width].conj().T).max())
-        top = max(top, np.abs(block).max())
-    return gap / max(top, 1.0)
 
 
 def axis_permutation_matrix(dim: int, perm) -> np.ndarray:

@@ -55,11 +55,17 @@ MAX_DENSE_BYTES = 2 * 2**30
 def largest_dense_bytes(suite, kind, dim, truncation):
     """Estimated bytes of the largest dense complex array a run forms.
 
-    The bosonic and free suites hold the top-grade matrix, D**T square for
-    an algebra of dimension D at truncation T.  The free space checks on
-    the whole grade, so its adjointness check also holds the stack of the
-    D top-grade basis sides of the number pair, D times that matrix.  The
-    other suites cap their own sizes, so only these two are modelled.
+    The bosonic and free suites are modelled by the top-grade matrix, D**T
+    square for an algebra of dimension D at truncation T.  The free space
+    checks on the whole grade, so its adjointness check also holds the
+    stack of the D top-grade basis sides of the number pair, D times that
+    matrix.  The other suites cap their own sizes, so only these two are
+    modelled.
+
+    The bosonic suite no longer holds its top-grade Gram: its checks read
+    the Gram at one index per orbit.  Its model is kept, conservative, as
+    it overstates the largest array the suite forms, until the model
+    counts the arrays each check holds at once.
     """
     if suite not in ("all", "bosonic", "free"):
         return 0

@@ -14,6 +14,8 @@ import pytest
 
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
+from qwnlab.linalg import hermitize, scaled_gap
+from test_graded import RotatedMatrixAlgebra
 
 
 def one_point_space(weight=1.0, gamma0=1.0, max_grade=4):
@@ -254,9 +256,9 @@ def test_commutator_check_peak_does_not_grow_with_the_trials():
     assert max(peaks) <= 1.2 * peaks[0], peaks
 
 
-def test_positivity_check_peak_stays_under_one_top_grade_gram():
-    # the hermiticity defect is taken in column blocks, so with the Grams
-    # and metrics cached the check holds no copy of a whole raw Gram
+def _warm_positivity_peak(monkeypatch):
+    """Peak of the positivity check over M_2 at truncation 4 with its
+    metrics and hermiticity gaps cached, and the bytes of its top Gram."""
     space = BosonicSpace(MatrixAlgebra(2), 4)
     space.check_positivity()
     tracemalloc.start()
@@ -265,5 +267,81 @@ def test_positivity_check_peak_stays_under_one_top_grade_gram():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return records, peak, space.gram_matrix(4).nbytes
+
+
+def _cold_suite_peak(monkeypatch):
+    """Peak of the adjointness, positivity and norm checks of a cold space
+    over M_2 at truncation 5, with every grade gram_matrix is asked for,
+    and the bytes of a grade-5 Gram, which is not built."""
+    asked = []
+    original = BosonicSpace.gram_matrix
+
+    def recording(self, k, method=None):
+        asked.append(k)
+        return original(self, k, method)
+
+    monkeypatch.setattr(BosonicSpace, "gram_matrix", recording)
+    space = BosonicSpace(MatrixAlgebra(2), 5)
+    tracemalloc.start()
+    try:
+        records = space.check_adjointness()
+        records += space.check_positivity()
+        records += space.check_norm_estimates(np.random.default_rng(5), trials=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(k <= 4 for k in asked), asked
+    return records, peak, 16 * (space.algebra.dim**5) ** 2
+
+
+@pytest.mark.parametrize(
+    "case", [_warm_positivity_peak, _cold_suite_peak], ids=["warm", "cold"]
+)
+def test_positivity_check_peak_stays_under_one_top_grade_gram(case, monkeypatch):
+    # the checks read the Gram only at the orbit representatives, so no
+    # check holds a whole top-grade Gram, raw or hermitized
+    records, peak, gram_bytes = case(monkeypatch)
     assert all(r.status != "fail" for r in records)
-    assert peak <= 0.5 * space.gram_matrix(4).nbytes, peak
+    assert peak <= 0.5 * gram_bytes, peak
+
+
+ROUTE_ALGEBRAS = {
+    "m2": lambda: MatrixAlgebra(2),
+    "f2_dyadic": lambda: FunctionAlgebra([0.5, 1.25]),
+    "f2_nondyadic": lambda: FunctionAlgebra([0.3, 0.7]),
+    "f3_dyadic": lambda: FunctionAlgebra([0.5, 0.75, 1.25]),
+    "f3_nondyadic": lambda: FunctionAlgebra([0.41, 0.77, 1.3]),
+    "rotated": lambda: RotatedMatrixAlgebra(2),
+}
+
+
+def _assert_close(new, full):
+    assert np.abs(new - full).max() <= 1e-14 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 0.7, 1e-3])
+@pytest.mark.parametrize("name", sorted(ROUTE_ALGEBRAS))
+def test_representative_route_matches_the_whole_gram(name, gamma0):
+    # the compressed Gram, the metric, the adjointness stacks and the
+    # hermiticity gap from the Gram at the orbit representatives, against
+    # the same built from the whole hermitized Gram
+    space = BosonicSpace(ROUTE_ALGEBRAS[name](), 5, gamma0=gamma0)
+    top = space.max_grade
+    new = [space._compressed_gram(k) for k in range(top + 1)]
+    full = [space._right_compressed(space.gram(k), k) for k in range(top + 1)]
+    for k in range(top + 1):
+        _assert_close(new[k], full[k])
+        _assert_close(space._metric(k), hermitize(space._compress(space.gram(k), k, k)))
+        raw = space.gram_matrix(k)
+        gap = scaled_gap(raw, raw.conj().T)
+        assert abs(space._hermiticity_gap(k) - gap) <= 1e-14, k
+    for k in range(top):
+        for kind, grade, side in (
+            (ANNIHILATION, k + 1, lambda mat, grams: mat.conj().T @ grams[k]),
+            (CREATION, k, lambda mat, grams: grams[k + 1].conj().T @ mat),
+        ):
+            _assert_close(
+                space._basis_stack(kind, grade, lambda mat: side(mat, new)),
+                space._basis_stack(kind, grade, lambda mat: side(mat, full)),
+            )

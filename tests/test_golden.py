@@ -7,7 +7,7 @@ reduction sums in another order), so each run is a fresh interpreter with
 OpenBLAS with more threads.  A change that moves a record must say which
 records change and why, and regenerate the file with the command below.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m qwnlab.cli \
+    env -u QWN_SEED OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m qwnlab.cli \
         verify all <args> > tests/golden/<name>.json
 """
 
