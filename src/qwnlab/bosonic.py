@@ -33,7 +33,7 @@ each later slot), and the number operator multiplies every slot from the
 left.  All three act on blocks of flat grade coordinates, so their words
 are dense matrices on the columns a check needs, and commutators,
 adjointness and norm bounds reduce to linear algebra against the grade
-Gram matrices.
+Gram matrices, each commutator at the basis pairs of the algebra.
 """
 
 from __future__ import annotations
@@ -408,57 +408,28 @@ class BosonicSpace(GradedFockSpace):
             )
         ]
 
-    def _basis_commutators(self, left, right, k, columns=None):
-        """The commutators [L_a, R_b] of the basis operators of kinds
-        ``left`` and ``right`` on ``columns`` of grade k (the identity when
-        None), one matrix per ordered basis pair (a, b); ``right`` must act
-        on grade k.
-
-        The dim images R_b Y are built once per grade and every L_a runs on
-        them.  For one kind they are also the images L_a Y of the reverse
-        order, and swapping a and b negates the commutator exactly, so only
-        the pairs a < b are yielded: the diagonal ones vanish.  For two
-        kinds L_a Y is built once per a, so at most dim + 1 images are held
-        at a time, and never the dim**2 commutators.
-        """
-        rights = self._basis_letters(right)
-        ahead = self._basis_images(right, k, columns)
-        for a, letter in enumerate(self._basis_letters(left)):
-            pairs = range(len(rights))
-            if left == right:
-                behind, pairs = ahead[a], pairs[a + 1 :]
-            elif k == 0 and left != CREATION:
-                behind = None
-            else:
-                behind = self._run([(left, letter)], k, columns)
-            for b in pairs:
-                forward = self._run([(left, letter)], k + _SHIFTS[right], ahead[b])
-                if behind is not None:
-                    forward = forward - self._run(
-                        [(right, rights[b])], k + _SHIFTS[left], behind
-                    )
-                yield forward
-
-    def check_commutators(self, rng, trials=50, tol_affine=1e-10):
+    def check_commutators(self, tol_affine=1e-10):
         """Commutation relations among the three operator families.
 
-        Every relation but the fitted one is linear in each of its two
-        symbols, so the basis pairs (``_basis_commutators``) prove it for
-        all symbols.  Basis symbols are dyadic, so the same-kind
-        commutators cancel exactly when gamma0 and the state weights are
-        dyadic; the mixed commutator is an affine identity checked to
-        tol_affine after column symmetrization.  Both symmetrized
+        Every relation is linear in each of its two symbols (annihilation
+        conjugate-linearly), so the basis pairs (``_basis_commutators``)
+        prove it for all symbols.  Basis symbols are dyadic, so the
+        same-kind commutators cancel exactly when gamma0 and the state
+        weights are dyadic; the mixed commutator is an affine identity
+        checked to tol_affine after column symmetrization.  Both symmetrized
         commutators, and the expected side of the mixed one, run on the
         orbit indicators, whose images are the orbit sums of the columns,
         and divide by the orbit sizes.
 
-        The number-creation commutator coefficient is not asserted: it is
-        measured by least squares over ``trials`` random symbol pairs and
-        reported next to the tabulated 2.  The misfit comes in the same
-        pass, shifted by kappa0, the coefficient of the first pair with a
-        nonzero template t: with r = m - kappa0 t, R = sum |r|**2,
-        P = sum <t, r> and T = sum |t|**2, the fit is kappa0 + P/T and the
-        squared misfit R - |P|**2/T.  No pair is built twice.
+        The number-creation coefficient is not asserted: it is fitted by
+        least squares, m = [n(e_a), b*(e_b)] against t = b*(e_a e_b) on the
+        symmetric basis columns, and reported next to the tabulated 2.  For
+        any symbols m - kappa t sums the pairs' misfits, so the basis bounds
+        it.  The fit is shifted by kappa0, the coefficient of the first
+        nonzero t: with r = m - kappa0 t, R = sum |r|**2, P = sum <t, r> and
+        T = sum |t|**2, it is kappa0 + P/T and the squared misfit
+        R - |P|**2/T, which unshifted would cancel to about the square root
+        of rounding.
         """
         alg = self.algebra
         exact_tol = 0.0
@@ -503,19 +474,19 @@ class BosonicSpace(GradedFockSpace):
                 scale = max(np.abs(expected / sizes).max(), 1.0)
                 worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
         # Number against creation: fit the coefficient in one pass.
+        product_coords = alg.coords(alg.mul(basis[:, None], basis[None, :]))
+        templates = [
+            self._letter(CREATION, c) for c in product_coords.reshape(-1, alg.dim)
+        ]
         kappa0 = None
         shifted_dot = 0.0 + 0.0j
         shifted_norm = 0.0
         template_norm = 0.0
-        for _ in range(trials):
-            zeta = random_element(alg, rng)
-            xi = random_element(alg, rng)
-            number, creation, product = self._letters(
-                [(NUMBER, zeta), (CREATION, xi), (CREATION, alg.mul(zeta, xi))]
-            )
-            for k in range(self.max_grade):
-                measured = self._commute([number], [creation], k)
-                template = self._run([product], k, None)
+        for k in range(self.max_grade):
+            columns = self.symmetric_basis(k)
+            diffs = self._basis_commutators(NUMBER, CREATION, k, columns)
+            for measured, product in zip(diffs, templates):
+                template = self._run([(CREATION, product)], k, columns)
                 norm = np.vdot(template, template).real
                 if kappa0 is None and norm > 0.0:
                     kappa0 = np.vdot(template, measured) / norm

@@ -24,9 +24,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from .report import canonical_json, emit_report
+from .report import canonical_json, emit_report, write_output
 from .rewrite import (
     KINDS,
+    MAX_WORD_LENGTH,
     RelationTable,
     RewriteBudgetError,
     UnsupportedRelationError,
@@ -70,10 +71,10 @@ def _build_parser():
         "--trials",
         type=int,
         help=(
-            "random draws of the sampled checks (norm bounds, closed forms, the"
-            " number/creation fit, moments, traciality, the q-deformed checks);"
-            " adjointness, commutators and free relations run on the basis"
-            " (default 25)"
+            "random draws of the sampled checks (norm bounds, closed forms,"
+            " moments, traciality, the q-deformed squared relation); adjointness,"
+            " commutators, the number/creation fit and the canonical and free"
+            " relations run on the basis (default 25)"
         ),
     )
     verify.add_argument("--seed", type=int)
@@ -219,6 +220,7 @@ def _cmd_rewrite(args):
         raise UsageError("dimension must be between 1 and 4")
     if not 0 < args.gamma0 < math.inf:
         raise UsageError("gamma0 must be positive and finite")
+    _check_output(args.output)
     table = (
         RelationTable.from_measured(args.gamma0)
         if args.measured
@@ -232,6 +234,11 @@ def _cmd_rewrite(args):
         raise UsageError("--word must be valid JSON: %s" % exc)
     if not isinstance(letters, list) or not letters:
         raise UsageError("--word must be a nonempty JSON list")
+    if len(letters) > MAX_WORD_LENGTH:
+        raise UsageError(
+            "--word has %d letters, at most %d are allowed"
+            % (len(letters), MAX_WORD_LENGTH)
+        )
     word = []
     for entry in letters:
         if not isinstance(entry, dict) or set(entry) != {"kind", "symbol"}:
@@ -289,12 +296,7 @@ def _cmd_rewrite(args):
             "number_shift": table.number_shift,
         },
     }
-    text = canonical_json(payload) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_output(canonical_json(payload) + "\n", args.output)
     return 0
 
 

@@ -18,11 +18,12 @@ sampling it.  An identity linear in one symbol holds for every symbol once
 it holds at the dim basis elements, and one linear in each of two symbols
 once it holds at the dim**2 basis pairs, up to rounding: random symbols
 would re-sum the same basis operators and could detect nothing more.  So
-the adjointness check compares the sides of each basis element, and the
-relation checks of the spaces run on basis pairs, building the images of
-the dim inner basis operators of a grade once (``_basis_images``) and
-applying each outer basis operator to them.  Operator norms are not linear
-and keep their random symbols.  What the norms and the adjointness check
+the adjointness checks compare the sides of each basis element, and the
+relation checks of the spaces run on basis pairs, their commutators all
+from ``_basis_commutators``, building the images of the dim inner basis
+operators of a grade once and applying each outer one to them.  Operator
+norms and the q-deformed squared relation are not linear and keep their
+random symbols.  What the norms and the adjointness check
 compute of an operator (its whitened compression, or one side of the
 adjoint identity) is linear in it, so each runs the kernels of the dim
 basis operators of a grade on the compressed columns and applies the left
@@ -70,12 +71,6 @@ def check_grade(k, max_grade):
         raise GradeOverflowError("grade %d outside [0, %d]" % (k, max_grade))
 
 
-def _weighted(coeffs, stack):
-    """The slices of ``stack`` along its first axis summed with weights
-    ``coeffs``, as one matrix product."""
-    return (coeffs @ stack.reshape(len(coeffs), -1)).reshape(stack.shape[1:])
-
-
 class GradedFockSpace:
     """Quadratic creation, annihilation and number operators on the grades
     0..max_grade of a truncated Fock space over ``algebra``, and the dense
@@ -115,9 +110,9 @@ class GradedFockSpace:
     once per kind; a letter's tensors are their sum weighed by
     ``_coefficients``.  The linear claims are checked on the basis of the
     algebra (see the module docstring): the relation checks of the
-    subclasses on the basis pairs from ``_basis_images``, and
-    ``check_adjointness`` and the operator norms (``_operator_norms``) on
-    a ``_basis_stack`` of one grade, the basis operators on the compressed
+    subclasses on the basis pairs from ``_basis_commutators``, and the
+    adjointness checks and the operator norms (``_operator_norms``) on a
+    ``_basis_stack`` of one grade, the basis operators on the compressed
     columns under the fixed map the check applies.  Neither builds an
     operator matrix: the adjointness check compares the stack's slices,
     and the norms run one Lanczos iteration on it for all trials at once.
@@ -140,8 +135,8 @@ class GradedFockSpace:
         """The index orbits of grade k under slot permutations (cached):
         the 0/1 matrix (dim**k by orbits) of the orbit of each flat index,
         the orbit sizes, and the normalized indicators, an exact orthonormal
-        basis of the symmetric subspace.  The orbit of an index tuple is its
-        sorted tuple, one per multiset of indices."""
+        basis of the symmetric subspace, complex as the kernels need it.
+        The orbit of an index tuple is its sorted tuple."""
         self._check_grade(k)
         if k not in self._orbit_cache:
             dim = self.algebra.dim
@@ -150,7 +145,8 @@ class GradedFockSpace:
                 np.sort(tuples, axis=0), axis=1, return_inverse=True, return_counts=True
             )
             indicator = np.eye(sizes.size)[orbit.reshape(-1)]
-            self._orbit_cache[k] = indicator, sizes, indicator / np.sqrt(sizes)
+            basis = (indicator / np.sqrt(sizes)).astype(complex)
+            self._orbit_cache[k] = indicator, sizes, basis
         return self._orbit_cache[k]
 
     def symmetrizer(self, k):
@@ -248,7 +244,7 @@ class GradedFockSpace:
         """``transform`` of each basis operator of ``kind`` leaving grade k,
         restricted on the right to the ``_compression`` of grade k, stacked
         along a new first axis, so that the transformed operator of a
-        symbol is ``_weighted(coefficients, stack)``.
+        symbol is the sum of the slices weighed by its ``_coefficients``.
 
         A check builds the stack of one grade, sums its trials from it and
         drops it before the next grade: it holds dim transformed operators,
@@ -303,14 +299,40 @@ class GradedFockSpace:
     def commutator(self, left, right, k, q=1.0, columns=None):
         """Matrix of left right - q right left leaving grade k, for two
         words, applied to ``columns`` as in ``word_matrix``."""
-        return self._commute(self._letters(left), self._letters(right), k, q, columns)
-
-    def _commute(self, left, right, k, q=1.0, columns=None):
-        """``commutator`` of two words of (kind, ``_letter``) pairs, so that
-        a check builds the letters of its symbols once for every grade."""
+        left, right = self._letters(left), self._letters(right)
         forward = self._run([*left, *right], k, columns)
         backward = self._run([*right, *left], k, columns)
         return forward - (backward if q == 1.0 else q * backward)
+
+    def _basis_commutators(self, left, right, k, columns=None, q=1.0):
+        """The q-commutators L_a R_b - q R_b L_a of the basis operators of
+        kinds ``left`` and ``right`` on ``columns`` of grade k (the identity
+        when None), one matrix per ordered basis pair (a, b); ``right`` must
+        act on grade k.
+
+        The dim images R_b Y are built once per grade and every L_a runs on
+        them.  For one kind they are also the images L_a Y of the reverse
+        order, and at q = 1, the only q a same-kind caller asks, swapping a
+        and b negates the commutator exactly, so only the pairs a < b are
+        yielded.  For two kinds L_a Y is built once per a, so at most
+        dim + 1 images are held at a time, and never the dim**2 commutators.
+        """
+        rights = self._basis_letters(right)
+        ahead = self._basis_images(right, k, columns)
+        for a, letter in enumerate(self._basis_letters(left)):
+            pairs = range(len(rights))
+            if left == right:
+                behind, pairs = ahead[a], pairs[a + 1 :]
+            elif k == 0 and left != CREATION:
+                behind = None
+            else:
+                behind = self._run([(left, letter)], k, columns)
+            for b in pairs:
+                forward = self._run([(left, letter)], k + _SHIFTS[right], ahead[b])
+                if behind is not None:
+                    back = self._run([(right, rights[b])], k + _SHIFTS[left], behind)
+                    forward = forward - (back if q == 1.0 else q * back)
+                yield forward
 
     def apply(self, kind, symbol, vec):
         """Apply one operator to a graded vector: a list of at most
@@ -475,7 +497,7 @@ class GradedFockSpace:
             records.append(record)
         return records
 
-    def _adjoint_pair_gap(self, grams, gap, symbols=None):
+    def _adjoint_pair_gap(self, grams, gap):
         """Worst ``gap`` over the grades below the top between the two sides
         of creation against annihilation as adjoints for ``grams``, the
         Grams of every grade restricted on the right to ``_compression``:
@@ -485,8 +507,7 @@ class GradedFockSpace:
         Both sides are linear in the symbol, so each is a stack of its basis
         sides, built once per grade, and the identity holds for every symbol
         once it holds for the slices of the two stacks at each basis
-        element, which are compared.  Given ``symbols``, the sides are
-        summed per symbol from the stacks and compared instead.
+        element, which are compared.
         """
         worst = 0.0
         for k in range(self.max_grade):
@@ -496,14 +517,9 @@ class GradedFockSpace:
             right = self._basis_stack(
                 CREATION, k, lambda mat: grams[k + 1].conj().T @ mat
             )
-            if symbols is None:
-                sides = zip(left, right)
-            else:
-                coeffs = [self._coefficients(CREATION, s) for s in symbols]
-                sides = ((_weighted(c, left), _weighted(c, right)) for c in coeffs)
-            for lhs, rhs in sides:
+            for lhs, rhs in zip(left, right):
                 worst = max(worst, gap(lhs, rhs))
-            del left, right, sides
+            del left, right
         return worst
 
     def check_adjointness(self, tol=1e-9):
@@ -537,7 +553,7 @@ class GradedFockSpace:
                 NUMBER, k, lambda mat: mat.conj().T @ compressed_gram[k]
             )
             for lhs, coeffs in zip(left, starred):
-                rhs = _weighted(coeffs, left)
+                rhs = (coeffs @ left.reshape(len(coeffs), -1)).reshape(lhs.shape)
                 worst_number = max(worst_number, gap(lhs, rhs.conj().T))
             del left
         notes = self._adjoint_notes % alg.dim

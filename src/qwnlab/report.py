@@ -186,12 +186,17 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def emit_report(report: VerificationReport, output: str) -> str:
-    """Write the canonical JSON to ``output`` ('-' means stdout)."""
-    text = report.to_canonical_json() + "\n"
+def write_output(text: str, output: str) -> None:
+    """Write ``text`` to ``output`` ('-' means stdout)."""
     if output == "-":
         sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def emit_report(report: VerificationReport, output: str) -> str:
+    """Write the canonical JSON to ``output`` ('-' means stdout)."""
+    text = report.to_canonical_json() + "\n"
+    write_output(text, output)
     return text

@@ -3,13 +3,17 @@
 Adjointness is linear in its symbol, and each commutator and free relation
 is linear (annihilation conjugate-linear) in each of its two symbols, so
 the package checks them at the basis elements and basis pairs of the
-algebra.  The random-trial versions the package ran before live here as
-the oracle: over function algebras at non-dyadic weights and over M_2 they
-must give the same statuses, with every asserted residual inside its
-pinned tolerance.  A kernel image perturbed at one basis element must fail
-every basis record, whichever element it is.
+algebra, and the q-deformed canonical relation and adjointness at the
+basis modes.  The random-trial versions the package ran before live here
+as the oracle: over function algebras at non-dyadic weights, over M_2 and
+over two and three modes at q in {-0.3, 0.5, 1} they must give the same
+statuses, with every asserted residual inside its pinned tolerance.  A
+kernel image perturbed at one basis element must fail every basis record,
+whichever element it is.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -20,17 +24,31 @@ from qwnlab.bosonic import BosonicSpace, _is_dyadic
 from qwnlab.free import FreeSpace
 from qwnlab.graded import ANNIHILATION, CREATION, NUMBER
 from qwnlab.linalg import scaled_gap
+from qwnlab.qdeform import QFockSpace
 from qwnlab.report import reported_record, residual_record
 
 ADJOINT_TOL = 1e-9
 AFFINE_TOL = 1e-10
 RELATION_TOL = 1e-12
+Q_RELATION_TOL = 1e-9
+Q_ADJOINT_TOL = 1e-10
 
 SPACES = {
     "f2": lambda cls: cls(FunctionAlgebra([0.3, 1.1]), 4, 0.7),
     "f3": lambda cls: cls(FunctionAlgebra([0.3, 0.7, 1.1]), 4, 0.7),
     "m2": lambda cls: cls(MatrixAlgebra(2), 3, 0.7),
 }
+
+Q_SPACES = {
+    "q%d_%g" % (dim, q): functools.partial(QFockSpace, dim, q, 4)
+    for dim in (2, 3)
+    for q in (-0.3, 0.5, 1.0)
+}
+
+
+def _spaces(cls):
+    """A fresh space of ``cls`` over each algebra of SPACES, by name."""
+    return {name: functools.partial(make, cls) for name, make in SPACES.items()}
 
 
 def adjoint_residuals(space, symbols):
@@ -70,29 +88,46 @@ def trial_adjointness(space, rng, trials, tol=ADJOINT_TOL):
     ]
 
 
-def two_pass_fit(space, symbol_pairs):
-    """The number-creation coefficient by least squares over the pairs of
-    random symbols, and the relative misfit in a second pass."""
+def random_fit_pairs(space, symbol_pairs):
+    """[n(zeta), b*(xi)] and the template b*(zeta xi) on the identity
+    columns of every grade, for each pair of symbols."""
     alg = space.algebra
-
-    def pairs(zeta, xi):
-        number, creation, template = space._letters(
-            [(NUMBER, zeta), (CREATION, xi), (CREATION, alg.mul(zeta, xi))]
-        )
-        for k in range(space.max_grade):
-            yield space._commute([number], [creation], k), space._run([template], k, None)
-
-    num, den = 0.0 + 0.0j, 0.0
     for zeta, xi in symbol_pairs:
-        for measured, template in pairs(zeta, xi):
-            num += np.vdot(template, measured)
-            den += np.vdot(template, template).real
+        for k in range(space.max_grade):
+            measured = space.commutator([(NUMBER, zeta)], [(CREATION, xi)], k)
+            template = space.word_matrix([(CREATION, alg.mul(zeta, xi))], k)
+            yield measured, template
+
+
+def basis_fit_pairs(space):
+    """[n(e_a), b*(e_b)] and the template b*(e_a e_b) on the symmetric
+    basis columns of every grade, from operator words, for each basis
+    pair (e_a, e_b)."""
+    alg = space.algebra
+    basis = alg.basis()
+    for k in range(space.max_grade):
+        columns = space.symmetric_basis(k)
+        for a, b in itertools.product(range(alg.dim), repeat=2):
+            measured = space.commutator(
+                [(NUMBER, basis[a])], [(CREATION, basis[b])], k, columns=columns
+            )
+            product = alg.mul(basis[a], basis[b])
+            yield measured, space.word_matrix([(CREATION, product)], k, columns)
+
+
+def two_pass_fit(pairs):
+    """The number-creation coefficient by least squares over the
+    (measured, template) blocks that ``pairs()`` yields, and the relative
+    misfit in a second pass."""
+    num, den = 0.0 + 0.0j, 0.0
+    for measured, template in pairs():
+        num += np.vdot(template, measured)
+        den += np.vdot(template, template).real
     kappa = num / den
     fit_num = fit_den = 0.0
-    for zeta, xi in symbol_pairs:
-        for measured, template in pairs(zeta, xi):
-            fit_num += np.linalg.norm(measured - kappa * template) ** 2
-            fit_den += np.linalg.norm(template) ** 2
+    for measured, template in pairs():
+        fit_num += np.linalg.norm(measured - kappa * template) ** 2
+        fit_den += np.linalg.norm(template) ** 2
     return kappa, math.sqrt(fit_num / fit_den)
 
 
@@ -111,39 +146,37 @@ def trial_commutators(space, rng, trials, tol_affine=AFFINE_TOL):
     for _ in range(trials):
         phi = random_element(alg, rng, dyadic=True)
         psi = random_element(alg, rng, dyadic=True)
-        left, right = space._letters([(CREATION, phi), (CREATION, psi)])
         for k in range(space.max_grade - 1):
-            diff = space._commute([left], [right], k)
+            diff = space.commutator([(CREATION, phi)], [(CREATION, psi)], k)
             worst["cc"] = max(worst["cc"], np.abs(diff).max())
-        left, right = space._letters([(ANNIHILATION, phi), (ANNIHILATION, psi)])
         for k in range(2, space.max_grade + 1):
             indicator, sizes, _ = space._orbits(k)
-            diff = space._commute([left], [right], k, columns=indicator)
+            diff = space.commutator(
+                [(ANNIHILATION, phi)], [(ANNIHILATION, psi)], k, columns=indicator
+            )
             worst["aa"] = max(worst["aa"], np.abs(diff / sizes).max())
         if alg.commutative:
-            left, right = space._letters([(NUMBER, phi), (NUMBER, psi)])
             for k in range(1, space.max_grade + 1):
-                diff = space._commute([left], [right], k)
+                diff = space.commutator([(NUMBER, phi)], [(NUMBER, psi)], k)
                 worst["nn"] = max(worst["nn"], np.abs(diff).max())
         phi = random_element(alg, rng)
         psi = random_element(alg, rng)
         product = alg.mul(alg.star(phi), psi)
         pairing = alg.state(product)
-        left, right, number = space._letters(
-            [(ANNIHILATION, phi), (CREATION, psi), (NUMBER, product)]
-        )
         for k in range(space.max_grade):
             indicator, sizes, _ = space._orbits(k)
             expected = 2.0 * space.gamma0 * pairing * np.eye(alg.dim**k)
-            expected = expected + 4.0 * space._run([number], k, None)
-            diff = space._commute([left], [right], k, columns=indicator)
+            expected = expected + 4.0 * space.operator_matrix(NUMBER, product, k)
+            diff = space.commutator(
+                [(ANNIHILATION, phi)], [(CREATION, psi)], k, columns=indicator
+            )
             diff = (diff - expected @ indicator) / sizes
             scale = max(np.abs(expected).max(), 1.0)
             worst["mixed"] = max(worst["mixed"], np.abs(diff).max() / scale)
     symbols = [
         (random_element(alg, rng), random_element(alg, rng)) for _ in range(trials)
     ]
-    kappa, fit = two_pass_fit(space, symbols)
+    kappa, fit = two_pass_fit(lambda: random_fit_pairs(space, symbols))
     claim = "quadratic commutation relations"
     prefix = "bosonic.commutator."
     records = [
@@ -214,39 +247,82 @@ def trial_relations(space, rng, trials, tol=RELATION_TOL):
     ]
 
 
-# (space class, basis check, random-trial check)
+def trial_canonical_relation(space, rng, trials, tol=Q_RELATION_TOL):
+    """The q-deformed canonical relation over random mode vectors, each
+    side a dense matrix, compared after ``_compress``."""
+    worst = 0.0
+    for _ in range(trials):
+        phi = random_element(space.algebra, rng)
+        psi = random_element(space.algebra, rng)
+        for n in range(space.max_grade):
+            lhs = space.commutator([(ANNIHILATION, phi)], [(CREATION, psi)], n, space.q)
+            rhs = np.vdot(phi, psi) * np.eye(space.dim**n)
+            gap = scaled_gap(space._compress(lhs, n, n), space._compress(rhs, n, n))
+            worst = max(worst, gap)
+    claim = "deformed commutation relation"
+    return [residual_record("qdeform.canonical_relation", claim, worst, tol)]
+
+
+def trial_q_adjointness(space, rng, trials, tol=Q_ADJOINT_TOL):
+    """Creation against annihilation as adjoints for the q-Gram over
+    random mode vectors, both sides formed in full from operator matrices
+    and then compressed."""
+    worst = 0.0
+    for _ in range(trials):
+        zeta = random_element(space.algebra, rng)
+        for n in range(space.max_grade):
+            annihilate = space.annihilate_matrix(zeta, n + 1)
+            create = space.create_matrix(zeta, n)
+            lhs = space._compress(annihilate.conj().T @ space.q_gram(n), n + 1, n)
+            rhs = space._compress(space.q_gram(n + 1) @ create, n + 1, n)
+            worst = max(worst, scaled_gap(lhs, rhs))
+    claim = "adjointness for the deformed scalar product"
+    return [residual_record("qdeform.adjointness", claim, worst, tol)]
+
+
+# (spaces by name, basis check, random-trial check)
 CHECKS = {
     "bosonic_adjointness": (
-        BosonicSpace,
+        _spaces(BosonicSpace),
         lambda space: space.check_adjointness(tol=ADJOINT_TOL),
         lambda space, rng: trial_adjointness(space, rng, 25),
     ),
     "free_adjointness": (
-        FreeSpace,
+        _spaces(FreeSpace),
         lambda space: space.check_adjointness(tol=ADJOINT_TOL),
         lambda space, rng: trial_adjointness(space, rng, 25),
     ),
     "bosonic_commutators": (
-        BosonicSpace,
-        lambda space: space.check_commutators(
-            np.random.default_rng(3), trials=3, tol_affine=AFFINE_TOL
-        ),
+        _spaces(BosonicSpace),
+        lambda space: space.check_commutators(tol_affine=AFFINE_TOL),
         lambda space, rng: trial_commutators(space, rng, 25),
     ),
     "free_relations": (
-        FreeSpace,
+        _spaces(FreeSpace),
         lambda space: space.check_relations(tol=RELATION_TOL),
         lambda space, rng: trial_relations(space, rng, 25),
+    ),
+    "qdeform_canonical_relation": (
+        Q_SPACES,
+        lambda space: space.check_canonical_relation(tol=Q_RELATION_TOL),
+        lambda space, rng: trial_canonical_relation(space, rng, 25),
+    ),
+    "qdeform_adjointness": (
+        Q_SPACES,
+        lambda space: space.check_adjointness(tol=Q_ADJOINT_TOL),
+        lambda space, rng: trial_q_adjointness(space, rng, 25),
     ),
 }
 
 
-@pytest.mark.parametrize("algebra", sorted(SPACES))
-@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize(
+    "check, algebra",
+    [(check, name) for check in sorted(CHECKS) for name in sorted(CHECKS[check][0])],
+)
 def test_basis_checks_agree_with_random_trials(check, algebra):
-    cls, on_basis, on_trials = CHECKS[check]
-    basis_records = on_basis(SPACES[algebra](cls))
-    trial_records = on_trials(SPACES[algebra](cls), np.random.default_rng(5))
+    spaces, on_basis, on_trials = CHECKS[check]
+    basis_records = on_basis(spaces[algebra]())
+    trial_records = on_trials(spaces[algebra](), np.random.default_rng(5))
     assert [r.name for r in basis_records] == [r.name for r in trial_records]
     for basis, trial in zip(basis_records, trial_records):
         assert basis.status == trial.status, basis.name
@@ -258,20 +334,25 @@ def test_basis_checks_agree_with_random_trials(check, algebra):
 
 @pytest.mark.parametrize("algebra", sorted(SPACES))
 def test_one_pass_fit_matches_the_two_pass_fit(algebra):
+    # the one-pass basis fit against a two-pass fit on the same basis
+    # pairs, from operator words, and its coefficient against a two-pass
+    # fit on random symbol pairs over the whole grades
     space = SPACES[algebra](BosonicSpace)
-    records = {
-        r.name: r for r in space.check_commutators(np.random.default_rng(9), trials=4)
-    }
+    records = {r.name: r for r in space.check_commutators()}
+    coefficient = records["bosonic.commutator.number_creation_coefficient"]
+    kappa, fit = two_pass_fit(lambda: basis_fit_pairs(space))
+    assert abs(coefficient.measured - kappa.real) <= 1e-15
+    assert abs(coefficient.residual - abs(kappa.imag)) <= 1e-15
+    fit_record = records["bosonic.commutator.number_creation_fit"]
+    assert abs(fit_record.residual - fit) <= 1e-15
     rng = np.random.default_rng(9)
     symbols = [
         (random_element(space.algebra, rng), random_element(space.algebra, rng))
         for _ in range(4)
     ]
-    kappa, fit = two_pass_fit(space, symbols)
-    coefficient = records["bosonic.commutator.number_creation_coefficient"]
-    assert abs(coefficient.measured - kappa.real) <= 1e-15
-    assert abs(coefficient.residual - abs(kappa.imag)) <= 1e-15
-    assert abs(records["bosonic.commutator.number_creation_fit"].residual - fit) <= 1e-15
+    kappa, _ = two_pass_fit(lambda: random_fit_pairs(space, symbols))
+    assert abs(coefficient.measured - kappa.real) <= 1e-14
+    assert abs(coefficient.residual - abs(kappa.imag)) <= 1e-14
 
 
 def _perturb(space, kind, b, eps=1e-6):
@@ -312,20 +393,27 @@ MUTATIONS = [
     (FreeSpace, "check_relations", "free.relation.number_creation", NUMBER),
     (FreeSpace, "check_relations", "free.relation.annihilation_number", NUMBER),
     (FreeSpace, "check_relations", "free.relation.number_multiplicative", NUMBER),
+    (
+        BosonicSpace,
+        "check_commutators",
+        "bosonic.commutator.number_creation_fit",
+        NUMBER,
+    ),
+    (QFockSpace, "check_canonical_relation", "qdeform.canonical_relation", CREATION),
+    (QFockSpace, "check_adjointness", "qdeform.adjointness", ANNIHILATION),
 ]
 
 
-def _run_check(space, check):
-    if check == "check_commutators":
-        return space.check_commutators(np.random.default_rng(3), trials=1)
-    return getattr(space, check)()
+def _mutation_space(cls):
+    """A space of ``cls`` with three basis elements."""
+    return Q_SPACES["q3_0.5"]() if cls is QFockSpace else SPACES["f3"](cls)
 
 
 @pytest.mark.parametrize("cls, check, name, kind", MUTATIONS, ids=lambda v: str(v))
 def test_a_perturbed_basis_operator_fails_each_basis_record(cls, check, name, kind):
-    clean = {r.name: r for r in _run_check(SPACES["f3"](cls), check)}
+    clean = {r.name: r for r in getattr(_mutation_space(cls), check)()}
     assert clean[name].status == "pass"
     for b in range(3):
-        space = _perturb(SPACES["f3"](cls), kind, b)
-        records = {r.name: r for r in _run_check(space, check)}
+        space = _perturb(_mutation_space(cls), kind, b)
+        records = {r.name: r for r in getattr(space, check)()}
         assert records[name].status == "fail", (name, b, records[name].residual)

@@ -238,22 +238,36 @@ def test_ladder_bounds_fail_over_m2_at_small_gamma0():
     assert _negative_directions(records[0]) > 0
 
 
-def _commutator_check_peak(trials):
-    """Peak traced bytes of the commutator check over M_2 at truncation 4."""
-    space = BosonicSpace(MatrixAlgebra(2), 4)
+def test_cold_commutator_check_peak_stays_under_10_mb():
+    # every commutator, the number-creation fit included, runs on the
+    # basis pairs over orbit columns: over M_2 at truncation 5 the check
+    # holds no whole-grade block (the fit on identity columns peaked at
+    # 19 MB)
+    space = BosonicSpace(MatrixAlgebra(2), 5)
     tracemalloc.start()
     try:
-        space.check_commutators(np.random.default_rng(21), trials=trials)
-        return tracemalloc.get_traced_memory()[1]
+        records = space.check_commutators()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert all(r.status != "fail" for r in records)
+    assert peak <= 10e6, peak
 
 
-def test_commutator_check_peak_does_not_grow_with_the_trials():
-    # the number-creation fit takes its misfit in the same pass and keeps
-    # no trial's pair past its grade
-    peaks = [_commutator_check_peak(trials) for trials in (1, 10, 50)]
-    assert max(peaks) <= 1.2 * peaks[0], peaks
+def test_number_kernel_on_the_symmetric_basis_makes_no_complex_copy():
+    # grade 5 over M_2: the image and the kernel's product buffer are two
+    # 1024 by 56 complex blocks (1.84 MB); a real basis would add a
+    # complex copy of itself (2.75 MB in all)
+    space = BosonicSpace(MatrixAlgebra(2), 5)
+    columns = space.symmetric_basis(5)
+    letter = space._basis_letters(NUMBER)[0]
+    tracemalloc.start()
+    try:
+        space._kernel(NUMBER, letter, columns, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2e6, peak
 
 
 def _warm_positivity_peak(monkeypatch):

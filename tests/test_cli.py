@@ -357,7 +357,7 @@ def test_rewrite_subcommand_payload(tmp_path):
     assert json.loads(out.read_text())["table"]["number_shift"] == 1.0
 
 
-def test_rewrite_subcommand_rejects_bad_words(capsys):
+def test_rewrite_subcommand_rejects_bad_words(tmp_path, capsys):
     assert run_cli(["rewrite", "--word", "not json"]) == 2
     assert run_cli(["rewrite", "--word", "[]"]) == 2
     assert run_cli(["rewrite", "--word", '[{"kind": "b"}]']) == 2
@@ -372,6 +372,17 @@ def test_rewrite_subcommand_rejects_bad_words(capsys):
     assert run_cli(["rewrite", "--word", word, "--dim", "5"]) == 2
     for gamma0 in ("-1", "nan", "inf"):
         assert run_cli(["rewrite", "--word", word, "--gamma0", gamma0]) == 2
+    capsys.readouterr()
+    # one letter past the engine's word cap, and unwritable report paths
+    too_long = json.dumps([{"kind": "b", "symbol": "one"}] * 15)
+    for argv in (
+        ["--word", too_long],
+        ["--word", word, "--output", str(tmp_path / "missing" / "x.json")],
+        ["--word", word, "--output", str(tmp_path)],
+    ):
+        assert run_cli(["rewrite", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_rewrite_subcommand_refuses_nonfinite_coefficients(tmp_path, capsys):
