@@ -17,6 +17,7 @@ combinatorial explosion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -235,6 +236,16 @@ def noncrossing_partitions(n: int) -> Iterator[NoncrossingPartition]:
         yield NoncrossingPartition(ordered)
 
 
+@functools.lru_cache(maxsize=None)
+def noncrossing_blocks(n: int) -> tuple:
+    """Block tuples of ``noncrossing_partitions(n)``, in its order.
+
+    Enumerated and validated once per n; the moment and cumulant sums
+    read these, so their float sums keep the generator's order.
+    """
+    return tuple(partition.blocks for partition in noncrossing_partitions(n))
+
+
 def bell_number(n: int) -> int:
     """Exact Bell number via the Bell triangle."""
     if n < 0:
@@ -312,9 +323,9 @@ def free_cumulants_to_moments(cumulants) -> list:
     moments = []
     for n in range(1, len(cum) + 1):
         m = 0
-        for ncp in noncrossing_partitions(n):
+        for blocks in noncrossing_blocks(n):
             term = 1
-            for b in ncp.blocks:
+            for b in blocks:
                 term *= cum[len(b) - 1]
             m += term
         moments.append(m)
@@ -331,11 +342,11 @@ def moments_to_free_cumulants(moments) -> list:
     cum = []
     for n in range(1, len(mom) + 1):
         rest = 0
-        for ncp in noncrossing_partitions(n):
-            if len(ncp.blocks) == 1:
+        for blocks in noncrossing_blocks(n):
+            if len(blocks) == 1:
                 continue
             term = 1
-            for b in ncp.blocks:
+            for b in blocks:
                 term *= cum[len(b) - 1]
             rest += term
         cum.append(mom[n - 1] - rest)

@@ -35,7 +35,7 @@ from .algebra import basis_word_products, random_element
 from .combinatorics import (
     cumulant_weight,
     moments_to_free_cumulants,
-    noncrossing_partitions,
+    noncrossing_blocks,
 )
 from .graded import (
     ANNIHILATION,
@@ -151,9 +151,9 @@ class FreeSpace(GradedFockSpace):
             return 1.0 + 0.0j
         alg = self.algebra
         total = 0.0 + 0.0j
-        for partition in noncrossing_partitions(n):
+        for blocks in noncrossing_blocks(n):
             term = 1.0 + 0.0j
-            for block in partition.blocks:
+            for block in blocks:
                 prod = symbols[block[0] - 1]
                 for pos in block[1:]:
                     prod = alg.mul(prod, symbols[pos - 1])

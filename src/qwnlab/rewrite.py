@@ -7,6 +7,17 @@ with runs of one kind sorted canonically by symbol.  Every rewrite rule
 swaps one out-of-order adjacent pair and adds lower-complexity terms, so
 rewriting terminates; a step budget of 4**length is enforced as a belt.
 
+One breadth-first core does all rewriting and queues only what its caller
+reads: every word for a normal form, the words that are not normal for a
+step count, and the live words for the vacuum moment of a quadratic word.
+A word is live if it is empty, or starts with an annihilator and ends with
+a creator.  No rule makes a word live that was not: a rule at the first
+pair yields a word starting with an annihilator only if its left letter is
+one, at the last pair a word ending with a creator only if its right
+letter is one, and only (b, b*) yields a scalar.  So every descendant of a
+word that is not live is a nonempty word that is not live, and leaving
+those words out changes no vacuum moment, bit for bit.
+
 Unlike the concrete Fock modules, the relations here live in a table of
 coefficients.  The default table carries the abstract coefficients
 (2, 4, 2); a second constructor installs the measured concrete-operator
@@ -39,6 +50,11 @@ LINEAR_ANNIHILATION = "a"
 KINDS = (CREATION, LINEAR_CREATION, NUMBER, LINEAR_ANNIHILATION, ANNIHILATION)
 _RANK = {kind: index for index, kind in enumerate(KINDS)}
 _STRATEGIES = ("leftmost", "rightmost", "random")
+_QUADRATIC = (CREATION, NUMBER, ANNIHILATION)
+
+# What a caller of the rewrite core reads, which decides the words it
+# queues: the normal form, the step count, or the vacuum moment.
+_READS_FORM, _READS_STEPS, _READS_VACUUM = "form", "steps", "vacuum"
 
 MAX_WORD_LENGTH = 14
 
@@ -177,14 +193,19 @@ class RewriteEngine:
         self.symbols = symbols
         self.table = table if table is not None else RelationTable()
         self._moment_cache = {}
-        # normal_order rewrites words of int codes, one per letter (kind, sid).
-        # Per code: the letter, its order key (rank, symbol key), so a pair
-        # (a, b) is out of order iff _order[a] > _order[b], and the rules
-        # _rules[a][b] with it on the left.
+        # The rewrite core works on words of int codes, one per letter
+        # (kind, sid).  Per code: the letter; its order key, the rank byte
+        # then the symbol key, which compares as the pair (rank, symbol
+        # key) would, so a pair (a, b) is out of order iff
+        # _order[a] > _order[b]; the rules _rules[a][b] with it on the
+        # left; and whether it is a quadratic annihilator (_opens) or
+        # creator (_closes).
         self._codes = {}
         self._letters = []
         self._order = []
         self._rules = []
+        self._opens = []
+        self._closes = []
 
     # -- rules ----------------------------------------------------------------
 
@@ -193,8 +214,11 @@ class RewriteEngine:
         if code is None:
             code = self._codes[letter] = len(self._letters)
             self._letters.append(letter)
-            self._order.append((_RANK[letter[0]], self.symbols.sort_key(letter[1])))
+            rank = bytes((_RANK[letter[0]],))
+            self._order.append(rank + self.symbols.sort_key(letter[1]))
             self._rules.append({})
+            self._opens.append(letter[0] == ANNIHILATION)
+            self._closes.append(letter[0] == CREATION)
         return code
 
     def _rule(self, a, b):
@@ -271,10 +295,9 @@ class RewriteEngine:
         start = self._coded(word)
         if coefficient == 0 or start is None:
             return NormalForm(terms={}, steps=0)
-        if max_steps is None:
-            max_steps = 4 ** max(len(start), 1)
-        terms = {}
-        steps = self._rewrite(start, coefficient, strategy, rng, max_steps, terms)
+        steps, terms = self._rewrite(
+            start, _READS_FORM, coefficient, strategy, rng, max_steps
+        )
         letters = self._letters
         terms = {tuple(letters[c] for c in w): x for w, x in terms.items() if x != 0}
         return NormalForm(terms=terms, steps=steps)
@@ -284,8 +307,32 @@ class RewriteEngine:
         start = self._coded(word)
         if start is None:
             return 0
-        budget = 4 ** max(len(start), 1)
-        return self._rewrite(start, 1.0, "leftmost", None, budget, None)
+        return self._rewrite(start, _READS_STEPS)[0]
+
+    def vacuum_moment(self, word, **kwargs):
+        """Scalar term of the normal form: the vacuum state of the word.
+
+        On a word of quadratic letters alone (b*, n, b), called without
+        keyword arguments, the rewrite queues only live words: the empty
+        word, and words that start with an annihilator b and end with a
+        creator b*.  No rule makes a word live that was not (see the module
+        docstring), so the scalar term is the same sum, added in the same
+        order, as ``normal_order(word).coefficient(())``, in no more steps;
+        the 4**length budget counts those steps.  Every other call takes
+        the full rewrite, so a linear word with an unsupported pair still
+        raises.
+        """
+        start = self._coded(word)
+        letters = self._letters
+        if kwargs or start is not None and any(
+            letters[c][0] not in _QUADRATIC for c in start
+        ):
+            return self.normal_order(word, **kwargs).coefficient(())
+        if start is None:
+            return 0j
+        scalar = self._rewrite(start, _READS_VACUUM)[1].get((), 0j)
+        # as in normal_order, a scalar summing to zero (of either sign) is 0j
+        return scalar if scalar != 0 else 0j
 
     def _coded(self, word):
         """Letter codes of a checked word, or None if a symbol is zero."""
@@ -299,25 +346,51 @@ class RewriteEngine:
             return None
         return tuple(self._code(letter) for letter in word)
 
-    def _rewrite(self, start, coefficient, strategy, rng, max_steps, terms):
-        """Steps of the rewrite of the coded word ``start``, adding normal
-        words to ``terms``.  With ``terms`` None (leftmost only) a normal
-        word is never queued: it has no descendants and costs no step."""
+    def _rewrite(
+        self,
+        start,
+        reads,
+        coefficient=1.0,
+        strategy="leftmost",
+        rng=None,
+        max_steps=None,
+    ):
+        """``(steps, terms)`` of the rewrite of the coded word ``start``,
+        ``terms`` mapping the normal words popped to their coefficients.
+
+        ``reads`` says what the caller reads, and with it which words are
+        queued: every word for the normal form (``_READS_FORM``); under
+        leftmost only words that are not normal for the step count
+        (``_READS_STEPS``), since a normal word has no descendants and costs
+        no step; only live words, the start included, for the vacuum moment
+        of a quadratic word (``_READS_VACUUM``).  More than ``max_steps``
+        steps (default 4**length) raise ``RewriteBudgetError``.
+        """
+        if max_steps is None:
+            max_steps = 4 ** max(len(start), 1)
         order, rules = self._order, self._rules
+        opens, closes = self._opens, self._closes
         leftmost = strategy == "leftmost"
-        counting = terms is None
-        # pending maps coded word -> (accumulated coefficient, leftmost
-        # descent, >= len - 1 if normal); other strategies choose at pop
+        counting = reads == _READS_STEPS
+        vacuum = reads == _READS_VACUUM
+        terms = {}
+        if vacuum and start and not (opens[start[0]] and closes[start[-1]]):
+            return 0, terms
+        # pending maps a queued word to its accumulated coefficient; spots
+        # holds, beside each queued word, its leftmost descent (>= len - 1
+        # if normal); other strategies choose at pop
         steps, p, last = 0, 0, len(start) - 1
         while leftmost and p < last and order[start[p]] <= order[start[p + 1]]:
             p += 1
-        pending = {start: (complex(coefficient), p)}
-        queue = deque((start,))
+        pending = {start: complex(coefficient)}
+        queue, spots = deque((start,)), deque((p,))
         popleft, append = queue.popleft, queue.append
-        take, get = pending.pop, pending.get
+        pop_spot, add_spot = spots.popleft, spots.append
+        take, setdefault = pending.pop, pending.setdefault
         while queue:
             w = popleft()
-            coeff, position = take(w)
+            position = pop_spot()
+            coeff = take(w)
             if coeff == 0:
                 continue
             last = len(w) - 1
@@ -330,8 +403,7 @@ class RewriteEngine:
                 else:
                     position = descents[int(rng.integers(len(descents)))]
             if position >= last:
-                if not counting:
-                    terms[w] = terms.get(w, 0j) + coeff
+                terms[w] = terms.get(w, 0j) + coeff
                 continue
             steps += 1
             if steps > max_steps:
@@ -347,9 +419,7 @@ class RewriteEngine:
             hint = position - 1 if position > 0 else 0
             for factor, middle in rule:
                 new = prefix + middle + suffix
-                previous = get(new)
-                if previous is not None:
-                    pending[new] = (previous[0] + coeff * factor, previous[1])
+                if vacuum and new and not (opens[new[0]] and closes[new[-1]]):
                     continue
                 p = hint
                 if leftmost:
@@ -358,13 +428,16 @@ class RewriteEngine:
                         p += 1
                     if counting and p >= end:
                         continue
-                pending[new] = (coeff * factor, p)
+                # setdefault hands back the fresh term itself only if the
+                # word was not waiting; a waiting word keeps its spot
+                term = coeff * factor
+                previous = setdefault(new, term)
+                if previous is not term:
+                    pending[new] = previous + term
+                    continue
                 append(new)
-        return steps
-
-    def vacuum_moment(self, word, **kwargs):
-        """Scalar term of the normal form: the vacuum state of the word."""
-        return self.normal_order(word, **kwargs).coefficient(())
+                add_spot(p)
+        return steps, terms
 
     # -- quadratic fields -----------------------------------------------------
 
@@ -710,10 +783,13 @@ def _sweep(engine, words):
     """Worst steps/4**length over ``words``, fanned out over worker processes.
 
     Step counts depend on the word alone, and ``max`` is exact in any order,
-    so the result does not depend on the worker count.  Workers are forked:
+    so the result does not depend on the worker count or the word order.
+    Chunks are handed out longest words first, so the last chunks, taken
+    while other workers finish, are the cheap ones.  Workers are forked:
     they inherit the engine and the word list, run only the pure-Python
     rewrite loop, and send back one float per chunk.
     """
+    words = sorted(words, key=len, reverse=True)
     starts = range(0, len(words), _SWEEP_CHUNK)
     workers = _sweep_workers(len(starts))
     if workers > 1:

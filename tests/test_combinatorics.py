@@ -26,6 +26,7 @@ from qwnlab.combinatorics import (
     interval_compositions,
     inversions,
     moments_to_free_cumulants,
+    noncrossing_blocks,
     noncrossing_partitions,
     ordered_partitions,
     set_partitions,
@@ -91,6 +92,17 @@ def test_noncrossing_agrees_with_quadratic_scan():
             p.blocks for p in set_partitions(n) if not _crosses_quadratic(p.blocks)
         }
         assert fast == slow
+
+
+def test_noncrossing_blocks_keep_the_generator_order():
+    # the moment and cumulant sums read the cached blocks, so their float
+    # sums stay those of the generator's order
+    for n in range(1, 9):
+        blocks = noncrossing_blocks(n)
+        assert blocks == tuple(p.blocks for p in noncrossing_partitions(n))
+        assert noncrossing_blocks(n) is blocks
+    with pytest.raises(EnumerationLimitError):
+        noncrossing_blocks(0)
 
 
 def test_noncrossing_constructor_rejects_crossing():

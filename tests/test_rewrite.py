@@ -651,27 +651,48 @@ def test_counted_steps_skip_words_whose_coefficients_cancel():
     assert [_count_matches_normal_order(engine, word) for word in words] == [103, 410]
 
 
-def test_both_rewrite_modes_hit_the_budget_at_the_same_step():
+def test_every_rewrite_mode_hits_the_budget_at_its_last_step():
+    # the form and step modes take the same steps; the vacuum mode takes
+    # the steps on live words, and the budget counts those alone
     engine, words = _random_words(31, 40, 8, min_len=4)
-    budgets = 0
+    budgets = vacuum_budgets = 0
     for word in words:
         steps = engine.normal_order(word).steps
         if steps == 0:
             continue
         budgets += 1
         start = tuple(engine._code(letter) for letter in word)
-        for terms in ({}, None):
-            assert engine._rewrite(start, 1.0, "leftmost", None, steps, terms) == steps
+        for reads in (rewrite._READS_FORM, rewrite._READS_STEPS):
+            assert engine._rewrite(start, reads, max_steps=steps)[0] == steps
             with pytest.raises(RewriteBudgetError):
-                engine._rewrite(start, 1.0, "leftmost", None, steps - 1, terms)
-    assert budgets > 30
+                engine._rewrite(start, reads, max_steps=steps - 1)
+        live = engine._rewrite(start, rewrite._READS_VACUUM)[0]
+        assert live <= steps
+        if live:
+            vacuum_budgets += 1
+            live_steps, terms = engine._rewrite(
+                start, rewrite._READS_VACUUM, max_steps=live
+            )
+            assert live_steps == live and set(terms) <= {()}
+            with pytest.raises(RewriteBudgetError):
+                engine._rewrite(start, rewrite._READS_VACUUM, max_steps=live - 1)
+    assert budgets > 30 and vacuum_budgets >= 4
+
+
+def _made_live(word):
+    """The word with its first letter made an annihilator and its last a
+    creator, on the first letter's symbol: a word the vacuum mode rewrites."""
+    sid = word[0][1]
+    return ((ANNIHILATION, sid),) + word[1:-1] + ((CREATION, sid),)
 
 
 def test_every_popped_word_carries_its_leftmost_descent():
     # Watch the rewrite loop right after each pop: under leftmost, the
     # position stored when the word first entered the queue (and kept
     # through merges) equals a fresh scan of the word from its start;
-    # when counting, no normal word but the start is ever queued
+    # when counting, no normal word but the start is ever queued; for a
+    # vacuum moment, every popped word is live: empty, or an annihilator
+    # first and a creator last
     engine, words = _random_words(37, 60, 9)
     code = RewriteEngine._rewrite.__code__
     source, first = inspect.getsourcelines(RewriteEngine._rewrite)
@@ -680,7 +701,7 @@ def test_every_popped_word_carries_its_leftmost_descent():
         for index, line in enumerate(source)
         if "= take(w)" in line
     ]
-    seen = {"words": 0, "normal": 0}
+    seen = {"words": 0, "normal": 0, "live": 0, "empty": 0}
 
     def check(frame, event, arg):
         if event == "line" and frame.f_lineno == after_pop:
@@ -694,6 +715,14 @@ def test_every_popped_word_carries_its_leftmost_descent():
             if frame.f_locals["counting"] and fresh >= len(w) - 1:
                 assert w == frame.f_locals["start"]
                 seen["normal"] += 1
+            if frame.f_locals["vacuum"]:
+                letters = [engine._letters[c] for c in w]
+                if letters:
+                    assert letters[0][0] == ANNIHILATION, letters
+                    assert letters[-1][0] == CREATION, letters
+                    seen["live"] += 1
+                else:
+                    seen["empty"] += 1
         return check
 
     def trace(frame, event, arg):
@@ -704,6 +733,165 @@ def test_every_popped_word_carries_its_leftmost_descent():
         for word in words:
             engine.normal_order(word)
             engine.count_steps(word)
+            engine.vacuum_moment(word)
+            engine.vacuum_moment(_made_live(word))
     finally:
         sys.settrace(None)
     assert seen["words"] > 1000 and seen["normal"] > 0
+    assert seen["live"] > 100 and seen["empty"] > 0
+
+
+def _same_scalar(got, expected):
+    # == alone would let a signed zero through
+    return (
+        got == expected
+        and np.signbit(got.real) == np.signbit(expected.real)
+        and np.signbit(got.imag) == np.signbit(expected.imag)
+    )
+
+
+@pytest.mark.parametrize(
+    "table", [RelationTable(), RelationTable.from_measured(0.5)], ids=repr
+)
+@pytest.mark.parametrize(
+    "second",
+    # with disjoint supports the pairing and the products of the two
+    # symbols vanish, so mixed pairs lose their shorter terms
+    [[0.0, -1.7 + 0.2j], [0.5, -1.7 + 0.2j]],
+    ids=["disjoint", "overlapping"],
+)
+def test_vacuum_moment_matches_the_normal_form_on_every_short_word(table, second):
+    engine = make_engine(table)
+    pool = [
+        engine.symbols.intern(np.array([0.3 + 0.1j, 0.0])),
+        engine.symbols.intern(np.array(second)),
+    ]
+    letters = [(kind, sid) for kind in (CREATION, NUMBER, ANNIHILATION) for sid in pool]
+    words = nonzero = 0
+    for length in range(6):
+        for word in itertools.product(letters, repeat=length):
+            got = engine.vacuum_moment(word)
+            expected = engine.normal_order(word).coefficient(())
+            assert _same_scalar(got, expected), (word, got, expected)
+            words += 1
+            nonzero += got != 0
+    assert words == sum(6**length for length in range(6))
+    assert nonzero > 40
+
+
+def test_vacuum_moment_matches_the_normal_form_on_random_words():
+    engine, words = _random_words(41, 200, 9)
+    for word in words:
+        for candidate in (word, _made_live(word)):
+            expected = engine.normal_order(candidate).coefficient(())
+            assert _same_scalar(engine.vacuum_moment(candidate), expected), candidate
+
+
+def test_every_cached_rule_term_keeps_dead_words_dead(monkeypatch):
+    # The live-word lemma on the rules a termination sweep builds: a rule
+    # whose left letter is not an annihilator yields only middles that
+    # start with a non-annihilator, one whose right letter is not a creator
+    # only middles that end with a non-creator, and only (b, b*) yields a
+    # scalar
+    engines = []
+    sweep = rewrite._sweep
+
+    def keep_engine(engine, words):
+        engines.append(engine)
+        return sweep(engine, words)
+
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(rewrite, "_sweep", keep_engine)
+    check_termination(np.random.default_rng(4), words=300, max_len=10)
+    (engine,) = engines
+    kinds = [kind for kind, _ in engine._letters]
+    terms = scalars = 0
+    for a, row in enumerate(engine._rules):
+        for b, rule in row.items():
+            for _, middle in rule:
+                terms += 1
+                if not middle:
+                    assert (kinds[a], kinds[b]) == (ANNIHILATION, CREATION)
+                    scalars += 1
+                    continue
+                if kinds[a] != ANNIHILATION:
+                    assert kinds[middle[0]] != ANNIHILATION
+                if kinds[b] != CREATION:
+                    assert kinds[middle[-1]] != CREATION
+    assert terms > 1000 and scalars > 10
+
+
+def test_vacuum_moment_of_linear_words_takes_the_full_rewrite():
+    engine = make_engine()
+    x = engine.symbols.intern(np.array([1.0, -0.5]))
+    y = engine.symbols.intern(np.array([0.5, 2.0]))
+    # dead by the live-word rule, but the pair has no relation
+    with pytest.raises(UnsupportedRelationError, match=r"\(n, a\*\)"):
+        engine.vacuum_moment(((NUMBER, x), (LINEAR_CREATION, y)))
+    with pytest.raises(UnsupportedRelationError, match=r"\(a, n\)"):
+        engine.vacuum_moment(((LINEAR_ANNIHILATION, x), (NUMBER, y)))
+    for word in _five_kind_words(engine):
+        try:
+            expected = engine.normal_order(word).coefficient(())
+        except UnsupportedRelationError:
+            continue
+        assert _same_scalar(engine.vacuum_moment(word), expected), word
+
+
+def test_vacuum_moment_keyword_calls_take_the_full_rewrite():
+    engine = make_engine()
+    sid = engine.symbols.intern(np.array([1.0, 1.0]))
+    word = ((ANNIHILATION, sid), (NUMBER, sid), (CREATION, sid))
+    assert engine.vacuum_moment(word, coefficient=0.5) == 0.5 * engine.vacuum_moment(
+        word
+    )
+    assert engine.vacuum_moment(word, strategy="rightmost") == engine.vacuum_moment(
+        word
+    )
+    with pytest.raises(RewriteBudgetError):
+        engine.vacuum_moment(word, max_steps=0)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        engine.vacuum_moment(word, strategy="bogus")
+    zero = engine.symbols.intern(np.zeros(2))
+    assert engine.vacuum_moment(((ANNIHILATION, zero), (CREATION, sid))) == 0j
+    assert engine.vacuum_moment(()) == 1.0 + 0j
+
+
+def test_vacuum_steps_never_exceed_the_full_steps():
+    engine, words = _random_words(43, 200, 9)
+    pruned = 0
+    for word in words:
+        for candidate in (word, _made_live(word)):
+            start = tuple(engine._code(letter) for letter in candidate)
+            full = engine._rewrite(start, rewrite._READS_FORM)[0]
+            live = engine._rewrite(start, rewrite._READS_VACUUM)[0]
+            assert live <= full, candidate
+            pruned += live < full
+    assert pruned > 100
+
+
+def test_quadratic_vacuum_moments_build_no_normal_form(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a quadratic vacuum moment built a normal form")
+
+    monkeypatch.setattr(RewriteEngine, "normal_order", refuse)
+    for record in gamma_moment_check(1.0, 1.0):
+        assert record.status in ("pass", "reported"), record
+    engine = make_engine()
+    f1 = np.array([1.5, 0.0])
+    f2 = np.array([0.0, -0.75])
+    for powers in ((1, 3), (2, 2), (3, 3)):
+        for record in engine.check_factorization(2.0, f1, f2, powers):
+            assert record.status == "pass", record
+
+
+def test_sweep_ratio_does_not_depend_on_the_word_order(monkeypatch):
+    engine, words = _random_words(47, 3 * rewrite._SWEEP_CHUNK + 11, 8)
+    worst = max(engine.count_steps(w) / 4.0 ** len(w) for w in words)
+    shuffled = list(words)
+    np.random.default_rng(5).shuffle(shuffled)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        assert rewrite._sweep(engine, words) == worst
+        assert rewrite._sweep(engine, shuffled) == worst
+        assert rewrite._sweep(engine, shuffled[::-1]) == worst
