@@ -184,24 +184,35 @@ def pair_product_state_tensors(alg, kmax):
     with the chain multiplied left to right.  The tensor depends only on the
     chain length, so every block of every partition reuses it; the block
     merely decides which global tensor slots wire to which axes.
+
+    The state of a product x y is the bilinear form
+    form[a, b] = state(e_a e_b) on the coordinates of x and y, so M_m
+    contracts the coordinates of the length m - 1 chain against those of
+    the last pair through it, and no chain is multiplied out to length
+    kmax.  The largest array held is M_kmax itself, D**(2 kmax) entries.
     """
     D = alg.dim
     basis = alg.basis()
     # C[i, j] = star(e_i) e_j
     pair = alg.mul(alg.star(basis)[:, None], basis[None, :])
-    tensors = []
+    form = alg.state(alg.mul(basis[:, None], basis[None, :]))
+    # closing[i, x, j] = state(e_x star(e_i) e_j)
+    closing = np.einsum("xy,ijy->ixj", form, alg.coords(pair))
+    tensors = [alg.state(pair)]
     chain = pair
-    for m in range(1, kmax + 1):
-        if m > 1:
+    for m in range(2, kmax + 1):
+        if m > 2:
             a = chain.shape[0]
             grown = alg.mul(
                 chain[:, None, :, None],
                 pair[None, :, None, :],
             )
             chain = grown.reshape((a * D, a * D) + grown.shape[4:])
-        states = alg.state(chain)
-        tensors.append(states.reshape((D,) * (2 * m)))
-    return tensors
+        # one (I, J) by x product per last pair i, written straight into
+        # the (I, i, J, j) layout of the result
+        coords = alg.coords(chain)
+        tensors.append(np.matmul(coords[:, None], closing))
+    return [t.reshape((D,) * (2 * m)) for m, t in enumerate(tensors, 1)]
 
 
 def basis_word_products(alg, kmax):

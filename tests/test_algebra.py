@@ -1,5 +1,7 @@
 """Base *-algebras, random elements, graded vectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qwnlab.algebra import (
     random_element,
 )
 from qwnlab.graded import GradeOverflowError
+from test_graded import RotatedMatrixAlgebra
 
 
 def test_function_algebra_operations():
@@ -79,19 +82,42 @@ def test_random_element_dyadic():
         random_element(MatrixAlgebra(2), rng, support=[0])
 
 
-def test_pair_product_state_tensors_against_loops():
-    alg = FunctionAlgebra([0.5, 1.5])
-    tensors = pair_product_state_tensors(alg, 2)
+CHAIN_ALGEBRAS = {
+    "f2": lambda: FunctionAlgebra([0.5, 1.5]),
+    "m2": lambda: MatrixAlgebra(2),
+    "rotated": lambda: RotatedMatrixAlgebra(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ALGEBRAS))
+def test_pair_product_state_tensors_against_loops(name):
+    # the delta basis of a function algebra pairs only equal indices, so
+    # only the matrix bases pin the axis order [i1..im, j1..jm]
+    alg = CHAIN_ALGEBRAS[name]()
+    tensors = pair_product_state_tensors(alg, 3)
     basis = alg.basis()
-    for i, j in np.ndindex(2, 2):
-        direct = alg.state(alg.mul(alg.star(basis[i]), basis[j]))
-        assert tensors[0][i, j] == pytest.approx(direct)
-    for i1, j1, i2, j2 in np.ndindex(2, 2, 2, 2):
-        word = alg.mul(
-            alg.mul(alg.star(basis[i1]), basis[j1]),
-            alg.mul(alg.star(basis[i2]), basis[j2]),
-        )
-        assert tensors[1][i1, j1, i2, j2] == pytest.approx(alg.state(word))
+    for m, tensor in enumerate(tensors, 1):
+        expected = np.empty(tensor.shape, dtype=complex)
+        for index in np.ndindex(tensor.shape):
+            word = alg.unit()
+            for i, j in zip(index[:m], index[m:]):
+                word = alg.mul(alg.mul(word, alg.star(basis[i])), basis[j])
+            expected[index] = alg.state(word)
+        np.testing.assert_allclose(tensor, expected, rtol=0, atol=1e-14)
+
+
+def test_pair_product_state_tensors_hold_little_beyond_their_output():
+    # the last tensor is contracted from the shorter chain and the state's
+    # bilinear form: a chain multiplied out to length 4 over M_2 would be a
+    # 4 MB array for a 1 MB output
+    tracemalloc.start()
+    try:
+        tensors = pair_product_state_tensors(MatrixAlgebra(2), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(t.nbytes for t in tensors)
+    assert peak <= 2 * returned, (peak, returned)
 
 
 def test_basis_word_products_matrix_case():

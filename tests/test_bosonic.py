@@ -7,13 +7,20 @@ annihilation sends the indicator pair tensor to 4 times the indicator,
 and the vacuum expectation of (annihilate twice, create twice) is 16.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
+from qwnlab.algebra import (
+    FunctionAlgebra,
+    MatrixAlgebra,
+    pair_product_state_tensors,
+    random_element,
+)
 from qwnlab.bosonic import ANNIHILATION, CREATION, NUMBER, BosonicSpace
+from qwnlab.combinatorics import ordered_partitions, set_partitions
 from qwnlab.linalg import hermitize, scaled_gap
 from test_graded import RotatedMatrixAlgebra
 
@@ -172,22 +179,98 @@ def test_recursive_gram_matches_ordered_route():
         space.gram_matrix(1, method="cycles")
 
 
-def test_recursive_gram_builds_no_top_grade_chain_tensor(monkeypatch):
+def _record_chain_builds(monkeypatch):
+    """The grades pair_product_state_tensors is asked for, in order."""
     import qwnlab.bosonic
 
     asked = []
-    original = qwnlab.bosonic.pair_product_state_tensors
 
     def recording(algebra, kmax):
         asked.append(kmax)
-        return original(algebra, kmax)
+        return pair_product_state_tensors(algebra, kmax)
 
     monkeypatch.setattr(qwnlab.bosonic, "pair_product_state_tensors", recording)
+    return asked
+
+
+def test_recursive_gram_builds_no_top_grade_chain_tensor(monkeypatch):
+    asked = _record_chain_builds(monkeypatch)
     space = BosonicSpace(MatrixAlgebra(2), 5)
     space.gram(5)
     assert asked == []
     space.gram_matrix(2, method="ordered")
     assert asked == [2]
+
+
+def test_route_comparison_builds_the_chain_states_once(monkeypatch):
+    asked = _record_chain_builds(monkeypatch)
+    space = BosonicSpace(MatrixAlgebra(2), 4)
+    space._route_gap("recursive", "ordered", 4)
+    assert asked == [4]
+
+
+def _gram_by_lists(space, k, method):
+    """The partition routes as the definition writes them: one einsum per
+    list partition for "ordered", each n-list weighted gamma0 / n, and one
+    per set partition for "setpartition", each n-block weighted
+    gamma0 (n - 1)!, both over the chain states."""
+    dim = space.algebra.dim
+    if k == 0:
+        return np.ones((1, 1), dtype=complex)
+    size = dim**k
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    total = np.zeros((size, size), dtype=complex)
+    chains = pair_product_state_tensors(space.algebra, k)
+    if method == "ordered":
+        partitions = ordered_partitions(k)
+    else:
+        partitions = set_partitions(k)
+    for partition in partitions:
+        coeff = 2.0**k / math.factorial(k)
+        operands = []
+        subs = []
+        for block in partition.blocks:
+            n = len(block)
+            if method == "ordered":
+                coeff *= space.gamma0 / n
+            else:
+                coeff *= space.gamma0 * math.factorial(n - 1)
+            operands.append(chains[n - 1])
+            subs.append(
+                "".join(letters[p - 1] for p in block)
+                + "".join(letters[k + p - 1] for p in block)
+            )
+        subscripts = ",".join(subs) + "->" + letters[: 2 * k]
+        term = np.einsum(subscripts, *operands, optimize=True)
+        total += coeff * term.reshape(size, size)
+    return total
+
+
+@pytest.mark.parametrize(
+    "algebra, gamma0, kmax",
+    [
+        (lambda: MatrixAlgebra(2), 1.0, 4),
+        (lambda: MatrixAlgebra(2), 0.75, 4),
+        (lambda: FunctionAlgebra([0.5, 1.25, 0.75]), 0.75, 5),
+        (lambda: RotatedMatrixAlgebra(2), 0.7, 3),
+    ],
+    ids=["m2", "m2_gamma0_0.75", "f3", "rotated"],
+)
+def test_ordered_route_matches_its_lists_one_by_one(algebra, gamma0, kmax):
+    # each block's lists are summed into one tensor before the set
+    # partitions are, so the sum is regrouped, not changed
+    space = BosonicSpace(algebra(), kmax, gamma0=gamma0)
+    for k in range(kmax + 1):
+        lists = _gram_by_lists(space, k, "ordered")
+        grouped = space.gram_matrix(k, method="ordered")
+        assert np.abs(grouped - lists).max() <= 1e-14 * np.abs(lists).max(), k
+
+
+def test_setpartition_route_is_unchanged_bit_for_bit():
+    space = BosonicSpace(FunctionAlgebra([0.5, 1.25, 0.75]), 5, gamma0=0.75)
+    for k in range(6):
+        expected = _gram_by_lists(space, k, "setpartition")
+        assert np.array_equal(space.gram_matrix(k, method="setpartition"), expected)
 
 
 def test_norm_estimates_whiten_each_grade_once(monkeypatch):
