@@ -26,7 +26,6 @@ from .qdeform import DiscretizedQuadratic, QFockSpace
 from .report import CheckRecord, VerificationReport, canonical_json, emit_report
 from .rewrite import (
     NormalForm,
-    RelationTable,
     RewriteBudgetError,
     RewriteEngine,
     SymbolTable,
@@ -48,7 +47,6 @@ __all__ = [
     "MatrixAlgebra",
     "NormalForm",
     "QFockSpace",
-    "RelationTable",
     "RewriteBudgetError",
     "RewriteEngine",
     "RunConfig",

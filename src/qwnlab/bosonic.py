@@ -448,10 +448,12 @@ class BosonicSpace(GradedFockSpace):
 
         The number-creation coefficient is not asserted: it is fitted by
         least squares, m = [n(e_a), b*(e_b)] against t = b*(e_a e_b) on the
-        symmetric basis columns, and reported next to the tabulated 2.  For
-        any symbols m - kappa t sums the pairs' misfits, so the basis bounds
-        it.  The fit is shifted by kappa0, the coefficient of the first
-        nonzero t: with r = m - kappa0 t, R = sum |r|**2, P = sum <t, r> and
+        symmetric basis columns, and reported next to the tabulated 2; it
+        reads 1, and B = sqrt2 b, N = 2n obey the table at 2 gamma0, which
+        ``rewrite.check_engine_vs_operators`` asserts.  For any symbols
+        m - kappa t sums the pairs' misfits, so the basis bounds it.  The
+        fit is shifted by kappa0, the coefficient of the first nonzero t:
+        with r = m - kappa0 t, R = sum |r|**2, P = sum <t, r> and
         T = sum |t|**2, it is kappa0 + P/T and the squared misfit
         R - |P|**2/T, which unshifted would cancel to about the square root
         of rounding.

@@ -27,11 +27,14 @@ import numpy as np
 from .report import canonical_json, emit_report, write_output
 from .rewrite import (
     KINDS,
+    LINEAR_ANNIHILATION,
+    LINEAR_CREATION,
     MAX_WORD_LENGTH,
-    RelationTable,
+    NUMBER_SHIFT,
     RewriteBudgetError,
     UnsupportedRelationError,
     make_function_engine,
+    measured_coefficient,
 )
 from .suites import SUITE_IDS, RunConfig, run_suite
 
@@ -96,7 +99,7 @@ def _build_parser():
     rw.add_argument(
         "--measured",
         action="store_true",
-        help="use the measured concrete-operator relation table",
+        help="use the measured concrete-operator relations (quadratic kinds only)",
     )
     rw.add_argument("--output", default="-")
 
@@ -221,12 +224,9 @@ def _cmd_rewrite(args):
     if not 0 < args.gamma0 < math.inf:
         raise UsageError("gamma0 must be positive and finite")
     _check_output(args.output)
-    table = (
-        RelationTable.from_measured(args.gamma0)
-        if args.measured
-        else RelationTable(gamma0=args.gamma0)
-    )
-    engine = make_function_engine([0.5] * args.dim, table)
+    # the measured operators at gamma0 are the abstract table at 2 gamma0
+    scale = 2.0 if args.measured else 1.0
+    engine = make_function_engine([0.5] * args.dim, scale * args.gamma0)
     palette = _palette(engine, args.dim)
     try:
         letters = json.loads(args.word)
@@ -252,10 +252,18 @@ def _cmd_rewrite(args):
                 "unknown symbol %r, palette is %s" % (symbol, sorted(palette))
             )
         word.append((kind, palette[symbol]))
+    if args.measured and any(
+        kind in (LINEAR_CREATION, LINEAR_ANNIHILATION) for kind, _ in word
+    ):
+        raise UsageError("--measured takes the quadratic kinds b*, n and b only")
     try:
         form = engine.normal_order(tuple(word))
     except UnsupportedRelationError as exc:
         raise UsageError(str(exc))
+    if args.measured:
+        form.terms = {
+            w: measured_coefficient(c, word, w) for w, c in form.terms.items()
+        }
     moment = form.coefficient(())
     # The vacuum moment is one of the terms, or zero.
     if not all(cmath.isfinite(coeff) for coeff in form.terms.values()):
@@ -291,10 +299,7 @@ def _cmd_rewrite(args):
         "steps": form.steps,
         "terms": [term_payload(w, c) for w, c in ordered],
         "vacuum_moment": [moment.real, moment.imag],
-        "table": {
-            "gamma0": table.gamma0,
-            "number_shift": table.number_shift,
-        },
+        "table": {"gamma0": args.gamma0, "number_shift": NUMBER_SHIFT / scale},
     }
     write_output(canonical_json(payload) + "\n", args.output)
     return 0

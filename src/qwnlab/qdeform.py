@@ -20,7 +20,9 @@ unit block mass those are (2, 4), matching the quadratic commutator
 coefficients at gamma0 = 1.  The match is one of structure constants, not
 of full vacuum moments: the squared-mode world realizes the relation table
 whose number/creation coefficient is 2, while the literal quadratic Fock
-operators measure 1 there, and mixed words feel that difference.
+operators measure 1 there, and mixed words feel that difference.  The
+literal operators obey the same table at 2 gamma0 as B = sqrt2 b and
+N = 2n, which rescales their scalar coefficient too.
 """
 
 from __future__ import annotations
@@ -447,7 +449,8 @@ def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9
     in each world separately and compared.  Only the coefficients transfer:
     full vacuum moments do not, because the squared-mode realization obeys
     the relation table with number/creation coefficient 2 while the literal
-    quadratic operators measure 1.
+    quadratic operators measure 1; those obey the table only at 2 gamma0,
+    as B = sqrt2 b and N = 2n.
     """
     blocks = [(i,) for i in range(dim)]
     disc = DiscretizedQuadratic(1.0, np.ones(dim), blocks, max_grade)

@@ -18,12 +18,12 @@ letter is one, and only (b, b*) yields a scalar.  So every descendant of a
 word that is not live is a nonempty word that is not live, and leaving
 those words out changes no vacuum moment, bit for bit.
 
-Unlike the concrete Fock modules, the relations here live in a table of
-coefficients.  The default table carries the abstract coefficients
-(2, 4, 2); a second constructor installs the measured concrete-operator
-value for the number/creation coefficient, which is 1.  Both worlds are
-computable on purpose, because they disagree and the disagreement itself
-is one of the things this package measures.
+Unlike the concrete Fock modules, the relations here are one table of
+abstract coefficients (2, 4, 2) at a given gamma0.  The concrete quadratic
+operators measure the number/creation coefficient 1, not 2, yet they obey
+the same table: with B = sqrt2 b and N = 2n, their relations at gamma0 are
+the table's at 2 gamma0.  ``measured_coefficient`` maps a normal form
+computed at 2 gamma0 back to the concrete operators, exactly.
 
 The backing algebra must be commutative: canonical sorting of number-run
 symbols silently assumes symbols commute, and everything downstream here
@@ -145,34 +145,17 @@ class SymbolTable:
         return out
 
 
-# Coefficients of the commutation rules that every table shares.
-# PAIR_SCALAR and PAIR_NUMBER are the scalar and number coefficients in the
-# annihilation/creation rule (the scalar one is also multiplied by the
-# table's gamma0); LINEAR_PAIR is the scalar in the linear-sector rule;
-# MIXED_SHIFT is the coefficient in both mixed linear/quadratic rules.
+# Coefficients of the commutation rules.  PAIR_SCALAR and PAIR_NUMBER are
+# the scalar and number coefficients in the annihilation/creation rule (the
+# scalar one is also multiplied by the engine's gamma0); NUMBER_SHIFT is the
+# coefficient kappa in the number/creation rule and its adjoint;
+# LINEAR_PAIR is the scalar in the linear-sector rule; MIXED_SHIFT is the
+# coefficient in both mixed linear/quadratic rules.
 PAIR_SCALAR = 2.0
 PAIR_NUMBER = 4.0
+NUMBER_SHIFT = 2.0
 LINEAR_PAIR = 1.0
 MIXED_SHIFT = 2.0
-
-
-@dataclass(frozen=True)
-class RelationTable:
-    """The coefficients of the commutation rules that vary between tables.
-
-    gamma0 multiplies the scalar of the annihilation/creation rule;
-    number_shift is the coefficient kappa in the number/creation rule and
-    its adjoint.
-    """
-
-    gamma0: float = 1.0
-    number_shift: float = 2.0
-
-    @classmethod
-    def from_measured(cls, gamma0=1.0):
-        """Coefficients measured on the concrete quadratic operators: the
-        number/creation coefficient there is 1, not the tabled 2."""
-        return cls(gamma0=gamma0, number_shift=1.0)
 
 
 @dataclass
@@ -189,9 +172,9 @@ class NormalForm:
 class RewriteEngine:
     """Normal-ordering engine over an interning symbol table."""
 
-    def __init__(self, symbols, table=None):
+    def __init__(self, symbols, gamma0=1.0):
         self.symbols = symbols
-        self.table = table if table is not None else RelationTable()
+        self.gamma0 = gamma0
         self._moment_cache = {}
         # The rewrite core works on words of int codes, one per letter
         # (kind, sid).  Per code: the letter; its order key, the rank byte
@@ -244,7 +227,7 @@ class RewriteEngine:
         kind_a, sym_a = left
         kind_b, sym_b = right
         syms = self.symbols
-        shift = self.table.number_shift + 0j
+        shift = NUMBER_SHIFT + 0j
         pair = (kind_a, kind_b)
         if kind_a == kind_b or pair in (
             (LINEAR_CREATION, CREATION),
@@ -252,7 +235,7 @@ class RewriteEngine:
         ):
             lower = []
         elif pair == (ANNIHILATION, CREATION):
-            scalar = PAIR_SCALAR * self.table.gamma0 * syms.pairing(sym_a, sym_b)
+            scalar = PAIR_SCALAR * self.gamma0 * syms.pairing(sym_a, sym_b)
             product = syms.mul(syms.star(sym_a), sym_b)
             lower = [(scalar, ()), (PAIR_NUMBER + 0j, ((NUMBER, product),))]
         elif pair == (NUMBER, CREATION):
@@ -569,12 +552,28 @@ class RewriteEngine:
         ]
 
 
-def make_function_engine(weights, table=None):
+def make_function_engine(weights, gamma0=1.0):
     """Engine over a function algebra with the given point weights."""
-    return RewriteEngine(SymbolTable(FunctionAlgebra(weights)), table)
+    return RewriteEngine(SymbolTable(FunctionAlgebra(weights)), gamma0)
 
 
-def gamma_moment_check(gamma0, t, m_max=6, table=None, tol=1e-9):
+def measured_coefficient(coeff, word, term=()):
+    """``coeff`` of ``term`` in the normal form of the quadratic ``word`` at
+    2 gamma0, mapped to the concrete operators at gamma0.
+
+    As B = sqrt2 b and N = 2n those obey the table at 2 gamma0, so a word w
+    of them is 2**e(w) times the word of B, B* and N, where e(w) is
+    -(#b + #b*)/2 - #n, and ``coeff`` gains 2**(e(word) - e(term)): a power
+    of two, since every rule changes #b + #b* by 0 or 2, so the map is
+    exact.  The default ``term`` maps the vacuum moment.
+    """
+    size = {CREATION: 1, NUMBER: 2, ANNIHILATION: 1}
+    twice = sum(size[k] for k, _ in term) - sum(size[k] for k, _ in word)
+    scale = 2.0 ** (twice / 2)
+    return complex(coeff.real * scale, coeff.imag * scale)
+
+
+def gamma_moment_check(gamma0, t, m_max=6, tol=1e-9):
     """Moments of the shifted, scaled quadratic field of an indicator.
 
     With the abstract relation table, X = (1/gamma0) Q + t has the raw
@@ -587,9 +586,7 @@ def gamma_moment_check(gamma0, t, m_max=6, table=None, tol=1e-9):
     """
     if m_max > 6:
         raise ValueError("moment order capped at 6")
-    if table is None:
-        table = RelationTable(gamma0=gamma0)
-    engine = make_function_engine([float(t)], table)
+    engine = make_function_engine([float(t)], gamma0)
     chi = engine.symbols.intern(np.ones(1))
     alpha = gamma0 * t / 2.0
     theta = 2.0 / gamma0
@@ -666,7 +663,7 @@ def nogo_certificate(gamma0, l, c):
 
 
 def _nogo_symbolic(gamma0, l, c):
-    engine = make_function_engine([float(l)], RelationTable(gamma0=gamma0))
+    engine = make_function_engine([float(l)], gamma0)
     chi = engine.symbols.intern(np.ones(1))
     a = (LINEAR_ANNIHILATION, chi)
     a_star = (LINEAR_CREATION, chi)
@@ -886,16 +883,15 @@ def check_strategy_independence(rng, trials=10, max_len=6, dim=2, tol=1e-12):
 def check_engine_vs_operators(rng, trials=30, max_len=6, dim=2, tol=1e-9):
     """Engine vacuum moments against the concrete quadratic operators.
 
-    The table uses the measured number/creation coefficient 1, because
-    that is what the concrete operators satisfy.
+    The operators at gamma0 measure the number/creation coefficient 1; as
+    B = sqrt2 b and N = 2n they obey the abstract table at 2 gamma0, so
+    each moment is read there and mapped by ``measured_coefficient``.
     """
     weights = random_weights(rng, dim)
     gamma0 = 0.5 + 0.5 * float(rng.integers(1, 4))
     algebra = FunctionAlgebra(weights)
     space = BosonicSpace(algebra, max_grade=4, gamma0=gamma0)
-    engine = RewriteEngine(
-        SymbolTable(algebra), RelationTable.from_measured(gamma0)
-    )
+    engine = RewriteEngine(SymbolTable(algebra), 2.0 * gamma0)
     kinds = (CREATION, NUMBER, ANNIHILATION)
     worst = 0.0
     for _ in range(trials):
@@ -903,12 +899,11 @@ def check_engine_vs_operators(rng, trials=30, max_len=6, dim=2, tol=1e-9):
         elements = [random_element(algebra, rng) for _ in range(length)]
         word_kinds = [kinds[int(rng.integers(3))] for _ in range(length)]
         concrete = space.vacuum_expectation(list(zip(word_kinds, elements)))
-        symbolic = engine.vacuum_moment(
-            tuple(
-                (kind, engine.symbols.intern(element))
-                for kind, element in zip(word_kinds, elements)
-            )
+        word = tuple(
+            (kind, engine.symbols.intern(element))
+            for kind, element in zip(word_kinds, elements)
         )
+        symbolic = measured_coefficient(engine.vacuum_moment(word), word)
         scale = max(abs(concrete), 1.0)
         worst = max(worst, abs(symbolic - concrete) / scale)
     return [

@@ -25,7 +25,6 @@ from .combinatorics import (
     set_partitions,
 )
 from .report import VerificationReport, residual_record
-from .rewrite import RelationTable
 
 SUITE_IDS = {
     "combinatorics": 0,
@@ -286,10 +285,7 @@ def run_qdeform(config, rng):
 
 
 def run_classical(config, rng):
-    engine = rewrite.make_function_engine(
-        random_weights(rng, 3),
-        RelationTable(gamma0=config.gamma0),
-    )
+    engine = rewrite.make_function_engine(random_weights(rng, 3), config.gamma0)
     algebra = engine.symbols.algebra
     phi = random_element(algebra, rng)
     psi = random_element(algebra, rng)

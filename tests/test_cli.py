@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, config merging, report determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import random
@@ -355,6 +356,70 @@ def test_rewrite_subcommand_payload(tmp_path):
 
     assert run_cli(["rewrite", "--word", word, "--measured", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["table"]["number_shift"] == 1.0
+
+
+# The first 16 hex digits of the sha256 of the rewrite payload bytes, per
+# word (letters "kind:symbol") and flags.  The measured payloads are those
+# of the shift-1 rules (``MeasuredEngine`` in test_rewrite.py), which the
+# map from the table at 2 gamma0 reproduces byte for byte.
+REWRITE_PAYLOAD_SHA256 = {
+    ("b:one b*:one", ""): "b53e0c6197f6f664",
+    ("b:one b*:one", "--measured"): "b2cdfc823a0db32f",
+    ("b:one b*:one", "--gamma0 0.3 --measured"): "502f3ddbdcd0afcc",
+    ("b:e0 n:one b*:e1", ""): "5ccd59d8a190d9d6",
+    ("b:e0 n:one b*:e1", "--measured"): "59c92a1a912dd22c",
+    ("b:e0 n:one b*:e1", "--gamma0 0.3 --measured"): "9a25d43caf3bef0e",
+    ("n:e0 b*:e0", ""): "dfb9948d52cbc12e",
+    ("n:e0 b*:e0", "--measured"): "d1fe3d9158893f56",
+    ("n:e0 b*:e0", "--gamma0 0.3 --measured"): "e7ca9e5cf4076e81",
+    ("b:e0 n:one b:e1 b*:one n:e1 b*:e0", ""): "f65ddff571f96435",
+    ("b:e0 n:one b:e1 b*:one n:e1 b*:e0", "--measured"): "ce61b40e378de62a",
+    ("b:e0 n:one b:e1 b*:one n:e1 b*:e0", "--gamma0 0.3 --measured"): "e1ca5810a4c6877e",
+}
+
+
+def _rewrite_word(letters):
+    return json.dumps(
+        [
+            {"kind": kind, "symbol": symbol}
+            for kind, symbol in (letter.split(":") for letter in letters.split())
+        ]
+    )
+
+
+@pytest.mark.parametrize("letters, flags", list(REWRITE_PAYLOAD_SHA256))
+def test_rewrite_payload_bytes_are_pinned(tmp_path, letters, flags):
+    out = tmp_path / "rewrite.json"
+    argv = ["rewrite", "--word", _rewrite_word(letters), "--output", str(out)]
+    assert run_cli(argv + flags.split()) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    assert digest == REWRITE_PAYLOAD_SHA256[letters, flags], out.read_text()
+
+
+def test_measured_rewrite_takes_quadratic_kinds_only(tmp_path, capsys):
+    out = tmp_path / "rewrite.json"
+    for letters in ("a:one a*:one", "b:e0 a*:one", "a:e1 n:one b*:e0"):
+        argv = ["rewrite", "--word", _rewrite_word(letters), "--measured"]
+        _exits_two_with_one_error_line(capsys, argv + ["--output", str(out)])
+        assert not out.exists()
+    assert run_cli(["rewrite", "--word", _rewrite_word("a:one a*:one")]) == 0
+
+
+def test_measured_rewrite_overflows_at_half_the_gamma0(tmp_path, capsys):
+    # the measured route reads the table at 2 gamma0, whose scalar
+    # 2 * (2 gamma0) leaves the floats above gamma0 = 4.49e307; the shift-1
+    # rules at gamma0 carry 2 gamma0, finite up to 8.99e307
+    out = tmp_path / "rewrite.json"
+    word = _rewrite_word("b:one b*:one")
+    assert run_cli(["rewrite", "--word", word, "--gamma0", "6e307"]) == 0
+    capsys.readouterr()
+    for gamma0 in ("6e307", "1e308"):
+        argv = ["rewrite", "--word", word, "--measured", "--gamma0", gamma0]
+        assert run_cli(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the normal form has a non-finite coefficient")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_rewrite_subcommand_rejects_bad_words(tmp_path, capsys):

@@ -9,8 +9,12 @@ number shift 2):
 - the second field moment is 2 * gamma0 * t (only the scalar from one swap
   survives at the vacuum);
 - the third field moment is s * shift * 2 * gamma0 * mu(chi^3): at s = 2
-  this is 8 * gamma0 * t abstractly and 4 * gamma0 * t with the measured
-  table, whose number shift is 1;
+  this is 8 * gamma0 * t abstractly and 4 * gamma0 * t on the concrete
+  operators, whose number shift measures 1;
+- the concrete operators at gamma0 are the abstract table at 2 gamma0 with
+  b = B/sqrt2 and n = N/2, so their words are read there and mapped by
+  ``measured_coefficient``; ``MeasuredEngine`` keeps the rules with shift 1
+  as the oracle of that map;
 - the obstruction quadratic form at (gamma0, l, c) = (1, 0.5, -2) evaluates
   to -1 with minimizer -2 and minimum -1.
 """
@@ -35,8 +39,8 @@ from qwnlab.rewrite import (
     LINEAR_CREATION,
     NUMBER,
     MAX_WORD_LENGTH,
+    NUMBER_SHIFT,
     NormalForm,
-    RelationTable,
     RewriteBudgetError,
     RewriteEngine,
     SymbolTable,
@@ -48,6 +52,7 @@ from qwnlab.rewrite import (
     check_termination,
     gamma_moment_check,
     make_function_engine,
+    measured_coefficient,
     nogo_certificate,
 )
 from qwnlab.algebra import FunctionAlgebra, random_element
@@ -56,8 +61,29 @@ from qwnlab.algebra import FunctionAlgebra, random_element
 WEIGHTS = [0.5, 0.25]
 
 
-def make_engine(table=None):
-    return make_function_engine(WEIGHTS, table)
+def make_engine():
+    return make_function_engine(WEIGHTS)
+
+
+class MeasuredEngine(RewriteEngine):
+    """The rules the concrete operators satisfy at gamma0: the abstract ones
+    with the number/creation coefficient 1 in place of NUMBER_SHIFT."""
+
+    def _build_replacements(self, left, right):
+        terms = super()._build_replacements(left, right)
+        if (left[0], right[0]) in ((NUMBER, CREATION), (ANNIHILATION, NUMBER)):
+            swapped, (shift, middle) = terms
+            assert shift == NUMBER_SHIFT
+            terms = [swapped, (1.0 + 0j, middle)]
+        return terms
+
+
+def mapped_normal_order(engine, word):
+    """Normal form of the concrete operators' ``word``, read from ``engine``
+    at twice their gamma0."""
+    form = engine.normal_order(word)
+    form.terms = {w: measured_coefficient(c, word, w) for w, c in form.terms.items()}
+    return form
 
 
 def test_single_swap_terms_and_step_count():
@@ -176,9 +202,14 @@ def test_field_moment_anchors():
     assert engine.field_moment((chi,)) == pytest.approx(0.0)
     assert engine.field_moment((chi, chi)) == pytest.approx(2.0 * t)
     assert engine.field_moment((chi,) * 3) == pytest.approx(8.0 * t)
-    measured = make_function_engine([t], RelationTable.from_measured())
-    chi_m = measured.symbols.intern(np.ones(1))
-    assert measured.field_moment((chi_m,) * 3) == pytest.approx(4.0 * t)
+    # the concrete operators at gamma0 = 1, through the table at 2
+    doubled = make_function_engine([t], 2.0)
+    field = doubled.quadratic_field(doubled.symbols.intern(np.ones(1)))
+    third = 0j
+    for (c1, w1), (c2, w2), (c3, w3) in itertools.product(field, repeat=3):
+        word = w1 + w2 + w3
+        third += c1 * c2 * c3 * measured_coefficient(doubled.vacuum_moment(word), word)
+    assert third == pytest.approx(4.0 * t)
 
 
 def test_commuting_family_with_full_precision_inputs():
@@ -750,33 +781,74 @@ def _same_scalar(got, expected):
     )
 
 
-@pytest.mark.parametrize(
-    "table", [RelationTable(), RelationTable.from_measured(0.5)], ids=repr
+# The two symbols of the short-word sweeps: with disjoint supports the
+# pairing and the products of the two symbols vanish, so mixed pairs lose
+# their shorter terms.
+SECOND_SYMBOLS = pytest.mark.parametrize(
+    "second", [[0.0, -1.7 + 0.2j], [0.5, -1.7 + 0.2j]], ids=["disjoint", "overlapping"]
 )
-@pytest.mark.parametrize(
-    "second",
-    # with disjoint supports the pairing and the products of the two
-    # symbols vanish, so mixed pairs lose their shorter terms
-    [[0.0, -1.7 + 0.2j], [0.5, -1.7 + 0.2j]],
-    ids=["disjoint", "overlapping"],
-)
-def test_vacuum_moment_matches_the_normal_form_on_every_short_word(table, second):
-    engine = make_engine(table)
+
+
+def _short_quadratic_words(symbols, second):
+    """Every quadratic word of length <= 5 over two symbols."""
     pool = [
-        engine.symbols.intern(np.array([0.3 + 0.1j, 0.0])),
-        engine.symbols.intern(np.array(second)),
+        symbols.intern(np.array([0.3 + 0.1j, 0.0])),
+        symbols.intern(np.array(second)),
     ]
     letters = [(kind, sid) for kind in (CREATION, NUMBER, ANNIHILATION) for sid in pool]
-    words = nonzero = 0
     for length in range(6):
-        for word in itertools.product(letters, repeat=length):
-            got = engine.vacuum_moment(word)
-            expected = engine.normal_order(word).coefficient(())
-            assert _same_scalar(got, expected), (word, got, expected)
-            words += 1
-            nonzero += got != 0
+        yield from itertools.product(letters, repeat=length)
+
+
+@pytest.mark.parametrize("measured", [False, True], ids=["abstract", "measured-0.5"])
+@SECOND_SYMBOLS
+def test_vacuum_moment_matches_the_normal_form_on_every_short_word(measured, second):
+    # the measured case reads the concrete operators at gamma0 = 0.5 through
+    # the abstract table at 1
+    engine = make_engine()
+    words = nonzero = 0
+    for word in _short_quadratic_words(engine.symbols, second):
+        got = engine.vacuum_moment(word)
+        expected = engine.normal_order(word).coefficient(())
+        if measured:
+            got = measured_coefficient(got, word)
+            expected = mapped_normal_order(engine, word).coefficient(())
+        assert _same_scalar(got, expected), (word, got, expected)
+        words += 1
+        nonzero += got != 0
     assert words == sum(6**length for length in range(6))
     assert nonzero > 40
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 0.5, 0.3])
+@SECOND_SYMBOLS
+def test_measured_map_matches_the_shift_one_rules_bit_for_bit(gamma0, second):
+    symbols = SymbolTable(FunctionAlgebra(WEIGHTS))
+    doubled = RewriteEngine(symbols, 2.0 * gamma0)
+    oracle = MeasuredEngine(symbols, gamma0)
+    words = 0
+    for word in _short_quadratic_words(symbols, second):
+        got = mapped_normal_order(doubled, word)
+        expected = oracle.normal_order(word)
+        assert got.steps == expected.steps, word
+        assert list(got.terms) == list(expected.terms), word
+        for w, c in got.terms.items():
+            assert _same_scalar(c, expected.terms[w]), (word, w)
+        moment = measured_coefficient(doubled.vacuum_moment(word), word)
+        assert _same_scalar(moment, oracle.vacuum_moment(word)), word
+        words += 1
+    assert words == sum(6**length for length in range(6))
+
+
+def test_measured_coefficient_scales_each_part_by_a_power_of_two():
+    b, b_star, n = (ANNIHILATION, 0), (CREATION, 0), (NUMBER, 0)
+    assert measured_coefficient(3 + 1j, (b, b_star)) == 1.5 + 0.5j
+    assert measured_coefficient(3 + 1j, (b, n, b_star), (n,)) == 1.5 + 0.5j
+    assert measured_coefficient(3 + 1j, (n, b_star), (b_star,)) == 1.5 + 0.5j
+    assert measured_coefficient(3 + 1j, (b, b_star), (b_star, b)) == 3 + 1j
+    # each part on its own: a complex product would turn -0.0 into 0.0
+    got = measured_coefficient(complex(3.0, -0.0), (b, b_star))
+    assert _same_scalar(got, complex(1.5, -0.0))
 
 
 def test_vacuum_moment_matches_the_normal_form_on_random_words():
