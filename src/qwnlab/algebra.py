@@ -20,6 +20,8 @@ interval factors of the free Gram).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -174,10 +176,20 @@ def random_weights(rng, size=None):
     return (1.0 + rng.integers(0, 4, size)) / 4.0
 
 
-def pair_product_state_tensors(alg, kmax):
+class ChainStates(NamedTuple):
+    """The pair-product state tensors [M_1, ..., M_k] and the chain of
+    max(k - 1, 1) pairs that the last one was contracted from, kept so
+    that a later call can continue to a higher k."""
+
+    tensors: list
+    chain: np.ndarray
+
+
+def pair_product_state_tensors(alg, kmax, kept=None):
     """State tensors of interleaved pair products, for the graded Gram forms.
 
-    Returns a list [M_1, ..., M_kmax]; M_m has shape (D,)*2m and entry
+    Returns the :class:`ChainStates` whose tensors are [M_1, ..., M_kmax];
+    M_m has shape (D,)*2m and entry
 
         M_m[i1..im, j1..jm] = state( star(e_i1) e_j1 ... star(e_im) e_jm )
 
@@ -190,7 +202,13 @@ def pair_product_state_tensors(alg, kmax):
     contracts the coordinates of the length m - 1 chain against those of
     the last pair through it, and no chain is multiplied out to length
     kmax.  The largest array held is M_kmax itself, D**(2 kmax) entries.
+
+    ``kept``, the ChainStates of an earlier call, is continued: only the
+    levels above its tensors are built, from its chain, which holds
+    D**(2k - 1) entries, 1/D of its top tensor M_k.
     """
+    if kept is not None and len(kept.tensors) >= kmax:
+        return kept
     D = alg.dim
     basis = alg.basis()
     # C[i, j] = star(e_i) e_j
@@ -198,9 +216,11 @@ def pair_product_state_tensors(alg, kmax):
     form = alg.state(alg.mul(basis[:, None], basis[None, :]))
     # closing[i, x, j] = state(e_x star(e_i) e_j)
     closing = np.einsum("xy,ijy->ixj", form, alg.coords(pair))
-    tensors = [alg.state(pair)]
-    chain = pair
-    for m in range(2, kmax + 1):
+    if kept is None:
+        tensors, chain = [alg.state(pair)], pair
+    else:
+        tensors, chain = list(kept.tensors), kept.chain
+    for m in range(len(tensors) + 1, kmax + 1):
         if m > 2:
             a = chain.shape[0]
             grown = alg.mul(
@@ -211,8 +231,9 @@ def pair_product_state_tensors(alg, kmax):
         # one (I, J) by x product per last pair i, written straight into
         # the (I, i, J, j) layout of the result
         coords = alg.coords(chain)
-        tensors.append(np.matmul(coords[:, None], closing))
-    return [t.reshape((D,) * (2 * m)) for m, t in enumerate(tensors, 1)]
+        product = np.matmul(coords[:, None], closing)
+        tensors.append(product.reshape((D,) * (2 * m)))
+    return ChainStates(tensors, chain)
 
 
 def basis_word_products(alg, kmax):

@@ -32,9 +32,18 @@ Creation inserts its symbol into every gap of a tensor word, annihilation
 pairs its symbol against the first slot (a state term plus merge terms into
 each later slot), and the number operator multiplies every slot from the
 left.  All three act on blocks of flat grade coordinates, so their words
-are dense matrices on the columns a check needs, and commutators,
-adjointness and norm bounds reduce to linear algebra against the grade
-Gram matrices, each commutator at the basis pairs of the algebra.
+are dense matrices on the columns a caller needs.
+
+The checks run on the symmetric subspace, and there each basis operator
+maps orbit indicators to combinations of orbit indicators.
+``_orbit_operators`` runs one kernel per basis element, kind and grade on
+the indicators and keeps the orbits-by-orbits matrix of coefficients, read
+at the orbit representatives: 56 by 56 at most over M_2 at grade 5, where
+a flat grade has 1024 coordinates.  The gap of those images from the
+symmetric subspace, recorded on the way, is the record that licenses the
+reading.  Commutators at the basis pairs of the algebra are products of
+these matrices, and adjointness and norm bounds read them rescaled to the
+orthonormal orbit basis, against the compressed Gram matrices.
 """
 
 from __future__ import annotations
@@ -104,11 +113,13 @@ class BosonicSpace(GradedFockSpace):
             algebra.mul(algebra.star(basis)[:, None], basis[None, :])
         )
         self._functionals = [np.ones((), dtype=complex)]
-        self._chains = []
+        self._chains = None
         self._lists = []
         self._gram_raw = {}
         self._gram = {}
         self._hermiticity = {}
+        self._orbit_ops = {}
+        self._symmetry_gaps = {}
 
     # -- Gram matrices ----------------------------------------------------
 
@@ -222,10 +233,11 @@ class BosonicSpace(GradedFockSpace):
         return self._hermiticity[k]
 
     def _chain_tensors(self, k):
-        """Pair-product state tensors up to grade k, built on first need."""
-        if len(self._chains) < k:
-            self._chains = pair_product_state_tensors(self.algebra, k)
-        return self._chains
+        """Pair-product state tensors up to grade k, each level built once:
+        a call for a higher grade continues the kept chain."""
+        if self._chains is None or len(self._chains.tensors) < k:
+            self._chains = pair_product_state_tensors(self.algebra, k, self._chains)
+        return self._chains.tensors
 
     def _list_tensors(self, k):
         """L_n = sum over sigma of M_n with sigma permuting the i axes and
@@ -349,6 +361,72 @@ class BosonicSpace(GradedFockSpace):
             np.add(view, merged, out=view)
         return out
 
+    def _orbit_operators(self, kind, k):
+        """The basis operators of ``kind`` leaving grade k in the indicator
+        coordinates of the symmetric subspaces (cached): the stack of one
+        matrix C_b per basis element, with B_b 1_J = sum_K C_b[K, J] 1_K
+        for the orbit indicators 1_J of grade k and 1_K of the grade
+        reached.
+
+        One ``_kernel`` run per basis element on the indicators of grade k
+        gives the images B_b 1_J, and C_b is their rows at the orbit
+        representatives.  That reading is exact when the images are
+        symmetric, and it divides by no orbit size and takes no square
+        root, so operator products that cancel exactly still do.  How far
+        the images are from the symmetric subspace is recorded on the way,
+        for ``check_symmetric_invariance``.
+        """
+        key = kind, k
+        if key not in self._orbit_ops:
+            indicator, sizes, _ = self._orbits(k)
+            reached, reached_sizes, _ = self._orbits(k + _SHIFTS[kind])
+            # an orbit's sorted tuple is its smallest flat index
+            reps = reached.argmax(axis=0)
+            orbit = reached.argmax(axis=1)
+            # the kernels multiply complex symbol tensors into the block,
+            # faster on a complex one
+            block = indicator.astype(complex)
+            mats, worst = [], 0.0
+            for letter in self._basis_letters(kind):
+                image = np.ascontiguousarray(self._kernel(kind, letter, block, k))
+                mats.append(image[reps])
+                # B_b S_k against its projection, the orbit means; the real
+                # indicator sums the interleaved real and imaginary parts
+                image /= np.sqrt(sizes)
+                sums = (reached.T @ image.view(float)).view(complex)
+                means = sums / reached_sizes[:, None]
+                gap = np.linalg.norm(image - means[orbit])
+                worst = max(worst, gap / max(np.linalg.norm(image), 1.0))
+            self._orbit_ops[key] = np.array(mats)
+            self._symmetry_gaps[key] = worst
+        return self._orbit_ops[key]
+
+    def _basis_operators(self, kind, k):
+        """S_out^H B_b S_in for each basis element, with S the normalized
+        orbit indicators: diag(sqrt(sizes_out)) C_b diag(1/sqrt(sizes_in))
+        from ``_orbit_operators``, so no kernel runs on flat coordinates."""
+        sizes = self._orbits(k)[1]
+        reached = self._orbits(k + _SHIFTS[kind])[1]
+        scale = np.sqrt(reached)[:, None] / np.sqrt(sizes)
+        for mat in self._orbit_operators(kind, k):
+            yield mat * scale
+
+    def _same_kind_gap(self, kind, grades):
+        """Worst entry of [X_a, X_b], a < b, over the basis operators X of
+        ``kind`` leaving each of ``grades``, in indicator coordinates with
+        each column divided by its orbit size: the image of the uniform
+        average over the orbit.  Swapping a and b negates the commutator
+        exactly, so the pairs a < b suffice."""
+        worst = 0.0
+        for k in grades:
+            inner = self._orbit_operators(kind, k)
+            outer = self._orbit_operators(kind, k + _SHIFTS[kind])
+            sizes = self._orbits(k)[1]
+            for a, b in itertools.combinations(range(self.algebra.dim), 2):
+                diff = outer[a] @ inner[b] - outer[b] @ inner[a]
+                worst = max(worst, np.abs(diff / sizes).max())
+        return worst
+
     # -- verification checks ----------------------------------------------
 
     def check_gram_closed_forms(self, rng, trials=25, tol=1e-10):
@@ -434,31 +512,34 @@ class BosonicSpace(GradedFockSpace):
         ]
 
     def check_commutators(self, tol_affine=1e-10):
-        """Commutation relations among the three operator families.
+        """Commutation relations among the three operator families, on the
+        symmetric subspace that the representation lives on.
 
         Every relation is linear in each of its two symbols (annihilation
-        conjugate-linearly), so the basis pairs (``_basis_commutators``)
-        prove it for all symbols.  Basis symbols are dyadic, so the
-        same-kind commutators cancel exactly when gamma0 and the state
-        weights are dyadic; the mixed commutator is an affine identity
-        checked to tol_affine after column symmetrization.  Both symmetrized
-        commutators, and the expected side of the mixed one, run on the
-        orbit indicators, whose images are the orbit sums of the columns,
-        and divide by the orbit sizes.
+        conjugate-linearly), so the basis pairs prove it for all symbols.
+        Each commutator is a product of the matrices of
+        ``_orbit_operators``, in the indicator coordinates of the orbits,
+        and each column is divided by its orbit size.  Basis symbols are
+        dyadic, so the same-kind commutators cancel exactly when gamma0 and
+        the state weights are dyadic; the mixed commutator is an affine
+        identity checked to tol_affine.  Its right side, like the template
+        of the fit below, is summed by linearity from the basis matrices.
 
         The number-creation coefficient is not asserted: it is fitted by
         least squares, m = [n(e_a), b*(e_b)] against t = b*(e_a e_b) on the
         symmetric basis columns, and reported next to the tabulated 2; it
         reads 1, and B = sqrt2 b, N = 2n obey the table at 2 gamma0, which
-        ``rewrite.check_engine_vs_operators`` asserts.  For any symbols
+        ``rewrite.check_measured_table_map`` asserts.  For any symbols
         m - kappa t sums the pairs' misfits, so the basis bounds it.  The
         fit is shifted by kappa0, the coefficient of the first nonzero t:
         with r = m - kappa0 t, R = sum |r|**2, P = sum <t, r> and
         T = sum |t|**2, it is kappa0 + P/T and the squared misfit
         R - |P|**2/T, which unshifted would cancel to about the square root
-        of rounding.
+        of rounding.  The sums run over the orthonormal orbit coordinates,
+        where they equal those over the flat columns.
         """
         alg = self.algebra
+        top = self.max_grade
         exact_tol = 0.0
         if not (
             _is_dyadic(self.gamma0)
@@ -467,61 +548,60 @@ class BosonicSpace(GradedFockSpace):
         ):
             exact_tol = 1e-13
 
-        worst_cc = 0.0
-        worst_aa = 0.0
+        ops = self._orbit_operators
+        worst_cc = self._same_kind_gap(CREATION, range(top - 1))
+        worst_aa = self._same_kind_gap(ANNIHILATION, range(2, top + 1))
         worst_nn = 0.0
-        worst_mixed = 0.0
-        for k in range(self.max_grade - 1):
-            for diff in self._basis_commutators(CREATION, CREATION, k):
-                worst_cc = max(worst_cc, np.abs(diff).max())
-        for k in range(2, self.max_grade + 1):
-            indicator, sizes, _ = self._orbits(k)
-            diffs = self._basis_commutators(ANNIHILATION, ANNIHILATION, k, indicator)
-            for diff in diffs:
-                worst_aa = max(worst_aa, np.abs(diff / sizes).max())
         if alg.commutative:
-            for k in range(1, self.max_grade + 1):
-                for diff in self._basis_commutators(NUMBER, NUMBER, k):
-                    worst_nn = max(worst_nn, np.abs(diff).max())
+            worst_nn = self._same_kind_gap(NUMBER, range(1, top + 1))
         # Mixed commutator at (e_a, e_b), a the outer index of the pairs:
         # the scalar 2 gamma0 state(e_a* e_b) plus 4 n(e_a* e_b).
         basis = alg.basis()
         products = alg.mul(alg.star(basis)[:, None], basis[None, :])
-        pairings = alg.state(products).reshape(-1)
-        numbers = [
-            self._letter(NUMBER, c) for c in alg.coords(products).reshape(-1, alg.dim)
-        ]
-        for k in range(self.max_grade):
-            indicator, sizes, _ = self._orbits(k)
-            diffs = self._basis_commutators(ANNIHILATION, CREATION, k, indicator)
-            for diff, pairing, number in zip(diffs, pairings, numbers):
-                expected = 2.0 * self.gamma0 * pairing * indicator
-                expected = expected + 4.0 * self._run([(NUMBER, number)], k, indicator)
-                diff = (diff - expected) / sizes
-                scale = max(np.abs(expected / sizes).max(), 1.0)
-                worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
+        pairings = alg.state(products)
+        numbers = alg.coords(products)
+        worst_mixed = 0.0
+        for k in range(top):
+            creations = ops(CREATION, k)
+            raised = ops(ANNIHILATION, k + 1)
+            sizes = self._orbits(k)[1]
+            scalar = 2.0 * self.gamma0 * np.eye(sizes.size)
+            for a in range(alg.dim):
+                diffs = raised[a] @ creations
+                expected = pairings[a][:, None, None] * scalar
+                if k:
+                    diffs -= ops(CREATION, k - 1) @ ops(ANNIHILATION, k)[a]
+                    counts = np.tensordot(numbers[a], ops(NUMBER, k), axes=1)
+                    expected = expected + 4.0 * counts
+                for diff, want in zip(diffs, expected):
+                    diff = (diff - want) / sizes
+                    scale = max(np.abs(want / sizes).max(), 1.0)
+                    worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
         # Number against creation: fit the coefficient in one pass.
         product_coords = alg.coords(alg.mul(basis[:, None], basis[None, :]))
-        templates = [
-            self._letter(CREATION, c) for c in product_coords.reshape(-1, alg.dim)
-        ]
         kappa0 = None
         shifted_dot = 0.0 + 0.0j
         shifted_norm = 0.0
         template_norm = 0.0
-        for k in range(self.max_grade):
-            columns = self.symmetric_basis(k)
-            diffs = self._basis_commutators(NUMBER, CREATION, k, columns)
-            for measured, product in zip(diffs, templates):
-                template = self._run([(CREATION, product)], k, columns)
-                norm = np.vdot(template, template).real
-                if kappa0 is None and norm > 0.0:
-                    kappa0 = np.vdot(template, measured) / norm
-                # a zero template leaves the pair unshifted whatever kappa0
-                shifted = measured - (kappa0 or 0.0) * template
-                shifted_dot += np.vdot(template, shifted)
-                shifted_norm += np.vdot(shifted, shifted).real
-                template_norm += norm
+        for k in range(top):
+            creations = ops(CREATION, k)
+            # to the orthonormal orbit coordinates of both grades
+            scale = np.sqrt(self._orbits(k + 1)[1])[:, None]
+            scale = scale / np.sqrt(self._orbits(k)[1])
+            for a in range(alg.dim):
+                diffs = ops(NUMBER, k + 1)[a] @ creations
+                if k:
+                    diffs -= creations @ ops(NUMBER, k)[a]
+                templates = np.tensordot(product_coords[a], creations, axes=1)
+                for measured, template in zip(diffs * scale, templates * scale):
+                    norm = np.vdot(template, template).real
+                    if kappa0 is None and norm > 0.0:
+                        kappa0 = np.vdot(template, measured) / norm
+                    # a zero template leaves the pair unshifted whatever kappa0
+                    shifted = measured - (kappa0 or 0.0) * template
+                    shifted_dot += np.vdot(template, shifted)
+                    shifted_norm += np.vdot(shifted, shifted).real
+                    template_norm += norm
         kappa = (kappa0 or 0.0) + shifted_dot / template_norm
         misfit = shifted_norm - abs(shifted_dot) ** 2 / template_norm
         fit = math.sqrt(max(misfit, 0.0) / template_norm)
@@ -531,7 +611,7 @@ class BosonicSpace(GradedFockSpace):
                 "quadratic commutation relations",
                 worst_cc,
                 exact_tol,
-                notes="max entry over %d basis pairs" % alg.dim**2,
+                notes="symmetric columns, max entry, %d basis pairs" % alg.dim**2,
             ),
             residual_record(
                 "bosonic.commutator.annihilation_annihilation",
@@ -567,7 +647,9 @@ class BosonicSpace(GradedFockSpace):
                 residual=abs(kappa.imag),
                 notes=(
                     "least-squares coefficient from the concrete operator"
-                    " matrices; the abstract relation table posits 2"
+                    " matrices; the abstract relation table posits 2, and"
+                    " B = sqrt2 b, N = 2n obey it at 2 gamma0, as"
+                    " classical.measured_table_map asserts"
                 ),
             ),
             residual_record(
@@ -586,7 +668,8 @@ class BosonicSpace(GradedFockSpace):
                     "quadratic commutation relations",
                     worst_nn,
                     exact_tol,
-                    notes="commutative base algebra, max entry, %d basis pairs"
+                    notes="commutative base algebra, symmetric columns, max entry,"
+                    " %d basis pairs"
                     % alg.dim**2,
                 ),
             )
@@ -595,25 +678,23 @@ class BosonicSpace(GradedFockSpace):
     def check_symmetric_invariance(self, tol=1e-12):
         """The three operator families map symmetric vectors to symmetric
         vectors, which the symmetric compression of every other check
-        relies on.
+        relies on, and which licenses reading the operators at the orbit
+        representatives (``_orbit_operators``).
 
         Over each kind, grade and basis element, the image Y = B_b S_k of
         the symmetric subspace is compared with its projection onto the
-        symmetric subspace of the grade it reaches, the orbit means
-        indicator ((indicator^T Y) / sizes); the residual is the worst
-        Frobenius distance, scaled by the norm of Y once that exceeds 1.
+        symmetric subspace of the grade it reaches, the orbit means; the
+        residual is the worst Frobenius distance, scaled by the norm of Y
+        once that exceeds 1.  ``_orbit_operators`` records it from the
+        images it reads, so no kernel runs here.
         """
         top = self.max_grade
         cases = [(CREATION, k) for k in range(top)]
         for kind in (ANNIHILATION, NUMBER):
             cases += [(kind, k) for k in range(1, top + 1)]
-        worst = 0.0
         for kind, k in cases:
-            indicator, sizes, _ = self._orbits(k + _SHIFTS[kind])
-            for image in self._basis_operators(kind, k):
-                means = (indicator.T @ image) / sizes[:, None]
-                gap = np.linalg.norm(image - indicator @ means)
-                worst = max(worst, gap / max(np.linalg.norm(image), 1.0))
+            self._orbit_operators(kind, k)
+        worst = max(self._symmetry_gaps[case] for case in cases)
         return [
             residual_record(
                 "bosonic.operators.preserve_symmetric",

@@ -19,18 +19,22 @@ it holds at the dim basis elements, and one linear in each of two symbols
 once it holds at the dim**2 basis pairs, up to rounding: random symbols
 would re-sum the same basis operators and could detect nothing more.  So
 the adjointness checks compare the sides of each basis element, and the
-relation checks of the spaces run on basis pairs, their commutators all
-from ``_basis_commutators``, building the images of the dim inner basis
-operators of a grade once and applying each outer one to them.  Operator
+relation checks of the spaces run on basis pairs, building the images of
+the dim inner basis operators of a grade once and applying each outer one
+to them (``_basis_commutators`` for the q-deformed relation; the bosonic
+space multiplies its cached basis matrices instead).  Operator
 norms and the q-deformed squared relation are not linear and keep their
 random symbols.  What the norms and the adjointness check
 compute of an operator (its whitened compression, or one side of the
-adjoint identity) is linear in it, so each runs the kernels of the dim
-basis operators of a grade on the compressed columns and applies the left
-factor of that fixed map to each: the adjointness check compares the
-slices of this per-grade basis stack, and the norms of all trials come
-from one batched Lanczos run on it, which forms no trial's operator.  The
-stacks live for one check and grade only.
+adjoint identity) is linear in it, so each reads the dim basis operators
+of a grade, compressed on both sides, through one hook
+(``_basis_operators``) and applies the left factor of that fixed map to
+each: the adjointness check compares the slices of this per-grade basis
+stack, and the norms of all trials come from one batched Lanczos run on
+it, which forms no trial's operator.  By default the hook runs the kernel
+on the compressed columns; a space that keeps its basis operators in the
+coordinates of the compression (the bosonic one) reads them from there.
+A stack lives for one check and grade only.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -93,9 +97,9 @@ class GradedFockSpace:
     or None for the whole grade; it defaults to the symmetric subspace, and
     ``_compress(mat, k_out, k_in)`` restricts a map between grades to it.
     ``_compressed_gram(k)``, the hermitized Gram restricted on the right to
-    that subspace, is all the adjointness check and ``_metric(k)`` (the
-    compressed Gram that positivity is checked and operator norms are
-    whitened against) read of the Gram.  It defaults to
+    that subspace, is all ``_metric(k)`` (the compressed Gram that
+    positivity is checked, operator norms are whitened and adjointness is
+    compared against) reads of the Gram.  It defaults to
     ``_right_compressed(gram(k), k)``; a space that can build those
     columns without the whole Gram overrides it.
 
@@ -110,12 +114,13 @@ class GradedFockSpace:
     once per kind; a letter's tensors are their sum weighed by
     ``_coefficients``.  The linear claims are checked on the basis of the
     algebra (see the module docstring): the relation checks of the
-    subclasses on the basis pairs from ``_basis_commutators``, and the
-    adjointness checks and the operator norms (``_operator_norms``) on a
-    ``_basis_stack`` of one grade, the basis operators on the compressed
-    columns under the fixed map the check applies.  Neither builds an
-    operator matrix: the adjointness check compares the stack's slices,
-    and the norms run one Lanczos iteration on it for all trials at once.
+    subclasses on the basis pairs, and the adjointness checks and the
+    operator norms (``_operator_norms``) on a ``_basis_stack`` of one
+    grade, the basis operators from ``_basis_operators`` under the fixed
+    map the check applies.  Neither builds an operator matrix: the
+    adjointness check compares the stack's slices, and the norms run one
+    Lanczos iteration on it for all trials at once.  A space may override
+    ``_basis_operators`` to give S_out^H B_b S_in without the kernel.
     """
 
     def __init__(self, algebra, max_grade):
@@ -212,12 +217,18 @@ class GradedFockSpace:
 
     def _basis_operators(self, kind, k):
         """The operators of ``kind`` leaving grade k at the basis elements
-        of the algebra, one at a time, each restricted on the right to the
-        ``_compression`` of grade k: ``_kernel`` on those columns."""
+        of the algebra, one at a time, each compressed on both sides,
+        S_out^H B_b S_in with S the ``_compression`` of each grade.  The
+        adjointness checks and the operator norms read the operators only
+        through this hook.  By default it runs ``_kernel`` on the columns
+        of S_in and compresses the image on the left.  The q-deformed
+        space, which takes no norms, keeps B_b S_in on flat rows for its
+        own adjointness check (``_adjoint_pair_gap``)."""
+        k_out = k + _SHIFTS[kind]
         columns = self._compression(k)
         block = np.eye(self.algebra.dim**k) if columns is None else columns
         for letter in self._basis_letters(kind):
-            yield self._kernel(kind, letter, block, k)
+            yield self._left_compressed(self._kernel(kind, letter, block, k), k_out)
 
     def _basis_images(self, kind, k, columns=None):
         """The images of ``columns`` of grade k (the identity when None)
@@ -242,8 +253,8 @@ class GradedFockSpace:
 
     def _basis_stack(self, kind, k, transform):
         """``transform`` of each basis operator of ``kind`` leaving grade k,
-        restricted on the right to the ``_compression`` of grade k, stacked
-        along a new first axis, so that the transformed operator of a
+        compressed on both sides (``_basis_operators``), stacked along a
+        new first axis, so that the transformed operator of a
         symbol is the sum of the slices weighed by its ``_coefficients``.
 
         A check builds the stack of one grade, sums its trials from it and
@@ -306,29 +317,22 @@ class GradedFockSpace:
 
     def _basis_commutators(self, left, right, k, columns=None, q=1.0):
         """The q-commutators L_a R_b - q R_b L_a of the basis operators of
-        kinds ``left`` and ``right`` on ``columns`` of grade k (the identity
-        when None), one matrix per ordered basis pair (a, b); ``right`` must
-        act on grade k.
+        two kinds ``left`` and ``right`` on ``columns`` of grade k (the
+        identity when None), one matrix per ordered basis pair (a, b);
+        ``right`` must act on grade k.
 
         The dim images R_b Y are built once per grade and every L_a runs on
-        them.  For one kind they are also the images L_a Y of the reverse
-        order, and at q = 1, the only q a same-kind caller asks, swapping a
-        and b negates the commutator exactly, so only the pairs a < b are
-        yielded.  For two kinds L_a Y is built once per a, so at most
-        dim + 1 images are held at a time, and never the dim**2 commutators.
+        them, and L_a Y is built once per a, so at most dim + 1 images are
+        held at a time, and never the dim**2 commutators.
         """
         rights = self._basis_letters(right)
         ahead = self._basis_images(right, k, columns)
-        for a, letter in enumerate(self._basis_letters(left)):
-            pairs = range(len(rights))
-            if left == right:
-                behind, pairs = ahead[a], pairs[a + 1 :]
-            elif k == 0 and left != CREATION:
-                behind = None
-            else:
+        for letter in self._basis_letters(left):
+            behind = None
+            if k or left == CREATION:
                 behind = self._run([(left, letter)], k, columns)
-            for b in pairs:
-                forward = self._run([(left, letter)], k + _SHIFTS[right], ahead[b])
+            for b, image in enumerate(ahead):
+                forward = self._run([(left, letter)], k + _SHIFTS[right], image)
                 if behind is not None:
                     back = self._run([(right, rights[b])], k + _SHIFTS[left], behind)
                     forward = forward - (back if q == 1.0 else q * back)
@@ -428,14 +432,18 @@ class GradedFockSpace:
             self._whitenings[k] = gram_whitening(self._metric(k))
         return self._whitenings[k]
 
+    def _metric_eigenvalues(self, k):
+        """Eigenvalues of the grade-k metric, those of its whitening, so
+        that the norms and the positivity sweep share one eigensolve."""
+        return self._whitening(k).eigenvalues
+
     def _positivity_sweep(self, top, label="k"):
         """Lowest eigenvalue of ``_metric`` over grades 0..top, and the
         per-grade note."""
         worst = math.inf
         details = []
         for k in range(top + 1):
-            eigs = np.linalg.eigvalsh(self._metric(k))
-            low = float(eigs.min())
+            low = float(self._metric_eigenvalues(k).min())
             worst = min(worst, low)
             details.append("%s=%d min_eig=%.3e" % (label, k, low))
         return worst, "; ".join(details)
@@ -448,7 +456,7 @@ class GradedFockSpace:
         With W the whitener of a grade, G its metric and S its compression,
         the whitened operator W_out^H G_out S_out^H B S_in W_in is linear in
         B, so the stack of whitened basis operators, each of which arrives
-        as B S_in, and the symbols' coefficients define it; one batched
+        as S_out^H B S_in, and the symbols' coefficients define it; one batched
         Lanczos run (``krylov_operator_norms``) takes every symbol's norm
         from them without forming the operator.
         """
@@ -457,9 +465,7 @@ class GradedFockSpace:
         if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
             return np.zeros(len(symbols)), np.zeros(len(symbols))
         stack = self._basis_stack(
-            kind,
-            k,
-            lambda mat: out.left @ (self._left_compressed(mat, k_out) @ into.whitener),
+            kind, k, lambda mat: out.left @ (mat @ into.whitener)
         )
         coeffs = np.array([self._coefficients(kind, s) for s in symbols])
         return krylov_operator_norms(stack, coeffs)
@@ -500,9 +506,14 @@ class GradedFockSpace:
     def _adjoint_pair_gap(self, grams, gap):
         """Worst ``gap`` over the grades below the top between the two sides
         of creation against annihilation as adjoints for ``grams``, the
-        Grams of every grade restricted on the right to ``_compression``:
-        S_(k+1)^H A^H G_k S_k = (A S_(k+1))^H (G_k S_k) and, with G
-        hermitian, S_(k+1)^H G_(k+1) C S_k = (G_(k+1) S_(k+1))^H (C S_k).
+        Grams of every grade on the rows ``_basis_operators`` yields,
+        restricted on the right to ``_compression``.  On compressed rows
+        they are M_k = S_k^H G_k S_k, hermitian: every Gram here commutes
+        with the projection S_k S_k^H, so G_k S_k = S_k M_k, and the
+        identity S_(k+1)^H A^H G_k S_k = S_(k+1)^H G_(k+1) C S_k reads
+        (S_k^H A S_(k+1))^H M_k = M_(k+1)^H (S_(k+1)^H C S_k), whatever the
+        operators do to the complement of the compression.  On flat rows
+        it reads (A S_(k+1))^H (G_k S_k) = (G_(k+1) S_(k+1))^H (C S_k).
 
         Both sides are linear in the symbol, so each is a stack of its basis
         sides, built once per grade, and the identity holds for every symbol
@@ -529,20 +540,20 @@ class GradedFockSpace:
         ``_adjoint_pair_gap`` for the pair).  Both identities are linear in
         the symbol, so the basis proves them for every symbol.
 
-        The number pair needs one stack: with G_k hermitian, the right side
-        at a symbol z, S_k^H G_k N_z* S_k, is the adjoint of the left one at
-        z*, (N_z* S_k)^H (G_k S_k).  So at the basis element e_b the slice
-        ``left[b]`` is compared with the adjoint of the stack summed at
-        star(e_b).
+        The number pair needs one stack: with M_k the hermitian ``_metric``,
+        the right side at a symbol z, M_k (S_k^H N_z* S_k), is the adjoint
+        of the left one at z*, (S_k^H N_z* S_k)^H M_k.  So at the basis
+        element e_b the slice ``left[b]`` is compared with the adjoint of
+        the stack summed at star(e_b).
         """
         alg = self.algebra
-        compressed_gram = [self._compressed_gram(k) for k in range(self.max_grade + 1)]
+        metrics = [self._metric(k) for k in range(self.max_grade + 1)]
 
         def gap(lhs, rhs):
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
             return np.linalg.norm(lhs - rhs) / scale
 
-        worst_pair = self._adjoint_pair_gap(compressed_gram, gap)
+        worst_pair = self._adjoint_pair_gap(metrics, gap)
         starred = [
             self._coefficients(NUMBER, element).conj()
             for element in alg.star(alg.basis())
@@ -550,7 +561,7 @@ class GradedFockSpace:
         worst_number = 0.0
         for k in range(1, self.max_grade + 1):
             left = self._basis_stack(
-                NUMBER, k, lambda mat: mat.conj().T @ compressed_gram[k]
+                NUMBER, k, lambda mat: mat.conj().T @ metrics[k]
             )
             for lhs, coeffs in zip(left, starred):
                 rhs = (coeffs @ left.reshape(len(coeffs), -1)).reshape(lhs.shape)

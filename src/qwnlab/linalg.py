@@ -87,8 +87,10 @@ def orthonormal_range(projection: np.ndarray) -> np.ndarray:
     return vecs[:, vals > 0.5]
 
 
-def gram_whitener(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> np.ndarray:
-    """Columns W with W* G W = I on the numerical range of G.
+def gram_whitener(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> tuple:
+    """Columns W with W* G W = I on the numerical range of G, and the
+    eigenvalues of hermitize(G), ascending, from the one ``eigh`` that
+    gives W.
 
     Eigenvalues at or below ``cutoff`` times the largest eigenvalue are
     treated as exact zeros (a degenerate Gram matrix means genuinely
@@ -97,24 +99,26 @@ def gram_whitener(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(gram))
     top = float(vals[-1]) if vals.size else 0.0
     if top <= 0.0:
-        return np.zeros((gram.shape[0], 0))
+        return np.zeros((gram.shape[0], 0)), vals
     keep = vals > cutoff * top
-    return vecs[:, keep] / np.sqrt(vals[keep])
+    return vecs[:, keep] / np.sqrt(vals[keep]), vals
 
 
 class Whitening(NamedTuple):
-    """A Gram matrix's whitener, the left factor W^H hermitize(G), and the
+    """A Gram matrix's whitener, the left factor W^H hermitize(G), the
     count of eigenvalues below ``-cutoff`` times the largest one, which
-    the whitener drops with the null directions."""
+    the whitener drops with the null directions, and all the eigenvalues,
+    ascending."""
 
     whitener: np.ndarray
     left: np.ndarray
     negative: int
+    eigenvalues: np.ndarray
 
 
 def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
-    """Whitener of ``gram``, its left factor and its negative inertia, for
-    repeated norms.
+    """Whitener of ``gram``, its left factor, its negative inertia and its
+    eigenvalues, for repeated norms, from one Hermitian eigendecomposition.
 
     A space that norms many operators against one Gram matrix per grade
     computes this once per grade and applies its whitener and left factor
@@ -122,12 +126,10 @@ def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
     :func:`krylov_operator_norms` takes; :func:`gram_operator_norm`
     whitens both sides afresh and takes the norm of one matrix by one SVD.
     """
-    w = gram_whitener(gram, cutoff)
-    herm = hermitize(gram)
-    vals = np.linalg.eigvalsh(herm)
+    w, vals = gram_whitener(gram, cutoff)
     top = max(float(vals[-1]), 0.0) if vals.size else 0.0
     negative = int(np.count_nonzero(vals < -cutoff * top))
-    return Whitening(w, w.conj().T @ herm, negative)
+    return Whitening(w, w.conj().T @ hermitize(gram), negative, vals)
 
 
 def krylov_operator_norms(stack: np.ndarray, coeffs: np.ndarray) -> tuple:

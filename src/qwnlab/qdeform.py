@@ -71,6 +71,10 @@ class QFockSpace(GradedFockSpace):
         # positivity is checked on the full q-Gram, even at q = 1
         return self.q_gram(k)
 
+    def _metric_eigenvalues(self, k):
+        # the q-Gram is never whitened, so this is its one eigensolve
+        return np.linalg.eigvalsh(self._metric(k))
+
     def _symbol_tensors(self, kind, symbol):
         if kind == CREATION:
             return (self.algebra.coords(symbol),)
@@ -116,6 +120,11 @@ class QFockSpace(GradedFockSpace):
 
     def _compression(self, k):
         return self.symmetric_basis(k) if self.q == 1.0 else None
+
+    def _basis_operators(self, kind, k):
+        # Only the adjointness check reads these, against the q-Grams
+        # restricted on the right, so the images keep their flat rows.
+        return iter(self._basis_images(kind, k, self._compression(k)))
 
     # -- checks ---------------------------------------------------------------
 
@@ -188,7 +197,9 @@ class QFockSpace(GradedFockSpace):
     def check_adjointness(self, tol=1e-10):
         """Creation and annihilation are mutually adjoint for the q-Gram,
         compared after ``_compress`` at each basis mode, as the shared pair
-        check does (``_adjoint_pair_gap``)."""
+        check does (``_adjoint_pair_gap``), with the images on flat rows:
+        S_(n+1)^H A^H G_n S_n = (A S_(n+1))^H (G_n S_n) against
+        S_(n+1)^H G_(n+1) C S_n = (G_(n+1) S_(n+1))^H (C S_n)."""
         grams = [
             self._right_compressed(self.q_gram(n), n) for n in range(self.max_grade + 1)
         ]

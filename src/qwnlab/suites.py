@@ -305,6 +305,7 @@ def run_classical(config, rng):
     records += rewrite.check_engine_vs_operators(
         rng, trials=min(config.trials, 30), tol=config.tolerance
     )
+    records += rewrite.check_measured_table_map(config.gamma0, tol=config.tolerance)
     return records
 
 

@@ -22,7 +22,7 @@ import pytest
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace, _is_dyadic
 from qwnlab.free import FreeSpace
-from qwnlab.graded import ANNIHILATION, CREATION, NUMBER
+from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER
 from qwnlab.linalg import scaled_gap
 from qwnlab.qdeform import QFockSpace
 from qwnlab.report import reported_record, residual_record
@@ -353,6 +353,199 @@ def test_one_pass_fit_matches_the_two_pass_fit(algebra):
     kappa, _ = two_pass_fit(lambda: random_fit_pairs(space, symbols))
     assert abs(coefficient.measured - kappa.real) <= 1e-14
     assert abs(coefficient.residual - abs(kappa.imag)) <= 1e-14
+
+
+def same_kind_commutators(space, kind, k, columns=None):
+    """[X_a, X_b] of the basis operators of ``kind`` on ``columns`` of grade
+    k (the identity when None), for the pairs a < b: the images X_b Y are
+    also the images of the reverse order."""
+    letters = space._basis_letters(kind)
+    images = space._basis_images(kind, k, columns)
+    reached = k + _SHIFTS[kind]
+    for a, b in itertools.combinations(range(len(letters)), 2):
+        forward = space._run([(kind, letters[a])], reached, images[b])
+        yield forward - space._run([(kind, letters[b])], reached, images[a])
+
+
+def tensor_route_commutators(space):
+    """The bosonic commutator residuals, the fitted coefficient and the fit
+    by the tensor route the orbit route replaced: creation-creation and
+    number-number on the whole grade, annihilation-annihilation and the
+    mixed identity on the orbit indicators, every right side and template
+    a kernel run of its product symbol, and the fit on the flat symmetric
+    basis columns."""
+    alg = space.algebra
+    top = space.max_grade
+    worst = dict.fromkeys(("cc", "aa", "nn", "mixed"), 0.0)
+    for k in range(top - 1):
+        for diff in same_kind_commutators(space, CREATION, k):
+            worst["cc"] = max(worst["cc"], np.abs(diff).max())
+    for k in range(2, top + 1):
+        indicator, sizes, _ = space._orbits(k)
+        for diff in same_kind_commutators(space, ANNIHILATION, k, indicator):
+            worst["aa"] = max(worst["aa"], np.abs(diff / sizes).max())
+    if alg.commutative:
+        for k in range(1, top + 1):
+            for diff in same_kind_commutators(space, NUMBER, k):
+                worst["nn"] = max(worst["nn"], np.abs(diff).max())
+    basis = alg.basis()
+    products = alg.mul(alg.star(basis)[:, None], basis[None, :])
+    pairings = alg.state(products).reshape(-1)
+    numbers = [
+        space._letter(NUMBER, c) for c in alg.coords(products).reshape(-1, alg.dim)
+    ]
+    for k in range(top):
+        indicator, sizes, _ = space._orbits(k)
+        diffs = space._basis_commutators(ANNIHILATION, CREATION, k, indicator)
+        for diff, pairing, number in zip(diffs, pairings, numbers):
+            expected = 2.0 * space.gamma0 * pairing * indicator
+            expected = expected + 4.0 * space._run([(NUMBER, number)], k, indicator)
+            diff = (diff - expected) / sizes
+            scale = max(np.abs(expected / sizes).max(), 1.0)
+            worst["mixed"] = max(worst["mixed"], np.abs(diff).max() / scale)
+    kappa, fit = two_pass_fit(lambda: basis_fit_pairs(space))
+    return worst, kappa, fit
+
+
+def tensor_route_adjointness(space):
+    """The bosonic adjointness residuals on flat rows: the basis operators
+    by the kernel on the symmetric basis columns, against the Gram
+    restricted on the right."""
+    alg = space.algebra
+    grams = [space._compressed_gram(k) for k in range(space.max_grade + 1)]
+
+    def gap(lhs, rhs):
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
+        return np.linalg.norm(lhs - rhs) / scale
+
+    def images(kind, k):
+        return space._basis_images(kind, k, space.symmetric_basis(k))
+
+    worst_pair = worst_number = 0.0
+    for k in range(space.max_grade):
+        for annihilate, create in zip(images(ANNIHILATION, k + 1), images(CREATION, k)):
+            lhs = annihilate.conj().T @ grams[k]
+            rhs = grams[k + 1].conj().T @ create
+            worst_pair = max(worst_pair, gap(lhs, rhs))
+    starred = [alg.coords(element) for element in alg.star(alg.basis())]
+    for k in range(1, space.max_grade + 1):
+        left = np.array([num.conj().T @ grams[k] for num in images(NUMBER, k)])
+        for lhs, coeffs in zip(left, starred):
+            rhs = np.tensordot(coeffs, left, axes=1)
+            worst_number = max(worst_number, gap(lhs, rhs.conj().T))
+    return worst_pair, worst_number
+
+
+# The orbit route against the tensor route up to grade 5: dyadic weights
+# and gamma0, where the same-kind commutators cancel exactly both ways,
+# and non-dyadic ones over a function and a matrix algebra.
+ORBIT_SPACES = {
+    "f3_dyadic": lambda: BosonicSpace(FunctionAlgebra([0.5, 0.75, 1.25]), 5, 1.0),
+    "f3": lambda: BosonicSpace(FunctionAlgebra([0.3, 0.7, 1.1]), 5, 0.7),
+    "m2": lambda: BosonicSpace(MatrixAlgebra(2), 5, 0.7),
+}
+ORBIT_TOL = 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_SPACES))
+def test_orbit_route_commutators_match_the_tensor_route(name):
+    space = ORBIT_SPACES[name]()
+    records = {r.name: r for r in space.check_commutators()}
+    worst, kappa, fit = tensor_route_commutators(ORBIT_SPACES[name]())
+    prefix = "bosonic.commutator."
+    same_kind = {"cc": "creation_creation", "aa": "annihilation_annihilation"}
+    if space.algebra.commutative:
+        same_kind["nn"] = "number_number"
+    for key, record_name in same_kind.items():
+        record = records[prefix + record_name]
+        assert record.status == "pass", record_name
+        # a symmetric column averages whole-grade columns, so the orbit
+        # route reads at most the whole-grade entry
+        assert record.residual <= worst[key] + ORBIT_TOL, record_name
+        if record.tolerance == 0.0:
+            assert record.residual == worst[key] == 0.0, record_name
+    mixed = records.get(prefix + "mixed_affine") or records[prefix + "mixed_affine_gap"]
+    measured = mixed.residual if mixed.residual is not None else mixed.measured
+    assert abs(measured - worst["mixed"]) <= ORBIT_TOL * max(worst["mixed"], 1.0)
+    coefficient = records[prefix + "number_creation_coefficient"]
+    assert abs(coefficient.measured - kappa.real) <= ORBIT_TOL
+    assert abs(coefficient.residual - abs(kappa.imag)) <= ORBIT_TOL
+    assert abs(records[prefix + "number_creation_fit"].residual - fit) <= ORBIT_TOL
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_SPACES))
+def test_orbit_route_adjointness_matches_the_tensor_route(name):
+    space = ORBIT_SPACES[name]()
+    records = space.check_adjointness()
+    oracle = tensor_route_adjointness(ORBIT_SPACES[name]())
+    for record, expected in zip(records, oracle):
+        assert record.status == "pass", record.name
+        assert abs(record.residual - expected) <= ORBIT_TOL, record.name
+
+
+def test_orbit_operators_are_the_compressed_kernels():
+    # S_out^H B S_in from the cached orbit matrices against the kernel on
+    # the symmetric basis, compressed on the left, at every kind and grade
+    for make in ORBIT_SPACES.values():
+        space = make()
+        top = space.max_grade
+        cases = [(CREATION, k) for k in range(top)]
+        for kind in (ANNIHILATION, NUMBER):
+            cases += [(kind, k) for k in range(1, top + 1)]
+        for kind, k in cases:
+            k_out = k + _SHIFTS[kind]
+            oracle = space._basis_images(kind, k, space.symmetric_basis(k))
+            for built, image in zip(space._basis_operators(kind, k), oracle):
+                expected = space._left_compressed(image, k_out)
+                scale = max(np.abs(expected).max(), 1.0)
+                assert np.abs(built - expected).max() <= ORBIT_TOL * scale, (kind, k)
+
+
+def test_the_orbit_cache_stays_on_the_symmetric_subspace():
+    # over M_2 at truncation 5 the largest symmetric grade has 56 orbits,
+    # and a space whose checks run on whole grades keeps no orbit cache
+    space = BosonicSpace(MatrixAlgebra(2), 5, 0.7)
+    space.check_commutators()
+    space.check_adjointness()
+    space.check_symmetric_invariance()
+    assert space._orbit_ops
+    for stack in space._orbit_ops.values():
+        assert stack.shape[0] == 4 and max(stack.shape[1:]) <= 56
+    assert not hasattr(FreeSpace(MatrixAlgebra(2), 3), "_orbit_ops")
+
+
+def _asymmetric(space, eps=1e-6):
+    """Every kernel image into a grade of at least 2 moves eps times the
+    first coordinate of each input column from the index (0, 1, 0, ..) to
+    (1, 0, 0, ..), two indices of one orbit: the image leaves the
+    symmetric subspace, and its orbit sums do not change."""
+    kernel = space._kernel
+    dim = space.algebra.dim
+
+    def moved(kind, data, block, k):
+        out = kernel(kind, data, block, k)
+        grade = k + _SHIFTS[kind]
+        if grade >= 2:
+            out = out.copy()
+            out[dim ** (grade - 1)] += eps * block[0]
+            out[dim ** (grade - 2)] -= eps * block[0]
+        return out
+
+    space._kernel = moved
+    return space
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: BosonicSpace(MatrixAlgebra(2), 4), lambda: SPACES["f3"](BosonicSpace)],
+    ids=["m2", "f3"],
+)
+def test_a_kernel_that_breaks_symmetry_fails_the_licensing_record(make):
+    (clean,) = make().check_symmetric_invariance()
+    assert clean.status == "pass"
+    (record,) = _asymmetric(make()).check_symmetric_invariance()
+    assert record.name == "bosonic.operators.preserve_symmetric"
+    assert record.status == "fail", record.residual
 
 
 def _perturb(space, kind, b, eps=1e-6):

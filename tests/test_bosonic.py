@@ -179,15 +179,20 @@ def test_recursive_gram_matches_ordered_route():
         space.gram_matrix(1, method="cycles")
 
 
-def _record_chain_builds(monkeypatch):
-    """The grades pair_product_state_tensors is asked for, in order."""
+def _record_chain_builds(monkeypatch, levels=None):
+    """The grades pair_product_state_tensors is asked for, in order; the
+    levels each call builds go to ``levels`` when given."""
     import qwnlab.bosonic
 
     asked = []
 
-    def recording(algebra, kmax):
+    def recording(algebra, kmax, kept=None):
         asked.append(kmax)
-        return pair_product_state_tensors(algebra, kmax)
+        states = pair_product_state_tensors(algebra, kmax, kept)
+        if levels is not None:
+            done = 0 if kept is None else len(kept.tensors)
+            levels.extend(range(done + 1, len(states.tensors) + 1))
+        return states
 
     monkeypatch.setattr(qwnlab.bosonic, "pair_product_state_tensors", recording)
     return asked
@@ -200,6 +205,21 @@ def test_recursive_gram_builds_no_top_grade_chain_tensor(monkeypatch):
     assert asked == []
     space.gram_matrix(2, method="ordered")
     assert asked == [2]
+
+
+def test_rising_grades_build_each_chain_level_once(monkeypatch):
+    levels = []
+    asked = _record_chain_builds(monkeypatch, levels)
+    space = BosonicSpace(MatrixAlgebra(2), 4)
+    for k in range(1, 5):
+        ordered = space.gram_matrix(k, method="ordered")
+        assert _relative_gap(ordered, space.gram_matrix(k)) <= 1e-12
+    assert asked == [1, 2, 3, 4]
+    assert levels == [1, 2, 3, 4]
+    # the continued chain gives the tensors of one build to the top
+    once = pair_product_state_tensors(space.algebra, 4).tensors
+    for built, oracle in zip(space._chain_tensors(4), once):
+        assert np.array_equal(built, oracle)
 
 
 def test_route_comparison_builds_the_chain_states_once(monkeypatch):
@@ -220,7 +240,7 @@ def _gram_by_lists(space, k, method):
     size = dim**k
     letters = "abcdefghijklmnopqrstuvwxyz"
     total = np.zeros((size, size), dtype=complex)
-    chains = pair_product_state_tensors(space.algebra, k)
+    chains = pair_product_state_tensors(space.algebra, k).tensors
     if method == "ordered":
         partitions = ordered_partitions(k)
     else:
@@ -433,6 +453,9 @@ def test_representative_route_matches_the_whole_gram(name, gamma0):
         raw = space.gram_matrix(k)
         gap = scaled_gap(raw, raw.conj().T)
         assert abs(space._hermiticity_gap(k) - gap) <= 1e-14, k
+    # the adjointness stacks pair the compressed operators with the metrics
+    new = [space._metric(k) for k in range(top + 1)]
+    full = [hermitize(space._compress(space.gram(k), k, k)) for k in range(top + 1)]
     for k in range(top):
         for kind, grade, side in (
             (ANNIHILATION, k + 1, lambda mat, grams: mat.conj().T @ grams[k]),

@@ -444,6 +444,30 @@ def test_no_stack_outlives_its_check(case, monkeypatch):
     assert stacks and all(ref() is None for ref in stacks)
 
 
+@pytest.mark.parametrize("name", ["bosonic_m2", "free_f3"])
+def test_positivity_and_norms_share_one_eigensolve_per_grade(name, monkeypatch):
+    # the whitening's eigh gives the negative count and the positivity
+    # sweep's eigenvalues; the Krylov runs' batched Ritz problems are 3-D
+    space = NONDYADIC_SPACES[name]()
+    solves = Counter()
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting(solver, label):
+        def run(mat, *args, **kwargs):
+            if np.ndim(mat) == 2:
+                solves[label] += 1
+            return solver(mat, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh, "eigvalsh"))
+    records = space.check_positivity()
+    records += space.check_norm_estimates(np.random.default_rng(4), trials=3)
+    assert all(r.status != "fail" for r in records)
+    assert solves == Counter(eigh=space.max_grade + 1)
+
+
 def test_compression_hook_per_space():
     sym = BosonicSpace(FunctionAlgebra([0.5, 1.0]), 3)
     assert sym._compression(2) is sym.symmetric_basis(2)

@@ -81,10 +81,11 @@ def test_orthonormal_range_of_projection():
 
 def test_gram_whitener_handles_degenerate_gram():
     gram = np.diag([4.0, 1.0, 0.0])
-    w = gram_whitener(gram)
+    w, eigenvalues = gram_whitener(gram)
     assert w.shape == (3, 2)
     assert np.allclose(w.conj().T @ gram @ w, np.eye(2))
-    assert gram_whitener(np.zeros((2, 2))).shape == (2, 0)
+    assert np.array_equal(eigenvalues, [0.0, 1.0, 4.0])
+    assert gram_whitener(np.zeros((2, 2)))[0].shape == (2, 0)
 
 
 def test_whitening_counts_the_negative_eigenvalues_it_drops():
@@ -93,6 +94,7 @@ def test_whitening_counts_the_negative_eigenvalues_it_drops():
     whitening = gram_whitening(gram)
     assert whitening.whitener.shape == (6, 2)
     assert whitening.negative == 2
+    assert np.array_equal(whitening.eigenvalues, np.linalg.eigvalsh(gram))
     assert gram_whitening(np.eye(3)).negative == 0
     assert gram_whitening(np.zeros((2, 2))).negative == 0
 

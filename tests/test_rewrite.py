@@ -46,6 +46,7 @@ from qwnlab.rewrite import (
     SymbolTable,
     UnsupportedRelationError,
     check_engine_vs_operators,
+    check_measured_table_map,
     check_nogo,
     check_nogo_grid,
     check_strategy_independence,
@@ -253,6 +254,29 @@ def test_engine_matches_operator_matrices():
     rng = np.random.default_rng(13)
     for record in check_engine_vs_operators(rng, trials=6, max_len=5):
         assert record.status == "pass", record
+
+
+def _weighs_n_like_b(coeff, word, term=()):
+    """``measured_coefficient`` with n weighed 2**(-1/2), like b and b*."""
+    twice = len(term) - len(word)
+    return complex(coeff) * 2.0 ** (twice / 2)
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 0.7, 3.0])
+def test_measured_table_map_record_passes_and_draws_nothing(gamma0):
+    (record,) = check_measured_table_map(gamma0)
+    assert record.name == "classical.measured_table_map"
+    assert record.status == "pass" and record.residual <= 1e-15
+    # 1 empty word, then 2 * 6**(m - 2) * 2 words of each length m = 2..4
+    assert record.notes.startswith("173 live quadratic words")
+
+
+def test_measured_table_map_record_fails_a_map_that_weighs_n_like_b(monkeypatch):
+    # the random words of engine_vs_operators mostly have vacuum moment 0,
+    # so this mutant passes them; every live word with an n shows it here
+    monkeypatch.setattr(rewrite, "measured_coefficient", _weighs_n_like_b)
+    (record,) = check_measured_table_map(1.0)
+    assert record.status == "fail", record.residual
 
 
 def test_gamma_moments_abstract_table():
