@@ -23,10 +23,11 @@ assemblies of the Gram matrix are implemented:
   contractions against the pair tensor, at n D**k memory for n of them,
   and ``gram_matrix`` takes all D**k columns, an O(D**(2k+1)) assembly.
 
-The checks read G_k only through its symmetric compression, which
-``_compressed_gram`` builds from the columns and rows at the orbit
-representatives; the hermiticity record compares those two.  No check
-forms a whole Gram above the grades the route comparisons take.
+The checks read G_k only through ``_metric``, its restriction to the
+symmetric subspace in the orthonormal orbit basis, an orbits-by-orbits
+matrix built from the columns and rows at the orbit representatives; the
+hermiticity record compares those two.  No check forms a whole Gram above
+the grades the route comparisons take.
 
 Creation inserts its symbol into every gap of a tensor word, annihilation
 pairs its symbol against the first slot (a state term plus merge terms into
@@ -43,7 +44,7 @@ a flat grade has 1024 coordinates.  The gap of those images from the
 symmetric subspace, recorded on the way, is the record that licenses the
 reading.  Commutators at the basis pairs of the algebra are products of
 these matrices, and adjointness and norm bounds read them rescaled to the
-orthonormal orbit basis, against the compressed Gram matrices.
+orthonormal orbit basis, against the metrics.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ class BosonicSpace(GradedFockSpace):
         self._gram_raw = {}
         self._gram = {}
         self._hermiticity = {}
+        self._metrics = {}
         self._orbit_ops = {}
         self._symmetry_gaps = {}
 
@@ -194,42 +196,46 @@ class BosonicSpace(GradedFockSpace):
             block = pair[slot][:, None] @ split
         return block.reshape(len(block), -1)
 
-    def _compressed_gram(self, k):
-        """hermitize(G_k) S_k from the Gram at the orbit representatives R,
-        the sorted index tuples.
+    def _metric(self, k):
+        """S_k^H hermitize(G_k) S_k, with S_k the orthonormal orbit basis
+        (cached), from the Gram at the orbit representatives R, the sorted
+        index tuples.
 
-        G_k commutes with simultaneous slot permutations, so the sum of its
-        columns over an orbit is the orbit size times the orbit mean (the
-        symmetrizer P) of the column at the representative.  With
-        H_R = (G[:, R] + G[R, :]^H) / 2 the columns of hermitize(G_k) at R,
-        hermitize(G_k) S_k = P H_R diag(sqrt(sizes)).  The hermiticity gap
-        scaled_gap(G[:, R], G[R, :]^H) of the two sides is recorded on the
-        way: every entry orbit of G_k meets a column at R, so in exact
-        arithmetic it is the gap of the whole Gram.
+        G_k commutes with simultaneous slot permutations, so summing it over
+        the pairs of an orbit I and an orbit J gives s_J times the sum over
+        I of the column at the representative of J, s_J the size of J.  With
+        H_R = (G[:, R] + G[R, :]^H) / 2 the columns of hermitize(G_k) at R
+        and sums[J, I] the sum of column J of H_R over the orbit I, the
+        metric is sums^T scaled by sqrt(s_J) / sqrt(s_I), an orbits by
+        orbits matrix.  The hermiticity gap scaled_gap(G[:, R], G[R, :]^H)
+        of the two sides is recorded on the way: every entry orbit of G_k
+        meets a column at R, so in exact arithmetic it is the gap of the
+        whole Gram.
         """
-        indicator, sizes, _ = self._orbits(k)
-        # an orbit's sorted tuple is its smallest flat index
-        reps = indicator.argmax(axis=0)
-        columns = self._gram_lines(k, reps)
-        adjoint = np.conj(self._gram_lines(k, reps, rows=True))
-        self._hermiticity[k] = scaled_gap(columns, adjoint)
-        herm = columns + adjoint
-        herm *= 0.5
-        # each line block is dropped once read: at most three are alive
-        del columns, adjoint
-        # orbit sums of each line of H_R, real and imaginary parts apart, so
-        # that the real indicator is not cast to a complex copy
-        sums = herm.real @ indicator + 1j * (herm.imag @ indicator)
-        del herm
-        scaled = sums.T * (np.sqrt(sizes) / sizes[:, None])
-        # row i of P H_R is the mean over the orbit of i
-        return scaled[indicator.argmax(axis=1)]
+        if k not in self._metrics:
+            indicator, sizes = self._orbits(k)
+            # an orbit's sorted tuple is its smallest flat index
+            reps = indicator.argmax(axis=0)
+            columns = self._gram_lines(k, reps)
+            adjoint = np.conj(self._gram_lines(k, reps, rows=True))
+            self._hermiticity[k] = scaled_gap(columns, adjoint)
+            herm = columns + adjoint
+            herm *= 0.5
+            # each line block is dropped once read: at most three are alive
+            del columns, adjoint
+            # orbit sums of each line of H_R, real and imaginary parts apart,
+            # so that the real indicator is not cast to a complex copy
+            sums = herm.real @ indicator + 1j * (herm.imag @ indicator)
+            del herm
+            root = np.sqrt(sizes)
+            self._metrics[k] = hermitize(sums.T * (root / root[:, None]))
+        return self._metrics[k]
 
     def _hermiticity_gap(self, k):
-        """The hermiticity gap of the raw grade-k Gram that
-        ``_compressed_gram`` records, computed through it when missing."""
+        """The hermiticity gap of the raw grade-k Gram that ``_metric``
+        records, computed through it when missing."""
         if k not in self._hermiticity:
-            self._compressed_gram(k)
+            self._metric(k)
         return self._hermiticity[k]
 
     def _chain_tensors(self, k):
@@ -378,8 +384,8 @@ class BosonicSpace(GradedFockSpace):
         """
         key = kind, k
         if key not in self._orbit_ops:
-            indicator, sizes, _ = self._orbits(k)
-            reached, reached_sizes, _ = self._orbits(k + _SHIFTS[kind])
+            indicator, sizes = self._orbits(k)
+            reached, reached_sizes = self._orbits(k + _SHIFTS[kind])
             # an orbit's sorted tuple is its smallest flat index
             reps = reached.argmax(axis=0)
             orbit = reached.argmax(axis=1)

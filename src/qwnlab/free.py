@@ -93,9 +93,6 @@ class FreeSpace(GradedFockSpace):
             self._gram[k] = hermitize(mat)
         return self._gram[k]
 
-    def _compression(self, k):
-        return None
-
     # -- operators ----------------------------------------------------------
 
     def _symbol_tensors(self, kind, symbol):

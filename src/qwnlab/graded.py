@@ -24,23 +24,26 @@ the dim inner basis operators of a grade once and applying each outer one
 to them (``_basis_commutators`` for the q-deformed relation; the bosonic
 space multiplies its cached basis matrices instead).  Operator
 norms and the q-deformed squared relation are not linear and keep their
-random symbols.  What the norms and the adjointness check
-compute of an operator (its whitened compression, or one side of the
-adjoint identity) is linear in it, so each reads the dim basis operators
-of a grade, compressed on both sides, through one hook
-(``_basis_operators``) and applies the left factor of that fixed map to
-each: the adjointness check compares the slices of this per-grade basis
-stack, and the norms of all trials come from one batched Lanczos run on
-it, which forms no trial's operator.  By default the hook runs the kernel
-on the compressed columns; a space that keeps its basis operators in the
-coordinates of the compression (the bosonic one) reads them from there.
-A stack lives for one check and grade only.
+random symbols.
+
+Each space checks its adjointness, norms and positivity in coordinates of
+its own: the free space on the whole grade, the bosonic one on the
+symmetric subspace, in its orthonormal orbit basis.  The scaffold reads
+those coordinates through two hooks only.  ``_metric(k)`` is the Gram of
+grade k in them.  ``_basis_operators(kind, k)`` gives the dim basis
+operators of a grade in them, one at a time.  What the norms and the
+adjointness check compute of an operator (its whitened form, or one side
+of the adjoint identity) is linear in it, so each applies the left factor
+of that fixed map to each basis operator: the adjointness check compares
+the slices of this per-grade basis stack, and the norms of all trials come
+from one batched Lanczos run on it, which forms no trial's operator.  By
+default the hooks read the whole grade: the Gram, and the kernel on the
+identity.  The bosonic space builds both on the orbit representatives.  A
+stack lives for one check and grade only.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
-loop over the k! permutations.  The checks read a Gram only on those
-columns (``_compressed_gram``), which a space whose Gram commutes with
-slot permutations can build from one index per orbit.
+loop over the k! permutations.
 
 A graded vector, as ``apply`` and the vacuum walks take it, is a plain
 list whose entry k holds the dim**k coordinates of grade k, or None for an
@@ -56,7 +59,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import gram_whitening, hermitize, krylov_operator_norms
+from .linalg import gram_whitening, krylov_operator_norms
 from .report import STATUS_FAIL, residual_record
 
 CREATION = "b*"
@@ -92,20 +95,17 @@ class GradedFockSpace:
     and, for the metric and the shared adjointness check, ``gram(k)`` and
     the class attributes of its records: ``_prefix`` of the record names,
     ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the number of
-    basis elements.  ``_compression(k)`` gives the columns of the grade-k
-    subspace that relations, adjointness and operator norms are checked on,
-    or None for the whole grade; it defaults to the symmetric subspace, and
-    ``_compress(mat, k_out, k_in)`` restricts a map between grades to it.
-    ``_compressed_gram(k)``, the hermitized Gram restricted on the right to
-    that subspace, is all ``_metric(k)`` (the compressed Gram that
-    positivity is checked, operator norms are whitened and adjointness is
-    compared against) reads of the Gram.  It defaults to
-    ``_right_compressed(gram(k), k)``; a space that can build those
-    columns without the whole Gram overrides it.
+    basis elements.  ``_metric(k)`` is the one hook through which the
+    scaffold reads a Gram: positivity is checked, operator norms are
+    whitened and adjointness is compared against it.  It defaults to the
+    hermitized ``gram(k)`` of the whole grade; a space that checks on a
+    subspace returns the Gram in an orthonormal basis of it, and then gives
+    its basis operators in the same coordinates (``_basis_operators``).
 
-    These two hooks are the only definition of each operator, and
-    ``_kernel`` on a block of columns is the only way the scaffold acts
-    with one: ``word_matrix`` runs each letter's kernel on a block that
+    ``_symbol_tensors`` and ``_kernel`` are the only definition of each
+    operator, and ``_kernel`` on a block of columns is the only way the
+    scaffold acts with one: ``word_matrix`` runs each letter's kernel on a
+    block that
     starts as the requested columns (the identity by default),
     ``operator_matrix`` is the one-letter word, and ``apply``, the step a
     vacuum walk is made of, runs the kernel on the one column of each grade
@@ -119,8 +119,7 @@ class GradedFockSpace:
     grade, the basis operators from ``_basis_operators`` under the fixed
     map the check applies.  Neither builds an operator matrix: the
     adjointness check compares the stack's slices, and the norms run one
-    Lanczos iteration on it for all trials at once.  A space may override
-    ``_basis_operators`` to give S_out^H B_b S_in without the kernel.
+    Lanczos iteration on it for all trials at once.
     """
 
     def __init__(self, algebra, max_grade):
@@ -130,7 +129,6 @@ class GradedFockSpace:
         self.max_grade = int(max_grade)
         self._whitenings = {}
         self._orbit_cache = {}
-        self._metrics = {}
         self._basis_tensors = {}
 
     def _check_grade(self, k):
@@ -138,10 +136,9 @@ class GradedFockSpace:
 
     def _orbits(self, k):
         """The index orbits of grade k under slot permutations (cached):
-        the 0/1 matrix (dim**k by orbits) of the orbit of each flat index,
-        the orbit sizes, and the normalized indicators, an exact orthonormal
-        basis of the symmetric subspace, complex as the kernels need it.
-        The orbit of an index tuple is its sorted tuple."""
+        the 0/1 matrix (dim**k by orbits) of the orbit of each flat index
+        and the orbit sizes.  The orbit of an index tuple is its sorted
+        tuple."""
         self._check_grade(k)
         if k not in self._orbit_cache:
             dim = self.algebra.dim
@@ -150,40 +147,21 @@ class GradedFockSpace:
                 np.sort(tuples, axis=0), axis=1, return_inverse=True, return_counts=True
             )
             indicator = np.eye(sizes.size)[orbit.reshape(-1)]
-            basis = (indicator / np.sqrt(sizes)).astype(complex)
-            self._orbit_cache[k] = indicator, sizes, basis
+            self._orbit_cache[k] = indicator, sizes
         return self._orbit_cache[k]
 
     def symmetrizer(self, k):
         """Projection onto the symmetric part of grade k, as a matrix: each
         coordinate goes to the mean over its orbit."""
-        indicator, sizes, _ = self._orbits(k)
+        indicator, sizes = self._orbits(k)
         return (indicator / sizes) @ indicator.T
 
     def symmetric_basis(self, k):
-        """Orthonormal (coordinate-wise) basis of the symmetric subspace."""
-        return self._orbits(k)[2]
-
-    def _compression(self, k):
-        """Columns spanning the grade-k subspace that relations, adjointness
-        and operator norms are checked on, or None for the whole grade;
-        the symmetric subspace by default."""
-        return self.symmetric_basis(k)
-
-    def _left_compressed(self, mat, k):
-        """mat restricted on the left to the ``_compression`` of grade k."""
-        basis = self._compression(k)
-        return mat if basis is None else basis.conj().T @ mat
-
-    def _right_compressed(self, mat, k):
-        """mat restricted on the right to the ``_compression`` of grade k."""
-        basis = self._compression(k)
-        return mat if basis is None else mat @ basis
-
-    def _compress(self, mat, k_out, k_in):
-        """Restriction of a map from grade k_in to grade k_out to the
-        subspaces of ``_compression``."""
-        return self._right_compressed(self._left_compressed(mat, k_out), k_in)
+        """Orthonormal (coordinate-wise) basis of the symmetric subspace:
+        the normalized orbit indicators, an exact basis, complex as the
+        kernels take it."""
+        indicator, sizes = self._orbits(k)
+        return (indicator / np.sqrt(sizes)).astype(complex)
 
     def _coefficients(self, kind, symbol):
         """Coordinates of the symbol that weigh the basis operators of
@@ -217,18 +195,16 @@ class GradedFockSpace:
 
     def _basis_operators(self, kind, k):
         """The operators of ``kind`` leaving grade k at the basis elements
-        of the algebra, one at a time, each compressed on both sides,
-        S_out^H B_b S_in with S the ``_compression`` of each grade.  The
-        adjointness checks and the operator norms read the operators only
-        through this hook.  By default it runs ``_kernel`` on the columns
-        of S_in and compresses the image on the left.  The q-deformed
-        space, which takes no norms, keeps B_b S_in on flat rows for its
-        own adjointness check (``_adjoint_pair_gap``)."""
-        k_out = k + _SHIFTS[kind]
-        columns = self._compression(k)
-        block = np.eye(self.algebra.dim**k) if columns is None else columns
+        of the algebra, one at a time, in the coordinates of ``_metric``.
+        The adjointness checks and the operator norms read the operators
+        only through this hook.  By default it runs ``_kernel`` on the
+        identity of the whole grade.  The bosonic space reads them in its
+        orthonormal orbit basis, S_out^H B_b S_in.  The q-deformed space,
+        which takes no norms, keeps B_b S_in on flat rows for its own
+        adjointness check (``_adjoint_pair_gap``)."""
+        block = np.eye(self.algebra.dim**k)
         for letter in self._basis_letters(kind):
-            yield self._left_compressed(self._kernel(kind, letter, block, k), k_out)
+            yield self._kernel(kind, letter, block, k)
 
     def _basis_images(self, kind, k, columns=None):
         """The images of ``columns`` of grade k (the identity when None)
@@ -253,8 +229,8 @@ class GradedFockSpace:
 
     def _basis_stack(self, kind, k, transform):
         """``transform`` of each basis operator of ``kind`` leaving grade k,
-        compressed on both sides (``_basis_operators``), stacked along a
-        new first axis, so that the transformed operator of a
+        in the coordinates of ``_metric`` (``_basis_operators``), stacked
+        along a new first axis, so that the transformed operator of a
         symbol is the sum of the slices weighed by its ``_coefficients``.
 
         A check builds the stack of one grade, sums its trials from it and
@@ -411,20 +387,11 @@ class GradedFockSpace:
             remaining -= 1
         return vec
 
-    def _compressed_gram(self, k):
-        """The hermitized grade-k Gram restricted on the right to the
-        ``_compression`` of grade k (see the class docstring)."""
-        return self._right_compressed(self.gram(k), k)
-
     def _metric(self, k):
-        """Gram matrix of grade k in the coordinates of ``_compression``,
-        hermitized (cached); positivity is checked and operator norms are
-        whitened against it."""
-        if k not in self._metrics:
-            self._metrics[k] = hermitize(
-                self._left_compressed(self._compressed_gram(k), k)
-            )
-        return self._metrics[k]
+        """Gram matrix of grade k in the coordinates the checks run in,
+        hermitian; positivity is checked and operator norms are whitened
+        against it.  The hermitized Gram of the whole grade by default."""
+        return self.gram(k)
 
     def _whitening(self, k):
         """Whitening of the grade-k metric (cached)."""
@@ -449,16 +416,18 @@ class GradedFockSpace:
         return worst, "; ".join(details)
 
     def _operator_norms(self, kind, symbols, k):
-        """Norms of the compressed operators of ``kind`` leaving grade k at
-        each of ``symbols``, measured against the metrics of both grades,
-        and the relative residual of the Ritz pair each was read from.
+        """Norms of the operators of ``kind`` leaving grade k, restricted to
+        the subspaces the space checks on (``_basis_operators``), at each
+        of ``symbols``, measured against the metrics of both grades, and
+        the relative residual of the Ritz pair each was read from.
 
-        With W the whitener of a grade, G its metric and S its compression,
-        the whitened operator W_out^H G_out S_out^H B S_in W_in is linear in
-        B, so the stack of whitened basis operators, each of which arrives
-        as S_out^H B S_in, and the symbols' coefficients define it; one batched
-        Lanczos run (``krylov_operator_norms``) takes every symbol's norm
-        from them without forming the operator.
+        With W the whitener of a grade, G its metric and S the orthonormal
+        columns of the subspace it is checked on, the whitened operator
+        W_out^H G_out S_out^H B S_in W_in is linear in B, so the stack of
+        whitened basis operators, each of which arrives as S_out^H B S_in,
+        and the symbols' coefficients define it; one batched Lanczos run
+        (``krylov_operator_norms``) takes every symbol's norm from them
+        without forming the operator.
         """
         k_out = k + _SHIFTS[kind]
         out, into = self._whitening(k_out), self._whitening(k)
@@ -507,13 +476,14 @@ class GradedFockSpace:
         """Worst ``gap`` over the grades below the top between the two sides
         of creation against annihilation as adjoints for ``grams``, the
         Grams of every grade on the rows ``_basis_operators`` yields,
-        restricted on the right to ``_compression``.  On compressed rows
-        they are M_k = S_k^H G_k S_k, hermitian: every Gram here commutes
-        with the projection S_k S_k^H, so G_k S_k = S_k M_k, and the
-        identity S_(k+1)^H A^H G_k S_k = S_(k+1)^H G_(k+1) C S_k reads
+        restricted on the right to the columns S_k the space checks on.
+        Restricted on both sides they are the metrics M_k = S_k^H G_k S_k,
+        hermitian: every Gram here commutes with the projection S_k S_k^H,
+        so G_k S_k = S_k M_k, and the identity
+        S_(k+1)^H A^H G_k S_k = S_(k+1)^H G_(k+1) C S_k reads
         (S_k^H A S_(k+1))^H M_k = M_(k+1)^H (S_(k+1)^H C S_k), whatever the
-        operators do to the complement of the compression.  On flat rows
-        it reads (A S_(k+1))^H (G_k S_k) = (G_(k+1) S_(k+1))^H (C S_k).
+        operators do to the complement of the subspace.  On flat rows it
+        reads (A S_(k+1))^H (G_k S_k) = (G_(k+1) S_(k+1))^H (C S_k).
 
         Both sides are linear in the symbol, so each is a stack of its basis
         sides, built once per grade, and the identity holds for every symbol
@@ -535,8 +505,8 @@ class GradedFockSpace:
 
     def check_adjointness(self, tol=1e-9):
         """Creation against annihilation and number against the number of
-        the starred symbol, as adjoints for the Gram, compared after
-        ``_compress`` at each basis element of the algebra (see
+        the starred symbol, as adjoints for the Gram, compared in the
+        coordinates of ``_metric`` at each basis element of the algebra (see
         ``_adjoint_pair_gap`` for the pair).  Both identities are linear in
         the symbol, so the basis proves them for every symbol.
 

@@ -118,13 +118,26 @@ class QFockSpace(GradedFockSpace):
             )
         return out
 
-    def _compression(self, k):
+    def _columns(self, k):
+        """The columns of grade k that the relations and adjointness are
+        checked on: the symmetric basis at q = 1, where the q-Gram is the
+        symmetrizer's multiple, and None for the whole grade otherwise."""
         return self.symmetric_basis(k) if self.q == 1.0 else None
+
+    def _compress(self, mat, k_out=None, k_in=None):
+        """mat restricted on the left to the ``_columns`` of grade k_out and
+        then on the right to those of grade k_in, each side where its grade
+        is given and has columns."""
+        left = None if k_out is None else self._columns(k_out)
+        right = None if k_in is None else self._columns(k_in)
+        if left is not None:
+            mat = left.conj().T @ mat
+        return mat if right is None else mat @ right
 
     def _basis_operators(self, kind, k):
         # Only the adjointness check reads these, against the q-Grams
         # restricted on the right, so the images keep their flat rows.
-        return iter(self._basis_images(kind, k, self._compression(k)))
+        return iter(self._basis_images(kind, k, self._columns(k)))
 
     # -- checks ---------------------------------------------------------------
 
@@ -132,17 +145,17 @@ class QFockSpace(GradedFockSpace):
         """a_phi a*_psi - q a*_psi a_phi = <phi, psi> on every grade, at the
         basis mode pairs (e_i, e_j), where the pairing is delta_ij.  Both
         sides are linear in psi and conjugate-linear in phi, so the pairs
-        prove it for every symbol.  The commutators run on the columns of
-        ``_compression`` and are compared after left compression."""
+        prove it for every symbol.  The commutators run on the ``_columns``
+        and are compared after restriction on the left."""
         worst = 0.0
         pairings = np.eye(self.dim).reshape(-1)
         for n in range(self.max_grade):
-            columns = self._compression(n)
+            columns = self._columns(n)
             block = np.eye(self.dim**n) if columns is None else columns
-            identity = self._left_compressed(block, n)
+            identity = self._compress(block, k_out=n)
             diffs = self._basis_commutators(ANNIHILATION, CREATION, n, columns, self.q)
             for pairing, diff in zip(pairings, diffs):
-                lhs = self._left_compressed(diff, n)
+                lhs = self._compress(diff, k_out=n)
                 worst = max(worst, scaled_gap(lhs, pairing * identity))
         return [
             residual_record(
@@ -201,7 +214,7 @@ class QFockSpace(GradedFockSpace):
         S_(n+1)^H A^H G_n S_n = (A S_(n+1))^H (G_n S_n) against
         S_(n+1)^H G_(n+1) C S_n = (G_(n+1) S_(n+1))^H (C S_n)."""
         grams = [
-            self._right_compressed(self.q_gram(n), n) for n in range(self.max_grade + 1)
+            self._compress(self.q_gram(n), k_in=n) for n in range(self.max_grade + 1)
         ]
         worst = self._adjoint_pair_gap(grams, scaled_gap)
         return [

@@ -46,6 +46,11 @@ ALGEBRA_KINDS = ("functions", "matrices")
 # checks form inside the double range with room to spare.
 MAX_GAMMA = 1e30
 
+# Lowest truncation each suite runs at; the others run from 1.  The bosonic
+# closed forms read the grade-2 Gram, and the free moment, cumulant and
+# traciality checks walk words of length up to 6, which need 3 grades.
+MIN_TRUNCATION = {"bosonic": 2, "free": 3, "all": 3}
+
 # Largest dense array, in bytes, a run may form (2 GiB).  A check holds a
 # few arrays of the largest size at once, so a run needs a few times this.
 MAX_DENSE_BYTES = 2 * 2**30
@@ -104,6 +109,11 @@ class RunConfig:
             raise ValueError("dimension must be between 1 and 3")
         if not 1 <= self.truncation <= 6:
             raise ValueError("truncation must be between 1 and 6")
+        floor = MIN_TRUNCATION.get(self.suite, 1)
+        if self.truncation < floor:
+            raise ValueError(
+                "suite %s needs truncation at least %d" % (self.suite, floor)
+            )
         if not (0 < self.gamma0 <= MAX_GAMMA and 0 < self.gamma <= MAX_GAMMA):
             raise ValueError("gamma0 and gamma must lie in (0, %g]" % MAX_GAMMA)
         if not -1.0 < self.q <= 1.0:

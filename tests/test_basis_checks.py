@@ -9,16 +9,21 @@ as the oracle: over function algebras at non-dyadic weights, over M_2 and
 over two and three modes at q in {-0.3, 0.5, 1} they must give the same
 statuses, with every asserted residual inside its pinned tolerance.  A
 kernel image perturbed at one basis element must fail every basis record,
-whichever element it is.
+whichever element it is, and a bosonic metric scaled the wrong way by the
+orbit sizes must fail adjointness.
 """
 
 import functools
+import inspect
 import itertools
 import math
+import textwrap
+import types
 
 import numpy as np
 import pytest
 
+import qwnlab.bosonic
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace, _is_dyadic
 from qwnlab.free import FreeSpace
@@ -51,6 +56,16 @@ def _spaces(cls):
     return {name: functools.partial(make, cls) for name, make in SPACES.items()}
 
 
+def compress(space, mat, k_out, k_in):
+    """mat restricted to the subspaces the adjointness and norms of a space
+    are checked on: S_out^H mat S_in with S the orthonormal symmetric basis
+    of the bosonic space, and mat itself on the whole grades of the free
+    one."""
+    if isinstance(space, FreeSpace):
+        return mat
+    return space.symmetric_basis(k_out).conj().T @ mat @ space.symmetric_basis(k_in)
+
+
 def adjoint_residuals(space, symbols):
     """The adjointness residuals over ``symbols`` with both sides formed in
     full from operator matrices and then compressed."""
@@ -65,14 +80,14 @@ def adjoint_residuals(space, symbols):
         for k in range(space.max_grade):
             create = space.operator_matrix(CREATION, zeta, k)
             annihilate = space.operator_matrix(ANNIHILATION, zeta, k + 1)
-            lhs = space._compress(annihilate.conj().T @ space.gram(k), k + 1, k)
-            rhs = space._compress(space.gram(k + 1) @ create, k + 1, k)
+            lhs = compress(space, annihilate.conj().T @ space.gram(k), k + 1, k)
+            rhs = compress(space, space.gram(k + 1) @ create, k + 1, k)
             worst_pair = max(worst_pair, gap(lhs, rhs))
         for k in range(1, space.max_grade + 1):
             num = space.operator_matrix(NUMBER, zeta, k)
             num_star = space.operator_matrix(NUMBER, alg.star(zeta), k)
-            lhs = space._compress(num.conj().T @ space.gram(k), k, k)
-            rhs = space._compress(space.gram(k) @ num_star, k, k)
+            lhs = compress(space, num.conj().T @ space.gram(k), k, k)
+            rhs = compress(space, space.gram(k) @ num_star, k, k)
             worst_number = max(worst_number, gap(lhs, rhs))
     return worst_pair, worst_number
 
@@ -150,7 +165,7 @@ def trial_commutators(space, rng, trials, tol_affine=AFFINE_TOL):
             diff = space.commutator([(CREATION, phi)], [(CREATION, psi)], k)
             worst["cc"] = max(worst["cc"], np.abs(diff).max())
         for k in range(2, space.max_grade + 1):
-            indicator, sizes, _ = space._orbits(k)
+            indicator, sizes = space._orbits(k)
             diff = space.commutator(
                 [(ANNIHILATION, phi)], [(ANNIHILATION, psi)], k, columns=indicator
             )
@@ -164,7 +179,7 @@ def trial_commutators(space, rng, trials, tol_affine=AFFINE_TOL):
         product = alg.mul(alg.star(phi), psi)
         pairing = alg.state(product)
         for k in range(space.max_grade):
-            indicator, sizes, _ = space._orbits(k)
+            indicator, sizes = space._orbits(k)
             expected = 2.0 * space.gamma0 * pairing * np.eye(alg.dim**k)
             expected = expected + 4.0 * space.operator_matrix(NUMBER, product, k)
             diff = space.commutator(
@@ -381,7 +396,7 @@ def tensor_route_commutators(space):
         for diff in same_kind_commutators(space, CREATION, k):
             worst["cc"] = max(worst["cc"], np.abs(diff).max())
     for k in range(2, top + 1):
-        indicator, sizes, _ = space._orbits(k)
+        indicator, sizes = space._orbits(k)
         for diff in same_kind_commutators(space, ANNIHILATION, k, indicator):
             worst["aa"] = max(worst["aa"], np.abs(diff / sizes).max())
     if alg.commutative:
@@ -395,7 +410,7 @@ def tensor_route_commutators(space):
         space._letter(NUMBER, c) for c in alg.coords(products).reshape(-1, alg.dim)
     ]
     for k in range(top):
-        indicator, sizes, _ = space._orbits(k)
+        indicator, sizes = space._orbits(k)
         diffs = space._basis_commutators(ANNIHILATION, CREATION, k, indicator)
         for diff, pairing, number in zip(diffs, pairings, numbers):
             expected = 2.0 * space.gamma0 * pairing * indicator
@@ -410,9 +425,11 @@ def tensor_route_commutators(space):
 def tensor_route_adjointness(space):
     """The bosonic adjointness residuals on flat rows: the basis operators
     by the kernel on the symmetric basis columns, against the Gram
-    restricted on the right."""
+    restricted on the right to the symmetric basis."""
     alg = space.algebra
-    grams = [space._compressed_gram(k) for k in range(space.max_grade + 1)]
+    grams = [
+        space.gram(k) @ space.symmetric_basis(k) for k in range(space.max_grade + 1)
+    ]
 
     def gap(lhs, rhs):
         scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
@@ -496,7 +513,7 @@ def test_orbit_operators_are_the_compressed_kernels():
             k_out = k + _SHIFTS[kind]
             oracle = space._basis_images(kind, k, space.symmetric_basis(k))
             for built, image in zip(space._basis_operators(kind, k), oracle):
-                expected = space._left_compressed(image, k_out)
+                expected = space.symmetric_basis(k_out).conj().T @ image
                 scale = max(np.abs(expected).max(), 1.0)
                 assert np.abs(built - expected).max() <= ORBIT_TOL * scale, (kind, k)
 
@@ -610,3 +627,37 @@ def test_a_perturbed_basis_operator_fails_each_basis_record(cls, check, name, ki
         space = _perturb(_mutation_space(cls), kind, b)
         records = {r.name: r for r in getattr(space, check)()}
         assert records[name].status == "fail", (name, b, records[name].residual)
+
+
+def _swapped_metric(space):
+    """``space`` with its ``_metric`` mutated to scale the orbit sums by
+    sqrt(s_I) / sqrt(s_J) in place of sqrt(s_J) / sqrt(s_I): the source of
+    the method with the one factor swapped, compiled in the module."""
+    source = textwrap.dedent(inspect.getsource(BosonicSpace._metric))
+    right, swapped = "(root / root[:, None])", "(root[:, None] / root)"
+    assert source.count(right) == 1
+    scope = {}
+    exec(source.replace(right, swapped), vars(qwnlab.bosonic), scope)
+    space._metric = types.MethodType(scope["_metric"], space)
+    return space
+
+
+def test_a_swapped_orbit_scaling_of_the_metric_fails_adjointness():
+    name = "bosonic.adjoint.creation_annihilation"
+    clean = {r.name: r for r in SPACES["m2"](BosonicSpace).check_adjointness()}
+    assert clean[name].status == "pass"
+    mutant = _swapped_metric(SPACES["m2"](BosonicSpace))
+    record = {r.name: r for r in mutant.check_adjointness()}[name]
+    assert record.status == "fail", record.residual
+
+
+def test_a_swapped_orbit_scaling_is_invisible_over_a_function_algebra():
+    # over a function algebra star(e_a) e_b vanishes unless a = b, so the
+    # Gram is diagonal in flat coordinates and the metric in orbit ones;
+    # the swap rescales only its zero entries, and adjointness cannot see it
+    space = SPACES["f3"](BosonicSpace)
+    mutant = _swapped_metric(SPACES["f3"](BosonicSpace))
+    for k in range(space.max_grade + 1):
+        metric = space._metric(k)
+        assert np.array_equal(metric, np.diag(np.diag(metric)))
+        assert np.array_equal(mutant._metric(k), metric), k

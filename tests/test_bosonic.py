@@ -440,22 +440,21 @@ def _assert_close(new, full):
 @pytest.mark.parametrize("gamma0", [1.0, 0.7, 1e-3])
 @pytest.mark.parametrize("name", sorted(ROUTE_ALGEBRAS))
 def test_representative_route_matches_the_whole_gram(name, gamma0):
-    # the compressed Gram, the metric, the adjointness stacks and the
-    # hermiticity gap from the Gram at the orbit representatives, against
-    # the same built from the whole hermitized Gram
+    # the metric, the adjointness stacks and the hermiticity gap from the
+    # Gram at the orbit representatives, against the same built from the
+    # whole hermitized Gram restricted to the orthonormal orbit basis S
     space = BosonicSpace(ROUTE_ALGEBRAS[name](), 5, gamma0=gamma0)
     top = space.max_grade
-    new = [space._compressed_gram(k) for k in range(top + 1)]
-    full = [space._right_compressed(space.gram(k), k) for k in range(top + 1)]
+    new = [space._metric(k) for k in range(top + 1)]
+    full = []
     for k in range(top + 1):
+        basis = space.symmetric_basis(k)
+        full.append(hermitize(basis.conj().T @ space.gram(k) @ basis))
         _assert_close(new[k], full[k])
-        _assert_close(space._metric(k), hermitize(space._compress(space.gram(k), k, k)))
         raw = space.gram_matrix(k)
         gap = scaled_gap(raw, raw.conj().T)
         assert abs(space._hermiticity_gap(k) - gap) <= 1e-14, k
     # the adjointness stacks pair the compressed operators with the metrics
-    new = [space._metric(k) for k in range(top + 1)]
-    full = [hermitize(space._compress(space.gram(k), k, k)) for k in range(top + 1)]
     for k in range(top):
         for kind, grade, side in (
             (ANNIHILATION, k + 1, lambda mat, grams: mat.conj().T @ grams[k]),

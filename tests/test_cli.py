@@ -13,6 +13,7 @@ import pytest
 from qwnlab.cli import UsageError, _check_output, _load_config, main
 from qwnlab.suites import (
     MAX_DENSE_BYTES,
+    MIN_TRUNCATION,
     SUITE_IDS,
     VERIFY_SUITES,
     RunConfig,
@@ -577,12 +578,46 @@ def test_resource_guard_accepts_the_known_configurations():
         {"suite": suite, "dim": dim, "truncation": t}
         for suite in sorted(SUITE_IDS) + ["all"]
         for dim in (1, 2, 3)
-        for t in range(1, 7)
+        for t in range(MIN_TRUNCATION.get(suite, 1), 7)
     ]
     for options in GUARD_ACCEPTS + functions:
         c = RunConfig(**options)
         size = largest_dense_bytes(c.suite, c.kind, c.dim, c.truncation)
         assert size <= MAX_DENSE_BYTES, options
+
+
+# Truncations below a suite's floor: the bosonic closed forms read the
+# grade-2 Gram, and the free moment checks walk words of length 6.
+FLOOR_REFUSES = [
+    ("bosonic", 1),
+    ("free", 1),
+    ("free", 2),
+    ("all", 1),
+    ("all", 2),
+]
+
+
+def test_truncation_below_a_suites_floor_exits_two(capsys, monkeypatch):
+    for suite, truncation in FLOOR_REFUSES:
+        with pytest.raises(ValueError, match="needs truncation at least"):
+            RunConfig(suite=suite, truncation=truncation)
+    _refuse_to_run(monkeypatch)
+    for suite, truncation in FLOOR_REFUSES:
+        argv = ["verify", suite, "--truncation", str(truncation)]
+        _exits_two_with_one_error_line(capsys, argv)
+        for kind in ("functions", "matrices"):
+            _exits_two_with_one_error_line(capsys, argv + ["--kind", kind])
+
+
+def test_suites_without_a_floor_run_at_truncation_one(tmp_path):
+    out = tmp_path / "report.json"
+    code = run_cli(["verify", "qdeform", "--truncation", "1", "--output", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["truncation"] == 1
+    assert payload["summary"]["failed"] == 0
+    for suite in ("qdeform", "diagonal", "classical", "nogo", "combinatorics"):
+        assert RunConfig(suite=suite, truncation=1).truncation == 1
 
 
 def test_resource_guard_refuses_before_running(capsys, monkeypatch):

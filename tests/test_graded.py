@@ -22,7 +22,7 @@ from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
 from qwnlab.linalg import KRYLOV_TOL, symmetrizer_matrix
 from qwnlab.qdeform import QFockSpace
-from test_basis_checks import adjoint_residuals
+from test_basis_checks import adjoint_residuals, compress
 from test_linalg import whitened_operator_norm
 
 
@@ -329,7 +329,7 @@ def test_operator_norms_match_the_whitened_compressed_matrix(name):
         assert norms.shape == residuals.shape == (len(symbols),)
         assert (residuals <= KRYLOV_TOL).all(), (kind, k)
         for symbol, norm in zip(symbols, norms):
-            mat = space._compress(space.operator_matrix(kind, symbol, k), k_out, k)
+            mat = compress(space, space.operator_matrix(kind, symbol, k), k_out, k)
             expected = whitened_operator_norm(mat, out, into)
             assert abs(norm - expected) <= 1e-13 * expected, (kind, k)
 
@@ -468,19 +468,27 @@ def test_positivity_and_norms_share_one_eigensolve_per_grade(name, monkeypatch):
     assert solves == Counter(eigh=space.max_grade + 1)
 
 
-def test_compression_hook_per_space():
+def test_metric_hook_per_space():
+    # the free space checks on the whole grade, so its metric is its Gram;
+    # the bosonic one on the symmetric subspace, one row and column per
+    # orbit, S^H G S with S the orthonormal orbit basis; the q-deformed
+    # space restricts its flat matrices to the symmetric basis at q = 1 only
+    free = FreeSpace(FunctionAlgebra([0.5, 1.0]), 3)
+    assert free._metric(2) is free.gram(2)
     sym = BosonicSpace(FunctionAlgebra([0.5, 1.0]), 3)
-    assert sym._compression(2) is sym.symmetric_basis(2)
-    assert FreeSpace(FunctionAlgebra([0.5, 1.0]), 3)._compression(2) is None
-    assert QFockSpace(2, 0.5, 3)._compression(2) is None
+    basis = sym.symmetric_basis(2)
+    assert sym._metric(2).shape == (3, 3)
+    expected = basis.conj().T @ sym.gram(2) @ basis
+    assert np.abs(sym._metric(2) - expected).max() <= 1e-15 * np.abs(expected).max()
     q_one = QFockSpace(2, 1.0, 3)
-    basis = q_one.symmetric_basis(2)
-    assert q_one._compression(2) is basis
     mat = np.arange(32.0).reshape(4, 8)
     assert np.array_equal(
-        q_one._compress(mat, 2, 3), basis.conj().T @ mat @ q_one.symmetric_basis(3)
+        q_one._compress(mat, 2, 3),
+        q_one.symmetric_basis(2).conj().T @ mat @ q_one.symmetric_basis(3),
     )
-    assert QFockSpace(2, 0.5, 3)._compress(mat, 2, 3) is mat
+    q_half = QFockSpace(2, 0.5, 3)
+    assert q_half._columns(2) is None
+    assert q_half._compress(mat, 2, 3) is mat
 
 
 # Base dimensions for the orbit tests: 4 is M_2 and 9 is M_3.
@@ -512,7 +520,7 @@ def test_orbit_basis_is_orthonormal_and_spans_the_symmetrizer(dim):
     space = _orbit_space(dim, grades[-1])
     for k in grades:
         basis = space.symmetric_basis(k)
-        # stored complex for the kernels, with a zero imaginary part
+        # complex as the kernels take it, with a zero imaginary part
         assert basis.dtype == np.complex128 and not basis.imag.any()
         gram = basis.conj().T @ basis
         assert np.abs(gram - np.eye(basis.shape[1])).max() <= 1e-15
@@ -562,7 +570,7 @@ def test_right_symmetrized_matches_the_permutation_average(dim):
     for k in range(space.max_grade + 1):
         if dim**k > 1024:
             continue
-        indicator, sizes, _ = space._orbits(k)
+        indicator, sizes = space._orbits(k)
         keep = _orbit_representatives(dim, k)
         words = [[ANNIHILATION, CREATION]] if k < space.max_grade else []
         words += [[ANNIHILATION, ANNIHILATION]] if k >= 2 else []
@@ -590,7 +598,7 @@ def test_right_symmetrized_keeps_exact_cancellation():
     for algebra in (FunctionAlgebra([0.5, 0.75]), MatrixAlgebra(2)):
         space = BosonicSpace(algebra, 4, 0.5)
         for k in range(2, 5):
-            indicator, sizes, _ = space._orbits(k)
+            indicator, sizes = space._orbits(k)
             for _ in range(3):
                 left, right = (
                     [(ANNIHILATION, random_element(algebra, rng, dyadic=True))]
