@@ -20,8 +20,6 @@ interval factors of the free Gram).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 
@@ -176,20 +174,10 @@ def random_weights(rng, size=None):
     return (1.0 + rng.integers(0, 4, size)) / 4.0
 
 
-class ChainStates(NamedTuple):
-    """The pair-product state tensors [M_1, ..., M_k] and the chain of
-    max(k - 1, 1) pairs that the last one was contracted from, kept so
-    that a later call can continue to a higher k."""
-
-    tensors: list
-    chain: np.ndarray
-
-
-def pair_product_state_tensors(alg, kmax, kept=None):
+def pair_product_state_tensors(alg, kmax):
     """State tensors of interleaved pair products, for the graded Gram forms.
 
-    Returns the :class:`ChainStates` whose tensors are [M_1, ..., M_kmax];
-    M_m has shape (D,)*2m and entry
+    Returns the list [M_1, ..., M_kmax]; M_m has shape (D,)*2m and entry
 
         M_m[i1..im, j1..jm] = state( star(e_i1) e_j1 ... star(e_im) e_jm )
 
@@ -202,13 +190,7 @@ def pair_product_state_tensors(alg, kmax, kept=None):
     contracts the coordinates of the length m - 1 chain against those of
     the last pair through it, and no chain is multiplied out to length
     kmax.  The largest array held is M_kmax itself, D**(2 kmax) entries.
-
-    ``kept``, the ChainStates of an earlier call, is continued: only the
-    levels above its tensors are built, from its chain, which holds
-    D**(2k - 1) entries, 1/D of its top tensor M_k.
     """
-    if kept is not None and len(kept.tensors) >= kmax:
-        return kept
     D = alg.dim
     basis = alg.basis()
     # C[i, j] = star(e_i) e_j
@@ -216,11 +198,8 @@ def pair_product_state_tensors(alg, kmax, kept=None):
     form = alg.state(alg.mul(basis[:, None], basis[None, :]))
     # closing[i, x, j] = state(e_x star(e_i) e_j)
     closing = np.einsum("xy,ijy->ixj", form, alg.coords(pair))
-    if kept is None:
-        tensors, chain = [alg.state(pair)], pair
-    else:
-        tensors, chain = list(kept.tensors), kept.chain
-    for m in range(len(tensors) + 1, kmax + 1):
+    tensors, chain = [alg.state(pair)], pair
+    for m in range(2, kmax + 1):
         if m > 2:
             a = chain.shape[0]
             grown = alg.mul(
@@ -233,7 +212,7 @@ def pair_product_state_tensors(alg, kmax, kept=None):
         coords = alg.coords(chain)
         product = np.matmul(coords[:, None], closing)
         tensors.append(product.reshape((D,) * (2 * m)))
-    return ChainStates(tensors, chain)
+    return tensors
 
 
 def basis_word_products(alg, kmax):

@@ -73,6 +73,19 @@ def _is_dyadic(value, bits=_DYADIC_BITS):
     return scaled == round(scaled)
 
 
+def _list_sums(states):
+    """L_n = sum over sigma of M_n with sigma permuting the i axes and the
+    j axes alike, for the pair-product state tensor M_n: the n! lists of
+    an n-block summed into one tensor."""
+    n = states.ndim // 2
+    total = states.copy()
+    orders = itertools.permutations(range(n))
+    next(orders)  # the identity, already in the copy
+    for order in orders:
+        total += states.transpose(order + tuple(n + p for p in order))
+    return total
+
+
 class BosonicSpace(GradedFockSpace):
     """Graded coordinate model of the quadratic bosonic algebra.
 
@@ -114,9 +127,6 @@ class BosonicSpace(GradedFockSpace):
             algebra.mul(algebra.star(basis)[:, None], basis[None, :])
         )
         self._functionals = [np.ones((), dtype=complex)]
-        self._chains = None
-        self._lists = []
-        self._gram_raw = {}
         self._gram = {}
         self._hermiticity = {}
         self._metrics = {}
@@ -138,8 +148,8 @@ class BosonicSpace(GradedFockSpace):
 
         which is exact because the state is tracial.  The ordered route is
         the partition sum of the definition and the set-partition route
-        needs a commutative algebra.  The result is cached per route and
-        not hermitized.
+        needs a commutative algebra.  Each call builds a new array, kept
+        nowhere and not hermitized.
         """
         self._check_grade(k)
         if method is None:
@@ -150,14 +160,9 @@ class BosonicSpace(GradedFockSpace):
             raise ValueError(
                 "the set-partition assembly assumes a commutative algebra"
             )
-        key = (k, method)
-        if key not in self._gram_raw:
-            if method == "recursive":
-                every = np.arange(self.algebra.dim**k)
-                self._gram_raw[key] = self._gram_lines(k, every).T
-            else:
-                self._gram_raw[key] = self._assemble_gram(k, method)
-        return self._gram_raw[key]
+        if method == "recursive":
+            return self._gram_lines(k, np.arange(self.algebra.dim**k)).T
+        return self._assemble_gram(k, method)
 
     def _functional(self, k):
         """Phi_k of gram_matrix on basis elements, as a (D,)*k tensor."""
@@ -238,29 +243,6 @@ class BosonicSpace(GradedFockSpace):
             self._metric(k)
         return self._hermiticity[k]
 
-    def _chain_tensors(self, k):
-        """Pair-product state tensors up to grade k, each level built once:
-        a call for a higher grade continues the kept chain."""
-        if self._chains is None or len(self._chains.tensors) < k:
-            self._chains = pair_product_state_tensors(self.algebra, k, self._chains)
-        return self._chains.tensors
-
-    def _list_tensors(self, k):
-        """L_n = sum over sigma of M_n with sigma permuting the i axes and
-        the j axes alike, for n up to k: the n! lists of an n-block summed
-        into one tensor, cached."""
-        chains = self._chain_tensors(k)
-        while len(self._lists) < k:
-            n = len(self._lists) + 1
-            states = chains[n - 1]
-            total = states.copy()
-            orders = itertools.permutations(range(n))
-            next(orders)  # the identity, already in the copy
-            for order in orders:
-                total += states.transpose(order + tuple(n + p for p in order))
-            self._lists.append(total)
-        return self._lists
-
     def _assemble_gram(self, k, method):
         """Grade-k Gram as a sum over set partitions of the slots, one
         einsum per partition (203 at grade 6).  An n-block reads L_n at
@@ -274,10 +256,9 @@ class BosonicSpace(GradedFockSpace):
         out_sub = _LETTERS[: 2 * k]
         total = np.zeros((size, size), dtype=complex)
         base = 2.0**k / math.factorial(k)
+        tensors = pair_product_state_tensors(self.algebra, k)
         if method == "ordered":
-            tensors = self._list_tensors(k)
-        else:
-            tensors = self._chain_tensors(k)
+            tensors = [_list_sums(states) for states in tensors]
         for partition in set_partitions(k):
             coeff = base
             operands = []
@@ -475,13 +456,12 @@ class BosonicSpace(GradedFockSpace):
             ),
         ]
 
-    def _route_gap(self, method, oracle, kmax):
-        """Worst relative Frobenius gap between two Gram routes, grades 1..kmax."""
-        # the partition routes share one chain build for every grade
-        self._chain_tensors(kmax)
+    def _route_gap(self, method, kmax):
+        """Worst relative Frobenius gap of a Gram route from the ordered
+        one, grades 1..kmax."""
         worst = 0.0
         for k in range(1, kmax + 1):
-            a = self.gram_matrix(k, method=oracle)
+            a = self.gram_matrix(k, method="ordered")
             b = self.gram_matrix(k, method=method)
             scale = max(np.linalg.norm(a), 1.0)
             worst = max(worst, np.linalg.norm(a - b) / scale)
@@ -497,7 +477,7 @@ class BosonicSpace(GradedFockSpace):
             residual_record(
                 "bosonic.gram.assembly_routes_agree",
                 "scalar product partition expansion",
-                self._route_gap("setpartition", "ordered", kmax),
+                self._route_gap("setpartition", kmax),
                 tol,
                 notes="grades 1..%d" % kmax,
             )
@@ -511,7 +491,7 @@ class BosonicSpace(GradedFockSpace):
             residual_record(
                 "bosonic.gram.recursion_matches_ordered",
                 "scalar product partition expansion",
-                self._route_gap("recursive", "ordered", kmax),
+                self._route_gap("recursive", kmax),
                 tol,
                 notes="grades 1..%d, tracial state" % kmax,
             )

@@ -68,6 +68,10 @@ NUMBER = "n"
 
 _SHIFTS = {CREATION: 1, NUMBER: 0, ANNIHILATION: -1}
 
+# Symbols per Lanczos run of the norm checks.  A run's basis holds a vector
+# per step, side and symbol, so batches keep its memory flat in the trials.
+_NORM_BATCH = 128
+
 
 class GradeOverflowError(RuntimeError):
     """A creation-type operator tried to step past the truncation grade."""
@@ -426,8 +430,8 @@ class GradedFockSpace:
         W_out^H G_out S_out^H B S_in W_in is linear in B, so the stack of
         whitened basis operators, each of which arrives as S_out^H B S_in,
         and the symbols' coefficients define it; one batched Lanczos run
-        (``krylov_operator_norms``) takes every symbol's norm from them
-        without forming the operator.
+        (``krylov_operator_norms``) per ``_NORM_BATCH`` symbols takes their
+        norms from them without forming the operator.
         """
         k_out = k + _SHIFTS[kind]
         out, into = self._whitening(k_out), self._whitening(k)
@@ -437,7 +441,12 @@ class GradedFockSpace:
             kind, k, lambda mat: out.left @ (mat @ into.whitener)
         )
         coeffs = np.array([self._coefficients(kind, s) for s in symbols])
-        return krylov_operator_norms(stack, coeffs)
+        # no symbols still make one (empty) run, for two empty arrays
+        batches = [
+            krylov_operator_norms(stack, coeffs[start : start + _NORM_BATCH])
+            for start in range(0, max(len(coeffs), 1), _NORM_BATCH)
+        ]
+        return tuple(np.concatenate(part) for part in zip(*batches))
 
     def _norm_records(self, prefix, claim, cases, symbols, slack):
         """Norm-bound records: ``cases`` are (name, kind, grade, bound)

@@ -43,7 +43,9 @@ ALGEBRA_KINDS = ("functions", "matrices")
 # Largest gamma0 and gamma a run accepts.  Grade-k Gram entries grow like
 # gamma**k: at truncation 6, 1e60 overflows them and eigvalsh raises,
 # while 1e50 still ends in failing records.  1e30 keeps the products the
-# checks form inside the double range with room to spare.
+# checks form inside the double range with room to spare.  The cell
+# measure l lies in [1 / MAX_GAMMA, MAX_GAMMA] too: the no-go certificate
+# squares l and 1 / l, which overflows a double from about 1.4e154.
 MAX_GAMMA = 1e30
 
 # Lowest truncation each suite runs at; the others run from 1.  The bosonic
@@ -118,8 +120,10 @@ class RunConfig:
             raise ValueError("gamma0 and gamma must lie in (0, %g]" % MAX_GAMMA)
         if not -1.0 < self.q <= 1.0:
             raise ValueError("q must lie in (-1, 1]")
-        if self.l <= 0:
-            raise ValueError("the cell measure l must be positive")
+        if not 1 / MAX_GAMMA <= self.l <= MAX_GAMMA:
+            raise ValueError(
+                "the cell measure l must lie in [%g, %g]" % (1 / MAX_GAMMA, MAX_GAMMA)
+            )
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.tolerance <= 0:

@@ -94,7 +94,7 @@ def test_pair_product_state_tensors_against_loops(name):
     # the delta basis of a function algebra pairs only equal indices, so
     # only the matrix bases pin the axis order [i1..im, j1..jm]
     alg = CHAIN_ALGEBRAS[name]()
-    tensors = pair_product_state_tensors(alg, 3).tensors
+    tensors = pair_product_state_tensors(alg, 3)
     basis = alg.basis()
     for m, tensor in enumerate(tensors, 1):
         expected = np.empty(tensor.shape, dtype=complex)
@@ -112,7 +112,7 @@ def test_pair_product_state_tensors_hold_little_beyond_their_output():
     # 4 MB array for a 1 MB output
     tracemalloc.start()
     try:
-        tensors = pair_product_state_tensors(MatrixAlgebra(2), 4).tensors
+        tensors = pair_product_state_tensors(MatrixAlgebra(2), 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

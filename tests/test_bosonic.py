@@ -173,26 +173,20 @@ def test_recursive_gram_matches_ordered_route():
         for k in range(kmax + 1):
             ordered = space.gram_matrix(k, method="ordered")
             recursive = space.gram_matrix(k, method="recursive")
-            assert recursive is space.gram_matrix(k)
             assert _relative_gap(ordered, recursive) <= 1e-12
     with pytest.raises(ValueError):
         space.gram_matrix(1, method="cycles")
 
 
-def _record_chain_builds(monkeypatch, levels=None):
-    """The grades pair_product_state_tensors is asked for, in order; the
-    levels each call builds go to ``levels`` when given."""
+def _record_chain_builds(monkeypatch):
+    """The grades pair_product_state_tensors is asked for, in order."""
     import qwnlab.bosonic
 
     asked = []
 
-    def recording(algebra, kmax, kept=None):
+    def recording(algebra, kmax):
         asked.append(kmax)
-        states = pair_product_state_tensors(algebra, kmax, kept)
-        if levels is not None:
-            done = 0 if kept is None else len(kept.tensors)
-            levels.extend(range(done + 1, len(states.tensors) + 1))
-        return states
+        return pair_product_state_tensors(algebra, kmax)
 
     monkeypatch.setattr(qwnlab.bosonic, "pair_product_state_tensors", recording)
     return asked
@@ -207,26 +201,47 @@ def test_recursive_gram_builds_no_top_grade_chain_tensor(monkeypatch):
     assert asked == [2]
 
 
-def test_rising_grades_build_each_chain_level_once(monkeypatch):
-    levels = []
-    asked = _record_chain_builds(monkeypatch, levels)
-    space = BosonicSpace(MatrixAlgebra(2), 4)
-    for k in range(1, 5):
-        ordered = space.gram_matrix(k, method="ordered")
-        assert _relative_gap(ordered, space.gram_matrix(k)) <= 1e-12
-    assert asked == [1, 2, 3, 4]
-    assert levels == [1, 2, 3, 4]
-    # the continued chain gives the tensors of one build to the top
-    once = pair_product_state_tensors(space.algebra, 4).tensors
-    for built, oracle in zip(space._chain_tensors(4), once):
-        assert np.array_equal(built, oracle)
-
-
-def test_route_comparison_builds_the_chain_states_once(monkeypatch):
+def test_each_partition_route_build_asks_for_its_own_chain_states(monkeypatch):
+    # the routes keep nothing, so every partition-route Gram builds the
+    # chain states up to its own grade, and the recursive route none
     asked = _record_chain_builds(monkeypatch)
     space = BosonicSpace(MatrixAlgebra(2), 4)
-    space._route_gap("recursive", "ordered", 4)
-    assert asked == [4]
+    space.check_gram_recursion(kmax=4)
+    assert asked == [1, 2, 3, 4]
+    asked.clear()
+    space = BosonicSpace(FunctionAlgebra([0.5, 1.25, 0.75]), 3)
+    space.check_gram_paths()
+    assert asked == [1, 1, 2, 2, 3, 3]
+
+
+def test_gram_routes_hand_out_arrays_they_do_not_keep():
+    # a caller that writes into a route's Gram changes neither the next
+    # build nor the hermitized Gram that gram(k) caches
+    space = BosonicSpace(FunctionAlgebra([0.5, 1.25, 0.75]), 3, gamma0=0.75)
+    for method in ("recursive", "ordered", "setpartition"):
+        built = space.gram_matrix(2, method=method)
+        expected = built.copy()
+        built[...] = 99.0
+        assert np.array_equal(space.gram_matrix(2, method=method), expected), method
+    recursive = space.gram_matrix(3)
+    expected = hermitize(recursive)
+    recursive[...] = 99.0
+    assert np.array_equal(space.gram(3), expected)
+
+
+def test_route_comparison_holds_no_gram_after_its_record():
+    # over M_2 at truncation 4 a grade-4 Gram is 1 MB; the comparison
+    # builds two per grade and drops them once its record is made
+    tracemalloc.start()
+    try:
+        space = BosonicSpace(MatrixAlgebra(2), 4)
+        records = space.check_gram_recursion(kmax=4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records[0].status == "pass"
+    gram_bytes = 16 * (space.algebra.dim**4) ** 2
+    assert held < gram_bytes, held
 
 
 def _gram_by_lists(space, k, method):
@@ -240,7 +255,7 @@ def _gram_by_lists(space, k, method):
     size = dim**k
     letters = "abcdefghijklmnopqrstuvwxyz"
     total = np.zeros((size, size), dtype=complex)
-    chains = pair_product_state_tensors(space.algebra, k).tensors
+    chains = pair_product_state_tensors(space.algebra, k)
     if method == "ordered":
         partitions = ordered_partitions(k)
     else:

@@ -120,6 +120,26 @@ def test_bad_inputs_exit_two(tmp_path, capsys, monkeypatch):
         )
 
 
+def test_cell_measure_outside_the_gamma_range_exits_two(capsys, monkeypatch):
+    # the no-go certificate squares l and 1 / l, which overflows a double
+    # from about 1.4e154
+    for l in ("1e155", "1e-155"):
+        with pytest.raises(ValueError, match="cell measure"):
+            RunConfig(l=float(l))
+    _refuse_to_run(monkeypatch)
+    for suite in ("nogo", "all"):
+        for l in ("1e155", "1e-155"):
+            _exits_two_with_one_error_line(capsys, ["verify", suite, "--l", l])
+
+
+@pytest.mark.parametrize("l", ["1e-30", "1e30"])
+def test_cell_measure_at_the_ends_of_its_range_passes_nogo(tmp_path, l):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "nogo", "--l", l, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["failed"] == 0
+
+
 def _random_json(rng, keys, depth=0):
     """A random JSON value: strings, bools, null, nested containers,
     negative, huge and non-finite numbers."""

@@ -8,6 +8,7 @@ subspace built from index orbits."""
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import reduce
@@ -332,6 +333,48 @@ def test_operator_norms_match_the_whitened_compressed_matrix(name):
             mat = compress(space, space.operator_matrix(kind, symbol, k), k_out, k)
             expected = whitened_operator_norm(mat, out, into)
             assert abs(norm - expected) <= 1e-13 * expected, (kind, k)
+
+
+def test_batched_norms_match_one_unbatched_run(monkeypatch):
+    # above _NORM_BATCH symbols the Lanczos runs are split; each symbol's
+    # norm is its own Ritz value, so the split moves it at rounding level
+    space = FreeSpace(MatrixAlgebra(2), 4, 0.7)
+    symbols = _symbols(space, 300)
+    assert len(symbols) > 2 * qwnlab.graded._NORM_BATCH
+    cases = [(kind, k) for kind, k in _cases(space) if kind != NUMBER or k]
+    batched = {(kind, k): space._operator_norms(kind, symbols, k) for kind, k in cases}
+    monkeypatch.setattr(qwnlab.graded, "_NORM_BATCH", len(symbols))
+    for (kind, k), (norms, residuals) in batched.items():
+        expected, _ = space._operator_norms(kind, symbols, k)
+        assert norms.shape == residuals.shape == (len(symbols),)
+        assert (residuals <= KRYLOV_TOL).all(), (kind, k)
+        assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (kind, k)
+
+
+def _warm_norm_check_peak(space, trials):
+    tracemalloc.start()
+    try:
+        space.check_norm_estimates(np.random.default_rng(1), trials=trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_norm_check_memory_is_flat_in_the_trials():
+    # a Lanczos run holds a basis vector per step, side and symbol; the
+    # batches keep four times the symbols at about one batch's memory
+    space = FreeSpace(MatrixAlgebra(2), 4)
+    space.check_norm_estimates(np.random.default_rng(1), trials=1)
+    batch = qwnlab.graded._NORM_BATCH
+    one = _warm_norm_check_peak(space, batch)
+    four = _warm_norm_check_peak(space, 4 * batch)
+    assert four <= 1.25 * one, (one, four)
+
+
+def test_operator_norms_of_no_symbols_are_empty():
+    space = FreeSpace(MatrixAlgebra(2), 2)
+    norms, residuals = space._operator_norms(CREATION, [], 1)
+    assert norms.shape == residuals.shape == (0,)
 
 
 @pytest.mark.parametrize("name", ["bosonic_m2", "free_rotated"])
