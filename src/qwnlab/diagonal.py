@@ -46,6 +46,8 @@ class DiagonalRepresentation:
         self.max_grade = int(max_grade)
         self.gamma0 = float(gamma0)
         self._measures = {}
+        # the cross-checks' tensor-coordinate space: one Gram cache for all
+        self._tensor = BosonicSpace(algebra, self.max_grade, self.gamma0)
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
@@ -142,15 +144,12 @@ class DiagonalRepresentation:
 
     # -- cross-checks against the tensor-coordinate route -------------------
 
-    def _space(self):
-        return BosonicSpace(self.algebra, self.max_grade, self.gamma0)
-
     def check_measure_is_gram_diagonal(self, space=None, tol=1e-12):
         """The tensor Gram matrix must be the diagonal of the tuple measure."""
-        space = space or self._space()
+        space = space or self._tensor
         worst = 0.0
         for k in range(self.max_grade + 1):
-            gram = space.gram_matrix(k)
+            gram = space.gram(k)
             expected = np.diag(self.measure(k).reshape(-1).astype(complex))
             worst = max(worst, scaled_gap(gram, expected))
         return [
@@ -165,7 +164,7 @@ class DiagonalRepresentation:
 
     def check_inner_products(self, rng, space=None, trials=20, tol=1e-10):
         """Literal tuple sums against the einsum Gram, on arbitrary vectors."""
-        space = space or self._space()
+        space = space or self._tensor
         d = self.algebra.dim
         worst = 0.0
         for _ in range(trials):
@@ -194,7 +193,7 @@ class DiagonalRepresentation:
         they only coincide on symmetric vectors; the check symmetrizes the
         input for that case.
         """
-        space = space or self._space()
+        space = space or self._tensor
         d = self.algebra.dim
         worst_create = 0.0
         worst_number = 0.0

@@ -27,6 +27,7 @@ are implemented independently and compared.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,6 +47,15 @@ from .graded import (
 )
 from .linalg import hermitize, scaled_gap
 from .report import residual_record
+
+_SLOTS = {CREATION: 0, NUMBER: 1, ANNIHILATION: 2}
+
+
+def _product(mat, block):
+    """mat @ block, a real mat on the block's real and imaginary parts."""
+    if np.iscomplexobj(mat):
+        return mat @ block
+    return (mat @ np.ascontiguousarray(block).view(float)).view(complex)
 
 
 class FreeSpace(GradedFockSpace):
@@ -123,6 +133,65 @@ class FreeSpace(GradedFockSpace):
             out = out + merged.reshape(-1, width)
         return out
 
+    def _leading(self, kind, data, k):
+        """The leading factor F of the operator of ``kind`` leaving grade k:
+        it reads the first s = min(k, ``_SLOTS[kind]``) slots only, so it is
+        F (x) I, and F is its ``_kernel`` on the identity of grade s."""
+        slots = min(k, _SLOTS[kind])
+        return self._kernel(kind, data, np.eye(self.algebra.dim**slots), slots)
+
+    def _side(self, kind, data, k, gram):
+        """B^H gram for B = F (x) I leaving grade k, gram on the rows of the
+        grade B reaches: F^H contracts the leading row axes of gram."""
+        factor = self._leading(kind, data, k)
+        head = factor.conj().T @ gram.reshape(factor.shape[0], -1)
+        return head.reshape(-1, gram.shape[1])
+
+    def _adjoint_gaps(self, metrics, gap):
+        """Worst ``gap`` of each adjoint pair, one basis element at a time:
+        A_b^H G_k against G_(k+1) C_b = (C_b^H G_(k+1))^H, a column slice of
+        the hermitian G_(k+1), and N_b^H G_k against G_k N_(star e_b), the
+        adjoint of the starred element's left side."""
+        alg = self.algebra
+        stars = [self._letter(NUMBER, c) for c in alg.coords(alg.star(alg.basis()))]
+
+        def worst(pairs):
+            return max(
+                gap(self._side(*lhs), self._side(*rhs).conj().T) for lhs, rhs in pairs
+            )
+
+        ladder = worst(
+            ((ANNIHILATION, a, k + 1, metrics[k]), (CREATION, c, k, metrics[k + 1]))
+            for k in range(self.max_grade)
+            for a, c in zip(*map(self._basis_letters, (ANNIHILATION, CREATION)))
+        )
+        number = worst(
+            ((NUMBER, n, k, metrics[k]), (NUMBER, star, k, metrics[k]))
+            for k in range(1, self.max_grade + 1)
+            for n, star in zip(self._basis_letters(NUMBER), stars)
+        )
+        return ladder, number
+
+    def _whitened_products(self, kind, k, out, into):
+        """L_out (F_t (x) I) W_in x and its adjoint, F_t the trial's leading
+        factor: two whitening products and a batch of small ones."""
+        letters = self._basis_letters(kind)
+        factors = np.array([self._leading(kind, data, k) for data in letters])
+        rows, cols = factors.shape[1:]
+
+        def forward(x, c):
+            head = _product(into.whitener, x).T.reshape(len(c), cols, -1)
+            image = np.matmul(np.tensordot(c, factors, axes=1), head)
+            return _product(out.left, image.reshape(len(c), -1).T)
+
+        def backward(y, c):
+            head = _product(out.left.conj().T, y).T.reshape(len(c), rows, -1)
+            adjoint = np.tensordot(c.conj(), factors.conj(), axes=1)
+            image = np.matmul(adjoint.transpose(0, 2, 1), head)
+            return _product(into.whitener.conj().T, image.reshape(len(c), -1).T)
+
+        return forward, backward, (out.left.shape[0], into.whitener.shape[1])
+
     # -- field combinations and moments -------------------------------------
 
     def _field(self, s, symbol):
@@ -141,24 +210,22 @@ class FreeSpace(GradedFockSpace):
         return self._vacuum_walk([self._field(s, symbol) for symbol in symbols])
 
     def moment_formula(self, s, symbols):
-        """Same moment through the noncrossing-partition expansion."""
+        """Same moment by the noncrossing expansion, each block weighed once."""
         symbols = list(symbols)
         n = len(symbols)
         if n == 0:
             return 1.0 + 0.0j
         alg = self.algebra
+        weights = {}
         total = 0.0 + 0.0j
         for blocks in noncrossing_blocks(n):
             term = 1.0 + 0.0j
             for block in blocks:
-                prod = symbols[block[0] - 1]
-                for pos in block[1:]:
-                    prod = alg.mul(prod, symbols[pos - 1])
-                term *= (
-                    self.gamma
-                    * alg.state(prod)
-                    * cumulant_weight(len(block), s)
-                )
+                if block not in weights:
+                    prod = functools.reduce(alg.mul, [symbols[i - 1] for i in block])
+                    weight = cumulant_weight(len(block), s)
+                    weights[block] = self.gamma * alg.state(prod) * weight
+                term *= weights[block]
             total += term
         return total
 
@@ -209,10 +276,13 @@ class FreeSpace(GradedFockSpace):
             n(e_a) n(e_b) = n(e_a e_b).
 
         Each side is linear in both symbols (annihilation conjugate-linearly),
-        so the basis pairs prove the relations for all symbols.  On the full
-        grade k, the dim images of the inner creation operators serve the
-        first two relations and those of the inner number operators the
-        last two; each outer basis operator runs on them.
+        so the basis pairs prove the relations for all symbols.  The dim
+        images of the inner creation operators serve the first two
+        relations and those of the inner number operators the last two;
+        each outer basis operator runs on them.  The first two act on the
+        first slot of grade k and the last two on the first two slots, so
+        they run on the identity columns whose later slots are e_0, where
+        every entry of the whole-grade sides, and its scaled gap, shows.
         """
         alg = self.algebra
         dim = alg.dim
@@ -232,32 +302,36 @@ class FreeSpace(GradedFockSpace):
             0.0,
         )
 
+        def leading_columns(k, slots):
+            slots = min(k, slots)
+            return np.kron(np.eye(dim**slots), np.eye(dim ** (k - slots), 1))
+
         def relation(name, left, k, a, inner, rhs):
             """One basis pair: ``left`` outer at e_a on the inner image."""
             lhs = self._run([(left, outer[left][a])], k, inner)
             worst[name] = max(worst[name], scaled_gap(lhs, rhs))
 
         for k in range(self.max_grade):
-            identity = np.eye(dim**k)
-            for b, image in enumerate(self._basis_images(CREATION, k, identity)):
+            columns = leading_columns(k, 1)
+            for b, image in enumerate(self._basis_images(CREATION, k, columns)):
                 for a in range(dim):
                     number = self._letter(NUMBER, pair_coords[a, b])
-                    rhs = self._run([(NUMBER, number)], k, identity)
-                    rhs = pairing[a, b] * identity + rhs
+                    rhs = self._run([(NUMBER, number)], k, columns)
+                    rhs = pairing[a, b] * columns + rhs
                     relation("contract_creation", ANNIHILATION, k + 1, a, image, rhs)
                     creation = self._letter(CREATION, product_coords[a, b])
-                    rhs = self._run([(CREATION, creation)], k, identity)
+                    rhs = self._run([(CREATION, creation)], k, columns)
                     relation("number_creation", NUMBER, k + 1, a, image, rhs)
         for k in range(1, self.max_grade + 1):
-            identity = np.eye(dim**k)
-            for b, image in enumerate(self._basis_images(NUMBER, k, identity)):
+            columns = leading_columns(k, 2)
+            for b, image in enumerate(self._basis_images(NUMBER, k, columns)):
                 for a in range(dim):
                     # b(z* psi) has the coefficients conj(coords(z* psi))
                     annihilation = self._letter(ANNIHILATION, pair_coords[b, a].conj())
-                    rhs = self._run([(ANNIHILATION, annihilation)], k, identity)
+                    rhs = self._run([(ANNIHILATION, annihilation)], k, columns)
                     relation("annihilation_number", ANNIHILATION, k, a, image, rhs)
                     number = self._letter(NUMBER, product_coords[a, b])
-                    rhs = self._run([(NUMBER, number)], k, identity)
+                    rhs = self._run([(NUMBER, number)], k, columns)
                     relation("number_multiplicative", NUMBER, k, a, image, rhs)
         return [
             residual_record(

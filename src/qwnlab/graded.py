@@ -27,19 +27,17 @@ norms and the q-deformed squared relation are not linear and keep their
 random symbols.
 
 Each space checks its adjointness, norms and positivity in coordinates of
-its own: the free space on the whole grade, the bosonic one on the
-symmetric subspace, in its orthonormal orbit basis.  The scaffold reads
-those coordinates through two hooks only.  ``_metric(k)`` is the Gram of
-grade k in them.  ``_basis_operators(kind, k)`` gives the dim basis
-operators of a grade in them, one at a time.  What the norms and the
-adjointness check compute of an operator (its whitened form, or one side
-of the adjoint identity) is linear in it, so each applies the left factor
-of that fixed map to each basis operator: the adjointness check compares
-the slices of this per-grade basis stack, and the norms of all trials come
-from one batched Lanczos run on it, which forms no trial's operator.  By
-default the hooks read the whole grade: the Gram, and the kernel on the
-identity.  The bosonic space builds both on the orbit representatives.  A
-stack lives for one check and grade only.
+its own; ``_metric(k)`` is the Gram of grade k in them.  The bosonic
+space checks on the symmetric subspace, in its orthonormal orbit basis,
+and gives its basis operators there (``_basis_operators``).  What the
+norms and the adjointness check compute of an operator is linear in it,
+so by default each applies that fixed map to each basis operator: the
+adjointness check compares the slices of this per-grade basis stack, and
+the norms of all trials come from one batched Lanczos run on it.  The
+free space checks on the whole grade, where each operator is its leading
+factor on the first one or two slots tensored with the identity: it
+contracts the Gram's leading axes for the sides and runs Lanczos on
+those products, with no stack and no kernel on a whole grade.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -59,7 +57,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import gram_whitening, krylov_operator_norms
+from .linalg import gram_whitening, krylov_operator_norms, stack_products
 from .report import STATUS_FAIL, residual_record
 
 CREATION = "b*"
@@ -103,14 +101,15 @@ class GradedFockSpace:
     scaffold reads a Gram: positivity is checked, operator norms are
     whitened and adjointness is compared against it.  It defaults to the
     hermitized ``gram(k)`` of the whole grade; a space that checks on a
-    subspace returns the Gram in an orthonormal basis of it, and then gives
-    its basis operators in the same coordinates (``_basis_operators``).
+    subspace returns the Gram in an orthonormal basis of it.  The default
+    adjointness and norm routes read the basis operators in the same
+    coordinates (``_basis_operators``); the free space overrides them
+    (``_adjoint_gaps``, ``_whitened_products``).
 
     ``_symbol_tensors`` and ``_kernel`` are the only definition of each
     operator, and ``_kernel`` on a block of columns is the only way the
     scaffold acts with one: ``word_matrix`` runs each letter's kernel on a
-    block that
-    starts as the requested columns (the identity by default),
+    block that starts as the requested columns (the identity by default),
     ``operator_matrix`` is the one-letter word, and ``apply``, the step a
     vacuum walk is made of, runs the kernel on the one column of each grade
     present in a graded vector (a list, see the module docstring).
@@ -119,9 +118,9 @@ class GradedFockSpace:
     ``_coefficients``.  The linear claims are checked on the basis of the
     algebra (see the module docstring): the relation checks of the
     subclasses on the basis pairs, and the adjointness checks and the
-    operator norms (``_operator_norms``) on a ``_basis_stack`` of one
-    grade, the basis operators from ``_basis_operators`` under the fixed
-    map the check applies.  Neither builds an operator matrix: the
+    operator norms (``_operator_norms``) by default on a ``_basis_stack``
+    of one grade, the basis operators from ``_basis_operators`` under the
+    fixed map the check applies.  Neither builds an operator matrix: the
     adjointness check compares the stack's slices, and the norms run one
     Lanczos iteration on it for all trials at once.
     """
@@ -196,19 +195,6 @@ class GradedFockSpace:
     def _basis_letters(self, kind):
         """The letters of ``kind`` at the basis elements of the algebra."""
         return [self._letter(kind, unit) for unit in np.eye(self.algebra.dim)]
-
-    def _basis_operators(self, kind, k):
-        """The operators of ``kind`` leaving grade k at the basis elements
-        of the algebra, one at a time, in the coordinates of ``_metric``.
-        The adjointness checks and the operator norms read the operators
-        only through this hook.  By default it runs ``_kernel`` on the
-        identity of the whole grade.  The bosonic space reads them in its
-        orthonormal orbit basis, S_out^H B_b S_in.  The q-deformed space,
-        which takes no norms, keeps B_b S_in on flat rows for its own
-        adjointness check (``_adjoint_pair_gap``)."""
-        block = np.eye(self.algebra.dim**k)
-        for letter in self._basis_letters(kind):
-            yield self._kernel(kind, letter, block, k)
 
     def _basis_images(self, kind, k, columns=None):
         """The images of ``columns`` of grade k (the identity when None)
@@ -421,15 +407,14 @@ class GradedFockSpace:
 
     def _operator_norms(self, kind, symbols, k):
         """Norms of the operators of ``kind`` leaving grade k, restricted to
-        the subspaces the space checks on (``_basis_operators``), at each
-        of ``symbols``, measured against the metrics of both grades, and
-        the relative residual of the Ritz pair each was read from.
+        the subspaces the space checks on, at each of ``symbols``, measured
+        against the metrics of both grades, and the relative residual of
+        the Ritz pair each was read from.
 
-        With W the whitener of a grade, G its metric and S the orthonormal
-        columns of the subspace it is checked on, the whitened operator
-        W_out^H G_out S_out^H B S_in W_in is linear in B, so the stack of
-        whitened basis operators, each of which arrives as S_out^H B S_in,
-        and the symbols' coefficients define it; one batched Lanczos run
+        With W the whitener of a grade and L its left factor, the whitened
+        operator L_out B W_in is linear in B, so the products of the
+        whitened basis operators with vectors (``_whitened_products``) and
+        the symbols' coefficients define it; one batched Lanczos run
         (``krylov_operator_norms``) per ``_NORM_BATCH`` symbols takes their
         norms from them without forming the operator.
         """
@@ -437,16 +422,21 @@ class GradedFockSpace:
         out, into = self._whitening(k_out), self._whitening(k)
         if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
             return np.zeros(len(symbols)), np.zeros(len(symbols))
-        stack = self._basis_stack(
-            kind, k, lambda mat: out.left @ (mat @ into.whitener)
-        )
+        products = self._whitened_products(kind, k, out, into)
         coeffs = np.array([self._coefficients(kind, s) for s in symbols])
         # no symbols still make one (empty) run, for two empty arrays
         batches = [
-            krylov_operator_norms(stack, coeffs[start : start + _NORM_BATCH])
+            krylov_operator_norms(*products, coeffs[start : start + _NORM_BATCH])
             for start in range(0, max(len(coeffs), 1), _NORM_BATCH)
         ]
         return tuple(np.concatenate(part) for part in zip(*batches))
+
+    def _whitened_products(self, kind, k, out, into):
+        """``krylov_operator_norms``'s products and shape for the whitened
+        basis operators L_out B_b W_in, by default from their stack."""
+        return stack_products(
+            self._basis_stack(kind, k, lambda mat: out.left @ (mat @ into.whitener))
+        )
 
     def _norm_records(self, prefix, claim, cases, symbols, slack):
         """Norm-bound records: ``cases`` are (name, kind, grade, bound)
@@ -512,18 +502,33 @@ class GradedFockSpace:
             del left, right
         return worst
 
+    def _adjoint_gaps(self, metrics, gap):
+        """Worst ``gap`` of the ladder pair (``_adjoint_pair_gap``) and of
+        the number pair, whose right side at z, M_k N_(z*), is the adjoint of
+        its left one at z*: the slice ``left[b]`` of one stack is compared
+        with the adjoint of the stack summed at star(e_b)."""
+        alg = self.algebra
+        starred = [
+            self._coefficients(NUMBER, element).conj()
+            for element in alg.star(alg.basis())
+        ]
+        worst = 0.0
+        for k in range(1, self.max_grade + 1):
+            left = self._basis_stack(
+                NUMBER, k, lambda mat: mat.conj().T @ metrics[k]
+            )
+            for lhs, coeffs in zip(left, starred):
+                rhs = (coeffs @ left.reshape(len(coeffs), -1)).reshape(lhs.shape)
+                worst = max(worst, gap(lhs, rhs.conj().T))
+            del left
+        return self._adjoint_pair_gap(metrics, gap), worst
+
     def check_adjointness(self, tol=1e-9):
         """Creation against annihilation and number against the number of
         the starred symbol, as adjoints for the Gram, compared in the
         coordinates of ``_metric`` at each basis element of the algebra (see
-        ``_adjoint_pair_gap`` for the pair).  Both identities are linear in
-        the symbol, so the basis proves them for every symbol.
-
-        The number pair needs one stack: with M_k the hermitian ``_metric``,
-        the right side at a symbol z, M_k (S_k^H N_z* S_k), is the adjoint
-        of the left one at z*, (S_k^H N_z* S_k)^H M_k.  So at the basis
-        element e_b the slice ``left[b]`` is compared with the adjoint of
-        the stack summed at star(e_b).
+        ``_adjoint_gaps``).  Both identities are linear in the symbol, so the
+        basis proves them for every symbol.
         """
         alg = self.algebra
         metrics = [self._metric(k) for k in range(self.max_grade + 1)]
@@ -532,20 +537,7 @@ class GradedFockSpace:
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
             return np.linalg.norm(lhs - rhs) / scale
 
-        worst_pair = self._adjoint_pair_gap(metrics, gap)
-        starred = [
-            self._coefficients(NUMBER, element).conj()
-            for element in alg.star(alg.basis())
-        ]
-        worst_number = 0.0
-        for k in range(1, self.max_grade + 1):
-            left = self._basis_stack(
-                NUMBER, k, lambda mat: mat.conj().T @ metrics[k]
-            )
-            for lhs, coeffs in zip(left, starred):
-                rhs = (coeffs @ left.reshape(len(coeffs), -1)).reshape(lhs.shape)
-                worst_number = max(worst_number, gap(lhs, rhs.conj().T))
-            del left
+        worst_pair, worst_number = self._adjoint_gaps(metrics, gap)
         notes = self._adjoint_notes % alg.dim
         return [
             residual_record(

@@ -5,15 +5,16 @@ of dimension D**k.  The recurring wrinkle is that inner products are given
 by Gram matrices that are frequently singular (symmetrization kills most of
 the tensor space), so operator norms are computed against a whitened
 restriction to the Gram matrix's numerical range rather than against a
-matrix inverse.  The spaces take many such norms at once, of operators
-that are weighted sums of one stack of whitened basis operators: one
-batched Lanczos run on the stack gives them all, without forming any of
-the operators; the norm of one matrix by one SVD is the oracle of the
-tests.
+matrix inverse; a positive definite one is whitened by Cholesky.  The
+spaces take many such norms at once, of operators that are weighted sums
+of whitened basis operators: one batched Lanczos run on their products
+with vectors gives them all, without forming any of the operators; the
+norm of one matrix by one SVD is the oracle of the tests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import NamedTuple
 
@@ -105,7 +106,7 @@ def gram_whitener(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> tuple:
 
 
 class Whitening(NamedTuple):
-    """A Gram matrix's whitener, the left factor W^H hermitize(G), the
+    """A Gram matrix's whitener W, the left factor W^H hermitize(G), the
     count of eigenvalues below ``-cutoff`` times the largest one, which
     the whitener drops with the null directions, and all the eigenvalues,
     ascending."""
@@ -118,46 +119,33 @@ class Whitening(NamedTuple):
 
 def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
     """Whitener of ``gram``, its left factor, its negative inertia and its
-    eigenvalues, for repeated norms, from one Hermitian eigendecomposition.
+    eigenvalues, for repeated norms.
 
-    A space that norms many operators against one Gram matrix per grade
-    computes this once per grade and applies its whitener and left factor
-    to a stack of basis operators, whose norms
-    :func:`krylov_operator_norms` takes; :func:`gram_operator_norm`
-    whitens both sides afresh and takes the norm of one matrix by one SVD.
+    A Gram matrix whose lowest eigenvalue (``eigvalsh``) is above
+    ``cutoff`` times its top one is whitened by Cholesky, G = L L^H, with
+    W = inv(L)^H and the left factor L^H, both real when G is.  Any other
+    keeps the eigendecomposition of :func:`gram_whitener`, and its
+    eigenvalues.
     """
+    gram = hermitize(gram)
+    # a Gram matrix with no imaginary part is factored in real arithmetic
+    real = gram if gram.imag.any() else gram.real
+    vals = np.linalg.eigvalsh(real)
+    if vals.size and vals[0] > cutoff * vals[-1]:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            lower = np.linalg.cholesky(real)
+            return Whitening(np.linalg.inv(lower).conj().T, lower.conj().T, 0, vals)
     w, vals = gram_whitener(gram, cutoff)
     top = max(float(vals[-1]), 0.0) if vals.size else 0.0
     negative = int(np.count_nonzero(vals < -cutoff * top))
-    return Whitening(w, w.conj().T @ hermitize(gram), negative, vals)
+    return Whitening(w, w.conj().T @ gram, negative, vals)
 
 
-def krylov_operator_norms(stack: np.ndarray, coeffs: np.ndarray) -> tuple:
-    """Largest singular value of each ``M_t = sum_b coeffs[t, b] stack[b]``,
-    and the relative residual of the Ritz pair it was read from.
-
-    One Lanczos run, batched over the rows of ``coeffs``, on ``H = M^H M``
-    or ``M M^H``, whichever is smaller; no ``M_t`` is formed.  Each step
-    applies the stack to every trial's Lanczos vector as one matrix
-    product and contracts the result with the trials' coefficients, once
-    for ``M`` and once, conjugated, for ``M^H``.  The basis is fully
-    reorthogonalized (twice, which is enough).  A trial stops once its top
-    Ritz residual ``|beta_j y_j|`` is at most ``KRYLOV_TOL`` times its top
-    Ritz value, or once its Krylov space fills the side, where the Ritz
-    values are exact.  The start vector, shared by all trials, comes from
-    a generator of its own with a fixed seed, so no caller's random stream
-    is drawn from.
-
-    A Ritz value is a lower bound on the norm; the residual bounds the
-    distance to an eigenvalue of H, so a caller trusts a norm only as far
-    as its residual.
-    """
+def stack_products(stack: np.ndarray) -> tuple:
+    """:func:`krylov_operator_norms`'s products and shape for the operators
+    weighed from the matrices ``stack[b]``: one matrix product of the stack
+    with the trials' vectors, contracted with their coefficients."""
     dim, rows, cols = stack.shape
-    coeffs = np.asarray(coeffs)
-    trials = coeffs.shape[0]
-    norms, residuals = np.zeros(trials), np.zeros(trials)
-    if trials == 0 or rows == 0 or cols == 0:
-        return norms, residuals
     flat = stack.reshape(dim * rows, cols)
 
     def forward(x, c):
@@ -166,12 +154,39 @@ def krylov_operator_norms(stack: np.ndarray, coeffs: np.ndarray) -> tuple:
     def backward(y, c):
         return np.einsum("tb,btn->nt", c, np.matmul(y.conj().T, stack)).conj()
 
+    return forward, backward, (rows, cols)
+
+
+def krylov_operator_norms(forward, backward, shape, coeffs: np.ndarray) -> tuple:
+    """Largest singular value of each ``M_t = sum_b coeffs[t, b] M_b``,
+    and the relative residual of the Ritz pair it was read from.
+
+    ``forward(x, c)`` and ``backward(y, c)`` give ``M_t x_t`` and
+    ``M_t^H y_t`` for the trials' vectors, the columns of x and y, with
+    their coefficients c; no ``M_t`` is formed.  One Lanczos run, batched
+    over the rows of ``coeffs``, on ``H = M^H M`` or ``M M^H``.
+    The basis is fully reorthogonalized (twice, which is enough).  A trial
+    stops once its top Ritz residual ``|beta_j y_j|`` is at most
+    ``KRYLOV_TOL`` times its top Ritz value, or once its Krylov space
+    fills the side, where the Ritz values are exact.  The start vector,
+    shared by all trials, comes from a generator of its own with a fixed
+    seed, so no caller's random stream is drawn from.
+
+    A Ritz value is a lower bound on the norm; the residual bounds the
+    distance to an eigenvalue of H, so a caller trusts a norm only as far
+    as its residual.
+    """
+    rows, cols = shape
+    coeffs = np.asarray(coeffs)
+    trials = coeffs.shape[0]
+    norms, residuals = np.zeros(trials), np.zeros(trials)
+    if trials == 0 or rows == 0 or cols == 0:
+        return norms, residuals
     side = min(rows, cols)
     first, second = (forward, backward) if cols <= rows else (backward, forward)
     start = np.random.default_rng(_KRYLOV_SEED).standard_normal(side)
-    dtype = np.result_type(stack, coeffs)
     vec = np.repeat((start / np.linalg.norm(start))[:, None], trials, axis=1)
-    vec = vec.astype(dtype)
+    vec = vec.astype(complex)
     active = np.arange(trials)
     basis, alphas, betas = [], [], []
     for size in range(1, side + 1):

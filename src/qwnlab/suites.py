@@ -62,16 +62,16 @@ def largest_dense_bytes(suite, kind, dim, truncation):
     """Estimated bytes of the largest dense complex array a run forms.
 
     The bosonic and free suites are modelled by the top-grade matrix, D**T
-    square for an algebra of dimension D at truncation T.  The free space
-    checks on the whole grade, so its adjointness check also holds the
-    stack of the D top-grade basis sides of the number pair, D times that
-    matrix.  The other suites cap their own sizes, so only these two are
-    modelled.
+    square for an algebra of dimension D at truncation T, and the free
+    suite by D times that, the stack of top-grade number sides its
+    adjointness check once held.  The other suites cap their own sizes, so
+    only these two are modelled.
 
-    The bosonic suite no longer holds its top-grade Gram: its checks read
-    the Gram at one index per orbit.  Its model is kept, conservative, as
-    it overstates the largest array the suite forms, until the model
-    counts the arrays each check holds at once.
+    Neither suite forms such a stack now: the bosonic checks read the Gram
+    at one index per orbit, and the free ones hold a few top-grade matrices
+    at once (the Gram, its whitening, a pair of adjoint sides).  The model
+    is kept, conservative, until it counts the arrays each check holds at
+    once and is checked against measured peaks.
     """
     if suite not in ("all", "bosonic", "free"):
         return 0

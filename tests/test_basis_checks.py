@@ -66,6 +66,15 @@ def compress(space, mat, k_out, k_in):
     return space.symmetric_basis(k_out).conj().T @ mat @ space.symmetric_basis(k_in)
 
 
+def whole_grade_operators(space, kind, k):
+    """The basis operators of ``kind`` leaving grade k, each its kernel on
+    the identity of the whole grade: the route the free norms and
+    adjointness took before their leading factors, kept as the oracle."""
+    block = np.eye(space.algebra.dim**k)
+    for letter in space._basis_letters(kind):
+        yield space._kernel(kind, letter, block, k)
+
+
 def adjoint_residuals(space, symbols):
     """The adjointness residuals over ``symbols`` with both sides formed in
     full from operator matrices and then compressed."""

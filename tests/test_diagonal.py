@@ -1,9 +1,12 @@
 """Point-picture model: measure anchors and agreement with the tensor route."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra
+from qwnlab.bosonic import BosonicSpace
 from qwnlab.diagonal import DiagonalRepresentation
 from qwnlab.graded import GradeOverflowError
 
@@ -42,6 +45,26 @@ def test_inner_products_and_operators_match():
         assert record.status == "pass"
     for record in rep.check_operators(rng, trials=5):
         assert record.status == "pass"
+
+
+def test_the_cross_checks_build_each_recursive_gram_once(monkeypatch):
+    # the checks share one tensor space, whose hermitized Gram cache the
+    # measure and inner-product checks both read
+    calls = Counter()
+    gram_matrix = BosonicSpace.gram_matrix
+
+    def counting(self, k, *args, **kwargs):
+        calls[k] += 1
+        return gram_matrix(self, k, *args, **kwargs)
+
+    monkeypatch.setattr(BosonicSpace, "gram_matrix", counting)
+    rep = DiagonalRepresentation(FunctionAlgebra([0.5, 0.25]), max_grade=3)
+    rng = np.random.default_rng(22)
+    records = rep.check_measure_is_gram_diagonal()
+    records += rep.check_inner_products(rng, trials=2)
+    records += rep.check_operators(rng, trials=2)
+    assert all(record.status == "pass" for record in records)
+    assert calls == Counter({k: 1 for k in range(4)})
 
 
 def test_annihilation_anchor_single_point():

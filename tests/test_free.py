@@ -94,6 +94,35 @@ def test_moment_operator_equals_noncrossing_formula():
     assert op == pytest.approx(formula, rel=1e-12)
 
 
+def plain_moment_formula(space, s, symbols):
+    """The noncrossing expansion with every block's weight computed afresh
+    in each partition: the route before the per-call memo."""
+    alg = space.algebra
+    total = 0.0 + 0.0j
+    for blocks in qwnlab.combinatorics.noncrossing_blocks(len(symbols)):
+        term = 1.0 + 0.0j
+        for block in blocks:
+            prod = symbols[block[0] - 1]
+            for pos in block[1:]:
+                prod = alg.mul(prod, symbols[pos - 1])
+            term *= space.gamma * alg.state(prod) * cumulant_weight(len(block), s)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "alg", [FunctionAlgebra([0.3, 0.7, 1.1]), MatrixAlgebra(2)], ids=repr
+)
+def test_memoized_block_weights_sum_bit_for_bit(alg):
+    space = FreeSpace(alg, max_grade=4, gamma=0.7)
+    rng = np.random.default_rng(17)
+    for s in (0.0, 1.0, 2.0, -0.5):
+        for length in range(1, 9):
+            symbols = [random_element(alg, rng) for _ in range(length)]
+            memoized = space.moment_formula(s, symbols)
+            assert memoized == plain_moment_formula(space, s, symbols), (s, length)
+
+
 def test_cumulant_closed_form_matches_weight():
     space = one_point_space(gamma=0.75)
     chi = np.ones(1)
@@ -180,20 +209,20 @@ def test_vacuum_expectation_word_order():
 
 
 def test_norm_estimates_whiten_each_grade_once(monkeypatch):
-    import qwnlab.linalg
+    import qwnlab.graded
 
     calls = []
-    original = qwnlab.linalg.gram_whitener
+    original = qwnlab.graded.gram_whitening
 
     def counting(gram, *args):
         calls.append(gram.shape)
         return original(gram, *args)
 
-    monkeypatch.setattr(qwnlab.linalg, "gram_whitener", counting)
+    monkeypatch.setattr(qwnlab.graded, "gram_whitening", counting)
     space = FreeSpace(MatrixAlgebra(2), max_grade=3)
     records = space.check_norm_estimates(np.random.default_rng(3), trials=5)
     assert all(r.status == "pass" for r in records)
-    assert len(calls) <= space.max_grade + 1
+    assert sorted(calls) == [(4**k, 4**k) for k in range(space.max_grade + 1)]
 
 
 def interval_composition_gram(alg, gamma, k):

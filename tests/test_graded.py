@@ -21,9 +21,9 @@ from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
-from qwnlab.linalg import KRYLOV_TOL, symmetrizer_matrix
+from qwnlab.linalg import KRYLOV_TOL, RANGE_CUTOFF, symmetrizer_matrix
 from qwnlab.qdeform import QFockSpace
-from test_basis_checks import adjoint_residuals, compress
+from test_basis_checks import adjoint_residuals, compress, whole_grade_operators
 from test_linalg import whitened_operator_norm
 
 
@@ -211,7 +211,8 @@ def test_basis_sum_matches_the_kernel_at_complex_symbols(name):
 def test_kernel_runs_once_per_basis_element(name, monkeypatch):
     # The symbol tensors are built at the basis elements only, once per
     # kind; a basis stack runs the kernel once per basis element, and an
-    # operator matrix once.
+    # operator matrix once.  The free space builds no stack, so its
+    # whole-grade basis operators, the oracle, stand in for one.
     space = NONDYADIC_SPACES[name]()
     calls = Counter()
     tensors = Counter()
@@ -232,7 +233,10 @@ def test_kernel_runs_once_per_basis_element(name, monkeypatch):
     cases = [case for case in _cases(space) if case != (NUMBER, 0)]
     dim = space.algebra.dim
     for kind, k in cases:
-        space._basis_stack(kind, k, lambda mat: mat)
+        if isinstance(space, FreeSpace):
+            list(whole_grade_operators(space, kind, k))
+        else:
+            space._basis_stack(kind, k, lambda mat: mat)
     for _ in range(dim + 2):
         symbol = random_element(space.algebra, rng)
         for kind, k in cases:
@@ -395,8 +399,8 @@ def test_norm_records_fail_when_the_ritz_residual_is_above_the_slack(monkeypatch
     # is not small enough must not let a bound pass
     krylov = qwnlab.graded.krylov_operator_norms
 
-    def loose(stack, coeffs):
-        norms, residuals = krylov(stack, coeffs)
+    def loose(*args):
+        norms, residuals = krylov(*args)
         return norms, residuals + 1e-6
 
     for name in ("bosonic_f3", "free_f3"):
@@ -433,11 +437,12 @@ def _adjointness(space, trials):
     return space.check_adjointness()
 
 
+# The free checks contract leading factors and build no stack.
 STACK_CHECKS = {
     "bosonic_norms": ("bosonic_m2", _norms, _norm_stacks),
     "bosonic_adjointness": ("bosonic_f3", _adjointness, _adjoint_stacks),
-    "free_norms": ("free_f3", _norms, _norm_stacks),
-    "free_adjointness": ("free_m2", _adjointness, _adjoint_stacks),
+    "free_norms": ("free_f3", _norms, lambda top: []),
+    "free_adjointness": ("free_m2", _adjointness, lambda top: []),
     "qdeform_adjointness": (
         "qdeform_negative",
         _adjointness,
@@ -480,20 +485,26 @@ def test_checks_build_each_stack_once_whatever_the_trials(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(STACK_CHECKS))
 def test_no_stack_outlives_its_check(case, monkeypatch):
-    name, check, _ = STACK_CHECKS[case]
+    name, check, expected = STACK_CHECKS[case]
     space = NONDYADIC_SPACES[name]()
     _, stacks = _run_counting_stacks(space, check, 2, monkeypatch)
     gc.collect()
-    assert stacks and all(ref() is None for ref in stacks)
+    assert len(stacks) == len(expected(space.max_grade))
+    assert all(ref() is None for ref in stacks)
 
 
-@pytest.mark.parametrize("name", ["bosonic_m2", "free_f3"])
-def test_positivity_and_norms_share_one_eigensolve_per_grade(name, monkeypatch):
-    # the whitening's eigh gives the negative count and the positivity
-    # sweep's eigenvalues; the Krylov runs' batched Ritz problems are 3-D
+@pytest.mark.parametrize("name", ["bosonic_m2", "bosonic_f3", "free_f3"])
+def test_positivity_and_norms_share_one_whitening_per_grade(name, monkeypatch):
+    # one eigvalsh per grade gives the positivity sweep's eigenvalues and
+    # picks the whitening: Cholesky for a definite metric, and eigh, whose
+    # eigenvalues it keeps, for the others, such as the bosonic metric over
+    # M_2 from grade 2; the Krylov runs' batched Ritz problems are 3-D
     space = NONDYADIC_SPACES[name]()
+    definite = 0
+    for k in range(space.max_grade + 1):
+        vals = np.linalg.eigvalsh(space._metric(k))
+        definite += bool(vals[0] > RANGE_CUTOFF * vals[-1])
     solves = Counter()
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counting(solver, label):
         def run(mat, *args, **kwargs):
@@ -503,12 +514,15 @@ def test_positivity_and_norms_share_one_eigensolve_per_grade(name, monkeypatch):
 
         return run
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(eigh, "eigh"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh, "eigvalsh"))
+    for label in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, label, counting(getattr(np.linalg, label), label))
     records = space.check_positivity()
     records += space.check_norm_estimates(np.random.default_rng(4), trials=3)
     assert all(r.status != "fail" for r in records)
-    assert solves == Counter(eigh=space.max_grade + 1)
+    top = space.max_grade + 1
+    assert solves == Counter(eigvalsh=top, cholesky=definite, eigh=top - definite)
+    if name.startswith("free"):
+        assert definite == top
 
 
 def test_metric_hook_per_space():

@@ -107,3 +107,23 @@ def test_cli_import_leaves_out_process_pools():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_a_free_run_leaves_out_scipy():
+    # the free whitening is numpy only: importing scipy.linalg would cost
+    # the run tens of MB and a third of a second
+    env = dict(os.environ)
+    paths = [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    probe = (
+        "import sys; from qwnlab.suites import RunConfig, run_suite; "
+        "report = run_suite(RunConfig(suite='free', kind='matrices', dim=2, "
+        "truncation=3, trials=2)); "
+        "print(len(report.checks), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    count, modules = result.stdout.strip().split(" ", 1)
+    assert int(count) > 0 and modules == "[]"

@@ -16,6 +16,7 @@ from qwnlab.linalg import (
     hermitize,
     krylov_operator_norms,
     orthonormal_range,
+    stack_products,
     symmetrizer_matrix,
 )
 
@@ -99,6 +100,52 @@ def test_whitening_counts_the_negative_eigenvalues_it_drops():
     assert gram_whitening(np.zeros((2, 2))).negative == 0
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_definite_gram_is_whitened_by_cholesky(real, monkeypatch):
+    # W^H G W = I and W^H G = L^H from one eigvalsh and one Cholesky, no
+    # eigh; a real Gram stored as complex is factored in real arithmetic;
+    # the norms match those of the eigendecomposition's whitening
+    rng = np.random.default_rng(7)
+    size = 12
+    raw = _complex(rng, (size, size))
+    if real:
+        raw = raw.real.astype(complex)
+    gram = raw @ raw.conj().T + 0.1 * np.eye(size)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    whitening = gram_whitening(gram)
+    monkeypatch.undo()
+    w, left = whitening.whitener, whitening.left
+    assert np.isrealobj(w) == np.isrealobj(left) == real
+    assert np.abs(w.conj().T @ gram @ w - np.eye(size)).max() <= 1e-13
+    assert np.abs(left - w.conj().T @ gram).max() <= 1e-13 * np.abs(left).max()
+    assert np.array_equal(np.tril(left.conj().T), left.conj().T)
+    assert whitening.negative == 0
+    assert np.abs(whitening.eigenvalues - np.linalg.eigvalsh(gram)).max() <= 1e-12
+    vals, vecs = np.linalg.eigh(gram)
+    eigen = vecs / np.sqrt(vals)
+    for _ in range(3):
+        op = _complex(rng, (size, size))
+        expected = np.linalg.norm(eigen.conj().T @ gram @ op @ eigen, ord=2)
+        norm = whitened_operator_norm(op, whitening, whitening)
+        assert abs(norm - expected) <= 1e-13 * expected
+
+
+def test_a_singular_or_indefinite_gram_keeps_the_eigendecomposition():
+    # lowest eigenvalue at or below the cutoff times the top one: eigh,
+    # and its eigenvalues
+    rng = np.random.default_rng(8)
+    basis = _complex(rng, (6, 3))
+    for gram in (basis @ basis.conj().T, np.diag([3.0, 1.0, -1.0]), np.zeros((2, 2))):
+        whitening = gram_whitening(gram)
+        w, vals = gram_whitener(gram)
+        assert np.array_equal(whitening.whitener, w)
+        assert np.array_equal(whitening.eigenvalues, vals)
+
+
 def test_gram_operator_norm_weighted_case():
     # multiplication by diag(3, 1) between identical weighted spaces: the
     # Gram weights cancel and the norm is the largest absolute entry.
@@ -170,7 +217,7 @@ def _check_against_svd(stack, coeffs):
     residual at most the threshold; no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms, residuals = krylov_operator_norms(stack, coeffs)
+        norms, residuals = krylov_operator_norms(*stack_products(stack), coeffs)
     expected = _svd_norms(stack, coeffs)
     assert norms.shape == residuals.shape == (len(coeffs),)
     assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (norms, expected)
