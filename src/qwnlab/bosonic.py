@@ -43,8 +43,9 @@ at the orbit representatives: 56 by 56 at most over M_2 at grade 5, where
 a flat grade has 1024 coordinates.  The gap of those images from the
 symmetric subspace, recorded on the way, is the record that licenses the
 reading.  Commutators at the basis pairs of the algebra are products of
-these matrices, and adjointness and norm bounds read them rescaled to the
-orthonormal orbit basis, against the metrics.
+these matrices, and the shared adjointness and norm checks read them,
+weighed by a symbol's coefficients, rescaled to the orthonormal orbit
+basis (``_leading``), against the metrics.
 """
 
 from __future__ import annotations
@@ -388,15 +389,17 @@ class BosonicSpace(GradedFockSpace):
             self._symmetry_gaps[key] = worst
         return self._orbit_ops[key]
 
-    def _basis_operators(self, kind, k):
-        """S_out^H B_b S_in for each basis element, with S the normalized
-        orbit indicators: diag(sqrt(sizes_out)) C_b diag(1/sqrt(sizes_in))
-        from ``_orbit_operators``, so no kernel runs on flat coordinates."""
+    def _leading(self, kind, coeffs, k):
+        """S_out^H B S_in for the operator whose basis operators ``coeffs``
+        weighs, with S the normalized orbit indicators: the
+        ``_orbit_operators`` summed with these weights and rescaled,
+        diag(sqrt(sizes_out)) C diag(1/sqrt(sizes_in)), so no kernel runs
+        on flat coordinates.  It acts on the whole symmetric grade, so its
+        identity tail has size 1."""
         sizes = self._orbits(k)[1]
         reached = self._orbits(k + _SHIFTS[kind])[1]
         scale = np.sqrt(reached)[:, None] / np.sqrt(sizes)
-        for mat in self._orbit_operators(kind, k):
-            yield mat * scale
+        return np.tensordot(coeffs, self._orbit_operators(kind, k), axes=1) * scale
 
     def _same_kind_gap(self, kind, grades):
         """Worst entry of [X_a, X_b], a < b, over the basis operators X of

@@ -144,12 +144,11 @@ class DiagonalRepresentation:
 
     # -- cross-checks against the tensor-coordinate route -------------------
 
-    def check_measure_is_gram_diagonal(self, space=None, tol=1e-12):
+    def check_measure_is_gram_diagonal(self, tol=1e-12):
         """The tensor Gram matrix must be the diagonal of the tuple measure."""
-        space = space or self._tensor
         worst = 0.0
         for k in range(self.max_grade + 1):
-            gram = space.gram(k)
+            gram = self._tensor.gram(k)
             expected = np.diag(self.measure(k).reshape(-1).astype(complex))
             worst = max(worst, scaled_gap(gram, expected))
         return [
@@ -162,9 +161,8 @@ class DiagonalRepresentation:
             )
         ]
 
-    def check_inner_products(self, rng, space=None, trials=20, tol=1e-10):
+    def check_inner_products(self, rng, trials=20, tol=1e-10):
         """Literal tuple sums against the einsum Gram, on arbitrary vectors."""
-        space = space or self._tensor
         d = self.algebra.dim
         worst = 0.0
         for _ in range(trials):
@@ -173,7 +171,7 @@ class DiagonalRepresentation:
                 f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 lit = self.inner_product(f, g)
-                ein = np.vdot(f.reshape(-1), space.gram(k) @ g.reshape(-1))
+                ein = np.vdot(f.reshape(-1), self._tensor.gram(k) @ g.reshape(-1))
                 worst = max(worst, abs(lit - ein) / max(abs(ein), 1.0))
         return [
             residual_record(
@@ -185,7 +183,7 @@ class DiagonalRepresentation:
             )
         ]
 
-    def check_operators(self, rng, space=None, trials=20, tol=1e-10):
+    def check_operators(self, rng, trials=20, tol=1e-10):
         """Pointwise operator formulas against the tensor-coordinate ones.
 
         Creation and the number operator agree on every vector.  The two
@@ -193,7 +191,7 @@ class DiagonalRepresentation:
         they only coincide on symmetric vectors; the check symmetrizes the
         input for that case.
         """
-        space = space or self._tensor
+        space = self._tensor
         d = self.algebra.dim
         worst_create = 0.0
         worst_number = 0.0

@@ -17,7 +17,11 @@ annihilation pairs against the first slot (state term) and merges the first
 two slots, the number operator multiplies the first slot from the left.
 Their commutation behaviour is exactly resolvable: annihilation past
 creation leaves a scalar plus a number operator, and the number family is
-multiplicative, which the checks assert as exact matrix identities.
+multiplicative, which the checks assert as exact matrix identities.  So
+each operator is a leading factor on the first one or two slots tensored
+with the identity, and ``_leading``, the kernel on the identity of those
+slots, is all the shared adjointness and norm checks read of it: no check
+runs a kernel on a whole grade.
 
 Mixed vacuum moments of the field combinations creation + annihilation +
 s * number follow a noncrossing-partition formula whose block weights are
@@ -49,13 +53,6 @@ from .linalg import hermitize, scaled_gap
 from .report import residual_record
 
 _SLOTS = {CREATION: 0, NUMBER: 1, ANNIHILATION: 2}
-
-
-def _product(mat, block):
-    """mat @ block, a real mat on the block's real and imaginary parts."""
-    if np.iscomplexobj(mat):
-        return mat @ block
-    return (mat @ np.ascontiguousarray(block).view(float)).view(complex)
 
 
 class FreeSpace(GradedFockSpace):
@@ -133,64 +130,14 @@ class FreeSpace(GradedFockSpace):
             out = out + merged.reshape(-1, width)
         return out
 
-    def _leading(self, kind, data, k):
-        """The leading factor F of the operator of ``kind`` leaving grade k:
-        it reads the first s = min(k, ``_SLOTS[kind]``) slots only, so it is
-        F (x) I, and F is its ``_kernel`` on the identity of grade s."""
+    def _leading(self, kind, coeffs, k):
+        """The leading factor F of the operator of ``kind`` leaving grade k
+        whose basis operators ``coeffs`` weighs: it reads the first
+        s = min(k, ``_SLOTS[kind]``) slots only, so it is F (x) I, and F is
+        its ``_kernel`` on the identity of grade s."""
         slots = min(k, _SLOTS[kind])
+        data = self._letter(kind, coeffs)
         return self._kernel(kind, data, np.eye(self.algebra.dim**slots), slots)
-
-    def _side(self, kind, data, k, gram):
-        """B^H gram for B = F (x) I leaving grade k, gram on the rows of the
-        grade B reaches: F^H contracts the leading row axes of gram."""
-        factor = self._leading(kind, data, k)
-        head = factor.conj().T @ gram.reshape(factor.shape[0], -1)
-        return head.reshape(-1, gram.shape[1])
-
-    def _adjoint_gaps(self, metrics, gap):
-        """Worst ``gap`` of each adjoint pair, one basis element at a time:
-        A_b^H G_k against G_(k+1) C_b = (C_b^H G_(k+1))^H, a column slice of
-        the hermitian G_(k+1), and N_b^H G_k against G_k N_(star e_b), the
-        adjoint of the starred element's left side."""
-        alg = self.algebra
-        stars = [self._letter(NUMBER, c) for c in alg.coords(alg.star(alg.basis()))]
-
-        def worst(pairs):
-            return max(
-                gap(self._side(*lhs), self._side(*rhs).conj().T) for lhs, rhs in pairs
-            )
-
-        ladder = worst(
-            ((ANNIHILATION, a, k + 1, metrics[k]), (CREATION, c, k, metrics[k + 1]))
-            for k in range(self.max_grade)
-            for a, c in zip(*map(self._basis_letters, (ANNIHILATION, CREATION)))
-        )
-        number = worst(
-            ((NUMBER, n, k, metrics[k]), (NUMBER, star, k, metrics[k]))
-            for k in range(1, self.max_grade + 1)
-            for n, star in zip(self._basis_letters(NUMBER), stars)
-        )
-        return ladder, number
-
-    def _whitened_products(self, kind, k, out, into):
-        """L_out (F_t (x) I) W_in x and its adjoint, F_t the trial's leading
-        factor: two whitening products and a batch of small ones."""
-        letters = self._basis_letters(kind)
-        factors = np.array([self._leading(kind, data, k) for data in letters])
-        rows, cols = factors.shape[1:]
-
-        def forward(x, c):
-            head = _product(into.whitener, x).T.reshape(len(c), cols, -1)
-            image = np.matmul(np.tensordot(c, factors, axes=1), head)
-            return _product(out.left, image.reshape(len(c), -1).T)
-
-        def backward(y, c):
-            head = _product(out.left.conj().T, y).T.reshape(len(c), rows, -1)
-            adjoint = np.tensordot(c.conj(), factors.conj(), axes=1)
-            image = np.matmul(adjoint.transpose(0, 2, 1), head)
-            return _product(into.whitener.conj().T, image.reshape(len(c), -1).T)
-
-        return forward, backward, (out.left.shape[0], into.whitener.shape[1])
 
     # -- field combinations and moments -------------------------------------
 

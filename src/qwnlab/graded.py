@@ -27,17 +27,19 @@ norms and the q-deformed squared relation are not linear and keep their
 random symbols.
 
 Each space checks its adjointness, norms and positivity in coordinates of
-its own; ``_metric(k)`` is the Gram of grade k in them.  The bosonic
-space checks on the symmetric subspace, in its orthonormal orbit basis,
-and gives its basis operators there (``_basis_operators``).  What the
-norms and the adjointness check compute of an operator is linear in it,
-so by default each applies that fixed map to each basis operator: the
-adjointness check compares the slices of this per-grade basis stack, and
-the norms of all trials come from one batched Lanczos run on it.  The
-free space checks on the whole grade, where each operator is its leading
-factor on the first one or two slots tensored with the identity: it
-contracts the Gram's leading axes for the sides and runs Lanczos on
-those products, with no stack and no kernel on a whole grade.
+its own; ``_metric(k)`` is the Gram of grade k in them.  In those
+coordinates every operator the checks read is a leading factor tensored
+with an identity, F (x) I, and ``_leading`` gives F: the free space checks
+on the whole grade, where F is the kernel on the first one or two slots;
+the bosonic space on the symmetric subspace, in its orthonormal orbit
+basis, where F is the whole compressed operator; the q-deformed space on
+flat rows against the ``_columns`` it checks on.  What the checks compute
+of an operator is linear in it, so each builds the stack of the basis
+factors of one (kind, grade) once: the adjointness check contracts each
+factor's F^H with the metric's leading axes and compares the sides of
+each basis element, and the norms of all trials come from one batched
+Lanczos run on the stack, with no operator matrix and no kernel on a
+whole free grade.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -57,7 +59,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import gram_whitening, krylov_operator_norms, stack_products
+from .linalg import gram_whitening, krylov_operator_norms
 from .report import STATUS_FAIL, residual_record
 
 CREATION = "b*"
@@ -80,6 +82,20 @@ def check_grade(k, max_grade):
         raise GradeOverflowError("grade %d outside [0, %d]" % (k, max_grade))
 
 
+def _product(mat, block):
+    """mat @ block, a real mat on the block's real and imaginary parts."""
+    if np.iscomplexobj(mat):
+        return mat @ block
+    return (mat @ np.ascontiguousarray(block).view(float)).view(complex)
+
+
+def _side(factor, gram):
+    """B^H gram for B = F (x) I, gram on the rows of the grade B reaches:
+    F^H contracts the leading row axes of gram."""
+    head = factor.conj().T @ gram.reshape(factor.shape[0], -1)
+    return head.reshape(-1, gram.shape[1])
+
+
 class GradedFockSpace:
     """Quadratic creation, annihilation and number operators on the grades
     0..max_grade of a truncated Fock space over ``algebra``, and the dense
@@ -94,17 +110,18 @@ class GradedFockSpace:
       in grade-k coordinates, an array of shape (dim**k, width), giving
       the block of its images in the coordinates of the grade it reaches;
 
-    and, for the metric and the shared adjointness check, ``gram(k)`` and
-    the class attributes of its records: ``_prefix`` of the record names,
+    and, for the metric and the shared checks, ``gram(k)``, the class
+    attributes of the records (``_prefix`` of their names,
     ``_adjoint_claim``, and ``_adjoint_notes``, a %-format of the number of
-    basis elements.  ``_metric(k)`` is the one hook through which the
+    basis elements) and ``_leading(kind, coeffs, k)``: the leading factor F
+    of the operator of ``kind`` leaving grade k whose basis operators
+    ``coeffs`` weighs (its ``_coefficients``, conjugated for
+    annihilation), the operator being F (x) I in the coordinates of
+    ``_metric``.  ``_metric(k)`` is the one hook through which the
     scaffold reads a Gram: positivity is checked, operator norms are
     whitened and adjointness is compared against it.  It defaults to the
     hermitized ``gram(k)`` of the whole grade; a space that checks on a
-    subspace returns the Gram in an orthonormal basis of it.  The default
-    adjointness and norm routes read the basis operators in the same
-    coordinates (``_basis_operators``); the free space overrides them
-    (``_adjoint_gaps``, ``_whitened_products``).
+    subspace returns the Gram in an orthonormal basis of it.
 
     ``_symbol_tensors`` and ``_kernel`` are the only definition of each
     operator, and ``_kernel`` on a block of columns is the only way the
@@ -117,12 +134,13 @@ class GradedFockSpace:
     once per kind; a letter's tensors are their sum weighed by
     ``_coefficients``.  The linear claims are checked on the basis of the
     algebra (see the module docstring): the relation checks of the
-    subclasses on the basis pairs, and the adjointness checks and the
-    operator norms (``_operator_norms``) by default on a ``_basis_stack``
-    of one grade, the basis operators from ``_basis_operators`` under the
-    fixed map the check applies.  Neither builds an operator matrix: the
-    adjointness check compares the stack's slices, and the norms run one
-    Lanczos iteration on it for all trials at once.
+    subclasses on the basis pairs, and the adjointness check
+    (``_adjoint_gaps``) and the operator norms (``_whitened_products``)
+    on the ``_leading_stack`` of each (kind, grade), the one route to the
+    operators both take.  Neither builds an operator matrix: the
+    adjointness check compares the contracted sides of each basis element,
+    and the norms run one Lanczos iteration on the stack for all trials
+    at once.
     """
 
     def __init__(self, algebra, max_grade):
@@ -216,24 +234,6 @@ class GradedFockSpace:
         if kind == CREATION and k == self.max_grade:
             raise GradeOverflowError("creation out of the top grade")
         return self.word_matrix([(kind, symbol)], k)
-
-    def _basis_stack(self, kind, k, transform):
-        """``transform`` of each basis operator of ``kind`` leaving grade k,
-        in the coordinates of ``_metric`` (``_basis_operators``), stacked
-        along a new first axis, so that the transformed operator of a
-        symbol is the sum of the slices weighed by its ``_coefficients``.
-
-        A check builds the stack of one grade, sums its trials from it and
-        drops it before the next grade: it holds dim transformed operators,
-        too many to keep for every grade.
-        """
-        stack = None
-        for b, op in enumerate(self._basis_operators(kind, k)):
-            mapped = transform(op)
-            if stack is None:
-                stack = np.empty((self.algebra.dim,) + mapped.shape, dtype=complex)
-            stack[b] = mapped
-        return stack
 
     def word_matrix(self, word, k, columns=None):
         """Dense matrix of an operator product leaving grade k, applied to
@@ -431,12 +431,46 @@ class GradedFockSpace:
         ]
         return tuple(np.concatenate(part) for part in zip(*batches))
 
+    def _leading_stack(self, kind, k):
+        """The ``_leading`` factors of the basis operators of ``kind``
+        leaving grade k, stacked along a new first axis: a symbol's factor
+        is the sum of the slices weighed by its ``_coefficients``.  A check
+        builds the stack of each (kind, grade) once and drops it before the
+        next.  It is filled in place, so no list of the factors is held
+        beside it."""
+        stack = None
+        for b, unit in enumerate(np.eye(self.algebra.dim)):
+            factor = self._leading(kind, unit, k)
+            if stack is None:
+                stack = np.empty((len(unit),) + factor.shape, dtype=complex)
+            stack[b] = factor
+        return stack
+
     def _whitened_products(self, kind, k, out, into):
         """``krylov_operator_norms``'s products and shape for the whitened
-        basis operators L_out B_b W_in, by default from their stack."""
-        return stack_products(
-            self._basis_stack(kind, k, lambda mat: out.left @ (mat @ into.whitener))
-        )
+        operators L_out (F_t (x) I) W_in, F_t the trials' leading factors:
+        W_in on the vectors, one product of the flattened stack of basis
+        factors with their leading axes, the trials' coefficients
+        contracted, and L_out, the adjoint in reverse."""
+        factors = self._leading_stack(kind, k)
+        dim, rows, cols = factors.shape
+        flat = factors.reshape(dim * rows, cols)
+        flat_h = factors.conj().transpose(0, 2, 1).reshape(dim * cols, rows)
+        left_h, whitener_h = out.left.conj().T, into.whitener.conj().T
+
+        def forward(x, c):
+            head = _product(into.whitener, x).reshape(cols, -1)
+            image = (flat @ head).reshape(dim, rows, -1, len(c))
+            image = np.einsum("tb,bist->ist", c, image)
+            return _product(out.left, image.reshape(-1, len(c)))
+
+        def backward(y, c):
+            head = _product(left_h, y).reshape(rows, -1)
+            image = (flat_h @ head).reshape(dim, cols, -1, len(c))
+            image = np.einsum("tb,bist->ist", c.conj(), image)
+            return _product(whitener_h, image.reshape(-1, len(c)))
+
+        return forward, backward, (out.left.shape[0], into.whitener.shape[1])
 
     def _norm_records(self, prefix, claim, cases, symbols, slack):
         """Norm-bound records: ``cases`` are (name, kind, grade, bound)
@@ -471,57 +505,45 @@ class GradedFockSpace:
             records.append(record)
         return records
 
-    def _adjoint_pair_gap(self, grams, gap):
-        """Worst ``gap`` over the grades below the top between the two sides
-        of creation against annihilation as adjoints for ``grams``, the
-        Grams of every grade on the rows ``_basis_operators`` yields,
-        restricted on the right to the columns S_k the space checks on.
-        Restricted on both sides they are the metrics M_k = S_k^H G_k S_k,
-        hermitian: every Gram here commutes with the projection S_k S_k^H,
-        so G_k S_k = S_k M_k, and the identity
+    def _ladder_gap(self, metrics, gap):
+        """Worst ``gap`` over the grades below the top between A_b^H M_k
+        and M_(k+1)^H C_b = (C_b^H M_(k+1))^H, creation against
+        annihilation as adjoints, one basis element b at a time, for
+        ``metrics`` the Grams on the rows of the ``_leading`` factors (see
+        ``_side``).
+
+        With S_k the orthonormal columns grade k is checked on and
+        M_k = S_k^H G_k S_k, every Gram here commutes with S_k S_k^H, so
         S_(k+1)^H A^H G_k S_k = S_(k+1)^H G_(k+1) C S_k reads
         (S_k^H A S_(k+1))^H M_k = M_(k+1)^H (S_(k+1)^H C S_k), whatever the
-        operators do to the complement of the subspace.  On flat rows it
-        reads (A S_(k+1))^H (G_k S_k) = (G_(k+1) S_(k+1))^H (C S_k).
-
-        Both sides are linear in the symbol, so each is a stack of its basis
-        sides, built once per grade, and the identity holds for every symbol
-        once it holds for the slices of the two stacks at each basis
-        element, which are compared.
+        operators do off the subspace; on flat rows, with the Grams
+        restricted on the right, it reads
+        (A S_(k+1))^H (G_k S_k) = (G_(k+1) S_(k+1))^H (C S_k).
         """
         worst = 0.0
         for k in range(self.max_grade):
-            left = self._basis_stack(
-                ANNIHILATION, k + 1, lambda mat: mat.conj().T @ grams[k]
-            )
-            right = self._basis_stack(
-                CREATION, k, lambda mat: grams[k + 1].conj().T @ mat
-            )
-            for lhs, rhs in zip(left, right):
-                worst = max(worst, gap(lhs, rhs))
-            del left, right
+            lefts = self._leading_stack(ANNIHILATION, k + 1)
+            rights = self._leading_stack(CREATION, k)
+            for a, c in zip(lefts, rights):
+                lhs, rhs = _side(a, metrics[k]), _side(c, metrics[k + 1])
+                worst = max(worst, gap(lhs, rhs.conj().T))
         return worst
 
     def _adjoint_gaps(self, metrics, gap):
-        """Worst ``gap`` of the ladder pair (``_adjoint_pair_gap``) and of
-        the number pair, whose right side at z, M_k N_(z*), is the adjoint of
-        its left one at z*: the slice ``left[b]`` of one stack is compared
-        with the adjoint of the stack summed at star(e_b)."""
+        """Worst ``gap`` of the ladder pair (``_ladder_gap``) and of the
+        number pair: N_b^H M_k against M_k N_(star e_b), the adjoint of the
+        starred element's left side, whose factor the stack sums at the
+        coordinates of star(e_b)."""
         alg = self.algebra
-        starred = [
-            self._coefficients(NUMBER, element).conj()
-            for element in alg.star(alg.basis())
-        ]
+        starred = alg.coords(alg.star(alg.basis()))
         worst = 0.0
         for k in range(1, self.max_grade + 1):
-            left = self._basis_stack(
-                NUMBER, k, lambda mat: mat.conj().T @ metrics[k]
-            )
-            for lhs, coeffs in zip(left, starred):
-                rhs = (coeffs @ left.reshape(len(coeffs), -1)).reshape(lhs.shape)
+            factors = self._leading_stack(NUMBER, k)
+            for factor, coeffs in zip(factors, starred):
+                star = np.tensordot(coeffs, factors, axes=1)
+                lhs, rhs = _side(factor, metrics[k]), _side(star, metrics[k])
                 worst = max(worst, gap(lhs, rhs.conj().T))
-            del left
-        return self._adjoint_pair_gap(metrics, gap), worst
+        return self._ladder_gap(metrics, gap), worst
 
     def check_adjointness(self, tol=1e-9):
         """Creation against annihilation and number against the number of

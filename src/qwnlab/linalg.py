@@ -141,22 +141,6 @@ def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
     return Whitening(w, w.conj().T @ gram, negative, vals)
 
 
-def stack_products(stack: np.ndarray) -> tuple:
-    """:func:`krylov_operator_norms`'s products and shape for the operators
-    weighed from the matrices ``stack[b]``: one matrix product of the stack
-    with the trials' vectors, contracted with their coefficients."""
-    dim, rows, cols = stack.shape
-    flat = stack.reshape(dim * rows, cols)
-
-    def forward(x, c):
-        return np.einsum("tb,bmt->mt", c, (flat @ x).reshape(dim, rows, -1))
-
-    def backward(y, c):
-        return np.einsum("tb,btn->nt", c, np.matmul(y.conj().T, stack)).conj()
-
-    return forward, backward, (rows, cols)
-
-
 def krylov_operator_norms(forward, backward, shape, coeffs: np.ndarray) -> tuple:
     """Largest singular value of each ``M_t = sum_b coeffs[t, b] M_b``,
     and the relative residual of the Ritz pair it was read from.

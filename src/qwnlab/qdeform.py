@@ -134,10 +134,11 @@ class QFockSpace(GradedFockSpace):
             mat = left.conj().T @ mat
         return mat if right is None else mat @ right
 
-    def _basis_operators(self, kind, k):
+    def _leading(self, kind, coeffs, k):
         # Only the adjointness check reads these, against the q-Grams
-        # restricted on the right, so the images keep their flat rows.
-        return iter(self._basis_images(kind, k, self._columns(k)))
+        # restricted on the right, so the images of the ``_columns`` keep
+        # their flat rows and the identity tail has size 1.
+        return self._run([(kind, self._letter(kind, coeffs))], k, self._columns(k))
 
     # -- checks ---------------------------------------------------------------
 
@@ -209,14 +210,14 @@ class QFockSpace(GradedFockSpace):
 
     def check_adjointness(self, tol=1e-10):
         """Creation and annihilation are mutually adjoint for the q-Gram,
-        compared after ``_compress`` at each basis mode, as the shared pair
-        check does (``_adjoint_pair_gap``), with the images on flat rows:
+        compared after ``_compress`` at each basis mode by the shared ladder
+        check (``_ladder_gap``), with the images on flat rows:
         S_(n+1)^H A^H G_n S_n = (A S_(n+1))^H (G_n S_n) against
-        S_(n+1)^H G_(n+1) C S_n = (G_(n+1) S_(n+1))^H (C S_n)."""
+        S_(n+1)^H G_(n+1) C S_n = ((C S_n)^H (G_(n+1) S_(n+1)))^H."""
         grams = [
             self._compress(self.q_gram(n), k_in=n) for n in range(self.max_grade + 1)
         ]
-        worst = self._adjoint_pair_gap(grams, scaled_gap)
+        worst = self._ladder_gap(grams, scaled_gap)
         return [
             residual_record(
                 "qdeform.adjointness",

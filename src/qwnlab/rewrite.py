@@ -293,27 +293,23 @@ class RewriteEngine:
             return 0
         return self._rewrite(start, _READS_STEPS)[0]
 
-    def vacuum_moment(self, word, **kwargs):
+    def vacuum_moment(self, word):
         """Scalar term of the normal form: the vacuum state of the word.
 
-        On a word of quadratic letters alone (b*, n, b), called without
-        keyword arguments, the rewrite queues only live words: the empty
-        word, and words that start with an annihilator b and end with a
-        creator b*.  No rule makes a word live that was not (see the module
-        docstring), so the scalar term is the same sum, added in the same
-        order, as ``normal_order(word).coefficient(())``, in no more steps;
-        the 4**length budget counts those steps.  Every other call takes
-        the full rewrite, so a linear word with an unsupported pair still
-        raises.
+        On a word of quadratic letters alone (b*, n, b) the rewrite queues
+        only live words: the empty word, and words that start with an
+        annihilator b and end with a creator b*.  No rule makes a word live
+        that was not (see the module docstring), so the scalar term is the
+        same sum, added in the same order, as
+        ``normal_order(word).coefficient(())``, in no more steps; the
+        4**length budget counts those steps.  A word with a linear letter
+        takes the full rewrite, so an unsupported pair still raises.
         """
         start = self._coded(word)
-        letters = self._letters
-        if kwargs or start is not None and any(
-            letters[c][0] not in _QUADRATIC for c in start
-        ):
-            return self.normal_order(word, **kwargs).coefficient(())
         if start is None:
             return 0j
+        if any(self._letters[c][0] not in _QUADRATIC for c in start):
+            return self.normal_order(word).coefficient(())
         scalar = self._rewrite(start, _READS_VACUUM)[1].get((), 0j)
         # as in normal_order, a scalar summing to zero (of either sign) is 0j
         return scalar if scalar != 0 else 0j

@@ -469,13 +469,15 @@ def test_representative_route_matches_the_whole_gram(name, gamma0):
         raw = space.gram_matrix(k)
         gap = scaled_gap(raw, raw.conj().T)
         assert abs(space._hermiticity_gap(k) - gap) <= 1e-14, k
-    # the adjointness stacks pair the compressed operators with the metrics
+    # the adjointness sides pair the compressed operators with the metrics
+    units = np.eye(space.algebra.dim)
     for k in range(top):
         for kind, grade, side in (
             (ANNIHILATION, k + 1, lambda mat, grams: mat.conj().T @ grams[k]),
             (CREATION, k, lambda mat, grams: grams[k + 1].conj().T @ mat),
         ):
+            factors = [space._leading(kind, unit, grade) for unit in units]
             _assert_close(
-                space._basis_stack(kind, grade, lambda mat: side(mat, new)),
-                space._basis_stack(kind, grade, lambda mat: side(mat, full)),
+                np.array([side(mat, new) for mat in factors]),
+                np.array([side(mat, full) for mat in factors]),
             )

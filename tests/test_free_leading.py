@@ -7,10 +7,10 @@ annihilation pairs or merges the first two.  So each is its leading factor
 tensored with the identity on the remaining slots, which the first test
 licenses.  The relations then run on the identity columns that show every
 entry of that factor, the adjointness sides contract the Gram's leading
-axes, and the norms take their Lanczos products with no stack.  The
-whole-grade routes live here as the oracles: the relations on the
-identity, the dense basis sides, and Lanczos on the stack of whitened
-basis operators.
+axes, and the norms take their Lanczos products from the stack of the
+basis factors against those axes.  The whole-grade routes live here as the
+oracles: the relations on the identity, the dense basis sides, and Lanczos
+on the stack of whitened whole-grade basis operators.
 """
 
 import numpy as np
@@ -19,9 +19,10 @@ import pytest
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.free import _SLOTS, FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER
-from qwnlab.linalg import KRYLOV_TOL, krylov_operator_norms, scaled_gap, stack_products
+from qwnlab.linalg import KRYLOV_TOL, krylov_operator_norms, scaled_gap
 from test_basis_checks import ADJOINT_TOL, RELATION_TOL, whole_grade_operators
 from test_graded import RotatedMatrixAlgebra
+from test_linalg import stack_products
 
 # Up to grade 4 over M_2 and F_3.  The dyadic spaces have dyadic weights
 # and gamma, so at dyadic symbols every route sums exact products.
@@ -52,12 +53,12 @@ def test_each_kernel_is_its_leading_factor_tensored_with_the_identity(name):
     rng = np.random.default_rng(31)
     for kind, k in _cases(space):
         symbol = random_element(space.algebra, rng, dyadic=dyadic)
-        letters = space._basis_letters(kind)
-        letters.append(space._letter(kind, space._coefficients(kind, symbol)))
-        for data in letters:
+        weights = [*np.eye(dim), space._coefficients(kind, symbol)]
+        for coeffs in weights:
+            data = space._letter(kind, coeffs)
             whole = space._kernel(kind, data, np.eye(dim**k), k)
             tail = np.eye(dim ** (k - min(k, _SLOTS[kind])))
-            expected = np.kron(space._leading(kind, data, k), tail)
+            expected = np.kron(space._leading(kind, coeffs, k), tail)
             assert whole.shape == expected.shape, (kind, k)
             if dyadic:
                 assert np.array_equal(whole, expected), (kind, k)
@@ -193,23 +194,27 @@ def test_matrix_free_norms_match_lanczos_on_the_stack(name):
 @pytest.mark.parametrize("name", ["m2", "f3"])
 def test_free_checks_run_no_kernel_on_a_whole_grade(name, monkeypatch):
     # every kernel block of the relations, adjointness, positivity and
-    # norms is at most dim**2 columns wide, and no basis stack is built
+    # norms is at most dim**2 columns wide, and every factor the stacks of
+    # the adjointness and the norms hold is at most dim**2 on a side
     space = SPACES[name]()
     dim = space.algebra.dim
-    widths = []
-    kernel = space._kernel
+    widths, sides = [], []
+    kernel, leading = space._kernel, space._leading
 
     def recording(kind, data, block, k):
         widths.append(block.shape[1])
         return kernel(kind, data, block, k)
 
-    def refuse(*args):
-        raise AssertionError("basis stack built")
+    def measured(kind, coeffs, k):
+        factor = leading(kind, coeffs, k)
+        sides.extend(factor.shape)
+        return factor
 
     monkeypatch.setattr(space, "_kernel", recording)
-    monkeypatch.setattr(space, "_basis_stack", refuse)
+    monkeypatch.setattr(space, "_leading", measured)
     records = space.check_relations() + space.check_adjointness()
     records += space.check_positivity()
     records += space.check_norm_estimates(np.random.default_rng(2), trials=3)
     assert all(record.status == "pass" for record in records)
     assert widths and max(widths) <= dim**2
+    assert sides and max(sides) <= dim**2

@@ -1,9 +1,9 @@
 """The graded scaffold (GradedFockSpace): operator words run as kernels on
 column blocks and checked against the dense chained product of operator
 matrices, letters summed from per-basis symbol tensors, operator norms by
-Krylov runs on per-grade basis stacks on the compressed columns (against
-the SVD) and the adjointness check on their slices, and the symmetric
-subspace built from index orbits."""
+Krylov runs on per-grade stacks of the basis operators' leading factors
+(against the SVD of the compressed operator) and the adjointness check on
+their slices, and the symmetric subspace built from index orbits."""
 
 import gc
 import itertools
@@ -210,9 +210,10 @@ def test_basis_sum_matches_the_kernel_at_complex_symbols(name):
 @pytest.mark.parametrize("name", sorted(NONDYADIC_SPACES))
 def test_kernel_runs_once_per_basis_element(name, monkeypatch):
     # The symbol tensors are built at the basis elements only, once per
-    # kind; a basis stack runs the kernel once per basis element, and an
-    # operator matrix once.  The free space builds no stack, so its
-    # whole-grade basis operators, the oracle, stand in for one.
+    # kind; the leading factors of the basis run the kernel once per basis
+    # element, and an operator matrix once.  The free factors run theirs
+    # on the leading slots, so its whole-grade basis operators, the
+    # oracle, stand in for them.
     space = NONDYADIC_SPACES[name]()
     calls = Counter()
     tensors = Counter()
@@ -236,7 +237,7 @@ def test_kernel_runs_once_per_basis_element(name, monkeypatch):
         if isinstance(space, FreeSpace):
             list(whole_grade_operators(space, kind, k))
         else:
-            space._basis_stack(kind, k, lambda mat: mat)
+            space._leading_stack(kind, k)
     for _ in range(dim + 2):
         symbol = random_element(space.algebra, rng)
         for kind, k in cases:
@@ -437,12 +438,13 @@ def _adjointness(space, trials):
     return space.check_adjointness()
 
 
-# The free checks contract leading factors and build no stack.
+# Every space's adjointness and norms read its operators as stacks of
+# basis leading factors, one stack per (kind, grade).
 STACK_CHECKS = {
     "bosonic_norms": ("bosonic_m2", _norms, _norm_stacks),
     "bosonic_adjointness": ("bosonic_f3", _adjointness, _adjoint_stacks),
-    "free_norms": ("free_f3", _norms, lambda top: []),
-    "free_adjointness": ("free_m2", _adjointness, lambda top: []),
+    "free_norms": ("free_f3", _norms, _norm_stacks),
+    "free_adjointness": ("free_m2", _adjointness, _adjoint_stacks),
     "qdeform_adjointness": (
         "qdeform_negative",
         _adjointness,
@@ -453,24 +455,33 @@ STACK_CHECKS = {
 
 def _run_counting_stacks(space, check, trials, monkeypatch):
     """Run one check with operator_matrix refused; return the (kind, grade)
-    count of the stacks it built and weak references to them."""
-    built = Counter()
+    count of the factor stacks it built and weak references to them, after
+    checking that each stack took one ``_leading`` factor per basis
+    element."""
+    built, factors = Counter(), Counter()
     stacks = []
-    basis_stack = space._basis_stack
+    leading, leading_stack = space._leading, space._leading_stack
 
-    def counting(kind, k, transform):
+    def counting_factors(kind, coeffs, k):
+        factors[kind, k] += 1
+        return leading(kind, coeffs, k)
+
+    def counting(kind, k):
         built[kind, k] += 1
-        stack = basis_stack(kind, k, transform)
+        stack = leading_stack(kind, k)
         stacks.append(weakref.ref(stack))
         return stack
 
     def refuse(kind, symbol, k):
         raise AssertionError("operator_matrix called")
 
-    monkeypatch.setattr(space, "_basis_stack", counting)
+    monkeypatch.setattr(space, "_leading", counting_factors)
+    monkeypatch.setattr(space, "_leading_stack", counting)
     monkeypatch.setattr(space, "operator_matrix", refuse)
     records = check(space, trials)
     assert all(record.status == "pass" for record in records)
+    dim = space.algebra.dim
+    assert factors == Counter({case: dim * count for case, count in built.items()})
     return built, stacks
 
 
@@ -491,6 +502,41 @@ def test_no_stack_outlives_its_check(case, monkeypatch):
     gc.collect()
     assert len(stacks) == len(expected(space.max_grade))
     assert all(ref() is None for ref in stacks)
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CHECKS))
+def test_checks_reach_operators_only_through_the_leading_factors(case, monkeypatch):
+    # no space overrides the shared routes, and every kernel the check
+    # runs, and every cached bosonic orbit matrix it reads, is reached
+    # from inside ``_leading``
+    name, check, _ = STACK_CHECKS[case]
+    space = NONDYADIC_SPACES[name]()
+    assert not {"_adjoint_gaps", "_whitened_products"} & set(vars(type(space)))
+    depth, reached = [0], Counter()
+    leading = space._leading
+
+    def entered(kind, coeffs, k):
+        depth[0] += 1
+        try:
+            return leading(kind, coeffs, k)
+        finally:
+            depth[0] -= 1
+
+    def guarded(method):
+        def run(*args):
+            assert depth[0], (method.__name__, args[0])
+            reached[method.__name__] += 1
+            return method(*args)
+
+        return run
+
+    monkeypatch.setattr(space, "_leading", entered)
+    for attr in ("_kernel", "_run", "_orbit_operators"):
+        if hasattr(space, attr):
+            monkeypatch.setattr(space, attr, guarded(getattr(space, attr)))
+    records = check(space, 2)
+    assert all(record.status == "pass" for record in records)
+    assert reached
 
 
 @pytest.mark.parametrize("name", ["bosonic_m2", "bosonic_f3", "free_f3"])

@@ -934,20 +934,9 @@ def test_vacuum_moment_of_linear_words_takes_the_full_rewrite():
         assert _same_scalar(engine.vacuum_moment(word), expected), word
 
 
-def test_vacuum_moment_keyword_calls_take_the_full_rewrite():
+def test_vacuum_moment_of_a_zero_symbol_or_the_empty_word():
     engine = make_engine()
     sid = engine.symbols.intern(np.array([1.0, 1.0]))
-    word = ((ANNIHILATION, sid), (NUMBER, sid), (CREATION, sid))
-    assert engine.vacuum_moment(word, coefficient=0.5) == 0.5 * engine.vacuum_moment(
-        word
-    )
-    assert engine.vacuum_moment(word, strategy="rightmost") == engine.vacuum_moment(
-        word
-    )
-    with pytest.raises(RewriteBudgetError):
-        engine.vacuum_moment(word, max_steps=0)
-    with pytest.raises(ValueError, match="unknown strategy"):
-        engine.vacuum_moment(word, strategy="bogus")
     zero = engine.symbols.intern(np.zeros(2))
     assert engine.vacuum_moment(((ANNIHILATION, zero), (CREATION, sid))) == 0j
     assert engine.vacuum_moment(()) == 1.0 + 0j
