@@ -12,16 +12,18 @@ left word of length m times the right word.  Every summand is a pullback of
 a GNS form, so the assembled Gram matrices are positive semidefinite for
 every base algebra, commutative or not.
 
-The operators act on the first slot only: creation prepends its symbol,
-annihilation pairs against the first slot (state term) and merges the first
-two slots, the number operator multiplies the first slot from the left.
-Their commutation behaviour is exactly resolvable: annihilation past
-creation leaves a scalar plus a number operator, and the number family is
-multiplicative, which the checks assert as exact matrix identities.  So
-each operator is a leading factor on the first one or two slots tensored
-with the identity, and ``_leading``, the kernel on the identity of those
-slots, is all the shared adjointness and norm checks read of it: no check
-runs a kernel on a whole grade.
+The operators act on the leading slots only: creation prepends its symbol,
+the number operator multiplies the first slot from the left, and
+annihilation pairs against the first slot (state term) and merges the
+first two slots.  So each operator is built as its leading factor F on the
+first one or two slots tensored with the identity, F (x) I: the factors
+are its symbol tensors, its kernel is the one product of F with the
+leading axes of a block, and ``_leading`` reads F off the letter.  Their
+commutation behaviour is exactly resolvable: annihilation past creation
+leaves a scalar plus a number operator, and the number family is
+multiplicative.  The relation check asserts these as exact identities of
+products of factors, and the shared adjointness and norm checks read the
+factors too, so no check runs a kernel.
 
 Mixed vacuum moments of the field combinations creation + annihilation +
 s * number follow a noncrossing-partition formula whose block weights are
@@ -52,7 +54,11 @@ from .graded import (
 from .linalg import hermitize, scaled_gap
 from .report import residual_record
 
-_SLOTS = {CREATION: 0, NUMBER: 1, ANNIHILATION: 2}
+
+def _at_grade(factors, k):
+    """The one of a letter's leading ``factors`` that acts on grade k:
+    annihilation has a factor on grade 1 and one above, the others one."""
+    return factors[0] if k <= 1 else factors[-1]
 
 
 class FreeSpace(GradedFockSpace):
@@ -103,41 +109,38 @@ class FreeSpace(GradedFockSpace):
     # -- operators ----------------------------------------------------------
 
     def _symbol_tensors(self, kind, symbol):
+        """The leading factors of the operator of ``kind`` at ``symbol``:
+        creation's column of the symbol's coordinates (D x 1), the number
+        operator's left multiplication (D x D), and annihilation's gamma
+        times the state row on grade 1 (1 x D) and, above, that row on the
+        first slot plus the merge of the first two (D x D**2)."""
         alg = self.algebra
         if kind == CREATION:
-            return (alg.coords(symbol),)
+            return (alg.coords(symbol)[:, None],)
         if kind == NUMBER:
             return (alg.left_mult_matrix(symbol),)
         if kind == ANNIHILATION:
+            dim = alg.dim
             starred = alg.star(symbol)
             basis = alg.basis()
-            dvec = alg.state(alg.mul(starred, basis))
-            # merge[a1, a2, c]: coordinates of symbol* e_a1 e_a2
+            row = self.gamma * alg.state(alg.mul(starred, basis))[None, :]
+            # merge[c, (a1, a2)]: coordinate c of symbol* e_a1 e_a2
             prod = alg.mul(starred, alg.mul(basis[:, None], basis[None, :]))
-            return dvec, alg.coords(prod)
+            merge = alg.coords(prod).reshape(dim * dim, dim).T
+            return row, np.kron(row, np.eye(dim)) + merge
         raise ValueError("unknown operator kind %r" % (kind,))
 
     def _kernel(self, kind, data, block, k):
-        dim = self.algebra.dim
-        width = block.shape[1]
-        if kind == CREATION:
-            return (data[0][:, None, None] * block).reshape(-1, width)
-        if kind == NUMBER:
-            return (data[0] @ block.reshape(dim, -1)).reshape(-1, width)
-        out = (self.gamma * (data[0] @ block.reshape(dim, -1))).reshape(-1, width)
-        if k >= 2:
-            merged = data[1].reshape(dim * dim, dim).T @ block.reshape(dim * dim, -1)
-            out = out + merged.reshape(-1, width)
-        return out
+        factor = _at_grade(data, k)
+        image = factor @ block.reshape(factor.shape[1], -1)
+        return image.reshape(-1, block.shape[1])
 
     def _leading(self, kind, coeffs, k):
         """The leading factor F of the operator of ``kind`` leaving grade k
-        whose basis operators ``coeffs`` weighs: it reads the first
-        s = min(k, ``_SLOTS[kind]``) slots only, so it is F (x) I, and F is
-        its ``_kernel`` on the identity of grade s."""
-        slots = min(k, _SLOTS[kind])
-        data = self._letter(kind, coeffs)
-        return self._kernel(kind, data, np.eye(self.algebra.dim**slots), slots)
+        whose basis operators ``coeffs`` weighs: its letter's factor at
+        grade k, with no kernel run.  The operator is F (x) I by
+        construction, F reading the leading slots its width spans."""
+        return _at_grade(self._letter(kind, coeffs), k)
 
     # -- field combinations and moments -------------------------------------
 
@@ -223,22 +226,21 @@ class FreeSpace(GradedFockSpace):
             n(e_a) n(e_b) = n(e_a e_b).
 
         Each side is linear in both symbols (annihilation conjugate-linearly),
-        so the basis pairs prove the relations for all symbols.  The dim
-        images of the inner creation operators serve the first two
-        relations and those of the inner number operators the last two;
-        each outer basis operator runs on them.  The first two act on the
-        first slot of grade k and the last two on the first two slots, so
-        they run on the identity columns whose later slots are e_0, where
-        every entry of the whole-grade sides, and its scaled gap, shows.
+        so the basis pairs prove the relations for all symbols.  Every
+        operator is its ``_leading`` factor tensored with the identity, so
+        each side is one too: the left side's factor is the outer factor
+        times the inner one, padded with the identity on the slots the
+        outer factor reads beyond those the inner one reaches, and the
+        factors are compared at every grade.
         """
         alg = self.algebra
         dim = alg.dim
+        units = np.eye(dim)
         basis = alg.basis()
         pairs = alg.mul(alg.star(basis)[:, None], basis[None, :])
         pairing = self.gamma * alg.state(pairs)
         pair_coords = alg.coords(pairs)
         product_coords = alg.coords(alg.mul(basis[:, None], basis[None, :]))
-        outer = {kind: self._basis_letters(kind) for kind in (ANNIHILATION, NUMBER)}
         worst = dict.fromkeys(
             (
                 "contract_creation",
@@ -249,37 +251,34 @@ class FreeSpace(GradedFockSpace):
             0.0,
         )
 
-        def leading_columns(k, slots):
-            slots = min(k, slots)
-            return np.kron(np.eye(dim**slots), np.eye(dim ** (k - slots), 1))
-
-        def relation(name, left, k, a, inner, rhs):
-            """One basis pair: ``left`` outer at e_a on the inner image."""
-            lhs = self._run([(left, outer[left][a])], k, inner)
+        def relation(name, outer, a, inner, k, rhs):
+            """One basis pair: the factor of ``outer`` at e_a leaving grade
+            k times the ``inner`` factor."""
+            factor = self._leading(outer, units[a], k)
+            pad = np.eye(factor.shape[1] // inner.shape[0])
+            lhs = factor @ np.kron(inner, pad)
             worst[name] = max(worst[name], scaled_gap(lhs, rhs))
 
         for k in range(self.max_grade):
-            columns = leading_columns(k, 1)
-            for b, image in enumerate(self._basis_images(CREATION, k, columns)):
+            for b in range(dim):
+                creation = self._leading(CREATION, units[b], k)
                 for a in range(dim):
-                    number = self._letter(NUMBER, pair_coords[a, b])
-                    rhs = self._run([(NUMBER, number)], k, columns)
-                    rhs = pairing[a, b] * columns + rhs
-                    relation("contract_creation", ANNIHILATION, k + 1, a, image, rhs)
-                    creation = self._letter(CREATION, product_coords[a, b])
-                    rhs = self._run([(CREATION, creation)], k, columns)
-                    relation("number_creation", NUMBER, k + 1, a, image, rhs)
+                    # the scalar on the vacuum, plus the number factor above
+                    rhs = pairing[a, b] * np.eye(dim ** min(k, 1))
+                    if k:
+                        rhs = rhs + self._leading(NUMBER, pair_coords[a, b], k)
+                    relation("contract_creation", ANNIHILATION, a, creation, k + 1, rhs)
+                    rhs = self._leading(CREATION, product_coords[a, b], k)
+                    relation("number_creation", NUMBER, a, creation, k + 1, rhs)
         for k in range(1, self.max_grade + 1):
-            columns = leading_columns(k, 2)
-            for b, image in enumerate(self._basis_images(NUMBER, k, columns)):
+            for b in range(dim):
+                number = self._leading(NUMBER, units[b], k)
                 for a in range(dim):
                     # b(z* psi) has the coefficients conj(coords(z* psi))
-                    annihilation = self._letter(ANNIHILATION, pair_coords[b, a].conj())
-                    rhs = self._run([(ANNIHILATION, annihilation)], k, columns)
-                    relation("annihilation_number", ANNIHILATION, k, a, image, rhs)
-                    number = self._letter(NUMBER, product_coords[a, b])
-                    rhs = self._run([(NUMBER, number)], k, columns)
-                    relation("number_multiplicative", NUMBER, k, a, image, rhs)
+                    rhs = self._leading(ANNIHILATION, pair_coords[b, a].conj(), k)
+                    relation("annihilation_number", ANNIHILATION, a, number, k, rhs)
+                    rhs = self._leading(NUMBER, product_coords[a, b], k)
+                    relation("number_multiplicative", NUMBER, a, number, k, rhs)
         return [
             residual_record(
                 "free.relation." + name,

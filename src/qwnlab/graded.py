@@ -19,27 +19,26 @@ it holds at the dim basis elements, and one linear in each of two symbols
 once it holds at the dim**2 basis pairs, up to rounding: random symbols
 would re-sum the same basis operators and could detect nothing more.  So
 the adjointness checks compare the sides of each basis element, and the
-relation checks of the spaces run on basis pairs, building the images of
-the dim inner basis operators of a grade once and applying each outer one
-to them (``_basis_commutators`` for the q-deformed relation; the bosonic
-space multiplies its cached basis matrices instead).  Operator
-norms and the q-deformed squared relation are not linear and keep their
-random symbols.
+relation checks of the spaces run on basis pairs: the free space
+multiplies the leading factors of each pair, the bosonic space its cached
+basis matrices, and the q-deformed space runs the ``commutator`` of each
+pair of basis modes on the columns it checks.  Operator norms and the
+q-deformed squared relation are not linear and keep their random symbols.
 
 Each space checks its adjointness, norms and positivity in coordinates of
 its own; ``_metric(k)`` is the Gram of grade k in them.  In those
 coordinates every operator the checks read is a leading factor tensored
 with an identity, F (x) I, and ``_leading`` gives F: the free space checks
-on the whole grade, where F is the kernel on the first one or two slots;
-the bosonic space on the symmetric subspace, in its orthonormal orbit
-basis, where F is the whole compressed operator; the q-deformed space on
-flat rows against the ``_columns`` it checks on.  What the checks compute
-of an operator is linear in it, so each builds the stack of the basis
-factors of one (kind, grade) once: the adjointness check contracts each
-factor's F^H with the metric's leading axes and compares the sides of
-each basis element, and the norms of all trials come from one batched
-Lanczos run on the stack, with no operator matrix and no kernel on a
-whole free grade.
+on the whole grade, where F is the factor on the first one or two slots
+its operators are built from; the bosonic space on the symmetric
+subspace, in its orthonormal orbit basis, where F is the whole compressed
+operator; the q-deformed space on flat rows against the ``_columns`` it
+checks on.  What the checks compute of an operator is linear in it, so
+each builds the stack of the basis factors of one (kind, grade) once: the
+adjointness check contracts each factor's F^H with the metric's leading
+axes and compares the sides of each basis element, and the norms of all
+trials come from one batched Lanczos run on the stack, with no operator
+matrix and no free kernel.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -124,12 +123,14 @@ class GradedFockSpace:
     subspace returns the Gram in an orthonormal basis of it.
 
     ``_symbol_tensors`` and ``_kernel`` are the only definition of each
-    operator, and ``_kernel`` on a block of columns is the only way the
-    scaffold acts with one: ``word_matrix`` runs each letter's kernel on a
-    block that starts as the requested columns (the identity by default),
-    ``operator_matrix`` is the one-letter word, and ``apply``, the step a
-    vacuum walk is made of, runs the kernel on the one column of each grade
-    present in a graded vector (a list, see the module docstring).
+    operator (the free space's tensors are its leading factors, and its
+    kernel is their product with a block), and ``_kernel`` on a block of
+    columns is the only way the scaffold acts with one: ``word_matrix``
+    runs each letter's kernel on a block that starts as the requested
+    columns (the identity by default), ``operator_matrix`` is the
+    one-letter word, and ``apply``, the step a vacuum walk is made of, runs
+    the kernel on the one column of each grade present in a graded vector
+    (a list, see the module docstring).
     ``_symbol_tensors`` runs only at the basis elements of the algebra,
     once per kind; a letter's tensors are their sum weighed by
     ``_coefficients``.  The linear claims are checked on the basis of the
@@ -193,37 +194,22 @@ class GradedFockSpace:
 
     def _letter(self, kind, coeffs):
         """The ``_symbol_tensors`` of the operator of ``kind`` whose basis
-        operators are weighed by ``coeffs``: the tensors of the basis
-        elements, built once per kind and flattened side by side into one
-        row per element, summed with these weights."""
+        operators are weighed by ``coeffs``: each tensor's values at the
+        basis elements, built once per kind and stacked along a first axis,
+        summed with these weights."""
         if kind not in self._basis_tensors:
             per_element = [
                 self._symbol_tensors(kind, element) for element in self.algebra.basis()
             ]
-            rows = [np.concatenate([t.reshape(-1) for t in ts]) for ts in per_element]
-            pieces, start = [], 0
-            for tensor in per_element[0]:
-                pieces.append((start, start + tensor.size, tensor.shape))
-                start += tensor.size
-            self._basis_tensors[kind] = np.array(rows), pieces
-        rows, pieces = self._basis_tensors[kind]
-        flat = coeffs @ rows
-        return [flat[start:stop].reshape(shape) for start, stop, shape in pieces]
+            self._basis_tensors[kind] = [np.array(t) for t in zip(*per_element)]
+        return [
+            (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+            for stack in self._basis_tensors[kind]
+        ]
 
     def _basis_letters(self, kind):
         """The letters of ``kind`` at the basis elements of the algebra."""
         return [self._letter(kind, unit) for unit in np.eye(self.algebra.dim)]
-
-    def _basis_images(self, kind, k, columns=None):
-        """The images of ``columns`` of grade k (the identity when None)
-        under the basis operators of ``kind``, one block per basis element.
-        A relation check on basis pairs builds these dim inner images of a
-        grade once and applies every outer basis operator to them, so it
-        never holds the dim**2 images of the pairs."""
-        return [
-            self._run([(kind, letter)], k, columns)
-            for letter in self._basis_letters(kind)
-        ]
 
     def operator_matrix(self, kind, symbol, k):
         """Dense matrix of the operator leaving grade k, in flat
@@ -280,29 +266,6 @@ class GradedFockSpace:
         forward = self._run([*left, *right], k, columns)
         backward = self._run([*right, *left], k, columns)
         return forward - (backward if q == 1.0 else q * backward)
-
-    def _basis_commutators(self, left, right, k, columns=None, q=1.0):
-        """The q-commutators L_a R_b - q R_b L_a of the basis operators of
-        two kinds ``left`` and ``right`` on ``columns`` of grade k (the
-        identity when None), one matrix per ordered basis pair (a, b);
-        ``right`` must act on grade k.
-
-        The dim images R_b Y are built once per grade and every L_a runs on
-        them, and L_a Y is built once per a, so at most dim + 1 images are
-        held at a time, and never the dim**2 commutators.
-        """
-        rights = self._basis_letters(right)
-        ahead = self._basis_images(right, k, columns)
-        for letter in self._basis_letters(left):
-            behind = None
-            if k or left == CREATION:
-                behind = self._run([(left, letter)], k, columns)
-            for b, image in enumerate(ahead):
-                forward = self._run([(left, letter)], k + _SHIFTS[right], image)
-                if behind is not None:
-                    back = self._run([(right, rights[b])], k + _SHIFTS[left], behind)
-                    forward = forward - (back if q == 1.0 else q * back)
-                yield forward
 
     def apply(self, kind, symbol, vec):
         """Apply one operator to a graded vector: a list of at most

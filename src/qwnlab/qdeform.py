@@ -149,15 +149,17 @@ class QFockSpace(GradedFockSpace):
         prove it for every symbol.  The commutators run on the ``_columns``
         and are compared after restriction on the left."""
         worst = 0.0
-        pairings = np.eye(self.dim).reshape(-1)
+        modes = np.eye(self.dim)
         for n in range(self.max_grade):
             columns = self._columns(n)
             block = np.eye(self.dim**n) if columns is None else columns
             identity = self._compress(block, k_out=n)
-            diffs = self._basis_commutators(ANNIHILATION, CREATION, n, columns, self.q)
-            for pairing, diff in zip(pairings, diffs):
-                lhs = self._compress(diff, k_out=n)
-                worst = max(worst, scaled_gap(lhs, pairing * identity))
+            for i, phi in enumerate(modes):
+                for j, psi in enumerate(modes):
+                    left, right = [(ANNIHILATION, phi)], [(CREATION, psi)]
+                    diff = self.commutator(left, right, n, self.q, columns)
+                    lhs = self._compress(diff, k_out=n)
+                    worst = max(worst, scaled_gap(lhs, modes[i, j] * identity))
         return [
             residual_record(
                 "qdeform.canonical_relation",

@@ -8,9 +8,10 @@ basis modes.  The random-trial versions the package ran before live here
 as the oracle: over function algebras at non-dyadic weights, over M_2 and
 over two and three modes at q in {-0.3, 0.5, 1} they must give the same
 statuses, with every asserted residual inside its pinned tolerance.  A
-kernel image perturbed at one basis element must fail every basis record,
-whichever element it is, and a bosonic metric scaled the wrong way by the
-orbit sizes must fail adjointness.
+basis operator perturbed at one basis element (its kernel image, or the
+free space's leading factor) must fail every basis record, whichever
+element it is, and a bosonic metric scaled the wrong way by the orbit
+sizes must fail adjointness.
 """
 
 import functools
@@ -64,6 +65,15 @@ def compress(space, mat, k_out, k_in):
     if isinstance(space, FreeSpace):
         return mat
     return space.symmetric_basis(k_out).conj().T @ mat @ space.symmetric_basis(k_in)
+
+
+def basis_images(space, kind, k, columns=None):
+    """The images of ``columns`` of grade k (the identity when None) under
+    the basis operators of ``kind``, one block per basis element."""
+    return [
+        space._run([(kind, letter)], k, columns)
+        for letter in space._basis_letters(kind)
+    ]
 
 
 def whole_grade_operators(space, kind, k):
@@ -384,11 +394,26 @@ def same_kind_commutators(space, kind, k, columns=None):
     k (the identity when None), for the pairs a < b: the images X_b Y are
     also the images of the reverse order."""
     letters = space._basis_letters(kind)
-    images = space._basis_images(kind, k, columns)
+    images = basis_images(space, kind, k, columns)
     reached = k + _SHIFTS[kind]
     for a, b in itertools.combinations(range(len(letters)), 2):
         forward = space._run([(kind, letters[a])], reached, images[b])
         yield forward - space._run([(kind, letters[b])], reached, images[a])
+
+
+def mixed_commutators(space, k, columns):
+    """[A_a, C_b] of the basis operators on ``columns`` of grade k, for the
+    ordered basis pairs (a, b): the images C_b Y are built once per grade
+    and A_a Y once per a."""
+    creations = space._basis_letters(CREATION)
+    ahead = basis_images(space, CREATION, k, columns)
+    for letter in space._basis_letters(ANNIHILATION):
+        behind = space._run([(ANNIHILATION, letter)], k, columns) if k else None
+        for creation, image in zip(creations, ahead):
+            forward = space._run([(ANNIHILATION, letter)], k + 1, image)
+            if behind is not None:
+                forward = forward - space._run([(CREATION, creation)], k - 1, behind)
+            yield forward
 
 
 def tensor_route_commutators(space):
@@ -420,7 +445,7 @@ def tensor_route_commutators(space):
     ]
     for k in range(top):
         indicator, sizes = space._orbits(k)
-        diffs = space._basis_commutators(ANNIHILATION, CREATION, k, indicator)
+        diffs = mixed_commutators(space, k, indicator)
         for diff, pairing, number in zip(diffs, pairings, numbers):
             expected = 2.0 * space.gamma0 * pairing * indicator
             expected = expected + 4.0 * space._run([(NUMBER, number)], k, indicator)
@@ -445,7 +470,7 @@ def tensor_route_adjointness(space):
         return np.linalg.norm(lhs - rhs) / scale
 
     def images(kind, k):
-        return space._basis_images(kind, k, space.symmetric_basis(k))
+        return basis_images(space, kind, k, space.symmetric_basis(k))
 
     worst_pair = worst_number = 0.0
     for k in range(space.max_grade):
@@ -520,7 +545,7 @@ def test_orbit_operators_are_the_compressed_kernels():
             cases += [(kind, k) for k in range(1, top + 1)]
         for kind, k in cases:
             k_out = k + _SHIFTS[kind]
-            oracle = space._basis_images(kind, k, space.symmetric_basis(k))
+            oracle = basis_images(space, kind, k, space.symmetric_basis(k))
             units = np.eye(space.algebra.dim)
             for unit, image in zip(units, oracle):
                 built = space._leading(kind, unit, k)
@@ -580,7 +605,25 @@ def _perturb(space, kind, b, eps=1e-6):
     """Add eps times the first coordinate of every input column to the last
     coordinate of its image under the basis operator of ``kind`` at e_b: a
     rank-one change of that one operator, which keeps the symmetric
-    subspace, since both coordinates are orbits of their own."""
+    subspace, since both coordinates are orbits of their own.  A free
+    operator is its leading factor tensored with the identity, so there the
+    change goes into the factors of e_b (``_symbol_tensors``), which the
+    kernel, ``_leading`` and the relations all read."""
+    if isinstance(space, FreeSpace):
+        element = space.algebra.basis()[b]
+        symbol_tensors = space._symbol_tensors
+
+        def perturbed_factors(kind_, symbol):
+            factors = symbol_tensors(kind_, symbol)
+            if kind_ != kind or not np.array_equal(symbol, element):
+                return factors
+            factors = [factor.copy() for factor in factors]
+            for factor in factors:
+                factor[-1, 0] += eps
+            return tuple(factors)
+
+        space._symbol_tensors = perturbed_factors
+        return space
     target = space._letter(kind, np.eye(space.algebra.dim)[b])
     kernel = space._kernel
 

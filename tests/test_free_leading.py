@@ -1,26 +1,25 @@
-"""The free space's leading-slot routes against the whole-grade routes
-they replaced.
+"""The free space's leading factors against the routes they replaced.
 
 Every free operator acts on the first one or two tensor slots only:
 creation prepends a slot, the number operator multiplies the first, and
-annihilation pairs or merges the first two.  So each is its leading factor
-tensored with the identity on the remaining slots, which the first test
-licenses.  The relations then run on the identity columns that show every
-entry of that factor, the adjointness sides contract the Gram's leading
-axes, and the norms take their Lanczos products from the stack of the
-basis factors against those axes.  The whole-grade routes live here as the
-oracles: the relations on the identity, the dense basis sides, and Lanczos
-on the stack of whitened whole-grade basis operators.
+annihilation pairs or merges the first two.  So each is built as its
+leading factor tensored with the identity on the remaining slots, and its
+kernel is the one product of the factor with the leading axes of a block.
+The hand-written kernels the factors replaced live here as the oracle of
+the whole grades; the relations compare products of factors against the
+sides run on the identity of the whole grade, the adjointness sides
+contract the Gram's leading axes against the dense basis sides, and the
+norms against Lanczos on the stack of whitened whole-grade basis operators.
 """
 
 import numpy as np
 import pytest
 
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
-from qwnlab.free import _SLOTS, FreeSpace
+from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER
 from qwnlab.linalg import KRYLOV_TOL, krylov_operator_norms, scaled_gap
-from test_basis_checks import ADJOINT_TOL, RELATION_TOL, whole_grade_operators
+from test_basis_checks import ADJOINT_TOL, RELATION_TOL, _perturb, whole_grade_operators
 from test_graded import RotatedMatrixAlgebra
 from test_linalg import stack_products
 
@@ -33,6 +32,10 @@ SPACES = {
     "f3": lambda: FreeSpace(FunctionAlgebra([0.3, 0.7, 1.1]), 4, 0.7),
     "rotated": lambda: FreeSpace(RotatedMatrixAlgebra(2), 4, 0.7),
 }
+
+# The leading slots each kind reads: creation none, number the first one,
+# annihilation the first two.
+_SLOTS = {CREATION: 0, NUMBER: 1, ANNIHILATION: 2}
 
 
 def _cases(space):
@@ -65,6 +68,61 @@ def test_each_kernel_is_its_leading_factor_tensored_with_the_identity(name):
             else:
                 gap = np.abs(whole - expected).max()
                 assert gap <= 1e-15 * np.abs(expected).max(), (kind, k)
+
+
+def hand_written_kernel(space, kind, symbol, block, k):
+    """The operator of ``kind`` at ``symbol`` on a block of grade-k columns,
+    as the free kernels were written before the factor table: creation
+    prepends the symbol's coordinates, the number operator multiplies the
+    first slot from the left, and annihilation pairs the first slot against
+    gamma times the state and, from grade 2, merges the first two slots."""
+    alg = space.algebra
+    dim = alg.dim
+    width = block.shape[1]
+    if kind == CREATION:
+        return (alg.coords(symbol)[:, None, None] * block).reshape(-1, width)
+    if kind == NUMBER:
+        left = alg.left_mult_matrix(symbol)
+        return (left @ block.reshape(dim, -1)).reshape(-1, width)
+    starred = alg.star(symbol)
+    basis = alg.basis()
+    state = alg.state(alg.mul(starred, basis))
+    out = (space.gamma * (state @ block.reshape(dim, -1))).reshape(-1, width)
+    if k >= 2:
+        merge = alg.coords(alg.mul(starred, alg.mul(basis[:, None], basis[None, :])))
+        merged = merge.reshape(dim * dim, dim).T @ block.reshape(dim * dim, -1)
+        out = out + merged.reshape(-1, width)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_the_factor_kernels_match_the_hand_written_kernels(name):
+    # whole grades up to 4, at the basis elements and at random symbols
+    space = SPACES[name]()
+    dyadic = name.endswith("dyadic")
+    alg = space.algebra
+    rng = np.random.default_rng(34)
+    for kind, k in _cases(space):
+        symbols = [*alg.basis()]
+        symbols += [random_element(alg, rng, dyadic=dyadic) for _ in range(2)]
+        for symbol in symbols:
+            built = space.operator_matrix(kind, symbol, k)
+            expected = hand_written_kernel(space, kind, symbol, np.eye(alg.dim**k), k)
+            assert built.shape == expected.shape, (kind, k)
+            gap = np.abs(built - expected).max()
+            assert gap <= 1e-15 * np.abs(expected).max(), (kind, k, gap)
+
+
+def test_a_perturbed_annihilation_factor_fails_the_moments():
+    # the vacuum walks run the factors the checks read, so one perturbed
+    # basis factor moves every walk off the noncrossing sum
+    (clean,) = SPACES["f3"]().check_moments(np.random.default_rng(35))
+    assert clean.status == "pass"
+    for b in range(3):
+        space = _perturb(SPACES["f3"](), ANNIHILATION, b)
+        (record,) = space.check_moments(np.random.default_rng(35))
+        assert record.name == "free.moments.operator_vs_noncrossing"
+        assert record.status == "fail", (b, record.residual)
 
 
 def whole_grade_relations(space):
@@ -193,28 +251,28 @@ def test_matrix_free_norms_match_lanczos_on_the_stack(name):
 
 @pytest.mark.parametrize("name", ["m2", "f3"])
 def test_free_checks_run_no_kernel_on_a_whole_grade(name, monkeypatch):
-    # every kernel block of the relations, adjointness, positivity and
-    # norms is at most dim**2 columns wide, and every factor the stacks of
-    # the adjointness and the norms hold is at most dim**2 on a side
+    # the relations, adjointness, positivity and norms run no kernel and
+    # no word at all: they read the factor table through ``_leading``, and
+    # every factor the stacks of the adjointness and the norms hold is at
+    # most dim**2 on a side
     space = SPACES[name]()
     dim = space.algebra.dim
-    widths, sides = [], []
-    kernel, leading = space._kernel, space._leading
+    sides = []
+    leading = space._leading
 
-    def recording(kind, data, block, k):
-        widths.append(block.shape[1])
-        return kernel(kind, data, block, k)
+    def refuse(*args):
+        raise AssertionError("a free check ran a kernel")
 
     def measured(kind, coeffs, k):
         factor = leading(kind, coeffs, k)
         sides.extend(factor.shape)
         return factor
 
-    monkeypatch.setattr(space, "_kernel", recording)
+    monkeypatch.setattr(space, "_kernel", refuse)
+    monkeypatch.setattr(space, "_run", refuse)
     monkeypatch.setattr(space, "_leading", measured)
     records = space.check_relations() + space.check_adjointness()
     records += space.check_positivity()
     records += space.check_norm_estimates(np.random.default_rng(2), trials=3)
     assert all(record.status == "pass" for record in records)
-    assert widths and max(widths) <= dim**2
     assert sides and max(sides) <= dim**2
