@@ -260,11 +260,11 @@ class BosonicSpace(GradedFockSpace):
         tensors = pair_product_state_tensors(self.algebra, k)
         if method == "ordered":
             tensors = [_list_sums(states) for states in tensors]
-        for partition in set_partitions(k):
+        for blocks in set_partitions(k):
             coeff = base
             operands = []
             subs = []
-            for block in partition.blocks:
+            for block in blocks:
                 n = len(block)
                 if method == "ordered":
                     coeff *= self.gamma0 / n

@@ -1,14 +1,17 @@
 """Partition families and the moment / free-cumulant machinery.
 
-Four families over the ground set {1, ..., n}:
+Four families over the ground set {1, ..., n}, each item a tuple of
+blocks and each block a tuple of ints:
 
-* set partitions (unordered blocks, unordered within blocks),
+* set partitions (unordered blocks, unordered within blocks; every block
+  sorted, blocks ordered by least element),
 * ordered partitions (an unordered set of blocks, each block an ordered
-  sequence; these weight the bosonic Gram form),
-* interval compositions (consecutive blocks cut out of 1..k; these weight
-  the free Gram form),
+  sequence; blocks ordered by least element; these weight the bosonic
+  Gram form),
+* interval compositions (consecutive runs cut out of 1..k, in order),
 * noncrossing partitions (no a < b < c < d with a,c in one block and b,d
-  in another; these index the free moment expansion).
+  in another; blocks sorted and ordered by least element; these index the
+  free moment expansion).
 
 Counts are exact arbitrary-precision integers.  Enumerators are lazy
 generators with explicit size caps so a typo cannot trigger a
@@ -20,8 +23,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
+
+Blocks = tuple[tuple[int, ...], ...]
 
 MAX_SET_PARTITION_N = 12
 MAX_ORDERED_PARTITION_N = 9
@@ -33,122 +37,7 @@ class EnumerationLimitError(ValueError):
     """An enumeration request exceeded its hard size cap."""
 
 
-def _validate_cover(blocks, n):
-    seen = sorted(x for b in blocks for x in b)
-    if seen != list(range(1, n + 1)):
-        raise ValueError("blocks must partition {1, ..., n} exactly")
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {1..n}; blocks sorted internally and by least element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.blocks or any(not b for b in self.blocks):
-            raise ValueError("blocks must be nonempty")
-        n = sum(len(b) for b in self.blocks)
-        _validate_cover(self.blocks, n)
-        for b in self.blocks:
-            if list(b) != sorted(b):
-                raise ValueError("set-partition blocks must be sorted")
-        if [b[0] for b in self.blocks] != sorted(b[0] for b in self.blocks):
-            raise ValueError("blocks must be ordered by least element")
-
-    @property
-    def n(self):
-        return sum(len(b) for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Unordered set of blocks, each block an ordered sequence.
-
-    The block set is canonicalized by each block's least element.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.blocks or any(not b for b in self.blocks):
-            raise ValueError("blocks must be nonempty")
-        n = sum(len(b) for b in self.blocks)
-        _validate_cover(self.blocks, n)
-        if [min(b) for b in self.blocks] != sorted(min(b) for b in self.blocks):
-            raise ValueError("blocks must be ordered by least element")
-
-    @property
-    def n(self):
-        return sum(len(b) for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class IntervalComposition:
-    """Cut points 0 = c_0 < c_1 < ... < c_m = k splitting 1..k into runs."""
-
-    cuts: tuple[int, ...]
-
-    def __post_init__(self):
-        c = self.cuts
-        if len(c) < 2 or c[0] != 0:
-            raise ValueError("cuts must start at 0 and contain at least one block")
-        if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
-            raise ValueError("cut points must be strictly increasing")
-
-    @property
-    def k(self):
-        return self.cuts[-1]
-
-    @property
-    def blocks(self):
-        c = self.cuts
-        return tuple(
-            tuple(range(c[i] + 1, c[i + 1] + 1)) for i in range(len(c) - 1)
-        )
-
-
-@dataclass(frozen=True)
-class NoncrossingPartition:
-    """Set partition with a noncrossing certificate checked on construction."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        SetPartition(self.blocks)  # reuse the structural validation
-        if not _stack_noncrossing(self.blocks):
-            raise ValueError("blocks cross")
-
-    @property
-    def n(self):
-        return sum(len(b) for b in self.blocks)
-
-
-def _stack_noncrossing(blocks) -> bool:
-    """Linear-time nesting check: a revisited block must sit on stack top."""
-    owner = {}
-    last = {}
-    for bi, b in enumerate(blocks):
-        for x in b:
-            owner[x] = bi
-        last[bi] = max(b)
-    stack = []
-    seen = set()
-    for x in range(1, len(owner) + 1):
-        bi = owner[x]
-        if bi not in seen:
-            seen.add(bi)
-            stack.append(bi)
-        elif stack[-1] != bi:
-            return False
-        if x == last[bi]:
-            if stack[-1] != bi:
-                return False
-            stack.pop()
-    return True
-
-
-def set_partitions(n: int) -> Iterator[SetPartition]:
+def set_partitions(n: int) -> Iterator[Blocks]:
     """All set partitions of {1..n}, Bell(n) of them, lazily."""
     if not 1 <= n <= MAX_SET_PARTITION_N:
         raise EnumerationLimitError(
@@ -167,25 +56,21 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
         yield from rec(x + 1, blocks)
         blocks.pop()
 
-    for blocks in rec(1, []):
-        yield SetPartition(blocks)
+    yield from rec(1, [])
 
 
-def ordered_partitions(n: int) -> Iterator[OrderedPartition]:
+def ordered_partitions(n: int) -> Iterator[Blocks]:
     """Partitions into ordered blocks; count is sum over set partitions of
     the product of block factorials."""
     if not 1 <= n <= MAX_ORDERED_PARTITION_N:
         raise EnumerationLimitError(
             f"ordered partitions supported for 1 <= n <= {MAX_ORDERED_PARTITION_N}, got {n}"
         )
-    for sp in set_partitions(n):
-        for arrangement in itertools.product(
-            *(itertools.permutations(b) for b in sp.blocks)
-        ):
-            yield OrderedPartition(tuple(arrangement))
+    for blocks in set_partitions(n):
+        yield from itertools.product(*(itertools.permutations(b) for b in blocks))
 
 
-def interval_compositions(k: int) -> Iterator[IntervalComposition]:
+def interval_compositions(k: int) -> Iterator[Blocks]:
     """The 2**(k-1) ways to cut 1..k into consecutive nonempty runs."""
     if not 1 <= k <= MAX_INTERVAL_K:
         raise EnumerationLimitError(
@@ -194,10 +79,11 @@ def interval_compositions(k: int) -> Iterator[IntervalComposition]:
     for inner in itertools.chain.from_iterable(
         itertools.combinations(range(1, k), r) for r in range(k)
     ):
-        yield IntervalComposition((0,) + inner + (k,))
+        cuts = (0,) + inner + (k,)
+        yield tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:]))
 
 
-def noncrossing_partitions(n: int) -> Iterator[NoncrossingPartition]:
+def noncrossing_partitions(n: int) -> Iterator[Blocks]:
     """All noncrossing partitions of {1..n}, Catalan(n) of them."""
     if not 1 <= n <= MAX_NONCROSSING_N:
         raise EnumerationLimitError(
@@ -215,35 +101,26 @@ def noncrossing_partitions(n: int) -> Iterator[NoncrossingPartition]:
         # would cross the block of `first`)
         for r in range(len(rest) + 1):
             for chosen in itertools.combinations(rest, r):
-                block = (first,) + chosen
-                gaps = []
-                bounds = list(chosen) + [None]
-                lo = first
-                for hi in bounds:
-                    gap = tuple(
-                        x for x in rest if x > lo and (hi is None or x < hi)
-                    )
-                    gaps.append(gap)
-                    lo = hi if hi is not None else lo
+                cuts = (first,) + chosen + (math.inf,)
+                gaps = [
+                    tuple(x for x in rest if lo < x < hi)
+                    for lo, hi in zip(cuts, cuts[1:])
+                ]
                 for sub in itertools.product(*(rec(g) for g in gaps)):
-                    out = [block]
-                    for part in sub:
-                        out.extend(part)
-                    yield tuple(out)
+                    yield ((first,) + chosen,) + sum(sub, ())
 
     for blocks in rec(tuple(range(1, n + 1))):
-        ordered = tuple(sorted((tuple(sorted(b)) for b in blocks), key=min))
-        yield NoncrossingPartition(ordered)
+        yield tuple(sorted(blocks))
 
 
 @functools.lru_cache(maxsize=None)
 def noncrossing_blocks(n: int) -> tuple:
-    """Block tuples of ``noncrossing_partitions(n)``, in its order.
+    """``noncrossing_partitions(n)`` as a tuple, in its order.
 
-    Enumerated and validated once per n; the moment and cumulant sums
-    read these, so their float sums keep the generator's order.
+    Enumerated once per n; the moment and cumulant sums read these, so
+    their float sums keep the generator's order.
     """
-    return tuple(partition.blocks for partition in noncrossing_partitions(n))
+    return tuple(noncrossing_partitions(n))
 
 
 def bell_number(n: int) -> int:

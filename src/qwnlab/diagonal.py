@@ -67,8 +67,7 @@ class DiagonalRepresentation:
             return out
         out = np.zeros((d,) * k, dtype=float)
         base = 2.0**k / math.factorial(k)
-        for partition in ordered_partitions(k):
-            blocks = partition.blocks
+        for blocks in ordered_partitions(k):
             m = len(blocks)
             coeff = base * self.gamma0**m
             for block in blocks:

@@ -259,10 +259,8 @@ class RewriteEngine:
 
     # -- normal ordering ------------------------------------------------------
 
-    def normal_order(
-        self, word, coefficient=1.0, strategy="leftmost", rng=None, max_steps=None
-    ):
-        """Normal form of ``coefficient`` times ``word``, with its step count.
+    def normal_order(self, word, strategy="leftmost", rng=None, max_steps=None):
+        """Normal form of ``word``, with its step count.
 
         Breadth first: words are popped in FIFO order, and each one that is
         not normal takes one step, replacing its chosen out-of-order pair by
@@ -277,11 +275,9 @@ class RewriteEngine:
         if strategy == "random" and rng is None:
             raise ValueError("the random strategy needs an rng")
         start = self._coded(word)
-        if coefficient == 0 or start is None:
+        if start is None:
             return NormalForm(terms={}, steps=0)
-        steps, terms = self._rewrite(
-            start, _READS_FORM, coefficient, strategy, rng, max_steps
-        )
+        steps, terms = self._rewrite(start, _READS_FORM, strategy, rng, max_steps)
         letters = self._letters
         terms = {tuple(letters[c] for c in w): x for w, x in terms.items() if x != 0}
         return NormalForm(terms=terms, steps=steps)
@@ -326,15 +322,7 @@ class RewriteEngine:
             return None
         return tuple(self._code(letter) for letter in word)
 
-    def _rewrite(
-        self,
-        start,
-        reads,
-        coefficient=1.0,
-        strategy="leftmost",
-        rng=None,
-        max_steps=None,
-    ):
+    def _rewrite(self, start, reads, strategy="leftmost", rng=None, max_steps=None):
         """``(steps, terms)`` of the rewrite of the coded word ``start``,
         ``terms`` mapping the normal words popped to their coefficients.
 
@@ -362,7 +350,7 @@ class RewriteEngine:
         steps, p, last = 0, 0, len(start) - 1
         while leftmost and p < last and order[start[p]] <= order[start[p + 1]]:
             p += 1
-        pending = {start: complex(coefficient)}
+        pending = {start: 1 + 0j}
         queue, spots = deque((start,)), deque((p,))
         popleft, append = queue.popleft, queue.append
         pop_spot, add_spot = spots.popleft, spots.append

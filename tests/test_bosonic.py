@@ -260,11 +260,11 @@ def _gram_by_lists(space, k, method):
         partitions = ordered_partitions(k)
     else:
         partitions = set_partitions(k)
-    for partition in partitions:
+    for blocks in partitions:
         coeff = 2.0**k / math.factorial(k)
         operands = []
         subs = []
-        for block in partition.blocks:
+        for block in blocks:
             n = len(block)
             if method == "ordered":
                 coeff *= space.gamma0 / n

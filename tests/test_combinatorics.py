@@ -15,10 +15,6 @@ import pytest
 
 from qwnlab.combinatorics import (
     EnumerationLimitError,
-    IntervalComposition,
-    NoncrossingPartition,
-    OrderedPartition,
-    SetPartition,
     bell_number,
     catalan,
     cumulant_weight,
@@ -45,13 +41,13 @@ def test_ordered_partition_counts(n):
 def test_ordered_partitions_are_partitions_into_sequences():
     seen = set()
     for p in ordered_partitions(4):
-        assert isinstance(p, OrderedPartition)
-        flat = sorted(x for b in p.blocks for x in b)
+        assert isinstance(p, tuple)
+        flat = sorted(x for b in p for x in b)
         assert flat == [1, 2, 3, 4]
         assert p not in seen
         seen.add(p)
     # Within a block the order matters: both chain orders of {1, 2} occur.
-    two = {p.blocks for p in ordered_partitions(2)}
+    two = set(ordered_partitions(2))
     assert ((1, 2),) in two
     assert ((2, 1),) in two
     assert ((1,), (2,)) in two
@@ -87,10 +83,8 @@ def _crosses_quadratic(blocks):
 
 def test_noncrossing_agrees_with_quadratic_scan():
     for n in range(1, 7):
-        fast = {p.blocks for p in noncrossing_partitions(n)}
-        slow = {
-            p.blocks for p in set_partitions(n) if not _crosses_quadratic(p.blocks)
-        }
+        fast = set(noncrossing_partitions(n))
+        slow = {p for p in set_partitions(n) if not _crosses_quadratic(p)}
         assert fast == slow
 
 
@@ -99,24 +93,18 @@ def test_noncrossing_blocks_keep_the_generator_order():
     # sums stay those of the generator's order
     for n in range(1, 9):
         blocks = noncrossing_blocks(n)
-        assert blocks == tuple(p.blocks for p in noncrossing_partitions(n))
+        assert blocks == tuple(noncrossing_partitions(n))
         assert noncrossing_blocks(n) is blocks
     with pytest.raises(EnumerationLimitError):
         noncrossing_blocks(0)
-
-
-def test_noncrossing_constructor_rejects_crossing():
-    with pytest.raises(ValueError):
-        NoncrossingPartition(((1, 3), (2, 4)))
-    NoncrossingPartition(((1, 4), (2, 3)))  # nested is fine
 
 
 def test_interval_compositions():
     comps = list(interval_compositions(4))
     assert len(comps) == 8  # 2**(k-1)
     for comp in comps:
-        assert isinstance(comp, IntervalComposition)
-        flat = [x for b in comp.blocks for x in b]
+        assert isinstance(comp, tuple)
+        flat = [x for b in comp for x in b]
         assert flat == [1, 2, 3, 4]  # contiguous runs in order
 
 
@@ -131,13 +119,55 @@ def test_enumeration_limits():
         list(noncrossing_partitions(0))
 
 
-def test_partition_dataclass_validation():
-    with pytest.raises(ValueError):
-        SetPartition(((2, 1),))  # block not sorted
-    with pytest.raises(ValueError):
-        SetPartition(((1,), (3,)))  # does not cover {1, 2}
-    with pytest.raises(ValueError):
-        OrderedPartition(((2,), (1,)))  # blocks not ordered by least element
+GENERATOR_RANGES = {
+    set_partitions: range(1, 7),
+    ordered_partitions: range(1, 6),
+    interval_compositions: range(1, 7),
+    noncrossing_partitions: range(1, 7),
+}
+
+
+def test_generators_yield_block_tuples():
+    # each item is a tuple of nonempty int tuples covering 1..n once, in
+    # the family's canonical block order, and no item repeats
+    for generator, sizes in GENERATOR_RANGES.items():
+        for n in sizes:
+            items = list(generator(n))
+            assert len(set(items)) == len(items), (generator.__name__, n)
+            for blocks in items:
+                assert isinstance(blocks, tuple)
+                assert all(isinstance(b, tuple) and b for b in blocks)
+                assert all(type(x) is int for b in blocks for x in b)
+                flat = [x for b in blocks for x in b]
+                assert sorted(flat) == list(range(1, n + 1)), blocks
+                firsts = [min(b) for b in blocks]
+                assert firsts == sorted(firsts), blocks
+                if generator in (set_partitions, noncrossing_partitions):
+                    assert all(list(b) == sorted(b) for b in blocks), blocks
+                if generator is interval_compositions:
+                    assert flat == list(range(1, n + 1)), blocks
+                if generator is noncrossing_partitions:
+                    assert not _crosses_quadratic(blocks), blocks
+
+
+def test_noncrossing_order_is_pinned():
+    # the free moment and cumulant sums read this order
+    assert tuple(noncrossing_partitions(4)) == (
+        ((1,), (2,), (3,), (4,)),
+        ((1,), (2,), (3, 4)),
+        ((1,), (2, 3), (4,)),
+        ((1,), (2, 4), (3,)),
+        ((1,), (2, 3, 4)),
+        ((1, 2), (3,), (4,)),
+        ((1, 2), (3, 4)),
+        ((1, 3), (2,), (4,)),
+        ((1, 4), (2,), (3,)),
+        ((1, 4), (2, 3)),
+        ((1, 2, 3), (4,)),
+        ((1, 2, 4), (3,)),
+        ((1, 3, 4), (2,)),
+        ((1, 2, 3, 4),),
+    )
 
 
 def test_inversions_brute_force():

@@ -236,9 +236,9 @@ def interval_composition_gram(alg, gamma, k):
         prod = alg.mul(alg.star(words[m - 1])[:, None], words[m - 1][None, :])
         factors[m] = gamma * alg.state(prod)
     mat = np.zeros((alg.dim**k, alg.dim**k), dtype=complex)
-    for composition in interval_compositions(k):
+    for blocks in interval_compositions(k):
         term = np.ones((1, 1), dtype=complex)
-        for block in composition.blocks:
+        for block in blocks:
             term = np.kron(term, factors[len(block)])
         mat += term
     return hermitize(mat)

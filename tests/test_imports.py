@@ -1,15 +1,19 @@
-"""No module of the package binds an import or a local name it never uses,
-and the CLI starts without the modules only some runs need."""
+"""No module of the package binds an import or a local name it never uses
+or defines a function, method or class nothing names, and the CLI starts
+without the modules only some runs need."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qwnlab"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _module_imports(tree):
@@ -90,6 +94,49 @@ def test_module_uses_its_locals(path):
         for func, name, line in _unused_locals(tree)
     )
     assert not unused, "unused locals in %s: %s" % (path.name, ", ".join(unused))
+
+
+def _references(node):
+    """How often each name is read under ``node``, as a bare name or as
+    an attribute."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+    return counts
+
+
+def _traced_names():
+    """Every name the benchmark's span tracer wraps; the file is only read."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tables = (tracing.FUNCTIONS, tracing.GENERATORS, tracing.METHODS)
+    return {name for table in tables for names in table.values() for name in names}
+
+
+def test_package_names_every_definition():
+    # a function, method or class is named somewhere in the package outside
+    # its own body, exported through an ``__all__``, or wrapped by the
+    # benchmark's tracer; dunders are exempt
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    kept = set().union(*map(_exported, trees.values())) | _traced_names()
+    dead = sorted(
+        "%s in %s (line %d)" % (node.name, name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in kept
+        and total[node.name] == _references(node)[node.name]
+    )
+    assert not dead, "definitions nothing names: %s" % ", ".join(dead)
 
 
 def test_cli_import_leaves_out_process_pools():

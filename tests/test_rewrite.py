@@ -108,9 +108,9 @@ def test_normal_word_is_untouched():
     engine = make_engine()
     sid = engine.symbols.intern(np.array([1.0, 1.0]))
     word = ((CREATION, sid), (NUMBER, sid), (ANNIHILATION, sid))
-    form = engine.normal_order(word, coefficient=3.0)
+    form = engine.normal_order(word)
     assert form.steps == 0
-    assert form.terms == {word: 3.0 + 0j}
+    assert form.terms == {word: 1.0 + 0j}
 
 
 def test_number_operators_commute():
@@ -128,7 +128,7 @@ def test_zero_inputs_short_circuit():
     live = engine.symbols.intern(np.ones(2))
     form = engine.normal_order(((ANNIHILATION, zero), (CREATION, live)))
     assert form.terms == {} and form.steps == 0
-    form = engine.normal_order(((ANNIHILATION, live), (CREATION, live)), 0.0)
+    form = engine.normal_order(((ANNIHILATION, live), (CREATION, zero)))
     assert form.terms == {} and form.steps == 0
 
 
@@ -453,7 +453,7 @@ def test_sweep_workers_bounded_by_cpus_chunks_and_ceiling(monkeypatch):
 
 
 def _reference_normal_order(
-    engine, word, coefficient=1.0, strategy="leftmost", rng=None, max_steps=None
+    engine, word, strategy="leftmost", rng=None, max_steps=None
 ):
     """The breadth-first rewrite on (kind, sid) letters that the engine's
     rewrite on integer letter codes replaced: the oracle for its step
@@ -464,7 +464,7 @@ def _reference_normal_order(
     word = tuple(word)
     if max_steps is None:
         max_steps = 4 ** max(len(word), 1)
-    if coefficient == 0 or any(syms.is_zero(s) for _, s in word):
+    if any(syms.is_zero(s) for _, s in word):
         return NormalForm(terms={}, steps=0)
 
     def find_position(current, hint):
@@ -486,7 +486,7 @@ def _reference_normal_order(
 
     terms = {}
     steps = 0
-    pending = {word: (complex(coefficient), 0)}
+    pending = {word: (1 + 0j, 0)}
     queue = deque((word,))
     while queue:
         current = queue.popleft()
@@ -576,7 +576,7 @@ def test_coded_engine_matches_the_letter_engine_on_every_short_word():
 def test_coded_engine_matches_the_letter_engine_on_random_words():
     engine, words = _random_words(17, 300, 10)
     for word in words:
-        _assert_same_form(engine, word, coefficient=0.75 - 0.5j)
+        _assert_same_form(engine, word)
 
 
 def test_coded_engine_matches_the_letter_engine_under_other_strategies():
