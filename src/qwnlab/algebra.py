@@ -28,7 +28,6 @@ class FunctionAlgebra:
 
     kind = "functions"
     commutative = True
-    tracial = True
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
@@ -88,7 +87,6 @@ class MatrixAlgebra:
     """Full matrix algebra M_n(C) with the normalized trace as state."""
 
     kind = "matrices"
-    tracial = True
 
     def __init__(self, n):
         n = int(n)

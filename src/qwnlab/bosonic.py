@@ -42,10 +42,12 @@ the indicators and keeps the orbits-by-orbits matrix of coefficients, read
 at the orbit representatives: 56 by 56 at most over M_2 at grade 5, where
 a flat grade has 1024 coordinates.  The gap of those images from the
 symmetric subspace, recorded on the way, is the record that licenses the
-reading.  Commutators at the basis pairs of the algebra are products of
-these matrices, and the shared adjointness and norm checks read them,
-weighed by a symbol's coefficients, rescaled to the orthonormal orbit
-basis (``_leading``), against the metrics.
+reading.  Every commutator relation, the mixed one that ``mixed_terms``
+also hands the q-deformed coefficient match included, reads one stack of
+products of these matrices, ``_brackets``, at all basis pairs of the
+algebra at once.  The shared adjointness and norm checks read the
+matrices weighed by a symbol's coefficients, rescaled to the orthonormal
+orbit basis (``_leading``), against the metrics.
 """
 
 from __future__ import annotations
@@ -121,12 +123,13 @@ class BosonicSpace(GradedFockSpace):
         self.gamma0 = float(gamma0)
         basis = algebra.basis()
         # structure constants e_a e_b = sum_c mult[a, b, c] e_c, the state
-        # on the basis, and pair[a, b, c], the coordinates of star(e_a) e_b
+        # on the basis, pair[a, b, c], the coordinates of star(e_a) e_b,
+        # and pairings[a, b], its state
         self._mult = algebra.coords(algebra.mul(basis[:, None], basis[None, :]))
         self._tau = algebra.state(basis)
-        self._pair = algebra.coords(
-            algebra.mul(algebra.star(basis)[:, None], basis[None, :])
-        )
+        pairs = algebra.mul(algebra.star(basis)[:, None], basis[None, :])
+        self._pair = algebra.coords(pairs)
+        self._pairings = algebra.state(pairs)
         self._functionals = [np.ones((), dtype=complex)]
         self._gram = {}
         self._hermiticity = {}
@@ -401,21 +404,31 @@ class BosonicSpace(GradedFockSpace):
         scale = np.sqrt(reached)[:, None] / np.sqrt(sizes)
         return np.tensordot(coeffs, self._orbit_operators(kind, k), axes=1) * scale
 
-    def _same_kind_gap(self, kind, grades):
-        """Worst entry of [X_a, X_b], a < b, over the basis operators X of
-        ``kind`` leaving each of ``grades``, in indicator coordinates with
-        each column divided by its orbit size: the image of the uniform
-        average over the orbit.  Swapping a and b negates the commutator
-        exactly, so the pairs a < b suffice."""
-        worst = 0.0
-        for k in grades:
-            inner = self._orbit_operators(kind, k)
-            outer = self._orbit_operators(kind, k + _SHIFTS[kind])
-            sizes = self._orbits(k)[1]
-            for a, b in itertools.combinations(range(self.algebra.dim), 2):
-                diff = outer[a] @ inner[b] - outer[b] @ inner[a]
-                worst = max(worst, np.abs(diff / sizes).max())
-        return worst
+    def _brackets(self, outer, inner, k):
+        """[X_a, Y_b] = X_a Y_b - Y_b X_a leaving grade k, for the basis
+        operators X of ``outer`` and Y of ``inner``: the stack indexed
+        [a, b] of products of ``_orbit_operators``, in the indicator
+        coordinates.  At k = 0 an X other than creation annihilates the
+        vacuum, and Y_b X_a is left out."""
+        ops = self._orbit_operators
+        out = ops(outer, k + _SHIFTS[inner])[:, None] @ ops(inner, k)
+        if k or outer == CREATION:
+            out -= ops(inner, k + _SHIFTS[outer]) @ ops(outer, k)[:, None]
+        return out
+
+    def mixed_terms(self, k):
+        """The mixed commutator [b(e_a), b*(e_b)] leaving grade k at every
+        basis pair and its two predicted terms, state(e_a* e_b) times the
+        identity and n(e_a* e_b), each a stack indexed [a, b] in the
+        indicator coordinates of grade k.  The number operator vanishes on
+        the vacuum, so at k = 0 its term is zero."""
+        bracket = self._brackets(ANNIHILATION, CREATION, k)
+        state = self._pairings[:, :, None, None] * np.eye(bracket.shape[-1])
+        if k:
+            number = np.tensordot(self._pair, self._orbit_operators(NUMBER, k), axes=1)
+        else:
+            number = np.zeros_like(bracket)
+        return bracket, state, number
 
     # -- verification checks ----------------------------------------------
 
@@ -506,26 +519,23 @@ class BosonicSpace(GradedFockSpace):
 
         Every relation is linear in each of its two symbols (annihilation
         conjugate-linearly), so the basis pairs prove it for all symbols.
-        Each commutator is a product of the matrices of
-        ``_orbit_operators``, in the indicator coordinates of the orbits,
-        and each column is divided by its orbit size.  Basis symbols are
-        dyadic, so the same-kind commutators cancel exactly when gamma0 and
-        the state weights are dyadic; the mixed commutator is an affine
-        identity checked to tol_affine.  Its right side, like the template
-        of the fit below, is summed by linearity from the basis matrices.
+        Each one reads the stack of its commutators at the basis pairs from
+        ``_brackets``, in the indicator coordinates of the orbits, with
+        each column divided by its orbit size.  Basis symbols are dyadic,
+        so the same-kind commutators cancel exactly when gamma0 and the
+        state weights are dyadic; the mixed commutator is an affine
+        identity against the terms of ``mixed_terms``, checked to
+        tol_affine.
 
         The number-creation coefficient is not asserted: it is fitted by
-        least squares, m = [n(e_a), b*(e_b)] against t = b*(e_a e_b) on the
-        symmetric basis columns, and reported next to the tabulated 2; it
-        reads 1, and B = sqrt2 b, N = 2n obey the table at 2 gamma0, which
-        ``rewrite.check_measured_table_map`` asserts.  For any symbols
-        m - kappa t sums the pairs' misfits, so the basis bounds it.  The
-        fit is shifted by kappa0, the coefficient of the first nonzero t:
-        with r = m - kappa0 t, R = sum |r|**2, P = sum <t, r> and
-        T = sum |t|**2, it is kappa0 + P/T and the squared misfit
-        R - |P|**2/T, which unshifted would cancel to about the square root
-        of rounding.  The sums run over the orthonormal orbit coordinates,
-        where they equal those over the flat columns.
+        least squares, m = [n(e_a), b*(e_b)] against t = b*(e_a e_b) at
+        every basis pair and grade, and reported next to the tabulated 2;
+        it reads 1, and B = sqrt2 b, N = 2n obey the table at 2 gamma0,
+        which ``rewrite.check_measured_table_map`` asserts.  For any
+        symbols m - kappa t sums the pairs' misfits, so the basis bounds
+        it.  The fit is two sums over the stacks in the orthonormal orbit
+        coordinates, where they equal those over the flat columns:
+        kappa = <t, m> / <t, t> and the misfit |m - kappa t| / |t|.
         """
         alg = self.algebra
         top = self.max_grade
@@ -537,75 +547,48 @@ class BosonicSpace(GradedFockSpace):
         ):
             exact_tol = 1e-13
 
-        ops = self._orbit_operators
-        worst_cc = self._same_kind_gap(CREATION, range(top - 1))
-        worst_aa = self._same_kind_gap(ANNIHILATION, range(2, top + 1))
-        worst_nn = 0.0
+        cases = [(CREATION, k) for k in range(top - 1)]
+        cases += [(ANNIHILATION, k) for k in range(2, top + 1)]
         if alg.commutative:
-            worst_nn = self._same_kind_gap(NUMBER, range(1, top + 1))
-        # Mixed commutator at (e_a, e_b), a the outer index of the pairs:
-        # the scalar 2 gamma0 state(e_a* e_b) plus 4 n(e_a* e_b).
-        basis = alg.basis()
-        products = alg.mul(alg.star(basis)[:, None], basis[None, :])
-        pairings = alg.state(products)
-        numbers = alg.coords(products)
+            cases += [(NUMBER, k) for k in range(1, top + 1)]
+        worst = dict.fromkeys(_SHIFTS, 0.0)
+        for kind, k in cases:
+            gap = np.abs(self._brackets(kind, kind, k) / self._orbits(k)[1]).max()
+            worst[kind] = max(worst[kind], gap)
+        # Mixed commutator: the scalar 2 gamma0 state(e_a* e_b) plus
+        # 4 n(e_a* e_b), each pair scaled by its largest predicted entry.
         worst_mixed = 0.0
         for k in range(top):
-            creations = ops(CREATION, k)
-            raised = ops(ANNIHILATION, k + 1)
+            bracket, state, number = self.mixed_terms(k)
             sizes = self._orbits(k)[1]
-            scalar = 2.0 * self.gamma0 * np.eye(sizes.size)
-            for a in range(alg.dim):
-                diffs = raised[a] @ creations
-                expected = pairings[a][:, None, None] * scalar
-                if k:
-                    diffs -= ops(CREATION, k - 1) @ ops(ANNIHILATION, k)[a]
-                    counts = np.tensordot(numbers[a], ops(NUMBER, k), axes=1)
-                    expected = expected + 4.0 * counts
-                for diff, want in zip(diffs, expected):
-                    diff = (diff - want) / sizes
-                    scale = max(np.abs(want / sizes).max(), 1.0)
-                    worst_mixed = max(worst_mixed, np.abs(diff).max() / scale)
-        # Number against creation: fit the coefficient in one pass.
-        product_coords = alg.coords(alg.mul(basis[:, None], basis[None, :]))
-        kappa0 = None
-        shifted_dot = 0.0 + 0.0j
-        shifted_norm = 0.0
-        template_norm = 0.0
+            want = 2.0 * self.gamma0 * state + 4.0 * number
+            gaps = np.abs((bracket - want) / sizes).max(axis=(2, 3))
+            scale = np.maximum(np.abs(want / sizes).max(axis=(2, 3)), 1.0)
+            worst_mixed = max(worst_mixed, (gaps / scale).max())
+        # Number against creation, in the orthonormal orbit coordinates.
+        measured, templates = [], []
         for k in range(top):
-            creations = ops(CREATION, k)
-            # to the orthonormal orbit coordinates of both grades
-            scale = np.sqrt(self._orbits(k + 1)[1])[:, None]
-            scale = scale / np.sqrt(self._orbits(k)[1])
-            for a in range(alg.dim):
-                diffs = ops(NUMBER, k + 1)[a] @ creations
-                if k:
-                    diffs -= creations @ ops(NUMBER, k)[a]
-                templates = np.tensordot(product_coords[a], creations, axes=1)
-                for measured, template in zip(diffs * scale, templates * scale):
-                    norm = np.vdot(template, template).real
-                    if kappa0 is None and norm > 0.0:
-                        kappa0 = np.vdot(template, measured) / norm
-                    # a zero template leaves the pair unshifted whatever kappa0
-                    shifted = measured - (kappa0 or 0.0) * template
-                    shifted_dot += np.vdot(template, shifted)
-                    shifted_norm += np.vdot(shifted, shifted).real
-                    template_norm += norm
-        kappa = (kappa0 or 0.0) + shifted_dot / template_norm
-        misfit = shifted_norm - abs(shifted_dot) ** 2 / template_norm
-        fit = math.sqrt(max(misfit, 0.0) / template_norm)
+            root = np.sqrt(self._orbits(k + 1)[1])[:, None]
+            root = root / np.sqrt(self._orbits(k)[1])
+            template = np.tensordot(self._mult, self._orbit_operators(CREATION, k), 1)
+            measured.append((self._brackets(NUMBER, CREATION, k) * root).ravel())
+            templates.append((template * root).ravel())
+        m, t = np.concatenate(measured), np.concatenate(templates)
+        norm = np.vdot(t, t).real
+        kappa = np.vdot(t, m) / norm
+        fit = np.linalg.norm(m - kappa * t) / math.sqrt(norm)
         records = [
             residual_record(
                 "bosonic.commutator.creation_creation",
                 "quadratic commutation relations",
-                worst_cc,
+                worst[CREATION],
                 exact_tol,
                 notes="symmetric columns, max entry, %d basis pairs" % alg.dim**2,
             ),
             residual_record(
                 "bosonic.commutator.annihilation_annihilation",
                 "quadratic commutation relations",
-                worst_aa,
+                worst[ANNIHILATION],
                 exact_tol,
                 notes="symmetric columns, max entry, %d basis pairs" % alg.dim**2,
             ),
@@ -655,7 +638,7 @@ class BosonicSpace(GradedFockSpace):
                 residual_record(
                     "bosonic.commutator.number_number",
                     "quadratic commutation relations",
-                    worst_nn,
+                    worst[NUMBER],
                     exact_tol,
                     notes="commutative base algebra, symmetric columns, max entry,"
                     " %d basis pairs"

@@ -32,7 +32,7 @@ import numpy as np
 from .algebra import FunctionAlgebra, random_element
 from .bosonic import BosonicSpace
 from .combinatorics import inversions
-from .graded import ANNIHILATION, CREATION, NUMBER, GradedFockSpace
+from .graded import ANNIHILATION, CREATION, GradedFockSpace
 from .linalg import hermitize, scaled_gap
 from .report import reported_record, residual_record
 
@@ -467,62 +467,48 @@ class DiscretizedQuadratic:
         return fine
 
 
-def check_bosonic_coefficient_match(rng, dim=2, max_grade=4, trials=10, tol=1e-9):
+def _affine_fit(stacks):
+    """Least-squares (alpha, beta) of commutator = alpha * identity term +
+    beta * number term, over the (commutator, identity term, number term)
+    stacks of every grade."""
+    design = np.vstack(
+        [np.column_stack([ident.ravel(), num.ravel()]) for _, ident, num in stacks]
+    )
+    target = np.concatenate([commutator.ravel() for commutator, _, _ in stacks])
+    return np.linalg.lstsq(design, target, rcond=None)[0]
+
+
+def check_bosonic_coefficient_match(dim=2, max_grade=4, tol=1e-9):
     """Structure constants of the q = 1 squared-mode relation against the
     quadratic commutator coefficients at gamma0 = 1.
 
     Both worlds satisfy commutator = alpha * pairing * identity + beta *
     number operator; the two (alpha, beta) pairs are fitted by least squares
-    in each world separately and compared.  Only the coefficients transfer:
-    full vacuum moments do not, because the squared-mode realization obeys
-    the relation table with number/creation coefficient 2 while the literal
-    quadratic operators measure 1; those obey the table only at 2 gamma0,
-    as B = sqrt2 b and N = 2n.
+    in each world separately and compared.  Each side is sesquilinear in
+    its two symbols, so both fits run on the dim**2 basis pairs of grades
+    0..max_grade - 2 and draw no random symbols: the squared modes on
+    whole grades, the quadratic operators from ``BosonicSpace.mixed_terms``
+    in the orbit coordinates of the symmetric subspace.  Only the
+    coefficients transfer: full vacuum moments do not, because the
+    squared-mode realization obeys the relation table with
+    number/creation coefficient 2 while the literal quadratic operators
+    measure 1; those obey the table only at 2 gamma0, as B = sqrt2 b and
+    N = 2n.
     """
     blocks = [(i,) for i in range(dim)]
     disc = DiscretizedQuadratic(1.0, np.ones(dim), blocks, max_grade)
     qspace = disc.space
-    rows = []
-    targets = []
-    for _ in range(trials):
-        phi = random_element(qspace.algebra, rng)
-        psi = random_element(qspace.algebra, rng)
-        pairing = np.vdot(phi, psi)
-        for n in range(max_grade - 1):
-            lhs = disc.squared_commutator(phi, psi, n)
-            ident = pairing * np.eye(dim**n)
-            number = qspace.number_matrix(psi, phi, n)
-            rows.append(
-                np.column_stack([ident.reshape(-1), number.reshape(-1)])
-            )
-            targets.append(lhs.reshape(-1))
-    design = np.vstack(rows)
-    target = np.concatenate(targets)
-    coeff_q, *_ = np.linalg.lstsq(design, target, rcond=None)
+    pairs = [(phi, psi) for phi in np.eye(dim) for psi in np.eye(dim)]
+    squared = []
+    for n in range(max_grade - 1):
+        commutators = [disc.squared_commutator(phi, psi, n) for phi, psi in pairs]
+        idents = [np.vdot(phi, psi) * np.eye(dim**n) for phi, psi in pairs]
+        numbers = [qspace.number_matrix(psi, phi, n) for phi, psi in pairs]
+        squared.append((np.array(commutators), np.array(idents), np.array(numbers)))
+    coeff_q = _affine_fit(squared)
 
-    algebra = qspace.algebra
-    bspace = BosonicSpace(algebra, max_grade, gamma0=1.0)
-    rows = []
-    targets = []
-    for _ in range(trials):
-        phi = random_element(algebra, rng)
-        psi = random_element(algebra, rng)
-        pairing = algebra.state(algebra.mul(algebra.star(phi), psi))
-        product = algebra.mul(algebra.star(phi), psi)
-        for k in range(max_grade - 1):
-            sym = bspace.symmetrizer(k)
-            commutator = bspace.commutator(
-                [(ANNIHILATION, phi)], [(CREATION, psi)], k, columns=sym
-            )
-            ident = pairing * sym
-            number = bspace.word_matrix([(NUMBER, product)], k, sym)
-            rows.append(
-                np.column_stack([ident.reshape(-1), number.reshape(-1)])
-            )
-            targets.append(commutator.reshape(-1))
-    design = np.vstack(rows)
-    target = np.concatenate(targets)
-    coeff_b, *_ = np.linalg.lstsq(design, target, rcond=None)
+    bspace = BosonicSpace(qspace.algebra, max_grade, gamma0=1.0)
+    coeff_b = _affine_fit([bspace.mixed_terms(k) for k in range(max_grade - 1)])
 
     gap = max(abs(coeff_q[0] - coeff_b[0]), abs(coeff_q[1] - coeff_b[1]))
     return [

@@ -830,6 +830,15 @@ def _sweep(engine, words):
     return _worst_ratio(engine, words)
 
 
+def _random_word(rng, pool, length):
+    """A word of ``length`` letters, each a quadratic kind and then a symbol
+    of ``pool`` drawn from ``rng``."""
+    return tuple(
+        (_QUADRATIC[int(rng.integers(3))], pool[int(rng.integers(len(pool)))])
+        for _ in range(length)
+    )
+
+
 def check_termination(rng, words=10000, max_len=10, dim=2):
     """Step counts stay within the 4**length budget on random words.
 
@@ -843,16 +852,9 @@ def check_termination(rng, words=10000, max_len=10, dim=2):
         engine.symbols.intern(random_element(algebra, rng, dyadic=True))
         for _ in range(4)
     ]
-    kinds = (CREATION, NUMBER, ANNIHILATION)
-    drawn = []
-    for _ in range(words):
-        length = 1 + int(rng.integers(max_len))
-        drawn.append(
-            tuple(
-                (kinds[int(rng.integers(3))], pool[int(rng.integers(len(pool)))])
-                for _ in range(length)
-            )
-        )
+    drawn = [
+        _random_word(rng, pool, 1 + int(rng.integers(max_len))) for _ in range(words)
+    ]
     return [
         residual_record(
             "classical.rewrite_termination",
@@ -874,14 +876,9 @@ def check_strategy_independence(rng, trials=10, max_len=6, dim=2, tol=1e-12):
         engine.symbols.intern(random_element(algebra, rng, dyadic=True))
         for _ in range(3)
     ]
-    kinds = (CREATION, NUMBER, ANNIHILATION)
     worst = 0.0
     for _ in range(trials):
-        length = 2 + int(rng.integers(max_len - 1))
-        word = tuple(
-            (kinds[int(rng.integers(3))], pool[int(rng.integers(len(pool)))])
-            for _ in range(length)
-        )
+        word = _random_word(rng, pool, 2 + int(rng.integers(max_len - 1)))
         baseline = engine.normal_order(word, strategy="leftmost").terms
         others = [engine.normal_order(word, strategy="rightmost").terms]
         for _ in range(18):
@@ -917,12 +914,11 @@ def check_engine_vs_operators(rng, trials=30, max_len=6, dim=2, tol=1e-9):
     algebra = FunctionAlgebra(weights)
     space = BosonicSpace(algebra, max_grade=4, gamma0=gamma0)
     engine = RewriteEngine(SymbolTable(algebra), 2.0 * gamma0)
-    kinds = (CREATION, NUMBER, ANNIHILATION)
     worst = 0.0
     for _ in range(trials):
         length = 1 + int(rng.integers(max_len))
         elements = [random_element(algebra, rng) for _ in range(length)]
-        word_kinds = [kinds[int(rng.integers(3))] for _ in range(length)]
+        word_kinds = [_QUADRATIC[int(rng.integers(3))] for _ in range(length)]
         concrete = space.vacuum_expectation(list(zip(word_kinds, elements)))
         word = tuple(
             (kind, engine.symbols.intern(element))

@@ -294,7 +294,7 @@ def run_qdeform(config, rng):
     records += disc.check_discretized_relation(
         phi, psi, rng, pairs=8, tol=config.tolerance
     )
-    records += qdeform.check_bosonic_coefficient_match(rng)
+    records += qdeform.check_bosonic_coefficient_match()
     return records
 
 

@@ -30,8 +30,9 @@ from qwnlab.bosonic import BosonicSpace, _is_dyadic
 from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER
 from qwnlab.linalg import scaled_gap
-from qwnlab.qdeform import QFockSpace
+from qwnlab.qdeform import QFockSpace, check_bosonic_coefficient_match
 from qwnlab.report import reported_record, residual_record
+from qwnlab.suites import RunConfig, run_suite
 
 ADJOINT_TOL = 1e-9
 AFFINE_TOL = 1e-10
@@ -368,8 +369,8 @@ def test_basis_checks_agree_with_random_trials(check, algebra):
 
 @pytest.mark.parametrize("algebra", sorted(SPACES))
 def test_one_pass_fit_matches_the_two_pass_fit(algebra):
-    # the one-pass basis fit against a two-pass fit on the same basis
-    # pairs, from operator words, and its coefficient against a two-pass
+    # the basis fit from the stacked brackets against a two-pass fit on the
+    # same basis pairs, from operator words, and its coefficient against a two-pass
     # fit on random symbol pairs over the whole grades
     space = SPACES[algebra](BosonicSpace)
     records = {r.name: r for r in space.check_commutators()}
@@ -715,3 +716,101 @@ def test_a_swapped_orbit_scaling_is_invisible_over_a_function_algebra():
         metric = space._metric(k)
         assert np.array_equal(metric, np.diag(np.diag(metric)))
         assert np.array_equal(mutant._metric(k), metric), k
+
+
+# (outer, inner) kind pairs of the brackets the checks read, and the grades
+# each leaves: those at which both products stay inside the truncation
+BRACKET_GRADES = {
+    (CREATION, CREATION): lambda top: range(top - 1),
+    (ANNIHILATION, ANNIHILATION): lambda top: range(2, top + 1),
+    (NUMBER, NUMBER): lambda top: range(1, top + 1),
+    (ANNIHILATION, CREATION): lambda top: range(top),
+    (NUMBER, CREATION): lambda top: range(top),
+}
+
+BRACKET_SPACES = {
+    "m2_dyadic": lambda: BosonicSpace(MatrixAlgebra(2), 4, 1.0),
+    "f3_dyadic": lambda: BosonicSpace(FunctionAlgebra([0.5, 0.75, 1.25]), 4, 1.0),
+    "m2": lambda: BosonicSpace(MatrixAlgebra(2), 4, 0.7),
+    "f3": lambda: BosonicSpace(FunctionAlgebra([0.5, 0.75, 1.25]), 4, 0.7),
+}
+
+
+def whole_grade_brackets(space, outer, inner, k):
+    """The commutators [X_a, Y_b] of the basis words, run on the orbit
+    indicators of grade k and read at the representatives of the grade
+    they reach, stacked as ``_brackets`` stacks them, and the largest entry
+    of the products X_a Y_b."""
+    basis = space.algebra.basis()
+    indicator = space._orbits(k)[0]
+    reps = space._orbits(k + _SHIFTS[outer] + _SHIFTS[inner])[0].argmax(axis=0)
+    brackets, largest = [], 0.0
+    for x in basis:
+        for y in basis:
+            left, right = [(outer, x)], [(inner, y)]
+            brackets.append(space.commutator(left, right, k, columns=indicator)[reps])
+            product = space.word_matrix(left + right, k, indicator)[reps]
+            largest = max(largest, np.abs(product).max())
+    return np.array(brackets).reshape((len(basis),) * 2 + brackets[0].shape), largest
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SPACES))
+def test_brackets_match_the_whole_grade_commutator(name):
+    # every basis pair of every kind pair and grade: equal bits at dyadic
+    # gamma0 and weights, and at gamma0 = 0.7 within 1e-15 of the largest
+    # product entry, since the same-kind brackets cancel to rounding
+    space = BRACKET_SPACES[name]()
+    for (outer, inner), grades in BRACKET_GRADES.items():
+        for k in grades(space.max_grade):
+            built = space._brackets(outer, inner, k)
+            oracle, largest = whole_grade_brackets(space, outer, inner, k)
+            case = (outer, inner, k)
+            if space.gamma0 == 1.0:
+                assert np.array_equal(built, oracle), case
+            else:
+                assert np.abs(built - oracle).max() <= 1e-15 * largest, case
+
+
+def test_commutators_and_coefficient_match_run_no_bosonic_word(monkeypatch):
+    # both read the cached orbit matrices through ``_brackets``: no bosonic
+    # word or commutator runs
+    def refuse(*args):
+        raise AssertionError("a bosonic check ran a word")
+
+    monkeypatch.setattr(BosonicSpace, "_run", refuse)
+    records = BosonicSpace(MatrixAlgebra(2), 4).check_commutators()
+    records += check_bosonic_coefficient_match()
+    assert all(record.status != "fail" for record in records)
+
+
+def test_coefficient_match_records_do_not_depend_on_the_seed():
+    # the match runs on basis pairs and draws nothing from the suite's rng
+    def matched(seed):
+        report = run_suite(RunConfig(suite="qdeform", trials=2, seed=seed))
+        return [r for r in report.checks if r.name.startswith("qdeform.bosonic_")]
+
+    first = matched(1)
+    assert len(first) == 3
+    assert matched(2) == first
+
+
+def test_a_perturbed_annihilation_merge_fails_the_coefficient_match(monkeypatch):
+    # one merge entry of the annihilation operator at the first basis
+    # element moves the quadratic side's fitted coefficients
+    name = "qdeform.bosonic_coefficient_match"
+    clean = {r.name: r for r in check_bosonic_coefficient_match()}
+    assert clean[name].status == "pass"
+    symbol_tensors = BosonicSpace._symbol_tensors
+
+    def perturbed(self, kind, symbol):
+        tensors = symbol_tensors(self, kind, symbol)
+        if kind != ANNIHILATION or not np.array_equal(symbol, self.algebra.basis()[0]):
+            return tensors
+        state, merge = tensors
+        merge = merge.copy()
+        merge[0, 0] += 1e-6
+        return state, merge
+
+    monkeypatch.setattr(BosonicSpace, "_symbol_tensors", perturbed)
+    record = {r.name: r for r in check_bosonic_coefficient_match()}[name]
+    assert record.status == "fail", record.residual

@@ -117,10 +117,29 @@ def _traced_names():
     return {name for table in tables for names in table.values() for name in names}
 
 
+def _class_data_attributes(tree):
+    """(class, name, line) of each data attribute a class body assigns;
+    the annotated fields of a dataclass are its instances' fields, which
+    ``asdict`` reads, and are left out."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield cls.name, target.id, node.lineno
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_package_names_every_definition():
     # a function, method or class is named somewhere in the package outside
     # its own body, exported through an ``__all__``, or wrapped by the
-    # benchmark's tracer; dunders are exempt
+    # benchmark's tracer, and a class-level data attribute is read as an
+    # attribute somewhere in the package or traced; dunders are exempt
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in PACKAGE.glob("*.py")
@@ -132,11 +151,53 @@ def test_package_names_every_definition():
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _dunder(node.name)
         and node.name not in kept
         and total[node.name] == _references(node)[node.name]
     )
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    dead += sorted(
+        "%s.%s in %s (line %d)" % (cls, attr, name, line)
+        for name, tree in trees.items()
+        for cls, attr, line in _class_data_attributes(tree)
+        if not _dunder(attr) and attr not in read | _traced_names()
+    )
     assert not dead, "definitions nothing names: %s" % ", ".join(dead)
+
+
+def _foreign_private_calls(tree):
+    """(name, line) of each call ``x._name(...)`` whose ``x`` is not
+    ``self``, ``cls`` or ``super()``: one object reaching into another's
+    private methods."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name, owner = node.func.attr, node.func.value
+        if not name.startswith("_") or _dunder(name):
+            continue
+        if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+            continue
+        if (
+            isinstance(owner, ast.Call)
+            and isinstance(owner.func, ast.Name)
+            and owner.func.id == "super"
+        ):
+            continue
+        yield name, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_module_calls_no_private_method_of_another_object(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted("%s (line %d)" % call for call in _foreign_private_calls(tree))
+    assert not found, "private calls in %s: %s" % (path.name, ", ".join(found))
 
 
 def test_cli_import_leaves_out_process_pools():

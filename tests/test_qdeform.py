@@ -207,8 +207,7 @@ def test_discretized_relation_records():
 
 
 def test_squared_modes_share_quadratic_structure_constants():
-    rng = np.random.default_rng(23)
-    records = check_bosonic_coefficient_match(rng, trials=4)
+    records = check_bosonic_coefficient_match()
     by_name = {r.name: r for r in records}
     assert by_name["qdeform.bosonic_coefficient_match"].status == "pass"
     scalar = by_name["qdeform.bosonic_scalar_coefficient"]
