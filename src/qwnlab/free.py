@@ -93,16 +93,27 @@ class FreeSpace(GradedFockSpace):
         star-reversed left word times the right word, from the words'
         coordinates."""
         coords = self.algebra.coords(self._words[m - 1])
-        return self.gamma * (np.conj(coords) @ self._pairing @ coords.T)
+        factor = np.conj(coords) @ self._pairing @ coords.T
+        factor *= self.gamma
+        return factor
 
     def gram(self, k):
         """Grade-k Gram matrix G_k = sum_(m=1..k) F_m (x) G_(k-m), summed
-        over the length m of the first interval; cached and hermitized."""
+        over the length m of the first interval; cached and hermitized.
+
+        Each F_m (x) G_(k-m) is added into the grade's matrix one row of
+        F_m at a time, so no Kronecker product of the grade's size is
+        formed; the products and sums are those of ``np.kron``'s, in the
+        same order, so the bits are too."""
         self._check_grade(k)
         if k not in self._gram:
             mat = self._factor(k) if k else np.ones((1, 1), dtype=complex)
             for m in range(1, k):
-                mat += np.kron(self._factor(m), self.gram(k - m))
+                factor, tail = self._factor(m), self.gram(k - m)
+                # row i of F_m feeds the rows (i, r) of G_k, columns (j, s)
+                rows = mat.reshape(len(factor), len(tail), len(factor), len(tail))
+                for i, row in enumerate(factor):
+                    rows[i] += row[None, :, None] * tail[:, None, :]
             self._gram[k] = hermitize(mat)
         return self._gram[k]
 

@@ -36,7 +36,8 @@ operator; the q-deformed space on flat rows against the ``_columns`` it
 checks on.  What the checks compute of an operator is linear in it, so
 each builds the stack of the basis factors of one (kind, grade) once: the
 adjointness check contracts each factor's F^H with the metric's leading
-axes and compares the sides of each basis element, and the norms of all
+axes and compares the sides of each basis element a block of rows at a
+time (``_side_blocks``), and the norms of all
 trials come from one batched Lanczos run on the stack, with no operator
 matrix and no free kernel.
 
@@ -71,6 +72,11 @@ _SHIFTS = {CREATION: 1, NUMBER: 0, ANNIHILATION: -1}
 # per step, side and symbol, so batches keep its memory flat in the trials.
 _NORM_BATCH = 128
 
+# Entries of one row block of an adjointness side (``_side_blocks``): every
+# side at truncation 4 or below is a single block, and a grade-6 side over
+# M_2 (4096 x 4096) is 64 of them.
+_SIDE_BLOCK = 2**18
+
 
 class GradeOverflowError(RuntimeError):
     """A creation-type operator tried to step past the truncation grade."""
@@ -88,11 +94,48 @@ def _product(mat, block):
     return (mat @ np.ascontiguousarray(block).view(float)).view(complex)
 
 
-def _side(factor, gram):
-    """B^H gram for B = F (x) I, gram on the rows of the grade B reaches:
-    F^H contracts the leading row axes of gram."""
-    head = factor.conj().T @ gram.reshape(factor.shape[0], -1)
-    return head.reshape(-1, gram.shape[1])
+def _squared(block):
+    """The squared Frobenius norm of a block, as ``np.linalg.norm`` sums
+    it."""
+    flat = block.ravel(order="K")
+    return flat.real @ flat.real + flat.imag @ flat.imag
+
+
+def _right(block, factor):
+    """block (F (x) I): F contracts the leading axes of the block's
+    columns."""
+    if factor.shape[0] == block.shape[1]:
+        return block @ factor
+    split = block.reshape(len(block), factor.shape[0], -1)
+    return np.matmul(factor.T, split).reshape(len(block), -1)
+
+
+def _side_blocks(left, metric, right, adjoint):
+    """The two sides (L (x) I)^H M and A (R (x) I) of an adjointness pair,
+    row block by row block, L = ``left`` and R = ``right`` leading factors,
+    M = ``metric`` on the rows of the grade L reaches and A = ``adjoint``
+    the adjoint of the metric on the other side (the metric itself when it
+    is Hermitian).
+
+    Row (j, t) of the left side, j a column of L and t a row of the
+    identity's slots, is L[:, j]^H times the rows (i, t) of M, so a block
+    of its rows reads contiguous rows of M in each of the len(L) groups,
+    and the same block of the right side reads contiguous rows of A.  A
+    block holds about ``_SIDE_BLOCK`` entries: whole columns of L when a
+    group's rows fit, else one column of L and a run of t.
+    """
+    cols = metric.shape[1]
+    tail = metric.shape[0] // left.shape[0]
+    heads = left.conj().T
+    groups = metric.reshape(left.shape[0], -1)
+    span = max(1, _SIDE_BLOCK // cols)
+    width, step = min(tail, span), max(1, span // tail)
+    for j in range(0, len(heads), step):
+        for t in range(0, tail, width):
+            lhs = heads[j : j + step] @ groups[:, t * cols : (t + width) * cols]
+            lhs = lhs.reshape(-1, cols)
+            start = j * tail + t
+            yield lhs, _right(adjoint[start : start + len(lhs)], right)
 
 
 class GradedFockSpace:
@@ -468,12 +511,14 @@ class GradedFockSpace:
             records.append(record)
         return records
 
-    def _ladder_gap(self, metrics, gap):
+    def _ladder_gap(self, metrics, gap, adjoints=None):
         """Worst ``gap`` over the grades below the top between A_b^H M_k
-        and M_(k+1)^H C_b = (C_b^H M_(k+1))^H, creation against
-        annihilation as adjoints, one basis element b at a time, for
-        ``metrics`` the Grams on the rows of the ``_leading`` factors (see
-        ``_side``).
+        and M_(k+1)^H C_b, creation against annihilation as adjoints, one
+        basis element b at a time, for ``metrics`` the Grams on the rows of
+        the ``_leading`` factors and ``adjoints`` their adjoints, the
+        metrics themselves by default, as they are Hermitian.  ``gap``
+        takes the (left, right) row blocks of one pair of sides
+        (``_side_blocks``), so no whole side is held.
 
         With S_k the orthonormal columns grade k is checked on and
         M_k = S_k^H G_k S_k, every Gram here commutes with S_k S_k^H, so
@@ -483,20 +528,22 @@ class GradedFockSpace:
         restricted on the right, it reads
         (A S_(k+1))^H (G_k S_k) = (G_(k+1) S_(k+1))^H (C S_k).
         """
+        adjoints = metrics if adjoints is None else adjoints
         worst = 0.0
         for k in range(self.max_grade):
             lefts = self._leading_stack(ANNIHILATION, k + 1)
             rights = self._leading_stack(CREATION, k)
             for a, c in zip(lefts, rights):
-                lhs, rhs = _side(a, metrics[k]), _side(c, metrics[k + 1])
-                worst = max(worst, gap(lhs, rhs.conj().T))
+                sides = _side_blocks(a, metrics[k], c, adjoints[k + 1])
+                worst = max(worst, gap(sides))
         return worst
 
     def _adjoint_gaps(self, metrics, gap):
         """Worst ``gap`` of the ladder pair (``_ladder_gap``) and of the
-        number pair: N_b^H M_k against M_k N_(star e_b), the adjoint of the
-        starred element's left side, whose factor the stack sums at the
-        coordinates of star(e_b)."""
+        number pair: N_b^H M_k against M_k N_(star e_b), the right side of
+        the starred element, whose factor the stack sums at the coordinates
+        of star(e_b); the metrics are Hermitian, so M_k is its own
+        adjoint.  Both pairs are compared by row blocks."""
         alg = self.algebra
         starred = alg.coords(alg.star(alg.basis()))
         worst = 0.0
@@ -504,8 +551,8 @@ class GradedFockSpace:
             factors = self._leading_stack(NUMBER, k)
             for factor, coeffs in zip(factors, starred):
                 star = np.tensordot(coeffs, factors, axes=1)
-                lhs, rhs = _side(factor, metrics[k]), _side(star, metrics[k])
-                worst = max(worst, gap(lhs, rhs.conj().T))
+                sides = _side_blocks(factor, metrics[k], star, metrics[k])
+                worst = max(worst, gap(sides))
         return self._ladder_gap(metrics, gap), worst
 
     def check_adjointness(self, tol=1e-9):
@@ -518,9 +565,14 @@ class GradedFockSpace:
         alg = self.algebra
         metrics = [self._metric(k) for k in range(self.max_grade + 1)]
 
-        def gap(lhs, rhs):
-            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-            return np.linalg.norm(lhs - rhs) / scale
+        def gap(sides):
+            """Frobenius norm of the difference of two sides, relative to
+            the larger side's, from the squared norms of their blocks."""
+            squares = np.zeros(3)
+            for lhs, rhs in sides:
+                squares += [_squared(lhs - rhs), _squared(lhs), _squared(rhs)]
+            diff, *norms = np.sqrt(squares)
+            return diff / max(*norms, 1.0)
 
         worst_pair, worst_number = self._adjoint_gaps(metrics, gap)
         notes = self._adjoint_notes % alg.dim

@@ -31,9 +31,29 @@ KRYLOV_TOL = 1e-14
 _KRYLOV_SEED = 2003
 
 
+# Triangular factors up to this many rows are inverted by ``np.linalg.inv``;
+# larger ones by halves (``lower_inverse``).
+_INVERSE_LEAF = 256
+
+
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Average away the anti-Hermitian part left by floating-point noise."""
-    return 0.5 * (mat + mat.conj().T)
+    """Average away the anti-Hermitian part left by floating-point noise.
+
+    The bits of ``0.5 * (mat + mat.conj().T)``, with the real and the
+    imaginary part averaged straight into the one output array: no
+    conjugate copy and no summed temporary.  The real part of the output
+    is exactly symmetric and its imaginary part exactly antisymmetric, so
+    hermitizing it again returns the same bits.
+    """
+    mat = np.asarray(mat)
+    out = np.empty(mat.shape, np.result_type(mat.dtype, 0.5))
+    if np.iscomplexobj(mat):
+        np.add(mat.real, mat.real.T, out=out.real)
+        np.subtract(mat.imag, mat.imag.T, out=out.imag)
+    else:
+        np.add(mat, mat.T, out=out)
+    out *= 0.5
+    return out
 
 
 def scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -117,24 +137,45 @@ class Whitening(NamedTuple):
     eigenvalues: np.ndarray
 
 
+def lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix with a nonzero diagonal, by
+    halves: inv([[A, 0], [B, C]]) = [[inv(A), 0], [-inv(C) B inv(A), inv(C)]],
+    in matrix products of about the cost of a Cholesky factorization of
+    the same size.  Blocks of at most ``_INVERSE_LEAF`` rows go to
+    ``np.linalg.inv``, so a factor that small gets its bits."""
+    n = len(lower)
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(lower)
+    h = n // 2
+    out = np.zeros_like(lower)
+    out[:h, :h] = lower_inverse(lower[:h, :h])
+    out[h:, h:] = lower_inverse(lower[h:, h:])
+    corner = out[h:, :h]
+    np.matmul(out[h:, h:], lower[h:, :h] @ out[:h, :h], out=corner)
+    np.negative(corner, out=corner)
+    return out
+
+
 def gram_whitening(gram: np.ndarray, cutoff: float = RANGE_CUTOFF) -> Whitening:
-    """Whitener of ``gram``, its left factor, its negative inertia and its
-    eigenvalues, for repeated norms.
+    """Whitener of the Hermitian ``gram``, its left factor, its negative
+    inertia and its eigenvalues, for repeated norms.
+
+    ``gram`` must be Hermitian: a :func:`hermitize` output, as every
+    ``_metric`` of the spaces is.  It is not hermitized again.
 
     A Gram matrix whose lowest eigenvalue (``eigvalsh``) is above
     ``cutoff`` times its top one is whitened by Cholesky, G = L L^H, with
-    W = inv(L)^H and the left factor L^H, both real when G is.  Any other
-    keeps the eigendecomposition of :func:`gram_whitener`, and its
-    eigenvalues.
+    W = inv(L)^H (:func:`lower_inverse`) and the left factor L^H, both
+    real when G is.  Any other keeps the eigendecomposition of
+    :func:`gram_whitener`, and its eigenvalues.
     """
-    gram = hermitize(gram)
     # a Gram matrix with no imaginary part is factored in real arithmetic
-    real = gram if gram.imag.any() else gram.real
+    real = gram if np.iscomplexobj(gram) and gram.imag.any() else gram.real
     vals = np.linalg.eigvalsh(real)
     if vals.size and vals[0] > cutoff * vals[-1]:
         with contextlib.suppress(np.linalg.LinAlgError):
             lower = np.linalg.cholesky(real)
-            return Whitening(np.linalg.inv(lower).conj().T, lower.conj().T, 0, vals)
+            return Whitening(lower_inverse(lower).conj().T, lower.conj().T, 0, vals)
     w, vals = gram_whitener(gram, cutoff)
     top = max(float(vals[-1]), 0.0) if vals.size else 0.0
     negative = int(np.count_nonzero(vals < -cutoff * top))
@@ -221,9 +262,10 @@ def gram_operator_norm(
     Both domain and codomain are restricted to the numerical ranges of
     their Gram matrices; vectors of zero length neither contribute norm
     nor blow it up.  The norm is that of ``(W_out^H G_out) @ (op @ W_in)``,
-    by one SVD.
+    by one SVD, with both Grams hermitized first.
     """
-    out, into = gram_whitening(gram_out, cutoff), gram_whitening(gram_in, cutoff)
+    out = gram_whitening(hermitize(gram_out), cutoff)
+    into = gram_whitening(hermitize(gram_in), cutoff)
     if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
         return 0.0
     return float(np.linalg.norm(out.left @ (op @ into.whitener), ord=2))

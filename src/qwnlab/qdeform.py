@@ -37,6 +37,17 @@ from .linalg import hermitize, scaled_gap
 from .report import reported_record, residual_record
 
 
+def _scaled_block_gap(sides):
+    """``scaled_gap`` of two sides given as (left, right) row blocks: the
+    largest entry of the difference, relative to the largest of the right
+    side once that exceeds 1."""
+    worst = scale = 0.0
+    for lhs, rhs in sides:
+        worst = max(worst, np.abs(lhs - rhs).max())
+        scale = max(scale, np.abs(rhs).max())
+    return worst / max(scale, 1.0)
+
+
 class QFockSpace(GradedFockSpace):
     """Tensor-power space with the inversion-weighted permutation Gram.
 
@@ -215,11 +226,14 @@ class QFockSpace(GradedFockSpace):
         compared after ``_compress`` at each basis mode by the shared ladder
         check (``_ladder_gap``), with the images on flat rows:
         S_(n+1)^H A^H G_n S_n = (A S_(n+1))^H (G_n S_n) against
-        S_(n+1)^H G_(n+1) C S_n = ((C S_n)^H (G_(n+1) S_(n+1)))^H."""
+        S_(n+1)^H G_(n+1) C S_n = (G_(n+1) S_(n+1))^H (C S_n).  The
+        restricted Grams are not square at q = 1, so their adjoints are
+        passed beside them."""
         grams = [
             self._compress(self.q_gram(n), k_in=n) for n in range(self.max_grade + 1)
         ]
-        worst = self._ladder_gap(grams, scaled_gap)
+        adjoints = [gram.conj().T for gram in grams]
+        worst = self._ladder_gap(grams, _scaled_block_gap, adjoints)
         return [
             residual_record(
                 "qdeform.adjointness",
@@ -470,12 +484,15 @@ class DiscretizedQuadratic:
 def _affine_fit(stacks):
     """Least-squares (alpha, beta) of commutator = alpha * identity term +
     beta * number term, over the (commutator, identity term, number term)
-    stacks of every grade."""
+    stacks of every grade, and the fit's relative misfit
+    |target - design (alpha, beta)| / max(|target|, 1)."""
     design = np.vstack(
         [np.column_stack([ident.ravel(), num.ravel()]) for _, ident, num in stacks]
     )
     target = np.concatenate([commutator.ravel() for commutator, _, _ in stacks])
-    return np.linalg.lstsq(design, target, rcond=None)[0]
+    coeffs = np.linalg.lstsq(design, target, rcond=None)[0]
+    misfit = np.linalg.norm(target - design @ coeffs)
+    return coeffs, misfit / max(np.linalg.norm(target), 1.0)
 
 
 def check_bosonic_coefficient_match(dim=2, max_grade=4, tol=1e-9):
@@ -488,12 +505,15 @@ def check_bosonic_coefficient_match(dim=2, max_grade=4, tol=1e-9):
     its two symbols, so both fits run on the dim**2 basis pairs of grades
     0..max_grade - 2 and draw no random symbols: the squared modes on
     whole grades, the quadratic operators from ``BosonicSpace.mixed_terms``
-    in the orbit coordinates of the symmetric subspace.  Only the
-    coefficients transfer: full vacuum moments do not, because the
-    squared-mode realization obeys the relation table with
-    number/creation coefficient 2 while the literal quadratic operators
-    measure 1; those obey the table only at 2 gamma0, as B = sqrt2 b and
-    N = 2n.
+    in the orbit coordinates of the symmetric subspace.  The larger
+    relative misfit of the two fits is a record of its own: a pair whose
+    design rows are zero (e_a != e_b over a function algebra) never moves
+    the fitted coefficients, so only the misfit sees a commutator that
+    leaves the affine span there.  Only the coefficients transfer: full
+    vacuum moments do not, because the squared-mode realization obeys the
+    relation table with number/creation coefficient 2 while the literal
+    quadratic operators measure 1; those obey the table only at 2 gamma0,
+    as B = sqrt2 b and N = 2n.
     """
     blocks = [(i,) for i in range(dim)]
     disc = DiscretizedQuadratic(1.0, np.ones(dim), blocks, max_grade)
@@ -505,10 +525,11 @@ def check_bosonic_coefficient_match(dim=2, max_grade=4, tol=1e-9):
         idents = [np.vdot(phi, psi) * np.eye(dim**n) for phi, psi in pairs]
         numbers = [qspace.number_matrix(psi, phi, n) for phi, psi in pairs]
         squared.append((np.array(commutators), np.array(idents), np.array(numbers)))
-    coeff_q = _affine_fit(squared)
+    coeff_q, misfit_q = _affine_fit(squared)
 
     bspace = BosonicSpace(qspace.algebra, max_grade, gamma0=1.0)
-    coeff_b = _affine_fit([bspace.mixed_terms(k) for k in range(max_grade - 1)])
+    terms = [bspace.mixed_terms(k) for k in range(max_grade - 1)]
+    coeff_b, misfit_b = _affine_fit(terms)
 
     gap = max(abs(coeff_q[0] - coeff_b[0]), abs(coeff_q[1] - coeff_b[1]))
     return [
@@ -526,6 +547,16 @@ def check_bosonic_coefficient_match(dim=2, max_grade=4, tol=1e-9):
                     coeff_b[0].real,
                     coeff_b[1].real,
                 )
+            ),
+        ),
+        residual_record(
+            "qdeform.bosonic_affine_misfit",
+            "squared-mode realization of the quadratic relations",
+            max(misfit_q, misfit_b),
+            tol,
+            notes=(
+                "larger relative least-squares misfit of the two fits:"
+                " squared modes %.3e, quadratic operators %.3e" % (misfit_q, misfit_b)
             ),
         ),
         reported_record(

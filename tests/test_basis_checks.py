@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import qwnlab.bosonic
+import qwnlab.graded
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace, _is_dyadic
 from qwnlab.free import FreeSpace
@@ -684,6 +685,51 @@ def test_a_perturbed_basis_operator_fails_each_basis_record(cls, check, name, ki
         assert records[name].status == "fail", (name, b, records[name].residual)
 
 
+# Every adjointness space of the basis checks: the bosonic and free spaces
+# over each algebra of SPACES and the q-deformed ones, whose restricted
+# Grams at q = 1 are not square and have their adjoints passed beside them.
+ADJOINT_SPACES = {
+    **{"bosonic_" + name: make for name, make in _spaces(BosonicSpace).items()},
+    **{"free_" + name: make for name, make in _spaces(FreeSpace).items()},
+    **Q_SPACES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_SPACES))
+def test_adjointness_by_row_blocks_matches_one_block(name, monkeypatch):
+    # every side here is one block; blocks of 7 entries cut the sides into
+    # runs of rows in one column of the left factor, and of 300 also into
+    # runs of whole columns where a column's rows fit: the residuals move
+    # at rounding level only
+    whole = [r.residual for r in ADJOINT_SPACES[name]().check_adjointness()]
+    for block in (7, 300):
+        monkeypatch.setattr(qwnlab.graded, "_SIDE_BLOCK", block)
+        blocked = [r.residual for r in ADJOINT_SPACES[name]().check_adjointness()]
+        assert np.allclose(blocked, whole, rtol=0.0, atol=1e-15), (block, blocked)
+
+
+@pytest.mark.parametrize(
+    "cls, check, name, kind",
+    [row for row in MUTATIONS if row[1] == "check_adjointness"]
+    + [(QFockSpace, "check_adjointness", "qdeform.adjointness", CREATION)],
+    ids=lambda v: str(v),
+)
+def test_a_perturbed_basis_operator_fails_adjointness_by_row_blocks(
+    cls, check, name, kind, monkeypatch
+):
+    # at q = 1 the restricted q-Grams are not square: the adjoints passed
+    # beside them are read by the blocks too
+    monkeypatch.setattr(qwnlab.graded, "_SIDE_BLOCK", 7)
+    if cls is QFockSpace:
+        makes = [Q_SPACES["q3_0.5"], Q_SPACES["q3_1"]]
+    else:
+        makes = [functools.partial(_mutation_space, cls)]
+    for make in makes:
+        for b in range(3):
+            records = {r.name: r for r in getattr(_perturb(make(), kind, b), check)()}
+            assert records[name].status == "fail", (name, b, records[name].residual)
+
+
 def _swapped_metric(space):
     """``space`` with its ``_metric`` mutated to scale the orbit sums by
     sqrt(s_I) / sqrt(s_J) in place of sqrt(s_J) / sqrt(s_I): the source of
@@ -790,7 +836,7 @@ def test_coefficient_match_records_do_not_depend_on_the_seed():
         return [r for r in report.checks if r.name.startswith("qdeform.bosonic_")]
 
     first = matched(1)
-    assert len(first) == 3
+    assert len(first) == 4
     assert matched(2) == first
 
 
@@ -813,4 +859,30 @@ def test_a_perturbed_annihilation_merge_fails_the_coefficient_match(monkeypatch)
 
     monkeypatch.setattr(BosonicSpace, "_symbol_tensors", perturbed)
     record = {r.name: r for r in check_bosonic_coefficient_match()}[name]
+    assert record.status == "fail", record.residual
+
+
+@pytest.mark.parametrize("entry", [(1, 3), (0, 3), (1, 0), (0, 1)], ids=str)
+def test_a_merge_off_the_affine_span_fails_the_affine_misfit(entry, monkeypatch):
+    # these merge entries of e_0's annihilation meet only pairs whose design
+    # rows are zero, so the fitted (alpha, beta) keep their bits and the
+    # coefficient match passes; the fit's misfit sees the commutator
+    clean = {r.name: r for r in check_bosonic_coefficient_match()}
+    assert clean["qdeform.bosonic_affine_misfit"].status == "pass"
+    symbol_tensors = BosonicSpace._symbol_tensors
+
+    def perturbed(self, kind, symbol):
+        tensors = symbol_tensors(self, kind, symbol)
+        if kind != ANNIHILATION or not np.array_equal(symbol, self.algebra.basis()[0]):
+            return tensors
+        state, merge = tensors
+        merge = merge.copy()
+        merge[entry] += 1e-3
+        return state, merge
+
+    monkeypatch.setattr(BosonicSpace, "_symbol_tensors", perturbed)
+    records = {r.name: r for r in check_bosonic_coefficient_match()}
+    match = records["qdeform.bosonic_coefficient_match"]
+    assert match == clean["qdeform.bosonic_coefficient_match"]
+    record = records["qdeform.bosonic_affine_misfit"]
     assert record.status == "fail", record.residual

@@ -1,6 +1,7 @@
 """Free quadratic space: anchors, exact relations, moment formulas."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qwnlab.bosonic import ANNIHILATION, CREATION, NUMBER
 from qwnlab.combinatorics import cumulant_weight, interval_compositions
 from qwnlab.free import FreeSpace
 from qwnlab.graded import GradeOverflowError
-from qwnlab.linalg import hermitize
+from qwnlab.linalg import gram_whitening, hermitize
 
 
 def one_point_space(gamma=1.0, max_grade=4):
@@ -274,3 +275,74 @@ def test_gram_does_not_enumerate_interval_compositions(monkeypatch):
     monkeypatch.setattr(qwnlab.free, "interval_compositions", refuse, raising=False)
     space = FreeSpace(MatrixAlgebra(2), max_grade=4)
     assert space.gram(4).shape == (256, 256)
+
+
+def kron_gram(space, k, cache):
+    """G_k as the sum of the ``np.kron`` products F_m (x) G_(k-m), the
+    build before the rows of F_m were added in place, kept as the
+    oracle."""
+    if k not in cache:
+        mat = space._factor(k) if k else np.ones((1, 1), dtype=complex)
+        for m in range(1, k):
+            mat += np.kron(space._factor(m), kron_gram(space, k - m, cache))
+        cache[k] = 0.5 * (mat + mat.conj().T)
+    return cache[k]
+
+
+@pytest.mark.parametrize(
+    "alg", [MatrixAlgebra(2), FunctionAlgebra([0.3, 0.7, 1.1])], ids=repr
+)
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+def test_gram_adds_the_kronecker_rows_bit_for_bit(alg, gamma):
+    space = FreeSpace(alg, max_grade=4, gamma=gamma)
+    cache = {}
+    for k in range(5):
+        expected = kron_gram(space, k, cache)
+        assert np.array_equal(space.gram(k).view(float), expected.view(float)), k
+
+
+def _traced_peak(run):
+    """Peak of the memory ``run`` allocates, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+# Over M_2 at truncation 5 the grade-5 Gram is 1024 x 1024 complex, 16 MB.
+def _m2_top_gram_bytes():
+    return 16 * 4 ** (2 * 5)
+
+
+def test_gram_build_holds_no_kronecker_product():
+    # the grade's matrix, one row block of F_m (x) G_(k-m) and the
+    # hermitized copy: about 2x the Gram's bytes (3.07x with np.kron)
+    space = FreeSpace(MatrixAlgebra(2), max_grade=5)
+    peak = _traced_peak(lambda: space.gram(5))
+    assert peak <= 2.5 * _m2_top_gram_bytes(), peak / _m2_top_gram_bytes()
+
+
+def test_adjointness_holds_row_blocks_not_whole_sides():
+    # with the metrics cached, the sides are compared a row block at a
+    # time: about 1x the Gram's bytes (4.01x with whole sides)
+    space = FreeSpace(MatrixAlgebra(2), max_grade=5)
+    for k in range(6):
+        space._metric(k)
+    records = []
+    peak = _traced_peak(lambda: records.extend(space.check_adjointness()))
+    assert all(record.status == "pass" for record in records)
+    assert peak <= 1.5 * _m2_top_gram_bytes(), peak / _m2_top_gram_bytes()
+
+
+def test_whitening_does_not_hermitize_again():
+    # a real definite metric: its real copy, the Cholesky factor and its
+    # inverse, about 1.1x the complex Gram's bytes (2.0x when the metric
+    # was hermitized again and the factor inverted by np.linalg.inv)
+    gram = FreeSpace(MatrixAlgebra(2), max_grade=5).gram(5)
+    whitening = []
+    peak = _traced_peak(lambda: whitening.append(gram_whitening(gram)))
+    assert whitening[0].negative == 0 and np.isrealobj(whitening[0].whitener)
+    assert peak <= 1.5 * gram.nbytes, peak / gram.nbytes

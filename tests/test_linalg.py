@@ -15,6 +15,7 @@ from qwnlab.linalg import (
     gram_whitening,
     hermitize,
     krylov_operator_norms,
+    lower_inverse,
     orthonormal_range,
     symmetrizer_matrix,
 )
@@ -175,6 +176,19 @@ def test_cached_whitening_norm_equals_gram_operator_norm():
     assert whitened_operator_norm(op, zero, into) == 0.0
 
 
+def test_gram_operator_norm_hermitizes_its_grams():
+    # gram_whitening takes a Hermitian Gram as it is; the one-shot norm
+    # hermitizes what it is given first
+    rng = np.random.default_rng(23)
+    raw = _complex(rng, (5, 5))
+    gram = raw @ raw.conj().T + np.eye(5) + 1e-3 * _complex(rng, (5, 5))
+    op = _complex(rng, (5, 5))
+    herm = hermitize(gram)
+    assert gram_operator_norm(op, gram, gram) == gram_operator_norm(op, herm, herm)
+    out = gram_whitening(herm)
+    assert gram_operator_norm(op, gram, gram) == whitened_operator_norm(op, out, out)
+
+
 def _symmetrizer_by_dense_sum(dim, k):
     acc = np.zeros((dim**k, dim**k))
     perms = list(itertools.permutations(range(k)))
@@ -196,6 +210,48 @@ def test_hermitize():
     h = hermitize(m)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(h, [[1.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_hermitize_has_the_bits_of_the_averaged_sum_and_is_idempotent(real):
+    # written in place, it keeps the bits of 0.5 * (m + m^H); on its own
+    # output it returns the same bits, so a metric is not hermitized twice
+    rng = np.random.default_rng(17)
+    for size in (1, 5, 64):
+        m = _complex(rng, (size, size))
+        if real:
+            m = m.real
+        h = hermitize(m)
+        expected = 0.5 * (m + m.conj().T)
+        assert h.dtype == expected.dtype
+        assert np.array_equal(h, expected)
+        again = hermitize(h)
+        assert np.array_equal(again, h)
+        assert np.array_equal(np.signbit(again.view(float)), np.signbit(h.view(float)))
+
+
+def _lower_factor(rng, size, real):
+    raw = rng.standard_normal((size, size))
+    if not real:
+        raw = raw + 1j * rng.standard_normal((size, size))
+    return np.linalg.cholesky(raw @ raw.conj().T + size * np.eye(size))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_lower_inverse_keeps_inv_up_to_the_leaf_and_matches_it_above(real):
+    rng = np.random.default_rng(19)
+    for size in (1, 100, 256):
+        lower = _lower_factor(rng, size, real)
+        assert np.array_equal(lower_inverse(lower), np.linalg.inv(lower)), size
+    # by halves above 256 rows: 300 splits once, 700 and 1100 twice
+    for size in (300, 700, 1100):
+        lower = _lower_factor(rng, size, real)
+        expected = np.linalg.inv(lower)
+        inverse = lower_inverse(lower)
+        assert np.iscomplexobj(inverse) != real
+        assert np.array_equal(np.triu(inverse, 1), np.zeros_like(inverse))
+        gap = np.abs(inverse - expected).max() / np.abs(expected).max()
+        assert gap <= 1e-13, (size, gap)
 
 
 def stack_products(stack):
