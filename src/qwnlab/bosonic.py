@@ -222,9 +222,7 @@ class BosonicSpace(GradedFockSpace):
         whole Gram.
         """
         if k not in self._metrics:
-            indicator, sizes = self._orbits(k)
-            # an orbit's sorted tuple is its smallest flat index
-            reps = indicator.argmax(axis=0)
+            indicator, sizes, reps, _ = self._orbits(k)
             columns = self._gram_lines(k, reps)
             adjoint = np.conj(self._gram_lines(k, reps, rows=True))
             self._hermiticity[k] = scaled_gap(columns, adjoint)
@@ -369,11 +367,8 @@ class BosonicSpace(GradedFockSpace):
         """
         key = kind, k
         if key not in self._orbit_ops:
-            indicator, sizes = self._orbits(k)
-            reached, reached_sizes = self._orbits(k + _SHIFTS[kind])
-            # an orbit's sorted tuple is its smallest flat index
-            reps = reached.argmax(axis=0)
-            orbit = reached.argmax(axis=1)
+            indicator, sizes = self._orbits(k)[:2]
+            reached, reached_sizes, reps, orbit = self._orbits(k + _SHIFTS[kind])
             # the kernels multiply complex symbol tensors into the block,
             # faster on a complex one
             block = indicator.astype(complex)

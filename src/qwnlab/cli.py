@@ -36,12 +36,18 @@ from .rewrite import (
     make_function_engine,
     measured_coefficient,
 )
-from .suites import SUITE_IDS, RunConfig, run_suite
+from .suites import ALGEBRA_KINDS, SUITE_IDS, RunConfig, run_suite
 
-DEFAULT_SEED = 2026
-
-_CONFIG_FLOATS = ("gamma0", "gamma", "q", "s", "l", "tolerance")
-_CONFIG_INTS = ("dim", "truncation", "trials", "seed")
+# Help texts of the verify flags that have one; RunConfig declares the rest.
+_VERIFY_HELP = {
+    "trials": (
+        "random draws of the sampled checks (norm bounds, closed forms,"
+        " moments, traciality, the q-deformed squared relation); adjointness,"
+        " commutators, the number/creation fit and the canonical and free"
+        " relations run on the basis (default %d)" % RunConfig.trials
+    ),
+    "output": "report path, '-' for stdout (default)",
+}
 
 
 class UsageError(Exception):
@@ -62,27 +68,16 @@ def _build_parser():
         help="suite to run ('all' runs every operator suite)",
     )
     verify.add_argument("--config", help="JSON file with configuration values")
-    verify.add_argument("--kind", choices=("functions", "matrices"))
-    verify.add_argument("--dim", type=int)
-    verify.add_argument("--truncation", type=int)
-    verify.add_argument("--gamma0", type=float)
-    verify.add_argument("--gamma", type=float)
-    verify.add_argument("--q", type=float)
-    verify.add_argument("--s", type=float)
-    verify.add_argument("--l", type=float)
-    verify.add_argument(
-        "--trials",
-        type=int,
-        help=(
-            "random draws of the sampled checks (norm bounds, closed forms,"
-            " moments, traciality, the q-deformed squared relation); adjointness,"
-            " commutators, the number/creation fit and the canonical and free"
-            " relations run on the basis (default 25)"
-        ),
-    )
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--tolerance", type=float)
-    verify.add_argument("--output", help="report path, '-' for stdout (default)")
+    # one flag per RunConfig field, typed by its annotation
+    for f in fields(RunConfig):
+        if f.name == "suite":  # the positional argument
+            continue
+        verify.add_argument(
+            "--" + f.name,
+            type=f.type,
+            choices=ALGEBRA_KINDS if f.name == "kind" else None,
+            help=_VERIFY_HELP.get(f.name),
+        )
 
     rw = sub.add_parser("rewrite", help="normal-order one word of generators")
     rw.add_argument(
@@ -112,20 +107,6 @@ def _build_parser():
     return parser
 
 
-def _number(name, value, kind):
-    """Config value ``name`` as ``kind``: a JSON number, whole for an int."""
-    whole = not isinstance(value, float) or value.is_integer()
-    if type(value) in (int, float) and (whole or kind is float):
-        try:
-            return kind(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise UsageError(
-        "%s must be %s, got %s"
-        % (name, "an integer" if kind is int else "a finite number", json.dumps(value))
-    )
-
-
 def _load_config(args):
     values = {}
     if getattr(args, "config", None):
@@ -141,29 +122,15 @@ def _load_config(args):
             if key not in known:
                 raise UsageError("unknown config key %r" % key)
             values[key] = value
-    for name in _CONFIG_FLOATS + _CONFIG_INTS + ("kind", "output", "suite"):
-        flag = getattr(args, name, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
-    if "seed" not in values:
-        env = os.environ.get("QWN_SEED")
-        if env is not None:
-            try:
-                values["seed"] = int(env)
-            except ValueError:
-                raise UsageError("QWN_SEED must be an integer")
-        else:
-            values["seed"] = DEFAULT_SEED
-    values.setdefault("output", "-")
-    for name in ("kind", "output", "suite"):
-        if not isinstance(values.get(name, ""), str):
-            value = json.dumps(values[name])
-            raise UsageError("%s must be a string, got %s" % (name, value))
-    for name in _CONFIG_FLOATS + _CONFIG_INTS:
-        if name in values:
-            values[name] = _number(
-                name, values[name], int if name in _CONFIG_INTS else float
-            )
+            values[f.name] = flag
+    if "seed" not in values and "QWN_SEED" in os.environ:
+        try:
+            values["seed"] = int(os.environ["QWN_SEED"])
+        except ValueError:
+            raise UsageError("QWN_SEED must be an integer")
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:

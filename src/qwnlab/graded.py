@@ -201,31 +201,37 @@ class GradedFockSpace:
 
     def _orbits(self, k):
         """The index orbits of grade k under slot permutations (cached):
-        the 0/1 matrix (dim**k by orbits) of the orbit of each flat index
-        and the orbit sizes.  The orbit of an index tuple is its sorted
-        tuple."""
+        the 0/1 matrix (dim**k by orbits) of the orbit of each flat index,
+        the orbit sizes, each orbit's representative flat index and each
+        flat index's orbit.  The orbit of an index tuple is its sorted
+        tuple, whose flat index is the orbit's smallest, its representative."""
         self._check_grade(k)
         if k not in self._orbit_cache:
             dim = self.algebra.dim
             tuples = np.indices((dim,) * k).reshape(k, dim**k)
-            _, orbit, sizes = np.unique(
-                np.sort(tuples, axis=0), axis=1, return_inverse=True, return_counts=True
+            _, reps, orbit, sizes = np.unique(
+                np.sort(tuples, axis=0),
+                axis=1,
+                return_index=True,
+                return_inverse=True,
+                return_counts=True,
             )
-            indicator = np.eye(sizes.size)[orbit.reshape(-1)]
-            self._orbit_cache[k] = indicator, sizes
+            orbit = orbit.reshape(-1)
+            indicator = np.eye(sizes.size)[orbit]
+            self._orbit_cache[k] = indicator, sizes, reps, orbit
         return self._orbit_cache[k]
 
     def symmetrizer(self, k):
         """Projection onto the symmetric part of grade k, as a matrix: each
         coordinate goes to the mean over its orbit."""
-        indicator, sizes = self._orbits(k)
+        indicator, sizes = self._orbits(k)[:2]
         return (indicator / sizes) @ indicator.T
 
     def symmetric_basis(self, k):
         """Orthonormal (coordinate-wise) basis of the symmetric subspace:
         the normalized orbit indicators, an exact basis, complex as the
         kernels take it."""
-        indicator, sizes = self._orbits(k)
+        indicator, sizes = self._orbits(k)[:2]
         return (indicator / np.sqrt(sizes)).astype(complex)
 
     def _coefficients(self, kind, symbol):

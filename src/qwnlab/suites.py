@@ -6,8 +6,7 @@ random stream of another suite and reports stay byte-identical for a
 given configuration and seed.
 """
 
-from __future__ import annotations
-
+import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -53,6 +52,11 @@ MAX_GAMMA = 1e30
 # traciality checks walk words of length up to 6, which need 3 grades.
 MIN_TRUNCATION = {"bosonic": 2, "free": 3, "all": 3}
 
+# Largest trials a run accepts.  Each trial costs about 0.7 ms and 0.2 kB
+# (the norm checks hold one random element per trial), so 1e5 trials run
+# about a minute and hold about 20 MB more; 1e8 would ask for about 20 GB.
+MAX_TRIALS = 100_000
+
 # Largest dense array, in bytes, a run may form (2 GiB).  A check holds a
 # few arrays of the largest size at once, so a run needs a few times this.
 MAX_DENSE_BYTES = 2 * 2**30
@@ -82,7 +86,8 @@ def largest_dense_bytes(suite, kind, dim, truncation):
 
 @dataclass
 class RunConfig:
-    """Everything a run depends on; echoed into the report."""
+    """Everything a run depends on; echoed into the report.  Each field but
+    the suite is also the ``verify`` flag of its name, typed as annotated."""
 
     suite: str = "all"
     kind: str = "functions"
@@ -100,9 +105,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError("%s must be finite" % f.name)
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), f.type))
         if self.suite != "all" and self.suite not in SUITE_IDS:
             raise ValueError("unknown suite %r" % (self.suite,))
         if self.kind not in ALGEBRA_KINDS:
@@ -126,6 +129,8 @@ class RunConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.trials > MAX_TRIALS:
+            raise ValueError("trials must be at most %d" % MAX_TRIALS)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.seed < 0:
@@ -138,6 +143,28 @@ class RunConfig:
                 "dense array of %.1f GB, above the %.1f GB limit"
                 % (self.suite, self.kind, self.dim, self.truncation, size / 1e9, limit)
             )
+
+
+def _typed(name, value, kind):
+    """Field ``name``'s ``value`` as its type ``kind``: a string for str;
+    for int and float a number but never a bool, whole for int and finite
+    for float.  Whole floats become ints and ints floats, so a value echoes
+    the same bytes however it was given."""
+    if kind is str and isinstance(value, str):
+        return value
+    whole = not isinstance(value, float) or value.is_integer()
+    if kind is not str and type(value) in (int, float) and (whole or kind is float):
+        try:
+            value = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if kind is int or math.isfinite(value):
+                return value
+            raise ValueError("%s must be finite" % name)
+    expected = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+    got = json.dumps(value, default=repr)
+    raise ValueError("%s must be %s, got %s" % (name, expected, got))
 
 
 def suite_rng(config, suite):

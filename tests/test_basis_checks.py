@@ -186,7 +186,7 @@ def trial_commutators(space, rng, trials, tol_affine=AFFINE_TOL):
             diff = space.commutator([(CREATION, phi)], [(CREATION, psi)], k)
             worst["cc"] = max(worst["cc"], np.abs(diff).max())
         for k in range(2, space.max_grade + 1):
-            indicator, sizes = space._orbits(k)
+            indicator, sizes = space._orbits(k)[:2]
             diff = space.commutator(
                 [(ANNIHILATION, phi)], [(ANNIHILATION, psi)], k, columns=indicator
             )
@@ -200,7 +200,7 @@ def trial_commutators(space, rng, trials, tol_affine=AFFINE_TOL):
         product = alg.mul(alg.star(phi), psi)
         pairing = alg.state(product)
         for k in range(space.max_grade):
-            indicator, sizes = space._orbits(k)
+            indicator, sizes = space._orbits(k)[:2]
             expected = 2.0 * space.gamma0 * pairing * np.eye(alg.dim**k)
             expected = expected + 4.0 * space.operator_matrix(NUMBER, product, k)
             diff = space.commutator(
@@ -432,7 +432,7 @@ def tensor_route_commutators(space):
         for diff in same_kind_commutators(space, CREATION, k):
             worst["cc"] = max(worst["cc"], np.abs(diff).max())
     for k in range(2, top + 1):
-        indicator, sizes = space._orbits(k)
+        indicator, sizes = space._orbits(k)[:2]
         for diff in same_kind_commutators(space, ANNIHILATION, k, indicator):
             worst["aa"] = max(worst["aa"], np.abs(diff / sizes).max())
     if alg.commutative:
@@ -446,7 +446,7 @@ def tensor_route_commutators(space):
         space._letter(NUMBER, c) for c in alg.coords(products).reshape(-1, alg.dim)
     ]
     for k in range(top):
-        indicator, sizes = space._orbits(k)
+        indicator, sizes = space._orbits(k)[:2]
         diffs = mixed_commutators(space, k, indicator)
         for diff, pairing, number in zip(diffs, pairings, numbers):
             expected = 2.0 * space.gamma0 * pairing * indicator

@@ -2,10 +2,14 @@
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
+import os
 import random
-from dataclasses import fields
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import pytest
 from qwnlab.cli import UsageError, _check_output, _load_config, main
 from qwnlab.suites import (
     MAX_DENSE_BYTES,
+    MAX_TRIALS,
     MIN_TRUNCATION,
     SUITE_IDS,
     VERIFY_SUITES,
@@ -201,8 +206,21 @@ def test_random_config_files_give_a_config_or_a_usage_error(tmp_path, monkeypatc
             else:
                 obj[key] = defaults.get(key, 1)
         path.write_text(json.dumps(obj))
+        # the Python API takes the same values and validates them alike
+        api = {key: value for key, value in obj.items() if key in defaults}
+        try:
+            direct = RunConfig(**api)
+        except (ValueError, TypeError):
+            direct = None
+        else:
+            assert isinstance(direct, RunConfig)
         try:
             config = _load_config(argparse.Namespace(config=str(path)))
+        except UsageError:
+            assert direct is None or api != obj, obj
+            continue
+        assert config == direct, obj
+        try:
             _check_output(config.output)
         except UsageError:
             continue
@@ -233,6 +251,13 @@ def test_random_verify_flags_give_a_config_or_a_usage_error(
     monkeypatch.setattr(qwnlab.cli, "run_suite", accept)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("QWN_SEED", raising=False)
+    # one flag per RunConfig field but the positional suite, in field order
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--help"])
+    listed = re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M)
+    assert listed == ["--config"] + [
+        "--" + f.name for f in fields(RunConfig) if f.name != "suite"
+    ]
     (tmp_path / "good.json").write_text(json.dumps({"trials": 3, "q": 0.25}))
     (tmp_path / "bad.json").write_text('{"truncation": 9}')
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -259,10 +284,8 @@ def test_random_verify_flags_give_a_config_or_a_usage_error(
             "nul\u0000byte.json",
             "new\nline/report.json",
         ],
-        **{
-            flag: ints + [str(10**400)]
-            for flag in ("--dim", "--truncation", "--trials", "--seed")
-        },
+        **{flag: ints + [str(10**400)] for flag in ("--dim", "--truncation", "--seed")},
+        "--trials": ints + [str(10**400), str(MAX_TRIALS), str(MAX_TRIALS + 1)],
         **{
             flag: floats
             for flag in ("--gamma0", "--gamma", "--q", "--s", "--l", "--tolerance")
@@ -526,6 +549,66 @@ def test_run_config_validation():
     for bad in ({"tolerance": math.nan}, {"gamma0": math.inf}, {"seed": -1}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+
+
+def test_run_config_checks_types_at_construction():
+    # the Python API refuses what the CLI refuses, before any suite runs
+    for bad, message in (
+        ({"dim": 2.5}, "dim must be an integer, got 2.5"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"tolerance": True}, "tolerance must be a finite number, got true"),
+        ({"dim": True}, "dim must be an integer, got true"),
+        ({"gamma0": 10**400}, "gamma0 must be a finite number, got 1000"),
+        ({"kind": 5}, "kind must be a string, got 5"),
+        ({"output": None}, "output must be a string, got null"),
+    ):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            RunConfig(**bad)
+    # whole floats become ints and ints floats, so the echo keeps its bytes
+    config = RunConfig(gamma0=1, dim=2.0, seed=7.0)
+    assert [type(v) for v in (config.gamma0, config.dim, config.seed)] == [
+        float,
+        int,
+        int,
+    ]
+    assert repr(asdict(config)) == repr(asdict(RunConfig(gamma0=1.0, dim=2, seed=7)))
+
+
+def test_benchmark_workloads_construct(monkeypatch):
+    # the harness pins OPENBLAS_NUM_THREADS on import; monkeypatch restores it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_run", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    for name in harness.WORKLOADS:
+        for options in harness.invocations(name, 5):
+            assert isinstance(RunConfig(**options), RunConfig), options
+
+
+def test_trials_above_the_bound_exit_two(tmp_path, capsys, monkeypatch):
+    import qwnlab.cli
+
+    assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS == 100_000
+    for trials in (MAX_TRIALS + 1, 10**8):
+        with pytest.raises(ValueError, match="trials must be at most 100000"):
+            RunConfig(trials=trials)
+
+    def accept(config):
+        raise _Accepted(config)
+
+    monkeypatch.setattr(qwnlab.cli, "run_suite", accept)
+    with pytest.raises(_Accepted):
+        run_cli(["verify", "all", "--trials", str(MAX_TRIALS)])
+    _refuse_to_run(monkeypatch)
+    for trials in (MAX_TRIALS + 1, 10**8):
+        _exits_two_with_one_error_line(
+            capsys, ["verify", "all", "--trials", str(trials)]
+        )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": MAX_TRIALS + 1}))
+    _exits_two_with_one_error_line(capsys, ["verify", "nogo", "--config", str(config)])
 
 
 def test_suite_rng_streams_are_independent_and_reproducible():

@@ -663,6 +663,19 @@ def _orbit_representatives(dim, k):
     return [i for i, t in enumerate(tuples) if list(t) == sorted(t)]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 9])
+def test_orbit_representatives_and_labels_read_the_indicator(dim):
+    # each orbit's representative is its sorted tuple, the first index the
+    # indicator marks in its column, and each index's label is its orbit
+    space = BosonicSpace(FunctionAlgebra(np.ones(dim) / dim), 4, 1.0)
+    for k in range(5):
+        indicator, sizes, reps, orbit = space._orbits(k)
+        assert reps.tolist() == _orbit_representatives(dim, k)
+        assert np.array_equal(reps, indicator.argmax(axis=0))
+        assert np.array_equal(orbit, indicator.argmax(axis=1))
+        assert np.array_equal(sizes, indicator.sum(axis=0))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_right_symmetrized_matches_the_permutation_average(dim):
     # The symmetrized commutators run their words on the orbit indicators
@@ -677,7 +690,7 @@ def test_right_symmetrized_matches_the_permutation_average(dim):
     for k in range(space.max_grade + 1):
         if dim**k > 1024:
             continue
-        indicator, sizes = space._orbits(k)
+        indicator, sizes = space._orbits(k)[:2]
         keep = _orbit_representatives(dim, k)
         words = [[ANNIHILATION, CREATION]] if k < space.max_grade else []
         words += [[ANNIHILATION, ANNIHILATION]] if k >= 2 else []
@@ -705,7 +718,7 @@ def test_right_symmetrized_keeps_exact_cancellation():
     for algebra in (FunctionAlgebra([0.5, 0.75]), MatrixAlgebra(2)):
         space = BosonicSpace(algebra, 4, 0.5)
         for k in range(2, 5):
-            indicator, sizes = space._orbits(k)
+            indicator, sizes = space._orbits(k)[:2]
             for _ in range(3):
                 left, right = (
                     [(ANNIHILATION, random_element(algebra, rng, dyadic=True))]
