@@ -38,8 +38,13 @@ each builds the stack of the basis factors of one (kind, grade) once: the
 adjointness check contracts each factor's F^H with the metric's leading
 axes and compares the sides of each basis element a block of rows at a
 time (``_side_blocks``), and the norms of all
-trials come from one batched Lanczos run on the stack, with no operator
-matrix and no free kernel.
+trials come from the stack with no operator matrix and no free kernel.  An
+operator with no identity tail, F (x) I = F, as every bosonic one and the
+free ones whose factor spans the grade, is small: its whitened basis
+operators are formed once, and each trial's norm is exact, the top
+eigenvalue of its smaller Gram.  The others, the free operators with a
+tail, take their norms from one batched Lanczos run on the stack's
+products with vectors, without forming the whitened operator.
 
 The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
@@ -59,7 +64,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import gram_whitening, krylov_operator_norms
+from .linalg import gram_whitening, krylov_operator_norms, stack_operator_norms
 from .report import STATUS_FAIL, residual_record
 
 CREATION = "b*"
@@ -68,13 +73,16 @@ NUMBER = "n"
 
 _SHIFTS = {CREATION: 1, NUMBER: 0, ANNIHILATION: -1}
 
-# Symbols per Lanczos run of the norm checks.  A run's basis holds a vector
-# per step, side and symbol, so batches keep its memory flat in the trials.
+# Symbols per Lanczos run of the norm checks of the operators with an
+# identity tail.  A run's basis holds a vector per step, side and symbol,
+# so batches keep its memory flat in the trials.
 _NORM_BATCH = 128
 
 # Entries of one row block of an adjointness side (``_side_blocks``): every
 # side at truncation 4 or below is a single block, and a grade-6 side over
-# M_2 (4096 x 4096) is 64 of them.
+# M_2 (4096 x 4096) is 64 of them.  Also the entries of the formed whitened
+# operators of one trial batch of the exact norms: a batch of the grade-4
+# number operators over M_3 (495 x 495 orbits) is one trial.
 _SIDE_BLOCK = 2**18
 
 
@@ -183,8 +191,10 @@ class GradedFockSpace:
     on the ``_leading_stack`` of each (kind, grade), the one route to the
     operators both take.  Neither builds an operator matrix: the
     adjointness check compares the contracted sides of each basis element,
-    and the norms run one Lanczos iteration on the stack for all trials
-    at once.
+    and the norms (``_operator_norms``) form the whitened basis operators
+    of an operator with no identity tail and take exact norms of their
+    sums, or run one Lanczos iteration on the stack for all trials at once
+    where there is a tail.
     """
 
     def __init__(self, algebra, max_grade):
@@ -321,10 +331,14 @@ class GradedFockSpace:
         max_grade + 1 entries, entry k the dim**k coordinates of grade k or
         None when that grade is empty, and missing entries empty.  Returns
         a new list of max_grade + 1 entries."""
+        data = self._letter(kind, self._coefficients(kind, symbol))
+        return self._apply(kind, data, vec)
+
+    def _apply(self, kind, data, vec):
+        """``apply`` of the operator whose ``_letter`` is ``data``."""
         dim, top = self.algebra.dim, self.max_grade
         if len(vec) > top + 1:
             raise ValueError("graded vector has more than %d grades" % (top + 1))
-        data = self._letter(kind, self._coefficients(kind, symbol))
         shift = _SHIFTS[kind]
         out = [None] * (top + 1)
         for k, part in enumerate(vec):
@@ -373,12 +387,19 @@ class GradedFockSpace:
 
         A term sees only the grades that some suffix of `remaining` letters,
         its own included, can still map back down to grade 0: after its
-        shift, each later letter lowers the grade by at most one.
+        shift, each later letter lowers the grade by at most one.  Each
+        distinct (kind, coefficients) ``_letter`` is built once per walk,
+        so a word that repeats a symbol sums its basis tensors once.
         """
+        built = {}
         for letter in reversed(letters):
             out = [None] * (self.max_grade + 1)
             for coeff, kind, symbol in letter:
-                term = self.apply(kind, symbol, vec[: remaining - _SHIFTS[kind]])
+                coeffs = self._coefficients(kind, symbol)
+                key = kind, coeffs.tobytes()
+                if key not in built:
+                    built[key] = self._letter(kind, coeffs)
+                term = self._apply(kind, built[key], vec[: remaining - _SHIFTS[kind]])
                 for k, part in enumerate(term):
                     if part is None:
                         continue
@@ -421,21 +442,33 @@ class GradedFockSpace:
         """Norms of the operators of ``kind`` leaving grade k, restricted to
         the subspaces the space checks on, at each of ``symbols``, measured
         against the metrics of both grades, and the relative residual of
-        the Ritz pair each was read from.
+        the Ritz pair each was read from, or None where the norms are exact.
 
         With W the whitener of a grade and L its left factor, the whitened
-        operator L_out B W_in is linear in B, so the products of the
-        whitened basis operators with vectors (``_whitened_products``) and
-        the symbols' coefficients define it; one batched Lanczos run
-        (``krylov_operator_norms``) per ``_NORM_BATCH`` symbols takes their
-        norms from them without forming the operator.
+        operator L_out (F (x) I) W_in is linear in the leading factor F, so
+        the whitened basis operators and the symbols' coefficients define
+        it.  The route follows the shape of the ``_leading_stack``:
+
+        * no identity tail (F (x) I = F, as for every bosonic operator and
+          the free ones whose factor spans the whole grade): the whitened
+          basis operators are formed once, and ``stack_operator_norms``
+          takes exact norms of their weighted sums, in trial batches of
+          about ``_SIDE_BLOCK`` entries;
+        * an identity tail (the other free operators): the whitened
+          operators are never formed, and one batched Lanczos run
+          (``krylov_operator_norms``) per ``_NORM_BATCH`` symbols takes the
+          norms from their products with vectors (``_whitened_products``).
         """
         k_out = k + _SHIFTS[kind]
         out, into = self._whitening(k_out), self._whitening(k)
         if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
-            return np.zeros(len(symbols)), np.zeros(len(symbols))
-        products = self._whitened_products(kind, k, out, into)
+            return np.zeros(len(symbols)), None
+        factors = self._leading_stack(kind, k)
         coeffs = np.array([self._coefficients(kind, s) for s in symbols])
+        if into.whitener.shape[0] == factors.shape[2]:
+            whitened = out.left @ factors @ into.whitener
+            return stack_operator_norms(whitened, coeffs, _SIDE_BLOCK), None
+        products = self._whitened_products(factors, out, into)
         # no symbols still make one (empty) run, for two empty arrays
         batches = [
             krylov_operator_norms(*products, coeffs[start : start + _NORM_BATCH])
@@ -458,13 +491,13 @@ class GradedFockSpace:
             stack[b] = factor
         return stack
 
-    def _whitened_products(self, kind, k, out, into):
+    def _whitened_products(self, factors, out, into):
         """``krylov_operator_norms``'s products and shape for the whitened
-        operators L_out (F_t (x) I) W_in, F_t the trials' leading factors:
-        W_in on the vectors, one product of the flattened stack of basis
-        factors with their leading axes, the trials' coefficients
-        contracted, and L_out, the adjoint in reverse."""
-        factors = self._leading_stack(kind, k)
+        operators L_out (F_t (x) I) W_in, F_t the trials' leading factors
+        weighed from the stack ``factors`` of basis factors: W_in on the
+        vectors, one product of the flattened stack with their leading
+        axes, the trials' coefficients contracted, and L_out, the adjoint
+        in reverse."""
         dim, rows, cols = factors.shape
         flat = factors.reshape(dim * rows, cols)
         flat_h = factors.conj().transpose(0, 2, 1).reshape(dim * cols, rows)
@@ -492,21 +525,30 @@ class GradedFockSpace:
 
         A Ritz value is a lower bound on the norm it estimates, so every
         record fails, and does not pass, when the worst relative Ritz
-        residual of the norms is above the slack.  The notes name the
-        trials, that residual, and the negative metric directions the
-        whitenings of grades 0..max_grade drop.
+        residual of the Lanczos norms is above the slack.  The notes name
+        the trials, how many cases had exact norms and how many Lanczos
+        ones (``_operator_norms``), the worst Ritz residual when there were
+        any, and the negative metric directions the whitenings of grades
+        0..max_grade drop.
         """
-        excess, ritz = {}, 0.0
+        excess, ritz, lanczos = {}, 0.0, 0
         for name, kind, k, bound in cases:
             norms, residuals = self._operator_norms(kind, symbols, k)
             worst = float((norms - bound).max())
             excess[name] = max(excess.get(name, -math.inf), worst)
-            ritz = max(ritz, float(residuals.max()))
-        negative = sum(self._whitening(k).negative for k in range(self.max_grade + 1))
-        notes = (
-            "worst norm minus bound, %d trials; worst relative Ritz residual: %.2e;"
-            " negative metric directions dropped: %d" % (len(symbols), ritz, negative)
+            if residuals is not None:
+                lanczos += 1
+                ritz = max(ritz, float(residuals.max()))
+        notes = "worst norm minus bound, %d trials; " % len(symbols)
+        notes += "norms exact (eigvalsh) in %d of %d cases" % (
+            len(cases) - lanczos,
+            len(cases),
         )
+        if lanczos:
+            notes += ", by Lanczos in %d" % lanczos
+            notes += "; worst relative Ritz residual: %.2e" % ritz
+        negative = sum(self._whitening(k).negative for k in range(self.max_grade + 1))
+        notes += "; negative metric directions dropped: %d" % negative
         records = []
         for name, value in excess.items():
             record = residual_record(

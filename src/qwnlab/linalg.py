@@ -7,9 +7,13 @@ the tensor space), so operator norms are computed against a whitened
 restriction to the Gram matrix's numerical range rather than against a
 matrix inverse; a positive definite one is whitened by Cholesky.  The
 spaces take many such norms at once, of operators that are weighted sums
-of whitened basis operators: one batched Lanczos run on their products
-with vectors gives them all, without forming any of the operators; the
-norm of one matrix by one SVD is the oracle of the tests.
+of whitened basis operators.  Where the whitened basis operators are small
+enough to form, ``stack_operator_norms`` gives exact norms of the sums,
+one batched ``eigvalsh`` of their smaller Grams; where they are not (the
+free operators with an identity tail), one batched Lanczos run on their
+products with vectors (``krylov_operator_norms``) gives them all, without
+forming any of the operators.  The norm of one matrix by one SVD is the
+oracle of the tests.
 """
 
 from __future__ import annotations
@@ -249,6 +253,30 @@ def krylov_operator_norms(forward, backward, shape, coeffs: np.ndarray) -> tuple
         betas = [b[keep] for b in betas] + [beta[keep]]
         vec = w[:, keep] / beta[keep]
     return norms, residuals
+
+
+def stack_operator_norms(
+    stack: np.ndarray, coeffs: np.ndarray, block: int
+) -> np.ndarray:
+    """Largest singular value of each ``M_t = sum_b coeffs[t, b] stack[b]``,
+    exact to rounding: the square root of the top ``eigvalsh`` eigenvalue
+    of the smaller Gram, ``M_t^H M_t`` or ``M_t M_t^H``.
+
+    The trials go in batches whose ``M_t`` hold about ``block`` entries
+    together (one trial at least), so memory stays flat in the trials.
+    """
+    dim, rows, cols = stack.shape
+    coeffs = np.asarray(coeffs).reshape(-1, dim)
+    norms = np.zeros(len(coeffs))
+    flat = stack.reshape(dim, rows * cols)
+    step = max(1, block // (rows * cols))
+    for start in range(0, len(coeffs), step):
+        mats = (coeffs[start : start + step] @ flat).reshape(-1, rows, cols)
+        adjoints = mats.conj().transpose(0, 2, 1)
+        gram = adjoints @ mats if cols <= rows else mats @ adjoints
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        norms[start : start + step] = np.sqrt(np.maximum(top, 0.0))
+    return norms
 
 
 def gram_operator_norm(

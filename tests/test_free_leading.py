@@ -245,7 +245,7 @@ def test_matrix_free_norms_match_lanczos_on_the_stack(name):
     for kind, k in _cases(space):
         norms, residuals = space._operator_norms(kind, symbols, k)
         expected, _ = stack_norms(space, kind, symbols, k)
-        assert (residuals <= KRYLOV_TOL).all(), (kind, k)
+        assert residuals is None or (residuals <= KRYLOV_TOL).all(), (kind, k)
         assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (kind, k)
 
 

@@ -1,9 +1,10 @@
 """The graded scaffold (GradedFockSpace): operator words run as kernels on
 column blocks and checked against the dense chained product of operator
-matrices, letters summed from per-basis symbol tensors, operator norms by
-Krylov runs on per-grade stacks of the basis operators' leading factors
-(against the SVD of the compressed operator) and the adjointness check on
-their slices, and the symmetric subspace built from index orbits."""
+matrices, letters summed from per-basis symbol tensors, operator norms on
+per-grade stacks of the basis operators' leading factors (exact for the
+untailed ones, by Krylov runs for the others, both against the SVD of the
+compressed operator) and the adjointness check on their slices, and the
+symmetric subspace built from index orbits."""
 
 import gc
 import itertools
@@ -21,7 +22,13 @@ from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
 from qwnlab.graded import _SHIFTS, ANNIHILATION, CREATION, NUMBER, GradeOverflowError
-from qwnlab.linalg import KRYLOV_TOL, RANGE_CUTOFF, symmetrizer_matrix
+from qwnlab.linalg import (
+    KRYLOV_TOL,
+    RANGE_CUTOFF,
+    gram_operator_norm,
+    krylov_operator_norms,
+    symmetrizer_matrix,
+)
 from qwnlab.qdeform import QFockSpace
 from test_basis_checks import adjoint_residuals, compress, whole_grade_operators
 from test_linalg import whitened_operator_norm
@@ -136,6 +143,27 @@ def test_a_walk_to_the_top_grade_and_back_matches_the_word(space):
     word = list(zip(kinds, symbols))
     expected = space.word_matrix(word, 0)[0, 0]
     assert space.vacuum_expectation(word) == pytest.approx(expected, rel=1e-14)
+
+
+def test_a_walk_builds_each_distinct_letter_once(space, monkeypatch):
+    # a word that repeats its symbols, as a cumulant's does, builds each
+    # distinct (kind, symbol) letter once per walk, and keeps the bits of
+    # the walk that builds every step's letter afresh through ``apply``
+    x, y = _symbols(space, 2)
+    word = [(ANNIHILATION, x), (ANNIHILATION, y), (CREATION, x), (ANNIHILATION, x)]
+    word += [(CREATION, x), (ANNIHILATION, x), (CREATION, y), (CREATION, x)]
+    vec = [np.ones(1, dtype=complex)]
+    for remaining, (kind, symbol) in zip(range(len(word), 0, -1), reversed(word)):
+        vec = space.apply(kind, symbol, vec[: remaining - _SHIFTS[kind]])
+    built, letter = [], space._letter
+
+    def counting(kind, coeffs):
+        built.append(kind)
+        return letter(kind, coeffs)
+
+    monkeypatch.setattr(space, "_letter", counting)
+    assert space.vacuum_expectation(word) == complex(vec[0][0])
+    assert Counter(built) == Counter({CREATION: 2, ANNIHILATION: 2})
 
 
 # Spaces up to grade 4 for the operator-matrix oracle.  The dyadic ones
@@ -321,9 +349,9 @@ def test_adjointness_on_right_compressed_grams_matches_compress(name):
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_operator_norms_match_the_whitened_compressed_matrix(name):
-    # complex symbols at non-dyadic weights; each Krylov norm against the
-    # whitened norm of the compressed operator matrix, one SVD, the route
-    # before the stacks
+    # complex symbols at non-dyadic weights; each norm, exact or Krylov,
+    # against the whitened norm of the compressed operator matrix, one SVD,
+    # the route before the stacks
     space = NONDYADIC_SPACES[name]()
     symbols = _symbols(space, 3)
     for kind, k in _cases(space):
@@ -332,8 +360,8 @@ def test_operator_norms_match_the_whitened_compressed_matrix(name):
         k_out = k + _SHIFTS[kind]
         out, into = space._whitening(k_out), space._whitening(k)
         norms, residuals = space._operator_norms(kind, symbols, k)
-        assert norms.shape == residuals.shape == (len(symbols),)
-        assert (residuals <= KRYLOV_TOL).all(), (kind, k)
+        assert norms.shape == (len(symbols),)
+        assert residuals is None or (residuals <= KRYLOV_TOL).all(), (kind, k)
         for symbol, norm in zip(symbols, norms):
             mat = compress(space, space.operator_matrix(kind, symbol, k), k_out, k)
             expected = whitened_operator_norm(mat, out, into)
@@ -342,17 +370,21 @@ def test_operator_norms_match_the_whitened_compressed_matrix(name):
 
 def test_batched_norms_match_one_unbatched_run(monkeypatch):
     # above _NORM_BATCH symbols the Lanczos runs are split; each symbol's
-    # norm is its own Ritz value, so the split moves it at rounding level
+    # norm is its own Ritz value, so the split moves it at rounding level.
+    # The exact norms go in batches of _SIDE_BLOCK entries, which one
+    # operator per batch splits as finely as it goes.
     space = FreeSpace(MatrixAlgebra(2), 4, 0.7)
     symbols = _symbols(space, 300)
     assert len(symbols) > 2 * qwnlab.graded._NORM_BATCH
     cases = [(kind, k) for kind, k in _cases(space) if kind != NUMBER or k]
     batched = {(kind, k): space._operator_norms(kind, symbols, k) for kind, k in cases}
+    assert {residuals is None for _, residuals in batched.values()} == {True, False}
     monkeypatch.setattr(qwnlab.graded, "_NORM_BATCH", len(symbols))
+    monkeypatch.setattr(qwnlab.graded, "_SIDE_BLOCK", 1)
     for (kind, k), (norms, residuals) in batched.items():
         expected, _ = space._operator_norms(kind, symbols, k)
-        assert norms.shape == residuals.shape == (len(symbols),)
-        assert (residuals <= KRYLOV_TOL).all(), (kind, k)
+        assert norms.shape == (len(symbols),)
+        assert residuals is None or (residuals <= KRYLOV_TOL).all(), (kind, k)
         assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (kind, k)
 
 
@@ -380,6 +412,8 @@ def test_operator_norms_of_no_symbols_are_empty():
     space = FreeSpace(MatrixAlgebra(2), 2)
     norms, residuals = space._operator_norms(CREATION, [], 1)
     assert norms.shape == residuals.shape == (0,)
+    norms, residuals = space._operator_norms(CREATION, [], 0)
+    assert norms.shape == (0,) and residuals is None
 
 
 @pytest.mark.parametrize("name", ["bosonic_m2", "free_rotated"])
@@ -397,22 +431,132 @@ def test_norm_check_draws_only_the_trial_symbols(name):
 
 def test_norm_records_fail_when_the_ritz_residual_is_above_the_slack(monkeypatch):
     # a Ritz value is a lower bound on the norm, so a norm whose residual
-    # is not small enough must not let a bound pass
+    # is not small enough must not let a bound pass; the free operators
+    # with an identity tail take their norms by Lanczos
     krylov = qwnlab.graded.krylov_operator_norms
 
     def loose(*args):
         norms, residuals = krylov(*args)
         return norms, residuals + 1e-6
 
-    for name in ("bosonic_f3", "free_f3"):
-        space = NONDYADIC_SPACES[name]()
-        rng = np.random.default_rng(3)
-        assert all(r.status == "pass" for r in space.check_norm_estimates(rng, trials=2))
-        monkeypatch.setattr(qwnlab.graded, "krylov_operator_norms", loose)
-        records = space.check_norm_estimates(rng, trials=2)
-        monkeypatch.undo()
-        assert [r.status for r in records] == ["fail"] * len(records), name
-        assert all("Ritz residual: 1.00e-06" in r.notes for r in records)
+    space = NONDYADIC_SPACES["free_f3"]()
+    rng = np.random.default_rng(3)
+    assert all(r.status == "pass" for r in space.check_norm_estimates(rng, trials=2))
+    monkeypatch.setattr(qwnlab.graded, "krylov_operator_norms", loose)
+    records = space.check_norm_estimates(rng, trials=2)
+    assert [r.status for r in records] == ["fail"] * len(records)
+    assert all("Ritz residual: 1.00e-06" in r.notes for r in records)
+
+
+# The dense route's cases: M_2 and F_3 at grades up to 4, dyadic and not.
+EXACT_SPACES = {
+    "%s_%s" % (name, weights): spaces[name]
+    for weights, spaces in (("dyadic", DYADIC_SPACES), ("nondyadic", NONDYADIC_SPACES))
+    for name in ("bosonic_m2", "bosonic_f3", "free_m2", "free_f3")
+}
+
+
+def _untailed(space, kind, k):
+    """Whether the operator of ``kind`` leaving grade k is its leading
+    factor, with no identity tail on the whitened coordinates of grade k."""
+    cols = space._leading_stack(kind, k).shape[2]
+    return space._whitening(k).whitener.shape[0] == cols
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SPACES))
+def test_exact_norms_match_the_svd_and_lanczos_on_the_same_stacks(name):
+    # every untailed case takes the dense route (no residual) and agrees
+    # with gram_operator_norm's one SVD of the compressed operator against
+    # the space's metrics, and with a Lanczos run on the space's own
+    # whitened products of the same stack
+    space = EXACT_SPACES[name]()
+    symbols = _symbols(space, 4)
+    exact = 0
+    for kind, k in _cases(space):
+        if kind == NUMBER and k == 0 or not _untailed(space, kind, k):
+            continue
+        exact += 1
+        k_out = k + _SHIFTS[kind]
+        out, into = space._whitening(k_out), space._whitening(k)
+        norms, residuals = space._operator_norms(kind, symbols, k)
+        assert residuals is None, (kind, k)
+        coeffs = np.array([space._coefficients(kind, s) for s in symbols])
+        products = space._whitened_products(space._leading_stack(kind, k), out, into)
+        lanczos, _ = krylov_operator_norms(*products, coeffs)
+        oracle = [
+            gram_operator_norm(
+                compress(space, space.operator_matrix(kind, symbol, k), k_out, k),
+                space._metric(k_out),
+                space._metric(k),
+            )
+            for symbol in symbols
+        ]
+        for expected in (oracle, lanczos):
+            gap = np.abs(norms - expected) / np.asarray(expected)
+            assert (gap <= 1e-13).all(), (kind, k, gap)
+    # every bosonic case, and the free ones whose factor spans the grade
+    assert exact == (3 * space.max_grade if name.startswith("bosonic") else 4), exact
+
+
+@pytest.mark.parametrize("name", ["bosonic_m2", "bosonic_f3", "bosonic_rotated"])
+def test_bosonic_norm_checks_run_no_lanczos(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a bosonic norm ran a Lanczos iteration")
+
+    monkeypatch.setattr(qwnlab.graded, "krylov_operator_norms", refuse)
+    space = NONDYADIC_SPACES[name]()
+    records = space.check_norm_estimates(np.random.default_rng(6), trials=3)
+    assert [r.status for r in records] == ["pass"] * 3
+    assert all("exact (eigvalsh) in 12 of 12 cases;" in r.notes for r in records)
+
+
+@pytest.mark.parametrize("name", ["free_m2", "free_f3"])
+def test_free_norm_checks_run_lanczos_on_the_tailed_operators(name, monkeypatch):
+    # the free operators whose factor reads fewer slots than the grade has
+    # keep the Lanczos route, one run per case at 3 trials, and only those
+    space = NONDYADIC_SPACES[name]()
+    calls, current = [], []
+    norms, krylov = space._operator_norms, qwnlab.graded.krylov_operator_norms
+
+    def tracked(kind, symbols, k):
+        current[:] = [(kind, k)]
+        return norms(kind, symbols, k)
+
+    def recording(*args):
+        calls.append(current[0])
+        return krylov(*args)
+
+    monkeypatch.setattr(space, "_operator_norms", tracked)
+    monkeypatch.setattr(qwnlab.graded, "krylov_operator_norms", recording)
+    records = space.check_norm_estimates(np.random.default_rng(6), trials=3)
+    assert all(r.status == "pass" for r in records)
+    tailed = [
+        (kind, k)
+        for kind, k in _norm_stacks(space.max_grade)
+        if not _untailed(space, kind, k)
+    ]
+    assert sorted(calls) == sorted(tailed) and len(calls) == 8
+    assert {k for _, k in calls} == set(range(1, space.max_grade + 1))
+    assert all("by Lanczos in 8;" in r.notes for r in records)
+
+
+def test_exact_norm_memory_is_flat_in_the_trials(monkeypatch):
+    # a batch of the dense route holds its formed operators and their Grams,
+    # about _SIDE_BLOCK entries each, whatever the trials.  With the block
+    # cut to one top-grade operator over M_2 at truncation 4 (35 x 35
+    # orbits), a batch is a trial or a few, and from 1 to 300 trials the
+    # peak grows only by the trials' own symbols and coefficients; at the
+    # real block it stays within a few blocks of complex entries, where 1000
+    # unbatched trials would hold 1000 x 35 x 35 x 4 of them
+    space = BosonicSpace(MatrixAlgebra(2), 4)
+    space.check_norm_estimates(np.random.default_rng(1), trials=1)
+    block = qwnlab.graded._SIDE_BLOCK
+    many = _warm_norm_check_peak(space, 1000)
+    assert many <= 5 * 16 * block, many
+    monkeypatch.setattr(qwnlab.graded, "_SIDE_BLOCK", 35 * 35)
+    one = _warm_norm_check_peak(space, 1)
+    many = _warm_norm_check_peak(space, 300)
+    assert many - one <= 300 * 1024, (one, many)
 
 
 # The stacks each check builds, per (kind, grade): norms at every grade

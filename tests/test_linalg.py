@@ -1,5 +1,5 @@
 """Dense helpers: slot permutations, symmetrizers, Gram-aware norms, and
-the batched Krylov norms against the SVD."""
+the batched Krylov and exact stack norms against the SVD."""
 
 import itertools
 import warnings
@@ -17,6 +17,7 @@ from qwnlab.linalg import (
     krylov_operator_norms,
     lower_inverse,
     orthonormal_range,
+    stack_operator_norms,
     symmetrizer_matrix,
 )
 
@@ -287,13 +288,18 @@ def _svd_norms(stack, coeffs):
 
 def _check_against_svd(stack, coeffs):
     """The Krylov norms within 1e-13 relative of the SVD, each with its
-    residual at most the threshold; no warning on the way."""
+    residual at most the threshold, and the exact ones of the stack's
+    weighted sums too, in batches of one operator and of all; no warning
+    on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norms, residuals = krylov_operator_norms(*stack_products(stack), coeffs)
+        exact = [stack_operator_norms(stack, coeffs, block) for block in (1, 2**18)]
     expected = _svd_norms(stack, coeffs)
     assert norms.shape == residuals.shape == (len(coeffs),)
-    assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (norms, expected)
+    for found in (norms, *exact):
+        assert (np.abs(found - expected) <= 1e-13 * expected).all(), (found, expected)
+        assert (found[expected == 0.0] == 0.0).all()
     assert (residuals <= KRYLOV_TOL).all(), residuals
     return norms, residuals
 
