@@ -80,10 +80,15 @@ _NORM_BATCH = 128
 
 # Entries of one row block of an adjointness side (``_side_blocks``): every
 # side at truncation 4 or below is a single block, and a grade-6 side over
-# M_2 (4096 x 4096) is 64 of them.  Also the entries of the formed whitened
-# operators of one trial batch of the exact norms: a batch of the grade-4
-# number operators over M_3 (495 x 495 orbits) is one trial.
+# M_2 (4096 x 4096) is 64 of them.
 _SIDE_BLOCK = 2**18
+
+# Entries of one trial batch of the exact norms of the operators with no
+# identity tail (``stack_operator_norms``): the batch's operators, their
+# adjoints and Grams together, 512 KiB of complex entries.  A batch holds
+# 17 grade-4 number operators over M_2 (25 x 25 whitened directions), and
+# one over M_3 at truncation 4, a side of hundreds of directions.
+_NORM_BLOCK = 2**15
 
 
 class GradeOverflowError(RuntimeError):
@@ -442,7 +447,8 @@ class GradedFockSpace:
         """Norms of the operators of ``kind`` leaving grade k, restricted to
         the subspaces the space checks on, at each of ``symbols``, measured
         against the metrics of both grades, and the relative residual of
-        the Ritz pair each was read from, or None where the norms are exact.
+        the Ritz pair each was read from, or None where the norms are exact
+        or the operators ``_empty``.
 
         With W the whitener of a grade and L its left factor, the whitened
         operator L_out (F (x) I) W_in is linear in the leading factor F, so
@@ -453,21 +459,24 @@ class GradedFockSpace:
           the free ones whose factor spans the whole grade): the whitened
           basis operators are formed once, and ``stack_operator_norms``
           takes exact norms of their weighted sums, in trial batches of
-          about ``_SIDE_BLOCK`` entries;
+          about ``_NORM_BLOCK`` entries;
         * an identity tail (the other free operators): the whitened
           operators are never formed, and one batched Lanczos run
           (``krylov_operator_norms``) per ``_NORM_BATCH`` symbols takes the
           norms from their products with vectors (``_whitened_products``).
         """
-        k_out = k + _SHIFTS[kind]
-        out, into = self._whitening(k_out), self._whitening(k)
-        if into.whitener.shape[1] == 0 or out.left.shape[0] == 0:
+        if self._empty(kind, k):
             return np.zeros(len(symbols)), None
+        out, into = self._whitening(k + _SHIFTS[kind]), self._whitening(k)
         factors = self._leading_stack(kind, k)
         coeffs = np.array([self._coefficients(kind, s) for s in symbols])
         if into.whitener.shape[0] == factors.shape[2]:
-            whitened = out.left @ factors @ into.whitener
-            return stack_operator_norms(whitened, coeffs, _SIDE_BLOCK), None
+            # the transposes W_in^T (L_out F_b)^T, which have the same norms,
+            # so that a real whitening acts in real arithmetic on both sides
+            left = _product(out.left, factors)
+            whitened = _product(into.whitener.T, left.transpose(0, 2, 1))
+            del left
+            return stack_operator_norms(whitened, coeffs, _NORM_BLOCK), None
         products = self._whitened_products(factors, out, into)
         # no symbols still make one (empty) run, for two empty arrays
         batches = [
@@ -475,6 +484,13 @@ class GradedFockSpace:
             for start in range(0, max(len(coeffs), 1), _NORM_BATCH)
         ]
         return tuple(np.concatenate(part) for part in zip(*batches))
+
+    def _empty(self, kind, k):
+        """Whether the operators of ``kind`` leaving grade k map whitened
+        coordinates of which one side has no direction, so that every norm
+        is 0 with nothing to compute."""
+        out = self._whitening(k + _SHIFTS[kind])
+        return self._whitening(k).whitener.shape[1] == 0 or out.left.shape[0] == 0
 
     def _leading_stack(self, kind, k):
         """The ``_leading`` factors of the basis operators of ``kind``
@@ -526,12 +542,12 @@ class GradedFockSpace:
         A Ritz value is a lower bound on the norm it estimates, so every
         record fails, and does not pass, when the worst relative Ritz
         residual of the Lanczos norms is above the slack.  The notes name
-        the trials, how many cases had exact norms and how many Lanczos
-        ones (``_operator_norms``), the worst Ritz residual when there were
-        any, and the negative metric directions the whitenings of grades
-        0..max_grade drop.
+        the trials, how many cases had exact norms, how many ``_empty``
+        ones (when any) and how many Lanczos ones (``_operator_norms``),
+        the worst Ritz residual when there were any, and the negative
+        metric directions the whitenings of grades 0..max_grade drop.
         """
-        excess, ritz, lanczos = {}, 0.0, 0
+        excess, ritz, lanczos, empty = {}, 0.0, 0, 0
         for name, kind, k, bound in cases:
             norms, residuals = self._operator_norms(kind, symbols, k)
             worst = float((norms - bound).max())
@@ -539,11 +555,15 @@ class GradedFockSpace:
             if residuals is not None:
                 lanczos += 1
                 ritz = max(ritz, float(residuals.max()))
+            elif self._empty(kind, k):
+                empty += 1
         notes = "worst norm minus bound, %d trials; " % len(symbols)
         notes += "norms exact (eigvalsh) in %d of %d cases" % (
-            len(cases) - lanczos,
+            len(cases) - lanczos - empty,
             len(cases),
         )
+        if empty:
+            notes += ", 0 with an empty whitening in %d" % empty
         if lanczos:
             notes += ", by Lanczos in %d" % lanczos
             notes += "; worst relative Ritz residual: %.2e" % ritz

@@ -262,18 +262,20 @@ def stack_operator_norms(
     exact to rounding: the square root of the top ``eigvalsh`` eigenvalue
     of the smaller Gram, ``M_t^H M_t`` or ``M_t M_t^H``.
 
-    The trials go in batches whose ``M_t`` hold about ``block`` entries
-    together (one trial at least), so memory stays flat in the trials.
+    The trials go in batches whose ``M_t``, their adjoints and Grams hold
+    about ``block`` entries together (one trial at least), so memory stays
+    flat in the trials.
     """
     dim, rows, cols = stack.shape
     coeffs = np.asarray(coeffs).reshape(-1, dim)
     norms = np.zeros(len(coeffs))
     flat = stack.reshape(dim, rows * cols)
-    step = max(1, block // (rows * cols))
+    step = max(1, block // (2 * rows * cols + min(rows, cols) ** 2))
     for start in range(0, len(coeffs), step):
         mats = (coeffs[start : start + step] @ flat).reshape(-1, rows, cols)
         adjoints = mats.conj().transpose(0, 2, 1)
         gram = adjoints @ mats if cols <= rows else mats @ adjoints
+        del mats, adjoints
         top = np.linalg.eigvalsh(gram)[:, -1]
         norms[start : start + step] = np.sqrt(np.maximum(top, 0.0))
     return norms

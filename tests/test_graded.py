@@ -371,7 +371,7 @@ def test_operator_norms_match_the_whitened_compressed_matrix(name):
 def test_batched_norms_match_one_unbatched_run(monkeypatch):
     # above _NORM_BATCH symbols the Lanczos runs are split; each symbol's
     # norm is its own Ritz value, so the split moves it at rounding level.
-    # The exact norms go in batches of _SIDE_BLOCK entries, which one
+    # The exact norms go in batches of _NORM_BLOCK entries, which one
     # operator per batch splits as finely as it goes.
     space = FreeSpace(MatrixAlgebra(2), 4, 0.7)
     symbols = _symbols(space, 300)
@@ -380,7 +380,7 @@ def test_batched_norms_match_one_unbatched_run(monkeypatch):
     batched = {(kind, k): space._operator_norms(kind, symbols, k) for kind, k in cases}
     assert {residuals is None for _, residuals in batched.values()} == {True, False}
     monkeypatch.setattr(qwnlab.graded, "_NORM_BATCH", len(symbols))
-    monkeypatch.setattr(qwnlab.graded, "_SIDE_BLOCK", 1)
+    monkeypatch.setattr(qwnlab.graded, "_NORM_BLOCK", 1)
     for (kind, k), (norms, residuals) in batched.items():
         expected, _ = space._operator_norms(kind, symbols, k)
         assert norms.shape == (len(symbols),)
@@ -540,20 +540,37 @@ def test_free_norm_checks_run_lanczos_on_the_tailed_operators(name, monkeypatch)
     assert all("by Lanczos in 8;" in r.notes for r in records)
 
 
+def test_norm_notes_count_the_empty_whitenings_apart(monkeypatch):
+    # a metric with no positive direction leaves nothing to take a norm
+    # of: its three cases read 0 and are not counted as exact ones
+    space = NONDYADIC_SPACES["bosonic_m2"]()
+    top, metric = space.max_grade, space._metric
+    monkeypatch.setattr(
+        space, "_metric", lambda k: 0 * metric(k) if k == top else metric(k)
+    )
+    assert space._empty(NUMBER, top) and not space._empty(NUMBER, top - 1)
+    records = space.check_norm_estimates(np.random.default_rng(6), trials=3)
+    assert [r.status for r in records] == ["pass"] * 3
+    cases = 3 * top
+    note = "exact (eigvalsh) in %d of %d cases, 0 with an empty whitening in 3;"
+    assert all(note % (cases - 3, cases) in r.notes for r in records)
+
+
 def test_exact_norm_memory_is_flat_in_the_trials(monkeypatch):
-    # a batch of the dense route holds its formed operators and their Grams,
-    # about _SIDE_BLOCK entries each, whatever the trials.  With the block
-    # cut to one top-grade operator over M_2 at truncation 4 (35 x 35
-    # orbits), a batch is a trial or a few, and from 1 to 300 trials the
-    # peak grows only by the trials' own symbols and coefficients; at the
-    # real block it stays within a few blocks of complex entries, where 1000
-    # unbatched trials would hold 1000 x 35 x 35 x 4 of them
+    # a batch of the dense route holds its formed operators, their adjoints
+    # and Grams, about _NORM_BLOCK complex entries together, whatever the
+    # trials.  Over M_2 at truncation 4 a batch holds 17 top-grade trials,
+    # and from 1 to 300 trials the peak grows by less than two batches,
+    # where 300 unbatched trials would hold 300 x 25 x 25 x 3 complex
+    # entries (9 MB).  With the block cut to one trial, the peak grows only
+    # by the trials' own symbols and coefficients.
     space = BosonicSpace(MatrixAlgebra(2), 4)
     space.check_norm_estimates(np.random.default_rng(1), trials=1)
-    block = qwnlab.graded._SIDE_BLOCK
-    many = _warm_norm_check_peak(space, 1000)
-    assert many <= 5 * 16 * block, many
-    monkeypatch.setattr(qwnlab.graded, "_SIDE_BLOCK", 35 * 35)
+    batch = 16 * qwnlab.graded._NORM_BLOCK
+    one = _warm_norm_check_peak(space, 1)
+    many = _warm_norm_check_peak(space, 300)
+    assert many - one <= 2 * batch, (one, many)
+    monkeypatch.setattr(qwnlab.graded, "_NORM_BLOCK", 1)
     one = _warm_norm_check_peak(space, 1)
     many = _warm_norm_check_peak(space, 300)
     assert many - one <= 300 * 1024, (one, many)
