@@ -23,6 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def _scalar(values):
+    """A float for the value of one element, the array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 class FunctionAlgebra:
     """Functions on a finite set of points with strictly positive weights."""
 
@@ -72,7 +77,10 @@ class FunctionAlgebra:
         return np.diag(self._check(x))
 
     def norm_l2(self, x):
-        return float(np.sqrt(np.real(self.state(self.mul(self.star(x), x)))))
+        # the state of each element as a (1, dim) row, one dot product as
+        # for a single element, so that a stack does not change its bits
+        prod = self.mul(self.star(x), x)
+        return _scalar(np.sqrt(np.real(self.state(prod[..., None, :])[..., 0])))
 
     def norm_linf(self, x):
         """Operator norm of multiplication by x on the GNS space.
@@ -80,7 +88,7 @@ class FunctionAlgebra:
         For positive weights this is the plain sup of |x| over the points,
         independently of the weights.
         """
-        return float(np.max(np.abs(self._check(x))))
+        return _scalar(np.abs(self._check(x)).max(axis=-1))
 
 
 class MatrixAlgebra:
@@ -129,11 +137,11 @@ class MatrixAlgebra:
         return np.kron(self._check(x), np.eye(self.n, dtype=complex))
 
     def norm_l2(self, x):
-        return float(np.sqrt(np.real(self.state(self.mul(self.star(x), x)))))
+        return _scalar(np.sqrt(np.real(self.state(self.mul(self.star(x), x)))))
 
     def norm_linf(self, x):
         # GNS multiplication norm for the trace = largest singular value.
-        return float(np.linalg.norm(self._check(x), ord=2))
+        return _scalar(np.linalg.norm(self._check(x), ord=2, axis=(-2, -1)))
 
 
 def random_element(alg, rng, real=False, dyadic=False, support=None):

@@ -428,40 +428,38 @@ class BosonicSpace(GradedFockSpace):
     # -- verification checks ----------------------------------------------
 
     def check_gram_closed_forms(self, rng, trials=25, tol=1e-10):
-        """Level 1 and level 2 scalar products against their closed forms."""
+        """Level 1 and level 2 scalar products against their closed forms,
+        every trial's quadratic form in one contraction per level."""
         alg = self.algebra
         g0 = self.gamma0
-        worst1 = 0.0
-        worst2 = 0.0
-        for _ in range(trials):
-            phi = random_element(alg, rng)
-            psi = random_element(alg, rng)
-            prod = alg.mul(alg.star(phi), psi)
-            expected1 = 2.0 * g0 * alg.state(prod)
-            c = alg.coords(phi)
-            d = alg.coords(psi)
-            measured1 = np.vdot(c, self.gram(1) @ d)
-            scale1 = max(abs(expected1), 1.0)
-            worst1 = max(worst1, abs(measured1 - expected1) / scale1)
-            expected2 = 2.0 * g0**2 * alg.state(prod) ** 2
-            expected2 += 2.0 * g0 * alg.state(alg.mul(prod, prod))
-            cc = np.kron(c, c)
-            dd = np.kron(d, d)
-            measured2 = np.vdot(cc, self.gram(2) @ dd)
-            scale2 = max(abs(expected2), 1.0)
-            worst2 = max(worst2, abs(measured2 - expected2) / scale2)
+        pairs = [(random_element(alg, rng), random_element(alg, rng)) for _ in range(trials)]
+        phis, psis = (np.array(stack) for stack in zip(*pairs))
+        prod = alg.mul(alg.star(phis), psis)
+        c, d = alg.coords(phis), alg.coords(psis)
+        cc = (c[:, :, None] * c[:, None, :]).reshape(trials, -1)
+        dd = (d[:, :, None] * d[:, None, :]).reshape(trials, -1)
+        state = alg.state(prod)
+        closed = [
+            2.0 * g0 * state,
+            2.0 * g0**2 * state**2 + 2.0 * g0 * alg.state(alg.mul(prod, prod)),
+        ]
+        worst = []
+        for level, (left, right, expected) in enumerate(zip((c, cc), (d, dd), closed), 1):
+            measured = np.einsum("ti,ti->t", left.conj(), right @ self.gram(level).T)
+            gap = np.abs(measured - expected) / np.maximum(np.abs(expected), 1.0)
+            worst.append(float(np.max(gap, initial=0.0)))
         return [
             residual_record(
                 "bosonic.gram.level1_closed_form",
                 "scalar product definition, single-slot case",
-                worst1,
+                worst[0],
                 tol,
                 notes="relative error over %d trials" % trials,
             ),
             residual_record(
                 "bosonic.gram.level2_closed_form",
                 "scalar product definition, two-slot case",
-                worst2,
+                worst[1],
                 tol,
                 notes="relative error over %d trials" % trials,
             ),
@@ -677,9 +675,8 @@ class BosonicSpace(GradedFockSpace):
         """Operator norms on symmetric parts against the stated bounds."""
         alg = self.algebra
         g0 = self.gamma0
-        phis = [random_element(alg, rng) for _ in range(trials)]
-        l2 = np.array([alg.norm_l2(phi) for phi in phis])
-        linf = np.array([alg.norm_linf(phi) for phi in phis])
+        phis = np.array([random_element(alg, rng) for _ in range(trials)])
+        l2, linf = alg.norm_l2(phis), alg.norm_linf(phis)
         cases = []
         for k in range(1, self.max_grade + 1):
             bound = math.sqrt(2.0 * k) * (math.sqrt(g0) * l2 + (k - 1) * linf)

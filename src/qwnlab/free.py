@@ -23,12 +23,17 @@ commutation behaviour is exactly resolvable: annihilation past creation
 leaves a scalar plus a number operator, and the number family is
 multiplicative.  The relation check asserts these as exact identities of
 products of factors, and the shared adjointness and norm checks read the
-factors too, so no check runs a kernel.
+factors too, so those checks run no kernel.
 
 Mixed vacuum moments of the field combinations creation + annihilation +
 s * number follow a noncrossing-partition formula whose block weights are
 free-cumulant coefficients; the operator route and the combinatorial route
-are implemented independently and compared.
+are implemented independently and compared.  The operator route walks the
+kernels from the vacuum (``GradedFockSpace._walk``).  Both routes take a
+trial axis, the couplings s of shape (T,) and each symbol a (T, ...)
+stack, so the moment, cumulant, traciality and freeness checks draw their
+trials one by one, in the order they always drew them, and then take the
+moments of all trials of one word length at once.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .graded import (
     GradedFockSpace,
     GradeOverflowError,
 )
-from .linalg import hermitize, scaled_gap
+from .linalg import hermitize_in_place, scaled_gap
 from .report import residual_record
 
 
@@ -59,6 +64,41 @@ def _at_grade(factors, k):
     """The one of a letter's leading ``factors`` that acts on grade k:
     annihilation has a factor on grade 1 and one above, the others one."""
     return factors[0] if k <= 1 else factors[-1]
+
+
+def _trial_stacks(s, symbols):
+    """A moment's coupling and symbols as trial stacks, s of shape (T,) and
+    each symbol a (T, ...) stack, and whether they came so: a scalar s and
+    single elements make one trial."""
+    batched = np.ndim(s) == 1
+    symbols = [np.asarray(x) if batched else np.asarray(x)[None] for x in symbols]
+    return np.array(s, dtype=float, ndmin=1), symbols, batched
+
+
+def _cumulant_weights(n, s):
+    """``cumulant_weight(n, s)`` at each of the couplings s, one call per
+    distinct coupling."""
+    values, inverse = np.unique(s, return_inverse=True)
+    return np.array([cumulant_weight(n, value) for value in values])[inverse]
+
+
+def _by_length(words):
+    """The (coupling, symbols) pairs ``words`` as trial stacks, one group
+    per word length, shortest first: (index, s, symbols) with the positions
+    of the group's words in ``words``, their couplings and, per letter,
+    the (T, ...) stack of their symbols."""
+    lengths = {}
+    for i, (_, symbols) in enumerate(words):
+        lengths.setdefault(len(symbols), []).append(i)
+    for n, index in sorted(lengths.items()):
+        s = np.array([words[i][0] for i in index], dtype=float)
+        stacks = [np.array([words[i][1][j] for i in index]) for j in range(n)]
+        yield np.array(index), s, stacks
+
+
+def _worst(residuals):
+    """The largest of an array of residuals, 0 when it is empty."""
+    return float(np.max(residuals, initial=0.0))
 
 
 class FreeSpace(GradedFockSpace):
@@ -104,7 +144,8 @@ class FreeSpace(GradedFockSpace):
         Each F_m (x) G_(k-m) is added into the grade's matrix one row of
         F_m at a time, so no Kronecker product of the grade's size is
         formed; the products and sums are those of ``np.kron``'s, in the
-        same order, so the bits are too."""
+        same order, so the bits are too.  The matrix is hermitized in
+        place, so it is the one array of the grade's size held."""
         self._check_grade(k)
         if k not in self._gram:
             mat = self._factor(k) if k else np.ones((1, 1), dtype=complex)
@@ -114,7 +155,7 @@ class FreeSpace(GradedFockSpace):
                 rows = mat.reshape(len(factor), len(tail), len(factor), len(tail))
                 for i, row in enumerate(factor):
                     rows[i] += row[None, :, None] * tail[:, None, :]
-            self._gram[k] = hermitize(mat)
+            self._gram[k] = hermitize_in_place(mat)
         return self._gram[k]
 
     # -- operators ----------------------------------------------------------
@@ -155,50 +196,65 @@ class FreeSpace(GradedFockSpace):
 
     # -- field combinations and moments -------------------------------------
 
-    def _field(self, s, symbol):
-        """The walk letter of one field factor: creation + annihilation of
-        the starred symbol + s * number."""
-        letter = [
-            (1.0, CREATION, symbol),
-            (1.0, ANNIHILATION, self.algebra.star(symbol)),
-        ]
-        if s != 0.0:
-            letter.append((s, NUMBER, symbol))
-        return letter
+    def _fields(self, s, symbols):
+        """The walk letters of field factors, creation + annihilation of
+        the starred symbol + s * number, for the trials' couplings s, of
+        shape (T,), and symbols, each a (T, ...) stack: the coupling scales
+        each column of the number term, which is left out when every
+        coupling is 0."""
+        star = self.algebra.star
+        letters = []
+        for symbol in symbols:
+            coords = self._coefficients(CREATION, symbol)
+            letter = [
+                (CREATION, coords, None),
+                (ANNIHILATION, self._coefficients(ANNIHILATION, star(symbol)), None),
+            ]
+            if s.any():
+                letter.append((NUMBER, coords, s))
+            letters.append(letter)
+        return letters
 
     def moment_operator(self, s, symbols):
-        """Vacuum moment of a product of field factors, operator route."""
-        return self._vacuum_walk([self._field(s, symbol) for symbol in symbols])
+        """Vacuum moment of a product of field factors, operator route.
+
+        For a coupling s and symbols, the moment; for couplings s of shape
+        (T,) and each symbol a (T, ...) stack of elements, the T moments of
+        the trials, from one walk (``_walk``)."""
+        s, symbols, batched = _trial_stacks(s, symbols)
+        moments = self._vacuum_walk(self._fields(s, symbols), len(s))
+        return moments if batched else complex(moments[0])
 
     def moment_formula(self, s, symbols):
-        """Same moment by the noncrossing expansion, each block weighed once."""
-        symbols = list(symbols)
-        n = len(symbols)
-        if n == 0:
-            return 1.0 + 0.0j
+        """Same moment by the noncrossing expansion, each block weighed once;
+        over trials as ``moment_operator`` takes them."""
+        s, symbols, batched = _trial_stacks(s, symbols)
+        if not symbols:
+            return np.ones(len(s), dtype=complex) if batched else 1.0 + 0.0j
         alg = self.algebra
-        weights = {}
-        total = 0.0 + 0.0j
-        for blocks in noncrossing_blocks(n):
-            term = 1.0 + 0.0j
+        weights, arities = {}, {}
+        total = np.zeros(len(s), dtype=complex)
+        for blocks in noncrossing_blocks(len(symbols)):
+            term = np.ones(len(s), dtype=complex)
             for block in blocks:
                 if block not in weights:
                     prod = functools.reduce(alg.mul, [symbols[i - 1] for i in block])
-                    weight = cumulant_weight(len(block), s)
-                    weights[block] = self.gamma * alg.state(prod) * weight
+                    if len(block) not in arities:
+                        arities[len(block)] = _cumulant_weights(len(block), s)
+                    weights[block] = self.gamma * alg.state(prod) * arities[len(block)]
                 term *= weights[block]
             total += term
-        return total
+        return total if batched else complex(total[0])
 
     def cumulant_closed_form(self, s, symbols):
         """Joint free cumulant of field factors: gamma * state of the
-        product, times the arity weight."""
-        symbols = list(symbols)
-        alg = self.algebra
-        prod = symbols[0]
-        for symbol in symbols[1:]:
-            prod = alg.mul(prod, symbol)
-        return self.gamma * alg.state(prod) * cumulant_weight(len(symbols), s)
+        product, times the arity weight; over trials as
+        ``moment_operator`` takes them."""
+        s, symbols, batched = _trial_stacks(s, symbols)
+        prod = functools.reduce(self.algebra.mul, symbols)
+        value = self.gamma * self.algebra.state(prod)
+        value = value * _cumulant_weights(len(symbols), s)
+        return value if batched else complex(value[0])
 
     def centered_product_expectation(self, s, groups):
         """Vacuum moment of a product of centered factors.
@@ -213,17 +269,18 @@ class FreeSpace(GradedFockSpace):
         if total_len > 2 * self.max_grade:
             raise GradeOverflowError("centered product exceeds the grade budget")
         centers = [self.moment_operator(s, g) for g in groups]
-        vec = [np.ones(1, dtype=complex)] + [None] * self.max_grade
+        coupling = np.array([s], dtype=float)
+        vec = [np.ones((1, 1), dtype=complex)] + [None] * self.max_grade
         remaining = total_len
         for g, center in zip(reversed(groups), reversed(centers)):
-            letters = [self._field(s, symbol) for symbol in g]
+            letters = self._fields(coupling, [np.asarray(x)[None] for x in g])
             walked = self._walk(letters, vec, remaining)
             remaining -= len(g)
             vec = [
                 a if b is None else -center * b if a is None else a - center * b
                 for a, b in zip(walked, vec)
             ]
-        return 0j if vec[0] is None else complex(vec[0][0])
+        return 0j if vec[0] is None else complex(vec[0][0, 0])
 
     # -- verification checks -------------------------------------------------
 
@@ -317,10 +374,9 @@ class FreeSpace(GradedFockSpace):
     def check_norm_estimates(self, rng, trials=50, slack=1e-9):
         """Grade-independent norm bounds for the free operators."""
         alg = self.algebra
-        phis = [random_element(alg, rng) for _ in range(trials)]
-        l2 = np.array([alg.norm_l2(phi) for phi in phis])
-        linf = np.array([alg.norm_linf(phi) for phi in phis])
-        bound = math.sqrt(self.gamma) * l2 + linf
+        phis = np.array([random_element(alg, rng) for _ in range(trials)])
+        linf = alg.norm_linf(phis)
+        bound = math.sqrt(self.gamma) * alg.norm_l2(phis) + linf
         cases = []
         for k in range(1, self.max_grade + 1):
             cases += [
@@ -333,17 +389,20 @@ class FreeSpace(GradedFockSpace):
         )
 
     def check_moments(self, rng, trials=20, max_length=6, tol=1e-9):
-        """Operator moments against the noncrossing expansion."""
+        """Operator moments against the noncrossing expansion, the trials
+        of each word length in one walk."""
         alg = self.algebra
         s_values = (0.0, 1.0, 2.0, -0.5)
-        worst = 0.0
+        words = []
         for trial in range(trials):
-            s = s_values[trial % len(s_values)]
             length = 1 + int(rng.integers(max_length))
             symbols = [random_element(alg, rng) for _ in range(length)]
+            words.append((s_values[trial % len(s_values)], symbols))
+        worst = 0.0
+        for _, s, symbols in _by_length(words):
             op = self.moment_operator(s, symbols)
             form = self.moment_formula(s, symbols)
-            worst = max(worst, abs(op - form) / max(abs(form), 1.0))
+            worst = max(worst, _worst(np.abs(op - form) / np.maximum(np.abs(form), 1.0)))
         return [
             residual_record(
                 "free.moments.operator_vs_noncrossing",
@@ -355,25 +414,22 @@ class FreeSpace(GradedFockSpace):
         ]
 
     def check_cumulants(self, rng, trials=10, order=6, tol=1e-9):
-        """Closed-form cumulants against the moment-cumulant recursion."""
+        """Closed-form cumulants against the moment-cumulant recursion, the
+        moments of each order for all trials in one walk."""
         alg = self.algebra
         s_values = (0.0, 1.0, 2.0, -0.5)
+        s = np.array([s_values[trial % len(s_values)] for trial in range(trials)])
+        phis = np.array([random_element(alg, rng, real=True) for _ in range(trials)])
+        moments = [self.moment_operator(s, [phis] * j) for j in range(1, order + 1)]
+        recovered = moments_to_free_cumulants(moments)
         worst = 0.0
-        for trial in range(trials):
-            s = s_values[trial % len(s_values)]
-            phi = random_element(alg, rng, real=True)
-            moments = [
-                self.moment_operator(s, [phi] * j) for j in range(1, order + 1)
-            ]
-            recovered = moments_to_free_cumulants(moments)
-            for n in range(1, order + 1):
-                if n == 1:
-                    expected = 0.0 + 0.0j
-                else:
-                    expected = self.cumulant_closed_form(s, [phi] * n)
-                worst = max(
-                    worst, abs(recovered[n - 1] - expected) / max(abs(expected), 1.0)
-                )
+        for n in range(1, order + 1):
+            if n == 1:
+                expected = np.zeros(trials, dtype=complex)
+            else:
+                expected = self.cumulant_closed_form(s, [phis] * n)
+            gap = np.abs(recovered[n - 1] - expected) / np.maximum(np.abs(expected), 1.0)
+            worst = max(worst, _worst(gap))
         return [
             residual_record(
                 "free.cumulants.closed_form",
@@ -385,18 +441,23 @@ class FreeSpace(GradedFockSpace):
         ]
 
     def check_traciality(self, rng, trials=50, tol=1e-9):
-        """Vacuum moments are tracial: cyclic rotation leaves them fixed."""
+        """Vacuum moments are tracial: cyclic rotation leaves them fixed.
+        Both orders of the trials of each word length run in one walk."""
         alg = self.algebra
-        worst = 0.0
+        words = []
         for trial in range(trials):
             s = (0.0, 1.0, -0.5)[trial % 3]
             p = 1 + int(rng.integers(3))
             q = 1 + int(rng.integers(3))
             left = [random_element(alg, rng) for _ in range(p)]
             right = [random_element(alg, rng) for _ in range(q)]
-            xy = self.moment_operator(s, left + right)
-            yx = self.moment_operator(s, right + left)
-            worst = max(worst, abs(xy - yx) / max(abs(xy), 1.0))
+            words += [(s, left + right), (s, right + left)]
+        worst = 0.0
+        for _, s, symbols in _by_length(words):
+            # each trial's two orders are adjacent columns
+            moments = self.moment_operator(s, symbols)
+            xy, yx = moments[0::2], moments[1::2]
+            worst = max(worst, _worst(np.abs(xy - yx) / np.maximum(np.abs(xy), 1.0)))
         return [
             residual_record(
                 "free.traciality",
@@ -413,14 +474,15 @@ class FreeSpace(GradedFockSpace):
         Needs a function algebra with at least two points; the point set is
         split in half and field combinations supported on opposite halves
         are alternated, each factor being one or two field operators minus
-        their vacuum moment.
+        their vacuum moment.  Each product is scaled by its plain moment,
+        those of each word length taken in one walk.
         """
         alg = self.algebra
         if alg.kind != "functions" or alg.dim < 2:
             raise ValueError("the freeness check needs >= 2 points")
         half = alg.dim // 2
         supports = (range(half), range(half, alg.dim))
-        worst = 0.0
+        values, words = [], []
         for trial in range(trials):
             s = (0.0, 1.0, 2.0)[trial % 3]
             count = 2 + int(rng.integers(5))
@@ -435,10 +497,13 @@ class FreeSpace(GradedFockSpace):
                         for _ in range(size)
                     ]
                 )
-            value = self.centered_product_expectation(s, groups)
-            plain = self.moment_operator(s, [x for g in groups for x in g])
-            scale = max(abs(plain), 1.0)
-            worst = max(worst, abs(value) / scale)
+            values.append(self.centered_product_expectation(s, groups))
+            words.append((s, [x for g in groups for x in g]))
+        values = np.abs(values)
+        worst = 0.0
+        for index, s, symbols in _by_length(words):
+            plain = self.moment_operator(s, symbols)
+            worst = max(worst, _worst(values[index] / np.maximum(np.abs(plain), 1.0)))
         return [
             residual_record(
                 "free.freeness.alternating_centered",

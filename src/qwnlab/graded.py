@@ -50,11 +50,17 @@ The symmetric subspace of each grade is spanned by the indicators of its
 index orbits under slot permutations, with no eigendecomposition and no
 loop over the k! permutations.
 
-A graded vector, as ``apply`` and the vacuum walks take it, is a plain
-list whose entry k holds the dim**k coordinates of grade k, or None for an
-empty grade.  The truncation is a hard wall: an operator that would
-populate a grade beyond the cap raises :class:`GradeOverflowError` instead
-of silently dropping weight.
+A graded vector, as ``apply`` takes it, is a plain list whose entry k
+holds the dim**k coordinates of grade k, or None for an empty grade.  The
+vacuum walks carry a graded block instead, entry k a (dim**k, T) array
+with one column per trial, so the moments of T words of one length come
+from one walk: by the same linearity, each term of a letter runs the
+kernel of every basis letter of its kind once on the block and weighs the
+images column by column by the trials' coefficients, so a walk makes the
+same kernel calls at one trial or a hundred and builds no symbol's letter.
+The truncation is a hard wall: an operator that would populate a grade
+beyond the cap raises :class:`GradeOverflowError` instead of silently
+dropping weight.
 """
 
 from __future__ import annotations
@@ -184,9 +190,10 @@ class GradedFockSpace:
     columns is the only way the scaffold acts with one: ``word_matrix``
     runs each letter's kernel on a block that starts as the requested
     columns (the identity by default), ``operator_matrix`` is the
-    one-letter word, and ``apply``, the step a vacuum walk is made of, runs
-    the kernel on the one column of each grade present in a graded vector
-    (a list, see the module docstring).
+    one-letter word, and a vacuum walk (``_walk``) runs the kernels of the
+    basis letters on the trial columns of each grade present in a graded
+    block, weighing their images by each trial's coefficients (see the
+    module docstring); ``apply`` is its step on one graded vector.
     ``_symbol_tensors`` runs only at the basis elements of the algebra,
     once per kind; a letter's tensors are their sum weighed by
     ``_coefficients``.  The linear claims are checked on the basis of the
@@ -210,6 +217,7 @@ class GradedFockSpace:
         self._whitenings = {}
         self._orbit_cache = {}
         self._basis_tensors = {}
+        self._units = {}
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
@@ -272,8 +280,12 @@ class GradedFockSpace:
         ]
 
     def _basis_letters(self, kind):
-        """The letters of ``kind`` at the basis elements of the algebra."""
-        return [self._letter(kind, unit) for unit in np.eye(self.algebra.dim)]
+        """The letters of ``kind`` at the basis elements of the algebra
+        (cached)."""
+        if kind not in self._units:
+            units = np.eye(self.algebra.dim)
+            self._units[kind] = [self._letter(kind, unit) for unit in units]
+        return self._units[kind]
 
     def operator_matrix(self, kind, symbol, k):
         """Dense matrix of the operator leaving grade k, in flat
@@ -336,28 +348,19 @@ class GradedFockSpace:
         max_grade + 1 entries, entry k the dim**k coordinates of grade k or
         None when that grade is empty, and missing entries empty.  Returns
         a new list of max_grade + 1 entries."""
-        data = self._letter(kind, self._coefficients(kind, symbol))
-        return self._apply(kind, data, vec)
-
-    def _apply(self, kind, data, vec):
-        """``apply`` of the operator whose ``_letter`` is ``data``."""
         dim, top = self.algebra.dim, self.max_grade
         if len(vec) > top + 1:
             raise ValueError("graded vector has more than %d grades" % (top + 1))
-        shift = _SHIFTS[kind]
-        out = [None] * (top + 1)
+        block = []
         for k, part in enumerate(vec):
-            if part is None:
-                continue
-            if np.size(part) != dim**k:
-                raise ValueError("grade %d must have %d coordinates" % (k, dim**k))
-            if kind == CREATION and k == top:
-                raise GradeOverflowError("creation pushes grade %d past the cutoff" % k)
-            if k == 0 and kind != CREATION:
-                continue
-            block = np.asarray(part, dtype=complex).reshape(-1, 1)
-            out[k + shift] = self._kernel(kind, data, block, k).reshape(-1)
-        return out
+            if part is not None:
+                if np.size(part) != dim**k:
+                    raise ValueError("grade %d must have %d coordinates" % (k, dim**k))
+                part = np.asarray(part, dtype=complex).reshape(-1, 1)
+            block.append(part)
+        coeffs = self._coefficients(kind, symbol)[None]
+        out = self._step([(kind, coeffs, None)], block, len(block) + 1)
+        return [None if part is None else part.reshape(-1) for part in out]
 
     def vacuum_expectation(self, word):
         """Vacuum state of a product of operators.
@@ -365,16 +368,20 @@ class GradedFockSpace:
         word is a sequence of (kind, symbol) pairs, applied so that the last
         pair acts first.
         """
-        return self._vacuum_walk([[(1.0, kind, symbol)] for kind, symbol in word])
+        letters = [
+            [(kind, self._coefficients(kind, symbol)[None], None)]
+            for kind, symbol in word
+        ]
+        return complex(self._vacuum_walk(letters, 1)[0])
 
-    def _vacuum_walk(self, letters):
-        """Vacuum state of a product of letters, the last acting first.
+    def _vacuum_walk(self, letters, trials):
+        """Vacuum states of ``trials`` products of letters at once, the last
+        letter acting first, one per column of the letters' terms (see
+        ``_walk``).
 
-        A letter is a sequence of (coeff, kind, symbol) terms and stands for
-        the sum of the operators scaled by their coefficients.  Grades that
-        can no longer return to the vacuum within the remaining letters are
-        pruned, which keeps words of length up to twice the grade cutoff
-        inside the truncation exactly.
+        Grades that can no longer return to the vacuum within the remaining
+        letters are pruned, which keeps words of length up to twice the
+        grade cutoff inside the truncation exactly.
         """
         letters = list(letters)
         if len(letters) > 2 * self.max_grade:
@@ -382,38 +389,57 @@ class GradedFockSpace:
                 "word of length %d needs more than %d grades"
                 % (len(letters), self.max_grade)
             )
-        vacuum = self._walk(letters, [np.ones(1, dtype=complex)], len(letters))[0]
-        return 0j if vacuum is None else complex(vacuum[0])
+        vacuum = np.ones((1, trials), dtype=complex)
+        vacuum = self._walk(letters, [vacuum], len(letters))[0]
+        return np.zeros(trials, dtype=complex) if vacuum is None else vacuum[0]
 
-    def _walk(self, letters, vec, remaining):
-        """Apply letters to the graded vector vec, the last first, summing
-        the terms of each letter grade by grade; `remaining` counts the
-        letters, these included, still to act before the vacuum is read.
+    def _walk(self, letters, block, remaining):
+        """Apply letters to the graded block ``block``, the last first;
+        ``remaining`` counts the letters, these included, still to act
+        before the vacuum is read.
 
-        A term sees only the grades that some suffix of `remaining` letters,
-        its own included, can still map back down to grade 0: after its
-        shift, each later letter lowers the grade by at most one.  Each
-        distinct (kind, coefficients) ``_letter`` is built once per walk,
-        so a word that repeats a symbol sums its basis tensors once.
+        A graded block is a list whose entry k holds a (dim**k, T) array,
+        one column per trial, or None for an empty grade.  A letter is a
+        sequence of (kind, coeffs, scale) terms and stands for their sum:
+        ``coeffs`` is the (T, dim) stack of the trials' ``_coefficients``,
+        which weigh the basis operators of ``kind`` column by column, and
+        ``scale``, when not None, a (T,) factor of each column's image.  A
+        walk thus runs the same kernels at one trial or many (``_step``).
+
+        A term sees only the grades that some suffix of ``remaining``
+        letters, its own included, can still map back down to grade 0:
+        after its shift, each later letter lowers the grade by at most one.
         """
-        built = {}
         for letter in reversed(letters):
-            out = [None] * (self.max_grade + 1)
-            for coeff, kind, symbol in letter:
-                coeffs = self._coefficients(kind, symbol)
-                key = kind, coeffs.tobytes()
-                if key not in built:
-                    built[key] = self._letter(kind, coeffs)
-                term = self._apply(kind, built[key], vec[: remaining - _SHIFTS[kind]])
-                for k, part in enumerate(term):
-                    if part is None:
-                        continue
-                    if coeff != 1.0:
-                        part = coeff * part
-                    out[k] = part if out[k] is None else out[k] + part
-            vec = out
+            block = self._step(letter, block, remaining)
             remaining -= 1
-        return vec
+        return block
+
+    def _step(self, terms, block, remaining):
+        """One letter of ``_walk`` on a graded block.  An operator is linear
+        in its symbol's coordinates, so each term runs the kernel of every
+        basis letter of its kind once on each grade it sees and weighs the
+        images column by column by the trials' coefficients."""
+        dim, top = self.algebra.dim, self.max_grade
+        out = [None] * (top + 1)
+        for kind, coeffs, scale in terms:
+            shift = _SHIFTS[kind]
+            units = self._basis_letters(kind)
+            for k, part in enumerate(block[: remaining - shift]):
+                if part is None or (k == 0 and kind != CREATION):
+                    continue
+                if kind == CREATION and k == top:
+                    raise GradeOverflowError("creation pushes grade %d past the cutoff" % k)
+                image = self._kernel(kind, units[0], part, k) * coeffs[:, 0]
+                for b in range(1, dim):
+                    image += self._kernel(kind, units[b], part, k) * coeffs[:, b]
+                if scale is not None:
+                    image *= scale
+                if out[k + shift] is None:
+                    out[k + shift] = image
+                else:
+                    out[k + shift] += image
+        return out
 
     def _metric(self, k):
         """Gram matrix of grade k in the coordinates the checks run in,
@@ -443,9 +469,10 @@ class GradedFockSpace:
             details.append("%s=%d min_eig=%.3e" % (label, k, low))
         return worst, "; ".join(details)
 
-    def _operator_norms(self, kind, symbols, k):
+    def _operator_norms(self, kind, coeffs, k):
         """Norms of the operators of ``kind`` leaving grade k, restricted to
-        the subspaces the space checks on, at each of ``symbols``, measured
+        the subspaces the space checks on, at each row of ``coeffs``, the
+        (T, dim) stack of the trials' ``_coefficients``, measured
         against the metrics of both grades, and the relative residual of
         the Ritz pair each was read from, or None where the norms are exact
         or the operators ``_empty``.
@@ -466,10 +493,9 @@ class GradedFockSpace:
           norms from their products with vectors (``_whitened_products``).
         """
         if self._empty(kind, k):
-            return np.zeros(len(symbols)), None
+            return np.zeros(len(coeffs)), None
         out, into = self._whitening(k + _SHIFTS[kind]), self._whitening(k)
         factors = self._leading_stack(kind, k)
-        coeffs = np.array([self._coefficients(kind, s) for s in symbols])
         if into.whitener.shape[0] == factors.shape[2]:
             # the transposes W_in^T (L_out F_b)^T, which have the same norms,
             # so that a real whitening acts in real arithmetic on both sides
@@ -478,7 +504,7 @@ class GradedFockSpace:
             del left
             return stack_operator_norms(whitened, coeffs, _NORM_BLOCK), None
         products = self._whitened_products(factors, out, into)
-        # no symbols still make one (empty) run, for two empty arrays
+        # no trials still make one (empty) run, for two empty arrays
         batches = [
             krylov_operator_norms(*products, coeffs[start : start + _NORM_BATCH])
             for start in range(0, max(len(coeffs), 1), _NORM_BATCH)
@@ -535,9 +561,11 @@ class GradedFockSpace:
 
     def _norm_records(self, prefix, claim, cases, symbols, slack):
         """Norm-bound records: ``cases`` are (name, kind, grade, bound)
-        tuples, bound an array over ``symbols``, and the record
-        ``<prefix>.<name>_bound`` holds the worst norm minus bound over the
-        cases of that name and the symbols, against ``slack``.
+        tuples, bound an array over ``symbols``, a (T, ...) stack of
+        algebra elements whose coefficients are taken once per kind, and
+        the record ``<prefix>.<name>_bound`` holds the worst norm minus
+        bound over the cases of that name and the symbols, against
+        ``slack``.
 
         A Ritz value is a lower bound on the norm it estimates, so every
         record fails, and does not pass, when the worst relative Ritz
@@ -548,8 +576,9 @@ class GradedFockSpace:
         metric directions the whitenings of grades 0..max_grade drop.
         """
         excess, ritz, lanczos, empty = {}, 0.0, 0, 0
+        coeffs = {kind: self._coefficients(kind, symbols) for kind in _SHIFTS}
         for name, kind, k, bound in cases:
-            norms, residuals = self._operator_norms(kind, symbols, k)
+            norms, residuals = self._operator_norms(kind, coeffs[kind], k)
             worst = float((norms - bound).max())
             excess[name] = max(excess.get(name, -math.inf), worst)
             if residuals is not None:

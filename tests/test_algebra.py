@@ -157,3 +157,26 @@ def test_grade_overflow_error_is_raised_not_silenced():
     top = space.apply(CREATION, np.ones(1), space.apply(CREATION, np.ones(1), vec))
     with pytest.raises(GradeOverflowError):
         space.apply(CREATION, np.ones(1), top)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [FunctionAlgebra([0.3, 0.7, 1.1]), MatrixAlgebra(2), MatrixAlgebra(3)],
+    ids=repr,
+)
+def test_norms_broadcast_over_a_stack_with_the_bits_of_each_element(alg):
+    # a (2, 3) stack of random elements, and a stack of the unit and its
+    # triple, whose larger norm must not stand for both
+    rng = np.random.default_rng(19)
+    stack = np.array([[random_element(alg, rng) for _ in range(3)] for _ in range(2)])
+    for norm in (alg.norm_l2, alg.norm_linf):
+        values = norm(stack)
+        assert values.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            single = norm(stack[index])
+            assert isinstance(single, float)
+            assert values[index].tobytes() == np.float64(single).tobytes(), index
+    pair = np.array([alg.unit(), 3.0 * alg.unit()])
+    assert alg.norm_linf(pair).tolist() == [1.0, 3.0]
+    unit = alg.norm_l2(alg.unit())
+    assert alg.norm_l2(pair) == pytest.approx([unit, 3.0 * unit], rel=1e-15)

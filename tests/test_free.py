@@ -325,6 +325,22 @@ def test_gram_build_holds_no_kronecker_product():
     assert peak <= 2.5 * _m2_top_gram_bytes(), peak / _m2_top_gram_bytes()
 
 
+def test_gram_is_hermitized_in_place():
+    # the grade's matrix is the one array of its size held: the row
+    # products of the accumulation, 4 MB, and two 1 MB hermitize blocks
+    # stay under half the Gram's bytes above it (2.14x with a hermitized
+    # copy), and the bits are those of hermitizing the raw sum
+    space = FreeSpace(MatrixAlgebra(2), max_grade=5)
+    peak = _traced_peak(lambda: space.gram(5))
+    assert peak <= 1.5 * _m2_top_gram_bytes(), peak / _m2_top_gram_bytes()
+    oracle = kron_gram(FreeSpace(MatrixAlgebra(2), max_grade=3), 3, {})
+    mat = space._factor(3)
+    for m in range(1, 3):
+        mat += np.kron(space._factor(m), space.gram(3 - m))
+    assert space.gram(3).tobytes() == hermitize(mat).tobytes()
+    assert np.array_equal(space.gram(3), oracle)
+
+
 def test_adjointness_holds_row_blocks_not_whole_sides():
     # with the metrics cached, the sides are compared a row block at a
     # time: about 1x the Gram's bytes (4.01x with whole sides)

@@ -123,6 +123,34 @@ def test_a_perturbed_annihilation_factor_fails_the_moments():
         (record,) = space.check_moments(np.random.default_rng(35))
         assert record.name == "free.moments.operator_vs_noncrossing"
         assert record.status == "fail", (b, record.residual)
+    # the walks carry the trials as columns, so mutants of the batching
+    # must fail a walked record too: a 1e-6 change of one basis factor, the
+    # coupling s dropped from the number term, and each trial's
+    # coefficient rows shifted onto the next trial
+    for mutant in ("factor", "coupling", "rows"):
+        space = SPACES["f3"]()
+        if mutant == "factor":
+            _perturb(space, NUMBER, 1, eps=1e-6)
+        else:
+            space._step = _mutated_step(space._step, mutant)
+        records = space.check_traciality(np.random.default_rng(35))
+        records += space.check_moments(np.random.default_rng(35))
+        assert [r.status for r in records] != ["pass", "pass"], mutant
+
+
+def _mutated_step(step, mutant):
+    """``_step`` with each number term's per-column coupling dropped
+    ("coupling") or every term's coefficient rows rolled by one trial
+    ("rows")."""
+
+    def mutated(terms, block, remaining):
+        if mutant == "coupling":
+            terms = [(kind, coeffs, None) for kind, coeffs, _ in terms]
+        else:
+            terms = [(kind, np.roll(coeffs, 1, axis=0), scale) for kind, coeffs, scale in terms]
+        return step(terms, block, remaining)
+
+    return mutated
 
 
 def whole_grade_relations(space):
@@ -243,7 +271,8 @@ def test_matrix_free_norms_match_lanczos_on_the_stack(name):
     rng = np.random.default_rng(32)
     symbols = [random_element(space.algebra, rng) for _ in range(5)]
     for kind, k in _cases(space):
-        norms, residuals = space._operator_norms(kind, symbols, k)
+        coeffs = space._coefficients(kind, np.array(symbols))
+        norms, residuals = space._operator_norms(kind, coeffs, k)
         expected, _ = stack_norms(space, kind, symbols, k)
         assert residuals is None or (residuals <= KRYLOV_TOL).all(), (kind, k)
         assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (kind, k)

@@ -74,6 +74,11 @@ def _symbols(space, count):
     return [random_element(space.algebra, rng) for _ in range(count)]
 
 
+def _coeffs(space, kind, symbols):
+    """The (T, dim) stack of the ``_coefficients`` of ``symbols``."""
+    return space._coefficients(kind, np.array(symbols))
+
+
 def _dense_chain(space, word, k):
     """The operator word as the chained product of its dense operator
     matrices, each built at the grade the letters to its right reach: the
@@ -137,33 +142,52 @@ def test_creation_past_the_top_grade_raises(space):
 def test_a_walk_to_the_top_grade_and_back_matches_the_word(space):
     # b^4 b*^4 from the vacuum climbs to the top grade and back, the
     # longest pure word a vacuum walk accepts at grade 4; the unpruned word
-    # on the vacuum column is the reference
+    # on the vacuum column is the reference.  The walk weighs the images of
+    # the basis letters and the word runs each symbol's letter, so they
+    # round apart; the gap is bounded against the largest coordinate the
+    # word passes through, the scale of what its sums cancel (8.8e3 for
+    # the bosonic word, whose moment is 197)
     symbols = _symbols(space, 2 * space.max_grade)
     kinds = [ANNIHILATION] * space.max_grade + [CREATION] * space.max_grade
     word = list(zip(kinds, symbols))
     expected = space.word_matrix(word, 0)[0, 0]
-    assert space.vacuum_expectation(word) == pytest.approx(expected, rel=1e-14)
+    scale = max(np.abs(space.word_matrix(word[i:], 0)).max() for i in range(len(word)))
+    assert abs(space.vacuum_expectation(word) - expected) <= 1e-14 * scale
 
 
-def test_a_walk_builds_each_distinct_letter_once(space, monkeypatch):
-    # a word that repeats its symbols, as a cumulant's does, builds each
-    # distinct (kind, symbol) letter once per walk, and keeps the bits of
-    # the walk that builds every step's letter afresh through ``apply``
+def test_a_walk_runs_the_same_kernels_at_one_trial_or_many(space, monkeypatch):
+    # each term runs the kernel of every basis letter of its kind once per
+    # grade it sees, whatever the number of trial columns, and no letter
+    # of a symbol is built
     x, y = _symbols(space, 2)
     word = [(ANNIHILATION, x), (ANNIHILATION, y), (CREATION, x), (ANNIHILATION, x)]
     word += [(CREATION, x), (ANNIHILATION, x), (CREATION, y), (CREATION, x)]
-    vec = [np.ones(1, dtype=complex)]
-    for remaining, (kind, symbol) in zip(range(len(word), 0, -1), reversed(word)):
-        vec = space.apply(kind, symbol, vec[: remaining - _SHIFTS[kind]])
-    built, letter = [], space._letter
+    calls, kernel = [], space._kernel
 
-    def counting(kind, coeffs):
-        built.append(kind)
-        return letter(kind, coeffs)
+    def counting(kind, data, block, k):
+        calls.append((kind, k, block.shape[1]))
+        return kernel(kind, data, block, k)
 
-    monkeypatch.setattr(space, "_letter", counting)
-    assert space.vacuum_expectation(word) == complex(vec[0][0])
-    assert Counter(built) == Counter({CREATION: 2, ANNIHILATION: 2})
+    def refuse(kind, coeffs):
+        raise AssertionError("a walk built a symbol's letter")
+
+    space._basis_letters(CREATION), space._basis_letters(ANNIHILATION)
+    monkeypatch.setattr(space, "_kernel", counting)
+    monkeypatch.setattr(space, "_letter", refuse)
+    counts = []
+    for trials in (1, 100):
+        letters = [
+            [(kind, np.repeat(space._coefficients(kind, symbol)[None], trials, 0), None)]
+            for kind, symbol in word
+        ]
+        calls.clear()
+        moments = space._vacuum_walk(letters, trials)
+        assert (np.abs(moments - moments[0]) <= 1e-15 * abs(moments[0])).all()
+        counts.append(Counter((kind, k) for kind, k, _ in calls))
+        assert {width for _, _, width in calls} == {trials}
+    assert counts[0] == counts[1]
+    # the pruned walk sees one grade per letter: dim kernels each
+    assert sum(counts[0].values()) == len(word) * space.algebra.dim
 
 
 # Spaces up to grade 4 for the operator-matrix oracle.  The dyadic ones
@@ -359,7 +383,7 @@ def test_operator_norms_match_the_whitened_compressed_matrix(name):
             continue
         k_out = k + _SHIFTS[kind]
         out, into = space._whitening(k_out), space._whitening(k)
-        norms, residuals = space._operator_norms(kind, symbols, k)
+        norms, residuals = space._operator_norms(kind, _coeffs(space, kind, symbols), k)
         assert norms.shape == (len(symbols),)
         assert residuals is None or (residuals <= KRYLOV_TOL).all(), (kind, k)
         for symbol, norm in zip(symbols, norms):
@@ -377,12 +401,13 @@ def test_batched_norms_match_one_unbatched_run(monkeypatch):
     symbols = _symbols(space, 300)
     assert len(symbols) > 2 * qwnlab.graded._NORM_BATCH
     cases = [(kind, k) for kind, k in _cases(space) if kind != NUMBER or k]
-    batched = {(kind, k): space._operator_norms(kind, symbols, k) for kind, k in cases}
+    coeffs = {kind: _coeffs(space, kind, symbols) for kind in _SHIFTS}
+    batched = {(kind, k): space._operator_norms(kind, coeffs[kind], k) for kind, k in cases}
     assert {residuals is None for _, residuals in batched.values()} == {True, False}
     monkeypatch.setattr(qwnlab.graded, "_NORM_BATCH", len(symbols))
     monkeypatch.setattr(qwnlab.graded, "_NORM_BLOCK", 1)
     for (kind, k), (norms, residuals) in batched.items():
-        expected, _ = space._operator_norms(kind, symbols, k)
+        expected, _ = space._operator_norms(kind, coeffs[kind], k)
         assert norms.shape == (len(symbols),)
         assert residuals is None or (residuals <= KRYLOV_TOL).all(), (kind, k)
         assert (np.abs(norms - expected) <= 1e-13 * expected).all(), (kind, k)
@@ -410,9 +435,10 @@ def test_norm_check_memory_is_flat_in_the_trials():
 
 def test_operator_norms_of_no_symbols_are_empty():
     space = FreeSpace(MatrixAlgebra(2), 2)
-    norms, residuals = space._operator_norms(CREATION, [], 1)
+    none = np.empty((0, space.algebra.dim), dtype=complex)
+    norms, residuals = space._operator_norms(CREATION, none, 1)
     assert norms.shape == residuals.shape == (0,)
-    norms, residuals = space._operator_norms(CREATION, [], 0)
+    norms, residuals = space._operator_norms(CREATION, none, 0)
     assert norms.shape == (0,) and residuals is None
 
 
@@ -478,9 +504,9 @@ def test_exact_norms_match_the_svd_and_lanczos_on_the_same_stacks(name):
         exact += 1
         k_out = k + _SHIFTS[kind]
         out, into = space._whitening(k_out), space._whitening(k)
-        norms, residuals = space._operator_norms(kind, symbols, k)
+        coeffs = _coeffs(space, kind, symbols)
+        norms, residuals = space._operator_norms(kind, coeffs, k)
         assert residuals is None, (kind, k)
-        coeffs = np.array([space._coefficients(kind, s) for s in symbols])
         products = space._whitened_products(space._leading_stack(kind, k), out, into)
         lanczos, _ = krylov_operator_norms(*products, coeffs)
         oracle = [
@@ -518,9 +544,9 @@ def test_free_norm_checks_run_lanczos_on_the_tailed_operators(name, monkeypatch)
     calls, current = [], []
     norms, krylov = space._operator_norms, qwnlab.graded.krylov_operator_norms
 
-    def tracked(kind, symbols, k):
+    def tracked(kind, coeffs, k):
         current[:] = [(kind, k)]
-        return norms(kind, symbols, k)
+        return norms(kind, coeffs, k)
 
     def recording(*args):
         calls.append(current[0])

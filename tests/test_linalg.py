@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qwnlab.linalg
 from qwnlab.linalg import (
     KRYLOV_TOL,
     axis_permutation_matrix,
@@ -14,6 +15,7 @@ from qwnlab.linalg import (
     gram_whitener,
     gram_whitening,
     hermitize,
+    hermitize_in_place,
     krylov_operator_norms,
     lower_inverse,
     orthonormal_range,
@@ -229,6 +231,25 @@ def test_hermitize_has_the_bits_of_the_averaged_sum_and_is_idempotent(real):
         again = hermitize(h)
         assert np.array_equal(again, h)
         assert np.array_equal(np.signbit(again.view(float)), np.signbit(h.view(float)))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_hermitize_in_place_has_the_bits_of_hermitize(real, monkeypatch):
+    # blocks of 4 x 4 over sizes that end inside a block and on its edge,
+    # with signed zeros in mirrored entries; at the real block the whole
+    # matrix is one diagonal block
+    rng = np.random.default_rng(18)
+    for block in (16, qwnlab.linalg._HERMITIZE_BLOCK):
+        monkeypatch.setattr(qwnlab.linalg, "_HERMITIZE_BLOCK", block)
+        for size in (1, 4, 5, 9, 64):
+            m = _complex(rng, (size, size))
+            if real:
+                m = m.real
+            if size > 1:
+                m[0, 1], m[1, 0] = -0.0, 0.0
+            expected = hermitize(m)
+            out = hermitize_in_place(m)
+            assert out is m and out.tobytes() == expected.tobytes(), (block, size)
 
 
 def _lower_factor(rng, size, real):
