@@ -308,45 +308,45 @@ class BosonicSpace(GradedFockSpace):
             return state, 2.0 * merge.transpose(2, 1, 0).reshape(alg.dim, -1)
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def _kernel(self, kind, data, block, k):
+    def _stacked_kernel(self, kind, data, block, k):
         # Each slot's term is added through a view of the output that
         # splits the slots before it from the slot and those after.
         dim = self.algebra.dim
-        width = block.shape[1]
+        lead, width = len(block), block.shape[2]
         if kind == CREATION:
             # The symbol times the block, with the new slot first, moved
             # into each of the k + 1 gaps.
             (coords,) = data
-            inserted = coords[:, None] * block.reshape(1, -1)
+            inserted = coords[:, :, None] * block.reshape(lead, 1, -1)
             if k == 0:
-                return inserted.reshape(-1, width)
-            first = inserted.reshape(dim, dim, -1)
-            out = (first + first.transpose(1, 0, 2)).reshape(-1, width)
+                return inserted.reshape(lead, -1, width)
+            first = inserted.reshape(lead, dim, dim, -1)
+            out = (first + first.transpose(0, 2, 1, 3)).reshape(lead, -1, width)
             for target in range(2, k + 1):
-                view = out.reshape(dim**target, dim, -1)
-                moved = inserted.reshape(dim, dim**target, -1).transpose(1, 0, 2)
+                view = out.reshape(lead, dim**target, dim, -1)
+                moved = inserted.reshape(lead, dim, dim**target, -1).transpose(0, 2, 1, 3)
                 np.add(view, moved, out=view)
             return out
         if kind == NUMBER:
             # One buffer takes the product of every slot after the first.
             (left,) = data
-            out = (left @ block.reshape(dim, -1)).reshape(-1, width)
+            out = (left @ block.reshape(lead, dim, -1)).reshape(lead, -1, width)
             term = np.empty_like(out)
             for target in range(1, k):
-                view = out.reshape(dim**target, dim, -1)
+                view = out.reshape(lead, dim**target, dim, -1)
                 product = term.reshape(view.shape)
-                np.matmul(left, block.reshape(view.shape), out=product)
+                np.matmul(left[:, None], block.reshape(view.shape), out=product)
                 np.add(view, product, out=view)
             return out
         # State term: pair the symbol against the first slot and drop it.
         # Merge terms: slot i absorbs (slot_i symbol* slot_1) for i >= 2.
         state, pairs = data
-        out = (state @ block.reshape(dim, -1)).reshape(-1, width)
+        out = (state[:, None, :] @ block.reshape(lead, dim, -1)).reshape(lead, -1, width)
         for i in range(2, k + 1):
             before = dim ** (i - 2)
-            slots = block.reshape(dim, before, dim, -1).transpose(1, 0, 2, 3)
-            merged = pairs @ slots.reshape(before, dim * dim, -1)
-            view = out.reshape(before, dim, -1)
+            slots = block.reshape(lead, dim, before, dim, -1).transpose(0, 2, 1, 3, 4)
+            merged = pairs[:, None] @ slots.reshape(lead, before, dim * dim, -1)
+            view = out.reshape(lead, before, dim, -1)
             np.add(view, merged, out=view)
         return out
 

@@ -182,10 +182,10 @@ class FreeSpace(GradedFockSpace):
             return row, np.kron(row, np.eye(dim)) + merge
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def _kernel(self, kind, data, block, k):
+    def _stacked_kernel(self, kind, data, block, k):
         factor = _at_grade(data, k)
-        image = factor @ block.reshape(factor.shape[1], -1)
-        return image.reshape(-1, block.shape[1])
+        image = factor @ block.reshape(len(block), factor.shape[2], -1)
+        return image.reshape(len(block), -1, block.shape[2])
 
     def _leading(self, kind, coeffs, k):
         """The leading factor F of the operator of ``kind`` leaving grade k
@@ -200,7 +200,7 @@ class FreeSpace(GradedFockSpace):
         """The walk letters of field factors, creation + annihilation of
         the starred symbol + s * number, for the trials' couplings s, of
         shape (T,), and symbols, each a (T, ...) stack: the coupling scales
-        each column of the number term, which is left out when every
+        each row of the number term, which is left out when every
         coupling is 0."""
         star = self.algebra.star
         letters = []
@@ -454,7 +454,7 @@ class FreeSpace(GradedFockSpace):
             words += [(s, left + right), (s, right + left)]
         worst = 0.0
         for _, s, symbols in _by_length(words):
-            # each trial's two orders are adjacent columns
+            # each trial's two orders are adjacent rows
             moments = self.moment_operator(s, symbols)
             xy, yx = moments[0::2], moments[1::2]
             worst = max(worst, _worst(np.abs(xy - yx) / np.maximum(np.abs(xy), 1.0)))

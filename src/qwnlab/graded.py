@@ -52,15 +52,17 @@ loop over the k! permutations.
 
 A graded vector, as ``apply`` takes it, is a plain list whose entry k
 holds the dim**k coordinates of grade k, or None for an empty grade.  The
-vacuum walks carry a graded block instead, entry k a (dim**k, T) array
-with one column per trial, so the moments of T words of one length come
-from one walk: by the same linearity, each term of a letter runs the
-kernel of every basis letter of its kind once on the block and weighs the
-images column by column by the trials' coefficients, so a walk makes the
-same kernel calls at one trial or a hundred and builds no symbol's letter.
-The truncation is a hard wall: an operator that would populate a grade
-beyond the cap raises :class:`GradeOverflowError` instead of silently
-dropping weight.
+vacuum walks carry a graded block instead, entry k a (T, dim**k) array
+with one row per trial, so the moments of T words of one length come from
+one walk.  Each term of a letter builds the letters of all T trials at
+once, a stack along a leading axis, and runs one stacked kernel on the
+block, each trial's letter on its own row: a walk makes the same kernel
+calls at one trial or a hundred, and each trial's arithmetic is that of
+its own letter on its own vector, whichever trials share its block.  A
+walk holds at most ``_WALK_BLOCK`` entries of a grade at once, taking the
+trials in chunks.  The truncation is a hard wall: an operator that would
+populate a grade beyond the cap raises :class:`GradeOverflowError` instead
+of silently dropping weight.
 """
 
 from __future__ import annotations
@@ -95,6 +97,13 @@ _SIDE_BLOCK = 2**18
 # 17 grade-4 number operators over M_2 (25 x 25 whitened directions), and
 # one over M_3 at truncation 4, a side of hundreds of directions.
 _NORM_BLOCK = 2**15
+
+# Entries of one trial chunk of a vacuum walk (``_vacuum_walk``) in the top
+# grade it reaches or in its largest letter tensor, 1 MiB of complex
+# entries: a walk's memory stays flat in the trials.  A chunk holds 256
+# trials over M_2 at truncation 4, every word length of a free pass, and
+# 89 of a six-letter walk over M_3.
+_WALK_BLOCK = 2**16
 
 
 class GradeOverflowError(RuntimeError):
@@ -167,9 +176,13 @@ class GradedFockSpace:
     * ``_symbol_tensors(kind, symbol)``: what the operator of that kind
       needs of its symbol, linear in the symbol for creation and number
       and in its star for annihilation;
-    * ``_kernel(kind, data, block, k)``: its action on a block of columns
-      in grade-k coordinates, an array of shape (dim**k, width), giving
-      the block of its images in the coordinates of the grade it reaches;
+    * ``_stacked_kernel(kind, data, block, k)``: the action of a stack of
+      L operators of one kind on a block of shape (L, dim**k, width) in
+      grade-k coordinates, operator l on the columns of block[l], whose
+      tensors ``data`` carry the stack along a leading axis; it gives the
+      (L, dim**j, width) block of their images in the coordinates of the
+      grade j they reach.  ``_kernel(kind, data, block, k)`` is the stack
+      of one, an unstacked letter on a (dim**k, width) block;
 
     and, for the metric and the shared checks, ``gram(k)``, the class
     attributes of the records (``_prefix`` of their names,
@@ -184,16 +197,15 @@ class GradedFockSpace:
     hermitized ``gram(k)`` of the whole grade; a space that checks on a
     subspace returns the Gram in an orthonormal basis of it.
 
-    ``_symbol_tensors`` and ``_kernel`` are the only definition of each
-    operator (the free space's tensors are its leading factors, and its
-    kernel is their product with a block), and ``_kernel`` on a block of
-    columns is the only way the scaffold acts with one: ``word_matrix``
-    runs each letter's kernel on a block that starts as the requested
-    columns (the identity by default), ``operator_matrix`` is the
-    one-letter word, and a vacuum walk (``_walk``) runs the kernels of the
-    basis letters on the trial columns of each grade present in a graded
-    block, weighing their images by each trial's coefficients (see the
-    module docstring); ``apply`` is its step on one graded vector.
+    ``_symbol_tensors`` and ``_stacked_kernel`` are the only definition of
+    each operator (the free space's tensors are its leading factors, and
+    its kernel is their product with a block), and the kernel is the only
+    way the scaffold acts with one: ``word_matrix`` runs each letter's
+    ``_kernel`` on a block that starts as the requested columns (the
+    identity by default), ``operator_matrix`` is the one-letter word, and a
+    vacuum walk (``_walk``) runs each term's stacked letters, one per
+    trial, on the trial rows of each grade present in a graded block (see
+    the module docstring); ``apply`` is its step on one graded vector.
     ``_symbol_tensors`` runs only at the basis elements of the algebra,
     once per kind; a letter's tensors are their sum weighed by
     ``_coefficients``.  The linear claims are checked on the basis of the
@@ -217,7 +229,6 @@ class GradedFockSpace:
         self._whitenings = {}
         self._orbit_cache = {}
         self._basis_tensors = {}
-        self._units = {}
 
     def _check_grade(self, k):
         check_grade(k, self.max_grade)
@@ -268,24 +279,32 @@ class GradedFockSpace:
         """The ``_symbol_tensors`` of the operator of ``kind`` whose basis
         operators are weighed by ``coeffs``: each tensor's values at the
         basis elements, built once per kind and stacked along a first axis,
-        summed with these weights."""
+        summed with these weights.  Coefficients of shape (..., dim) give
+        tensors with the same leading axes, one letter per row, each summed
+        as the letter of that row alone."""
+        stacks = self._basis_stacks(kind)
+        lead = np.shape(coeffs)[:-1]
+        rows = np.asarray(coeffs)[..., None, :]
+        return [
+            (rows @ stack.reshape(len(stack), -1)).reshape(lead + stack.shape[1:])
+            for stack in stacks
+        ]
+
+    def _basis_stacks(self, kind):
+        """The ``_symbol_tensors`` of ``kind`` at the basis elements, each
+        stacked along a first axis (cached)."""
         if kind not in self._basis_tensors:
             per_element = [
                 self._symbol_tensors(kind, element) for element in self.algebra.basis()
             ]
             self._basis_tensors[kind] = [np.array(t) for t in zip(*per_element)]
-        return [
-            (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
-            for stack in self._basis_tensors[kind]
-        ]
+        return self._basis_tensors[kind]
 
     def _basis_letters(self, kind):
-        """The letters of ``kind`` at the basis elements of the algebra
-        (cached)."""
-        if kind not in self._units:
-            units = np.eye(self.algebra.dim)
-            self._units[kind] = [self._letter(kind, unit) for unit in units]
-        return self._units[kind]
+        """The letters of ``kind`` at the basis elements of the algebra,
+        views of the basis stacks."""
+        stacks = self._basis_stacks(kind)
+        return [[stack[b] for stack in stacks] for b in range(self.algebra.dim)]
 
     def operator_matrix(self, kind, symbol, k):
         """Dense matrix of the operator leaving grade k, in flat
@@ -335,6 +354,12 @@ class GradedFockSpace:
             block = self._kernel(kind, data, block, grade)
         return block
 
+    def _kernel(self, kind, data, block, k):
+        """The operator whose tensors are ``data`` on a (dim**k, width)
+        block: the ``_stacked_kernel`` of a stack of one."""
+        stacked = [tensor[None] for tensor in data]
+        return self._stacked_kernel(kind, stacked, block[None], k)[0]
+
     def commutator(self, left, right, k, q=1.0, columns=None):
         """Matrix of left right - q right left leaving grade k, for two
         words, applied to ``columns`` as in ``word_matrix``."""
@@ -356,7 +381,7 @@ class GradedFockSpace:
             if part is not None:
                 if np.size(part) != dim**k:
                     raise ValueError("grade %d must have %d coordinates" % (k, dim**k))
-                part = np.asarray(part, dtype=complex).reshape(-1, 1)
+                part = np.asarray(part, dtype=complex).reshape(1, -1)
             block.append(part)
         coeffs = self._coefficients(kind, symbol)[None]
         out = self._step([(kind, coeffs, None)], block, len(block) + 1)
@@ -376,35 +401,54 @@ class GradedFockSpace:
 
     def _vacuum_walk(self, letters, trials):
         """Vacuum states of ``trials`` products of letters at once, the last
-        letter acting first, one per column of the letters' terms (see
+        letter acting first, one per row of the letters' terms (see
         ``_walk``).
 
         Grades that can no longer return to the vacuum within the remaining
         letters are pruned, which keeps words of length up to twice the
-        grade cutoff inside the truncation exactly.
+        grade cutoff inside the truncation exactly.  So a word of n letters
+        reaches grade n // 2 at most, and the trials are walked in chunks
+        that hold about ``_WALK_BLOCK`` entries in a grade there or in a
+        stacked letter tensor, whichever is larger.
         """
         letters = list(letters)
-        if len(letters) > 2 * self.max_grade:
+        n = len(letters)
+        if n > 2 * self.max_grade:
             raise GradeOverflowError(
-                "word of length %d needs more than %d grades"
-                % (len(letters), self.max_grade)
+                "word of length %d needs more than %d grades" % (n, self.max_grade)
             )
-        vacuum = np.ones((1, trials), dtype=complex)
-        vacuum = self._walk(letters, [vacuum], len(letters))[0]
-        return np.zeros(trials, dtype=complex) if vacuum is None else vacuum[0]
+        kinds = {kind for letter in letters for kind, _, _ in letter}
+        sizes = [stack[0].size for kind in kinds for stack in self._basis_stacks(kind)]
+        chunk = max(1, _WALK_BLOCK // max([self.algebra.dim ** (n // 2)] + sizes))
+        moments = np.zeros(trials, dtype=complex)
+        for start in range(0, trials, chunk):
+            rows = slice(start, start + chunk)
+            part = letters
+            if trials > chunk:
+                part = [
+                    [(kind, c[rows], None if w is None else w[rows]) for kind, c, w in letter]
+                    for letter in letters
+                ]
+            vacuum = np.ones((min(chunk, trials - start), 1), dtype=complex)
+            vacuum = self._walk(part, [vacuum], n)[0]
+            if vacuum is not None:
+                moments[rows] = vacuum[:, 0]
+        return moments
 
     def _walk(self, letters, block, remaining):
         """Apply letters to the graded block ``block``, the last first;
         ``remaining`` counts the letters, these included, still to act
         before the vacuum is read.
 
-        A graded block is a list whose entry k holds a (dim**k, T) array,
-        one column per trial, or None for an empty grade.  A letter is a
+        A graded block is a list whose entry k holds a (T, dim**k) array,
+        one row per trial, or None for an empty grade.  A letter is a
         sequence of (kind, coeffs, scale) terms and stands for their sum:
         ``coeffs`` is the (T, dim) stack of the trials' ``_coefficients``,
-        which weigh the basis operators of ``kind`` column by column, and
-        ``scale``, when not None, a (T,) factor of each column's image.  A
-        walk thus runs the same kernels at one trial or many (``_step``).
+        row t weighing the basis operators of ``kind`` for trial t, and
+        ``scale``, when not None, a (T,) factor of each row's image.  Each
+        term builds its T letters once and runs one ``_stacked_kernel`` per
+        grade it sees, so a walk runs the same kernels at one trial or many
+        (``_step``).
 
         A term sees only the grades that some suffix of ``remaining``
         letters, its own included, can still map back down to grade 0:
@@ -416,25 +460,23 @@ class GradedFockSpace:
         return block
 
     def _step(self, terms, block, remaining):
-        """One letter of ``_walk`` on a graded block.  An operator is linear
-        in its symbol's coordinates, so each term runs the kernel of every
-        basis letter of its kind once on each grade it sees and weighs the
-        images column by column by the trials' coefficients."""
-        dim, top = self.algebra.dim, self.max_grade
+        """One letter of ``_walk`` on a graded block: each term's stack of
+        letters, one per trial, acts on the trial rows of each grade it
+        sees."""
+        top = self.max_grade
         out = [None] * (top + 1)
         for kind, coeffs, scale in terms:
-            shift = _SHIFTS[kind]
-            units = self._basis_letters(kind)
+            shift, data = _SHIFTS[kind], None
             for k, part in enumerate(block[: remaining - shift]):
                 if part is None or (k == 0 and kind != CREATION):
                     continue
                 if kind == CREATION and k == top:
                     raise GradeOverflowError("creation pushes grade %d past the cutoff" % k)
-                image = self._kernel(kind, units[0], part, k) * coeffs[:, 0]
-                for b in range(1, dim):
-                    image += self._kernel(kind, units[b], part, k) * coeffs[:, b]
+                if data is None:
+                    data = self._letter(kind, coeffs)
+                image = self._stacked_kernel(kind, data, part[:, :, None], k)[:, :, 0]
                 if scale is not None:
-                    image *= scale
+                    image *= scale[:, None]
                 if out[k + shift] is None:
                     out[k + shift] = image
                 else:

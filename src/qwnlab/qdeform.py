@@ -93,17 +93,19 @@ class QFockSpace(GradedFockSpace):
             return (self.algebra.star(symbol),)
         raise ValueError("unknown operator kind %r" % (kind,))
 
-    def _kernel(self, kind, data, block, k):
+    def _stacked_kernel(self, kind, data, block, k):
         dim = self.dim
-        width = block.shape[1]
+        lead, width = len(block), block.shape[2]
+        (modes,) = data
         if kind == CREATION:
-            return (data[0][:, None, None] * block).reshape(-1, width)
+            return (modes[:, :, None, None] * block[:, None]).reshape(lead, -1, width)
         # the contraction against slot i carries the weight q**i
-        out = (data[0] @ block.reshape(dim, -1)).reshape(-1, width)
+        rows = modes[:, None, :]
+        out = (rows @ block.reshape(lead, dim, -1)).reshape(lead, -1, width)
         for i in range(1, k):
-            term = self.q**i * (data[0] @ block.reshape(dim**i, dim, -1))
-            view = out.reshape(dim**i, -1)
-            np.add(view, term, out=view)
+            term = self.q**i * (rows[:, None] @ block.reshape(lead, dim**i, dim, -1))
+            view = out.reshape(lead, dim**i, -1)
+            np.add(view, term.reshape(view.shape), out=view)
         return out
 
     def create_matrix(self, phi, n):

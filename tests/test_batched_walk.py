@@ -1,17 +1,20 @@
-"""Vacuum walks over trial columns against the per-symbol letter walk.
+"""Vacuum walks over trial rows against the per-symbol letter walk.
 
-A walk carries one column per trial: each term of a letter runs the kernel
-of every basis letter of its kind once on the graded block and weighs the
-images column by column by the trials' coefficients.  The walk it replaced
-built each symbol's letter and ran one vector per trial; it lives here as
-the oracle.  The batched checks draw their trials in the order the
-per-trial checks drew them, so each leaves its generator where a replay of
-that order does.
+A walk carries one row per trial: each term of a letter builds the letters
+of all its trials at once and runs one stacked kernel on the graded block,
+each trial's letter on its own row, and it takes the trials in chunks of
+bounded size.  The walk it replaced ran one trial at a time, a vector per
+trial; it lives here as the oracle.  The batched checks draw
+their trials in the order the per-trial checks drew them, so each leaves
+its generator where a replay of that order does.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qwnlab.graded
 from qwnlab.algebra import FunctionAlgebra, MatrixAlgebra, random_element
 from qwnlab.bosonic import BosonicSpace
 from qwnlab.free import FreeSpace
@@ -131,19 +134,48 @@ def test_single_trial_moments_keep_their_scalar_form():
 
 def test_traciality_runs_one_walk_per_word_length(monkeypatch):
     # 100 trials of words of 2 to 6 letters: one walk per length, each
-    # letter's three terms running dim kernels on at most every grade
+    # letter's three terms running one stacked kernel on at most every
+    # grade
     space = FreeSpace(FunctionAlgebra([0.3, 0.7, 1.1]), 4, 0.7)
-    kernel, calls = space._kernel, []
+    kernel, calls = space._stacked_kernel, []
 
     def counting(kind, data, block, k):
-        calls.append(block.shape[1])
+        calls.append(len(block))
         return kernel(kind, data, block, k)
 
-    monkeypatch.setattr(space, "_kernel", counting)
+    monkeypatch.setattr(space, "_stacked_kernel", counting)
     (record,) = space.check_traciality(np.random.default_rng(44), trials=100)
     assert record.status == "pass"
-    dim = space.algebra.dim
-    assert len(calls) <= 5 * 6 * 3 * dim * (space.max_grade + 1), len(calls)
+    assert len(calls) <= 5 * 6 * 3 * (space.max_grade + 1), len(calls)
+
+
+def test_a_walk_holds_a_bounded_chunk_of_trials(monkeypatch):
+    # words of six letters over M_3 reach grade 3, 729 coordinates, and
+    # each annihilation letter holds as many entries: from 100 trials to
+    # 2000 the peak grows by what the trials' coefficients take, less than
+    # twice their symbols, where one walk of all trials would hold several
+    # grade-3 blocks of 23 MB
+    space = FreeSpace(MatrixAlgebra(3), 3, 0.7)
+    rng = np.random.default_rng(46)
+
+    def growth():
+        peaks = []
+        for trials in (100, 2000):
+            s = np.resize([0.0, 1.0, -0.5], trials)
+            shape = (trials, 3, 3)
+            stacks = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(6)]
+            tracemalloc.start()
+            space.moment_operator(s, stacks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return peaks[1] - peaks[0], sum(x.nbytes for x in stacks)
+
+    space.moment_operator(np.zeros(1), [np.eye(3)[None]] * 6)
+    grown, symbols = growth()
+    assert grown <= 2 * symbols, (grown, symbols)
+    monkeypatch.setattr(qwnlab.graded, "_WALK_BLOCK", 2**40)
+    grown, symbols = growth()
+    assert grown > 10 * symbols, (grown, symbols)
 
 
 # Replays of the per-trial draw order of each batched check.

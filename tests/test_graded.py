@@ -142,52 +142,55 @@ def test_creation_past_the_top_grade_raises(space):
 def test_a_walk_to_the_top_grade_and_back_matches_the_word(space):
     # b^4 b*^4 from the vacuum climbs to the top grade and back, the
     # longest pure word a vacuum walk accepts at grade 4; the unpruned word
-    # on the vacuum column is the reference.  The walk weighs the images of
-    # the basis letters and the word runs each symbol's letter, so they
-    # round apart; the gap is bounded against the largest coordinate the
-    # word passes through, the scale of what its sums cancel (8.8e3 for
-    # the bosonic word, whose moment is 197)
+    # on the vacuum column is the reference
     symbols = _symbols(space, 2 * space.max_grade)
     kinds = [ANNIHILATION] * space.max_grade + [CREATION] * space.max_grade
     word = list(zip(kinds, symbols))
     expected = space.word_matrix(word, 0)[0, 0]
-    scale = max(np.abs(space.word_matrix(word[i:], 0)).max() for i in range(len(word)))
-    assert abs(space.vacuum_expectation(word) - expected) <= 1e-14 * scale
+    assert space.vacuum_expectation(word) == pytest.approx(expected, rel=1e-14)
 
 
 def test_a_walk_runs_the_same_kernels_at_one_trial_or_many(space, monkeypatch):
-    # each term runs the kernel of every basis letter of its kind once per
-    # grade it sees, whatever the number of trial columns, and no letter
-    # of a symbol is built
+    # each term builds the letters of all its trials at once and runs one
+    # stacked kernel per grade it sees, whatever the number of trials, and
+    # a trial's moment keeps the bits of the walk of that trial alone,
+    # those of the steps ``apply`` takes one by one
     x, y = _symbols(space, 2)
     word = [(ANNIHILATION, x), (ANNIHILATION, y), (CREATION, x), (ANNIHILATION, x)]
     word += [(CREATION, x), (ANNIHILATION, x), (CREATION, y), (CREATION, x)]
-    calls, kernel = [], space._kernel
+    vec = [np.ones(1, dtype=complex)]
+    for remaining, (kind, symbol) in zip(range(len(word), 0, -1), reversed(word)):
+        vec = space.apply(kind, symbol, vec[: remaining - _SHIFTS[kind]])
+    alone = space.vacuum_expectation(word)
+    assert alone == complex(vec[0][0])
+    calls, kernel = [], space._stacked_kernel
+    built, letter = [], space._letter
 
     def counting(kind, data, block, k):
-        calls.append((kind, k, block.shape[1]))
+        calls.append((kind, k, len(block)))
         return kernel(kind, data, block, k)
 
-    def refuse(kind, coeffs):
-        raise AssertionError("a walk built a symbol's letter")
+    def building(kind, coeffs):
+        built.append((kind, len(coeffs)))
+        return letter(kind, coeffs)
 
-    space._basis_letters(CREATION), space._basis_letters(ANNIHILATION)
-    monkeypatch.setattr(space, "_kernel", counting)
-    monkeypatch.setattr(space, "_letter", refuse)
+    monkeypatch.setattr(space, "_stacked_kernel", counting)
+    monkeypatch.setattr(space, "_letter", building)
     counts = []
     for trials in (1, 100):
         letters = [
             [(kind, np.repeat(space._coefficients(kind, symbol)[None], trials, 0), None)]
             for kind, symbol in word
         ]
-        calls.clear()
+        calls.clear(), built.clear()
         moments = space._vacuum_walk(letters, trials)
-        assert (np.abs(moments - moments[0]) <= 1e-15 * abs(moments[0])).all()
+        assert (moments == alone).all()
         counts.append(Counter((kind, k) for kind, k, _ in calls))
         assert {width for _, _, width in calls} == {trials}
+        assert built == [(kind, trials) for kind, _ in reversed(word)]
     assert counts[0] == counts[1]
-    # the pruned walk sees one grade per letter: dim kernels each
-    assert sum(counts[0].values()) == len(word) * space.algebra.dim
+    # the pruned walk sees one grade per letter: one kernel each
+    assert sum(counts[0].values()) == len(word)
 
 
 # Spaces up to grade 4 for the operator-matrix oracle.  The dyadic ones
@@ -257,6 +260,26 @@ def test_basis_sum_matches_the_kernel_at_complex_symbols(name):
             built = space.operator_matrix(kind, symbol, k)
             assert built.shape == expected.shape
             assert np.abs(built - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", sorted(NONDYADIC_SPACES))
+def test_a_stacked_kernel_runs_each_letter_on_its_own_block(name):
+    # five letters of one kind, each on its own block of three columns,
+    # against each letter's ``_kernel`` on its block alone (the number
+    # operator on the vacuum runs no kernel)
+    space = NONDYADIC_SPACES[name]()
+    rng = np.random.default_rng(6)
+    for kind, k in _cases(space):
+        if kind == NUMBER and k == 0:
+            continue
+        symbols = _coeffs(space, kind, [random_element(space.algebra, rng) for _ in range(5)])
+        shape = (5, space.algebra.dim**k, 3)
+        blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = space._stacked_kernel(kind, space._letter(kind, symbols), blocks, k)
+        for coeffs, block, image in zip(symbols, blocks, stacked):
+            expected = space._kernel(kind, space._letter(kind, coeffs), block, k)
+            assert image.shape == expected.shape, (kind, k)
+            assert np.abs(image - expected).max() <= 1e-15 * np.abs(expected).max(), (kind, k)
 
 
 @pytest.mark.parametrize("name", sorted(NONDYADIC_SPACES))
